@@ -22,7 +22,6 @@ from .allocator import (
     OptimalAllocation,
     Provenance,
     bisect_price_for_budget,
-    distance_adjusted_mac_allocation,
     evaluate_closed_forms,
     mac_allocation,
     noncoop_allocation,
@@ -54,7 +53,6 @@ from .harness import (
 from .model import (
     ChannelGains,
     CooperationLevel,
-    DualPrice,
     Geometry,
     NoiseModel,
     PowerBudget,
@@ -97,7 +95,6 @@ __all__ = [
     "DEFAULT_BUDGETS",
     "DEFAULT_GAINS",
     "DEFAULT_GEOMETRY",
-    "DualPrice",
     "ExperimentConfig",
     "FormulaCheck",
     "Geometry",
@@ -116,7 +113,6 @@ __all__ = [
     "ValidationReport",
     "adaptive_step",
     "bisect_price_for_budget",
-    "distance_adjusted_mac_allocation",
     "distance_constraints_met",
     "effective_gain",
     "evaluate_closed_forms",

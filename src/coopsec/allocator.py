@@ -8,16 +8,23 @@ raw power otherwise.  An allocation maximises
     f(p) = secrecy-rate term(p) - price * billed(p)
 
 over the feasible interval.  The stationary candidates come from fixed
-coefficient formulas (quadratics for the direct modes, cubics for the relay
-mode) rather than from a numerical derivative, so results are reproducible
-bit for bit.
+coefficient formulas rather than from a numerical derivative, so results are
+reproducible bit for bit.
 
-A few conditions admit more than one plausible derivation route.  The main
-builders carry the self-consistent route; the ``*_variant`` builders keep the
-alternate spelling so the validation layer can evaluate both and report which
-one the independent grid search supports.  The compact square-root forms in
-:func:`closed_form_allocations` are likewise kept for cross-checking only and
-never drive an allocation.
+Every direct-mode decision (non-cooperative, one-sided and power swap) is the
+same priced secrecy gap ``log(1 + g x / s2) - log(1 + e x / s2) - price x`` in
+the carried power ``x = scale * p``; which links and which scale each message
+uses comes from the mode table in :mod:`coopsec.rates`.  One kernel solves
+:func:`noncoop_quadratic` in ``x`` for all six decisions.  Relaying solves
+the cubic :func:`relay_cubic_for_a`.
+
+Audit data, never driving an allocation: the per-mode transcriptions
+:func:`mac_quadratic_pj`, :func:`mac_quadratic_pa`,
+:func:`one_side_quadratic_pa` and :func:`one_side_quadratic_pj`, the
+``*_variant`` spellings, the ``distance_mac_quadratic_*`` forms, the j-side
+relay cubic :func:`relay_cubic_for_j` and the compact square-root forms of
+:func:`evaluate_closed_forms`.  The validation layer evaluates them and
+reports which ones the independent grid search supports.
 """
 
 from __future__ import annotations
@@ -30,13 +37,12 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from .model import ChannelGains, Geometry, NoiseModel, PowerBudget
-from .rates import RatePair, ScenarioKind, secrecy_rate
+from .rates import _DIRECT_LINKS, RatePair, ScenarioKind, _Link, secrecy_rate
 
 __all__ = [
     "OptimalAllocation",
     "Provenance",
     "bisect_price_for_budget",
-    "distance_adjusted_mac_allocation",
     "distance_mac_quadratic_pa",
     "distance_mac_quadratic_pa_variant",
     "distance_mac_quadratic_pj",
@@ -109,7 +115,53 @@ def _as_alpha(alpha: float) -> float:
 # root finding
 
 
-def _real_roots(coeffs: Sequence[float], merge_tol: float = 1e-9) -> list[float]:
+def solve_quadratic_real(coeffs: Sequence[float]) -> list[float]:
+    """Real roots of ``c0 x^2 + c1 x + c2``, ascending.
+
+    Uses the cancellation-free closed form (Numerical Recipes, section 5.6):
+    with ``q = -(c1 + sign(c1) sqrt(c1^2 - 4 c0 c2)) / 2`` the roots are
+    ``q / c0`` and ``c2 / q``.  A vanishing leading coefficient degrades to
+    the linear (or empty) case.  Roots within 1e-9 (relative) of each other
+    merge, and a complex pair whose imaginary part is within 1e-8 of its
+    modulus counts as one double root.
+    """
+
+    if len(coeffs) != 3:
+        raise ValueError(f"expected 3 coefficients, got {len(coeffs)}")
+    a, b, c = (float(x) for x in coeffs)
+    if a == 0.0:
+        if b == 0.0:
+            if c == 0.0:
+                raise ValueError("polynomial is identically zero")
+            return []
+        return [-c / b]
+    # an exact power-of-two rescale keeps b * b from overflowing
+    shift = -math.frexp(max(abs(a), abs(b), abs(c)))[1]
+    a, b, c = math.ldexp(a, shift), math.ldexp(b, shift), math.ldexp(c, shift)
+    disc = b * b - 4.0 * a * c
+    if disc < 0.0:
+        re = -b / (2.0 * a)
+        im = math.sqrt(-disc) / (2.0 * abs(a))
+        return [re] if im <= 1e-8 * max(1.0, math.hypot(re, im)) else []
+    q = -0.5 * (b + math.copysign(math.sqrt(disc), b))
+    if q == 0.0:  # b == c == 0: a double root at the origin
+        return [0.0]
+    lo, hi = sorted((q / a, c / q))
+    if hi - lo <= 1e-9 * max(1.0, abs(hi)):
+        return [lo]
+    return [lo, hi]
+
+
+def solve_cubic_real(coeffs: Sequence[float]) -> list[float]:
+    """Real roots of ``c0 x^3 + c1 x^2 + c2 x + c3``, ascending.
+
+    Companion-matrix eigenvalues (``np.roots``), each real one polished by a
+    few guarded Newton steps; roots within 1e-9 (relative) of each other
+    merge.  Vanishing leading coefficients lower the degree.
+    """
+
+    if len(coeffs) != 4:
+        raise ValueError(f"expected 4 coefficients, got {len(coeffs)}")
     coeffs = [float(c) for c in coeffs]
     if all(c == 0.0 for c in coeffs):
         raise ValueError("polynomial is identically zero")
@@ -144,31 +196,10 @@ def _real_roots(coeffs: Sequence[float], merge_tol: float = 1e-9) -> list[float]
     roots.sort()
     merged: list[float] = []
     for x in roots:
-        if merged and abs(x - merged[-1]) <= merge_tol * max(1.0, abs(x)):
+        if merged and abs(x - merged[-1]) <= 1e-9 * max(1.0, abs(x)):
             continue
         merged.append(x)
     return merged
-
-
-def solve_quadratic_real(coeffs: Sequence[float]) -> list[float]:
-    """Real roots of ``c0 x^2 + c1 x + c2``, ascending.
-
-    A vanishing leading coefficient degrades gracefully to the linear (or
-    empty) case.  Near-multiple roots are merged; every returned root is
-    polished with a few Newton steps so residuals stay near machine level.
-    """
-
-    if len(coeffs) != 3:
-        raise ValueError(f"expected 3 coefficients, got {len(coeffs)}")
-    return _real_roots(coeffs)
-
-
-def solve_cubic_real(coeffs: Sequence[float]) -> list[float]:
-    """Real roots of ``c0 x^3 + c1 x^2 + c2 x + c3``, ascending."""
-
-    if len(coeffs) != 4:
-        raise ValueError(f"expected 4 coefficients, got {len(coeffs)}")
-    return _real_roots(coeffs)
 
 
 # ---------------------------------------------------------------------------
@@ -302,10 +333,11 @@ def one_side_quadratic_pj(
 
 
 def noncoop_quadratic(g_main: float, g_eve: float, sigma2: float, price: float) -> list[float]:
-    """Quadratic in own power for a single directly transmitted message.
+    """Quadratic in the carried power of a single directly sent message.
 
-    Generic in the link pair: pass ``(g_ab, g_ae)`` for transmitter a or
-    ``(g_jb, g_je)`` for transmitter j.
+    Generic in the link pair: pass ``(g_ab, g_ae)`` for a message on a's
+    links or ``(g_jb, g_je)`` for one on j's.  Every direct-mode allocation
+    solves this polynomial; the per-mode builders are its audit spellings.
     """
 
     lam = _as_price(price)
@@ -507,6 +539,15 @@ def evaluate_closed_forms(
 # penalised objectives
 
 
+def _scale(link: _Link, alpha: float | None) -> float:
+    """Carried power per unit of the link's decision variable."""
+
+    if link.alpha_power == 0:
+        return 1.0
+    a = _as_alpha(alpha)
+    return a if link.alpha_power > 0 else 1.0 / a
+
+
 def _priced_gap_objective(
     g_main: float, g_eve: float, s2: float, lam: float, scale: float
 ) -> Callable[[float], float]:
@@ -562,22 +603,12 @@ def penalized_objective(
     lam = _as_price(price)
     s2 = noise.sigma2
 
-    if kind is ScenarioKind.NON_COOP:
-        if side == "p_a":
-            return _priced_gap_objective(gains.g_ab, gains.g_ae, s2, lam, 1.0)
-        if side == "p_j":
-            return _priced_gap_objective(gains.g_jb, gains.g_je, s2, lam, 1.0)
-    elif kind is ScenarioKind.ONE_SIDE_COOP:
-        if side == "p_a":
-            return _priced_gap_objective(gains.g_ab, gains.g_ae, s2, lam, 1.0)
-        if side == "p_j":
-            return _priced_gap_objective(gains.g_ab, gains.g_ae, s2, lam, _as_alpha(alpha))
-    elif kind is ScenarioKind.MAC_COOP:
-        if side == "p_j":
-            return _priced_gap_objective(gains.g_ab, gains.g_ae, s2, lam, _as_alpha(alpha))
-        if side == "p_a":
-            return _priced_gap_objective(gains.g_jb, gains.g_je, s2, lam, 1.0 / _as_alpha(alpha))
-    else:
+    for link in _DIRECT_LINKS.get(kind, ()):
+        if link.power == side:
+            return _priced_gap_objective(
+                getattr(gains, link.main), getattr(gains, link.eve), s2, lam, _scale(link, alpha)
+            )
+    if kind is ScenarioKind.RELAY_COOP:
         if side == "p_jb":
             if p_a is None:
                 raise ValueError("relay side 'p_jb' needs the seed power p_a")
@@ -617,44 +648,95 @@ def _argmax_candidate(
     return best_p, Provenance.INTERIOR
 
 
-def _noncoop_pick(
-    g_main: float, g_eve: float, roots: Sequence[float], hi: float
+# Pick rules of the priced-gap kernel: ``_ARGMAX`` keeps the best objective
+# value among 0, the budget and the interior roots; ``_THRESHOLD`` is the
+# direct-transmission rule of :func:`_threshold_pick`, used by non_coop only.
+_ARGMAX = "argmax"
+_THRESHOLD = "threshold"
+
+
+def _threshold_pick(
+    roots: Sequence[float], hi: float, main_stronger: bool
 ) -> tuple[float, Provenance]:
-    # Direct transmission follows the simple threshold rule: take the
-    # stationary point when it is interior, otherwise go all-in exactly when
-    # the legitimate link is the stronger one.
+    """Take the smallest interior stationary point, else go all-in iff the
+    legitimate link is the stronger one.
+
+    The price enters only through the roots, so at a high price this spends
+    the whole budget where the argmax rule would spend nothing.
+    """
+
     interior = [r for r in roots if math.isfinite(r) and 0.0 < r < hi]
     if interior:
         return min(interior), Provenance.INTERIOR
-    if g_main > g_eve and hi > 0:
+    if main_stronger and hi > 0:
         return float(hi), Provenance.BUDGET
     return 0.0, Provenance.ZERO
+
+
+def _priced_gap_optimum(
+    g_main: float, g_eve: float, s2: float, lam: float, scale: float, hi: float, pick: str
+) -> tuple[float, Provenance]:
+    """Power ``p`` in ``[0, hi]`` for a message carried at ``x = scale * p``.
+
+    Solves :func:`noncoop_quadratic` in ``x`` and maps its roots back to
+    ``x / scale``.  Without a price over identical links the objective is
+    flat and the decision is zero, with no root to solve for.
+    """
+
+    coeffs = noncoop_quadratic(g_main, g_eve, s2, lam)
+    if not any(coeffs):
+        return 0.0, Provenance.ZERO
+    roots = [x / scale for x in solve_quadratic_real(coeffs)]
+    if pick == _THRESHOLD:
+        return _threshold_pick(roots, hi, g_main > g_eve)
+    return _argmax_candidate(_priced_gap_objective(g_main, g_eve, s2, lam, scale), roots, hi)
 
 
 # ---------------------------------------------------------------------------
 # allocations
 
 
-def noncoop_allocation(
-    gains: ChannelGains, noise: NoiseModel, budget: PowerBudget, *, price: float
+def _direct_allocation(
+    kind: ScenarioKind,
+    gains: ChannelGains,
+    noise: NoiseModel,
+    budget: PowerBudget,
+    alpha: float | None,
+    lam: float,
+    pick: str,
 ) -> OptimalAllocation:
-    """Independent direct transmission on both sides."""
-
-    lam = _as_price(price)
-    s2 = noise.sigma2
-    roots_a = solve_quadratic_real(noncoop_quadratic(gains.g_ab, gains.g_ae, s2, lam))
-    roots_j = solve_quadratic_real(noncoop_quadratic(gains.g_jb, gains.g_je, s2, lam))
-    p_a, prov_a = _noncoop_pick(gains.g_ab, gains.g_ae, roots_a, budget.p_a_max)
-    p_j, prov_j = _noncoop_pick(gains.g_jb, gains.g_je, roots_j, budget.p_j_max)
-    cs = secrecy_rate(ScenarioKind.NON_COOP, gains, noise, p_a=p_a, p_j=p_j)
+    hi = {"p_a": budget.p_a_max, "p_j": budget.p_j_max}
+    decided = {
+        link.power: _priced_gap_optimum(
+            getattr(gains, link.main),
+            getattr(gains, link.eve),
+            noise.sigma2,
+            lam,
+            _scale(link, alpha),
+            hi[link.power],
+            pick,
+        )
+        for link in _DIRECT_LINKS[kind]
+    }
+    (p_a, prov_a), (p_j, prov_j) = decided["p_a"], decided["p_j"]
     return OptimalAllocation(
-        mode=ScenarioKind.NON_COOP,
+        mode=kind,
         p_a=p_a,
         p_j=p_j,
         p_ab=0.0,
         p_jb=0.0,
-        cs=cs,
+        cs=secrecy_rate(kind, gains, noise, p_a=p_a, p_j=p_j, alpha=alpha),
         provenance={"p_a": prov_a, "p_j": prov_j},
+    )
+
+
+def noncoop_allocation(
+    gains: ChannelGains, noise: NoiseModel, budget: PowerBudget, *, price: float
+) -> OptimalAllocation:
+    """Independent direct transmission on both sides, by the threshold rule."""
+
+    return _direct_allocation(
+        ScenarioKind.NON_COOP, gains, noise, budget, None, _as_price(price), _THRESHOLD
     )
 
 
@@ -668,26 +750,8 @@ def one_side_allocation(
 ) -> OptimalAllocation:
     """j donates power, a forwards j's message over its own links."""
 
-    a = _as_alpha(alpha)
-    lam = _as_price(price)
-    roots_a = solve_quadratic_real(one_side_quadratic_pa(gains, noise, price=lam))
-    obj_a = penalized_objective(ScenarioKind.ONE_SIDE_COOP, "p_a", gains, noise, price=lam)
-    p_a, prov_a = _argmax_candidate(obj_a, roots_a, budget.p_a_max)
-    roots_j = solve_quadratic_real(one_side_quadratic_pj(gains, noise, alpha=a, price=lam))
-    obj_j = penalized_objective(
-        ScenarioKind.ONE_SIDE_COOP, "p_j", gains, noise, price=lam, alpha=a
-    )
-    p_j, prov_j = _argmax_candidate(obj_j, roots_j, budget.p_j_max)
-    cs = secrecy_rate(ScenarioKind.ONE_SIDE_COOP, gains, noise, p_a=p_a, p_j=p_j, alpha=a)
-    return OptimalAllocation(
-        mode=ScenarioKind.ONE_SIDE_COOP,
-        p_a=p_a,
-        p_j=p_j,
-        p_ab=0.0,
-        p_jb=0.0,
-        cs=cs,
-        provenance={"p_a": prov_a, "p_j": prov_j},
-    )
+    a, lam = _as_alpha(alpha), _as_price(price)
+    return _direct_allocation(ScenarioKind.ONE_SIDE_COOP, gains, noise, budget, a, lam, _ARGMAX)
 
 
 def mac_allocation(
@@ -698,44 +762,13 @@ def mac_allocation(
     alpha: float,
     price: float,
 ) -> OptimalAllocation:
-    """Mutual power swap: each message rides the partner-funded power."""
+    """Mutual power swap: each message rides the partner-funded power.
 
-    a = _as_alpha(alpha)
-    lam = _as_price(price)
-    roots_j = solve_quadratic_real(mac_quadratic_pj(gains, noise, alpha=a, price=lam))
-    obj_j = penalized_objective(ScenarioKind.MAC_COOP, "p_j", gains, noise, price=lam, alpha=a)
-    p_j, prov_j = _argmax_candidate(obj_j, roots_j, budget.p_j_max)
-    roots_a = solve_quadratic_real(mac_quadratic_pa(gains, noise, alpha=a, price=lam))
-    obj_a = penalized_objective(ScenarioKind.MAC_COOP, "p_a", gains, noise, price=lam, alpha=a)
-    p_a, prov_a = _argmax_candidate(obj_a, roots_a, budget.p_a_max)
-    cs = secrecy_rate(ScenarioKind.MAC_COOP, gains, noise, p_a=p_a, p_j=p_j, alpha=a)
-    return OptimalAllocation(
-        mode=ScenarioKind.MAC_COOP,
-        p_a=p_a,
-        p_j=p_j,
-        p_ab=0.0,
-        p_jb=0.0,
-        cs=cs,
-        provenance={"p_a": prov_a, "p_j": prov_j},
-    )
-
-
-def distance_adjusted_mac_allocation(
-    gains: ChannelGains,
-    noise: NoiseModel,
-    geometry: Geometry,
-    budget: PowerBudget,
-    *,
-    alpha: float,
-    price: float,
-) -> OptimalAllocation:
-    """Power-swap allocation with path loss folded into the gains.
-
-    Equivalent to clearing denominators in the geometry-aware quadratics:
-    at unit distances it reproduces :func:`mac_allocation` bit for bit.
+    Path loss enters through the gains: pass ``gains.effective(geometry)``.
     """
 
-    return mac_allocation(gains.effective(geometry), noise, budget, alpha=alpha, price=price)
+    a, lam = _as_alpha(alpha), _as_price(price)
+    return _direct_allocation(ScenarioKind.MAC_COOP, gains, noise, budget, a, lam, _ARGMAX)
 
 
 def relay_allocation(

@@ -37,7 +37,7 @@ from .harness import (
     write_mobility_csv,
     write_sweep_csv,
 )
-from .oracle import VERDICT_AGREE, VERDICT_INFEASIBLE, VERDICT_SUSPECTED_TYPO
+from .oracle import _most_severe
 from .protocol import ConstraintMode
 
 __all__ = ["build_parser", "main"]
@@ -128,14 +128,6 @@ def _resolve_config(
     return config
 
 
-def _worst_verdict(summary: dict[str, int]) -> str:
-    order = (VERDICT_SUSPECTED_TYPO, VERDICT_INFEASIBLE, VERDICT_AGREE)
-    for verdict in order:
-        if summary.get(verdict, 0) > 0:
-            return verdict
-    return VERDICT_AGREE
-
-
 def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -150,11 +142,14 @@ def main(argv: Sequence[str] | None = None) -> int:
     if args.command == "validate":
         if args.samples < 0:
             parser.error("--samples must be non-negative")
-        report = run_validation(config, samples=args.samples)
+        try:
+            report = run_validation(config, samples=args.samples)
+        except ValueError as exc:
+            parser.error(f"validate: {exc}")
         write_json(report, args.out)
         summary = report["summary"]
         counts = ", ".join(f"{verdict}={count}" for verdict, count in sorted(summary.items()))
-        print(f"validate: worst verdict {_worst_verdict(summary)} ({counts}); wrote {args.out}")
+        print(f"validate: worst verdict {_most_severe(summary)} ({counts}); wrote {args.out}")
         return 0
 
     if args.command == "mobility":

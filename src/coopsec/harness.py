@@ -142,15 +142,17 @@ class ExperimentConfig:
     trajectory: tuple[tuple[float, float], ...] | None = None
 
     def __post_init__(self) -> None:
-        if not float(self.sigma2) > 0:
+        for name in ("sigma2", "alpha", "price"):
+            value = float(getattr(self, name))
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value!r}")
+            object.__setattr__(self, name, value)
+        if not self.sigma2 > 0:
             raise ValueError("sigma2 must be positive")
-        if not 0.0 < float(self.alpha) <= 1.0:
+        if not 0.0 < self.alpha <= 1.0:
             raise ValueError("alpha must lie in (0, 1]")
-        if float(self.price) < 0:
+        if self.price < 0:
             raise ValueError("price must be non-negative")
-        object.__setattr__(self, "sigma2", float(self.sigma2))
-        object.__setattr__(self, "alpha", float(self.alpha))
-        object.__setattr__(self, "price", float(self.price))
         object.__setattr__(
             self, "scenarios", tuple(ScenarioKind(kind) for kind in self.scenarios)
         )
@@ -170,26 +172,12 @@ class ExperimentConfig:
         """JSON-ready mapping; the power price serializes as ``lambda``."""
 
         return {
-            "gains": {
-                "g_ab": self.gains.g_ab,
-                "g_ae": self.gains.g_ae,
-                "g_jb": self.gains.g_jb,
-                "g_je": self.gains.g_je,
-                "g_aj": self.gains.g_aj,
-                "g_ja": self.gains.g_ja,
-            },
-            "geometry": {
-                "d_ab": self.geometry.d_ab,
-                "d_ae": self.geometry.d_ae,
-                "d_jb": self.geometry.d_jb,
-                "d_je": self.geometry.d_je,
-                "d_aj": self.geometry.d_aj,
-                "eta": self.geometry.eta,
-            },
+            "gains": dataclasses.asdict(self.gains),
+            "geometry": dataclasses.asdict(self.geometry),
             "sigma2": self.sigma2,
             "alpha": self.alpha,
             "lambda": self.price,
-            "budgets": {"p_a_max": self.budgets.p_a_max, "p_j_max": self.budgets.p_j_max},
+            "budgets": dataclasses.asdict(self.budgets),
             "scenarios": [kind.value for kind in self.scenarios],
             "axis": self.axis.as_dict(),
             "preset": self.preset,
@@ -657,51 +645,33 @@ def write_mobility_csv(rows: Sequence[MobilityRow], path: str | Path, log_base: 
             writer.writerow(record)
 
 
-def _params_dict(
-    gains: ChannelGains,
-    geometry: Geometry,
-    sigma2: float,
-    alpha: float,
-    price: float,
-    budgets: PowerBudget,
-) -> dict[str, object]:
-    return {
-        "gains": {
-            "g_ab": gains.g_ab,
-            "g_ae": gains.g_ae,
-            "g_jb": gains.g_jb,
-            "g_je": gains.g_je,
-            "g_aj": gains.g_aj,
-            "g_ja": gains.g_ja,
-        },
-        "geometry": {
-            "d_ab": geometry.d_ab,
-            "d_ae": geometry.d_ae,
-            "d_jb": geometry.d_jb,
-            "d_je": geometry.d_je,
-            "d_aj": geometry.d_aj,
-            "eta": geometry.eta,
-        },
-        "sigma2": sigma2,
-        "alpha": alpha,
-        "lambda": price,
-        "budgets": {"p_a_max": budgets.p_a_max, "p_j_max": budgets.p_j_max},
-    }
+_PARAM_KEYS = ("gains", "geometry", "sigma2", "alpha", "lambda", "budgets")
 
 
-def _reports_at(
-    gains: ChannelGains,
-    geometry: Geometry,
-    sigma2: float,
-    alpha: float,
-    price: float,
-    budgets: PowerBudget,
-) -> dict[str, object]:
+def _params(config: ExperimentConfig) -> dict[str, object]:
+    """The physical parameter block of :meth:`ExperimentConfig.to_dict`."""
+
+    serialized = config.to_dict()
+    return {key: serialized[key] for key in _PARAM_KEYS}
+
+
+def _audit_point(config: ExperimentConfig) -> dict[str, object]:
+    """Parameter block and per-scenario validation reports at one point."""
+
     return {
-        kind.value: validate_scenario(
-            kind, gains, geometry, sigma2, alpha, price, budgets
-        ).as_dict()
-        for kind in _ALL_SCENARIOS
+        "params": _params(config),
+        "reports": {
+            kind.value: validate_scenario(
+                kind,
+                config.gains,
+                config.geometry,
+                config.sigma2,
+                config.alpha,
+                config.price,
+                config.budgets,
+            ).as_dict()
+            for kind in _ALL_SCENARIOS
+        },
     }
 
 
@@ -719,24 +689,7 @@ def run_validation(config: ExperimentConfig, samples: int = 100) -> dict[str, ob
     report: dict[str, object] = {
         "seed": config.seed,
         "samples": samples,
-        "config_point": {
-            "params": _params_dict(
-                config.gains,
-                config.geometry,
-                config.sigma2,
-                config.alpha,
-                config.price,
-                config.budgets,
-            ),
-            "reports": _reports_at(
-                config.gains,
-                config.geometry,
-                config.sigma2,
-                config.alpha,
-                config.price,
-                config.budgets,
-            ),
-        },
+        "config_point": _audit_point(config),
     }
     rng = np.random.default_rng(config.seed)
     random_points = []
@@ -764,13 +717,15 @@ def run_validation(config: ExperimentConfig, samples: int = 100) -> dict[str, ob
         price = float(10.0 ** rng.uniform(-3.0, -1.0))
         b = rng.uniform(1.0, 10.0, size=2)
         budgets = PowerBudget(p_a_max=float(b[0]), p_j_max=float(b[1]))
-        random_points.append(
-            {
-                "sample": index,
-                "params": _params_dict(gains, geometry, sigma2, alpha, price, budgets),
-                "reports": _reports_at(gains, geometry, sigma2, alpha, price, budgets),
-            }
+        point = ExperimentConfig(
+            gains=gains,
+            geometry=geometry,
+            sigma2=sigma2,
+            alpha=alpha,
+            price=price,
+            budgets=budgets,
         )
+        random_points.append({"sample": index, **_audit_point(point)})
     report["random_points"] = random_points
 
     tally: dict[str, int] = {}
@@ -809,14 +764,7 @@ def run_negotiation(config: ExperimentConfig) -> dict[str, object]:
         config.constraint_mode,
     )
     result: dict[str, object] = {
-        "params": _params_dict(
-            config.gains,
-            config.geometry,
-            config.sigma2,
-            config.alpha,
-            config.price,
-            config.budgets,
-        ),
+        "params": _params(config),
         "constraint_mode": config.constraint_mode.value,
         "constraints": verdict.as_dict(),
         "mode": mode.value,

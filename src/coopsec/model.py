@@ -20,7 +20,6 @@ from dataclasses import dataclass, replace
 __all__ = [
     "ChannelGains",
     "CooperationLevel",
-    "DualPrice",
     "Geometry",
     "NoiseModel",
     "PowerBudget",
@@ -157,22 +156,6 @@ class CooperationLevel:
 
     def __float__(self) -> float:
         return self.alpha
-
-
-@dataclass(frozen=True)
-class DualPrice:
-    """Non-negative price per unit of allocated power."""
-
-    value: float
-
-    def __post_init__(self) -> None:
-        value = _require_finite("price", self.value)
-        if value < 0:
-            raise ValueError(f"price must be non-negative, got {value}")
-        object.__setattr__(self, "value", value)
-
-    def __float__(self) -> float:
-        return self.value
 
 
 def snr_direct(gain: float, power: float, sigma2: float) -> float:

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -249,6 +249,12 @@ class FormulaCheck:
 _SEVERITY = {VERDICT_AGREE: 0, VERDICT_INFEASIBLE: 1, VERDICT_SUSPECTED_TYPO: 2}
 
 
+def _most_severe(verdicts: Iterable[str]) -> str:
+    """Most severe of the given verdicts (typo > infeasible > agree)."""
+
+    return max(verdicts, key=lambda v: _SEVERITY.get(v, -1), default=VERDICT_AGREE)
+
+
 @dataclass(frozen=True)
 class ValidationReport:
     """All formula checks for one scenario at one parameter point."""
@@ -278,11 +284,7 @@ class ValidationReport:
     def worst_verdict(self) -> str:
         """Most severe verdict present (typo > infeasible > agree)."""
 
-        return max(
-            (item.verdict for item in self.entries),
-            key=lambda v: _SEVERITY.get(v, -1),
-            default=VERDICT_AGREE,
-        )
+        return _most_severe(item.verdict for item in self.entries)
 
     def summary(self) -> dict[str, int]:
         """Verdict counts keyed by verdict string."""
@@ -402,6 +404,99 @@ def _check_formula(
     )
 
 
+class _AuditPoint(NamedTuple):
+    """Inputs the audited polynomials are built from."""
+
+    gains: ChannelGains
+    noise: NoiseModel
+    geometry: Geometry
+    alpha: float
+    price: float
+    seed_a: float
+    seed_j: float
+
+
+def _priced(build: Callable) -> Callable[[_AuditPoint], list[float]]:
+    return lambda t: build(t.gains, t.noise, price=t.price)
+
+
+def _swapped(build: Callable) -> Callable[[_AuditPoint], list[float]]:
+    return lambda t: build(t.gains, t.noise, alpha=t.alpha, price=t.price)
+
+
+def _located(build: Callable) -> Callable[[_AuditPoint], list[float]]:
+    return lambda t: build(t.gains, t.noise, t.geometry, alpha=t.alpha, price=t.price)
+
+
+# Per scenario: (formula_id, decision variable, objective over path-loss
+# gains?, polynomial, closed-form key).  The objective is
+# ``penalized_objective`` of that variable and the search bound is the
+# variable's budget (for the relay slices, what half-budget seeds leave free).
+_AUDIT = {
+    ScenarioKind.NON_COOP: (
+        (
+            "non_coop.p_a",
+            "p_a",
+            False,
+            lambda t: noncoop_quadratic(t.gains.g_ab, t.gains.g_ae, t.noise.sigma2, t.price),
+            "noncoop_pa",
+        ),
+        (
+            "non_coop.p_j",
+            "p_j",
+            False,
+            lambda t: noncoop_quadratic(t.gains.g_jb, t.gains.g_je, t.noise.sigma2, t.price),
+            "noncoop_pj",
+        ),
+        ("non_coop.p_j.variant", "p_j", False, _priced(noncoop_quadratic_pj_variant), None),
+    ),
+    ScenarioKind.ONE_SIDE_COOP: (
+        ("one_side_coop.p_a", "p_a", False, _priced(one_side_quadratic_pa), "one_side_pa"),
+        ("one_side_coop.p_j", "p_j", False, _swapped(one_side_quadratic_pj), "one_side_pj"),
+    ),
+    ScenarioKind.MAC_COOP: (
+        ("mac_coop.p_j", "p_j", False, _swapped(mac_quadratic_pj), "mac_pj"),
+        ("mac_coop.p_a", "p_a", False, _swapped(mac_quadratic_pa), "mac_pa"),
+        ("mac_coop.p_j.distance", "p_j", True, _located(distance_mac_quadratic_pj), None),
+        (
+            "mac_coop.p_j.distance.variant",
+            "p_j",
+            True,
+            _located(distance_mac_quadratic_pj_variant),
+            None,
+        ),
+        ("mac_coop.p_a.distance", "p_a", True, _located(distance_mac_quadratic_pa), None),
+        (
+            "mac_coop.p_a.distance.variant",
+            "p_a",
+            True,
+            _located(distance_mac_quadratic_pa_variant),
+            None,
+        ),
+    ),
+    ScenarioKind.RELAY_COOP: (
+        (
+            "relay_coop.p_jb",
+            "p_jb",
+            False,
+            lambda t: relay_cubic_for_a(
+                t.gains, t.noise, p_a=t.seed_a, alpha=t.alpha, price=t.price
+            ),
+            None,
+        ),
+        (
+            "relay_coop.p_ab",
+            "p_ab",
+            False,
+            lambda t: relay_cubic_for_j(
+                t.gains, t.noise, p_j=t.seed_j, alpha=t.alpha, price=t.price
+            ),
+            None,
+        ),
+    ),
+}
+
+
 def validate_scenario(
     kind: ScenarioKind | str,
     gains: ChannelGains,
@@ -420,7 +515,9 @@ def validate_scenario(
     quadratics (both the substitution route and the alternate printed
     spellings) against the objective over distance-attenuated gains; the
     non-cooperative scenario checks the alternate j-side spelling with the
-    cross-indexed linear term.
+    cross-indexed linear term.  The printed closed forms divide by every
+    direct link gain, so when one of those gains is zero they are reported
+    absent and only the roots are audited.
 
     Relay entries evaluate their cubic coefficients at own-message powers of
     half of each budget, and the relaying slice ranges over what those seeds
@@ -454,133 +551,36 @@ def validate_scenario(
     lam = float(price)
     if not lam > 0:
         raise ValueError("price must be positive for closed-form evaluation")
-    s2 = noise.sigma2
-    closed = evaluate_closed_forms(gains, noise, alpha=a, price=lam)
-    entries: list[FormulaCheck] = []
+    closed: dict[str, float] = {}
+    if min(gains.g_ab, gains.g_ae, gains.g_jb, gains.g_je) > 0:
+        closed = evaluate_closed_forms(gains, noise, alpha=a, price=lam)
+    point = _AuditPoint(
+        gains, noise, geometry, a, lam, 0.5 * budgets.p_a_max, 0.5 * budgets.p_j_max
+    )
+    free_a = budgets.p_a_max - point.seed_a
+    free_j = budgets.p_j_max - point.seed_j
+    bounds = {
+        "p_a": budgets.p_a_max,
+        "p_j": budgets.p_j_max,
+        "p_jb": max(min(free_j, free_a / a), 0.0),
+        "p_ab": max(min(free_a, a * free_j), 0.0),
+    }
+    rows = _AUDIT[kind]
+    attenuated = gains.effective(geometry) if any(row[2] for row in rows) else gains
 
-    if kind is ScenarioKind.NON_COOP:
-        entries.append(
-            _check_formula(
-                "non_coop.p_a",
-                penalized_objective(kind, "p_a", gains, noise, price=lam),
-                solve_quadratic_real(noncoop_quadratic(gains.g_ab, gains.g_ae, s2, lam)),
-                closed["noncoop_pa"],
-                budgets.p_a_max,
-            )
+    entries = []
+    for formula_id, side, path_loss, polynomial, key in rows:
+        objective = penalized_objective(
+            kind,
+            side,
+            attenuated if path_loss else gains,
+            noise,
+            price=lam,
+            alpha=a,
+            p_a=point.seed_a,
+            p_j=point.seed_j,
         )
-        objective_pj = penalized_objective(kind, "p_j", gains, noise, price=lam)
-        entries.append(
-            _check_formula(
-                "non_coop.p_j",
-                objective_pj,
-                solve_quadratic_real(noncoop_quadratic(gains.g_jb, gains.g_je, s2, lam)),
-                closed["noncoop_pj"],
-                budgets.p_j_max,
-            )
-        )
-        entries.append(
-            _check_formula(
-                "non_coop.p_j.variant",
-                objective_pj,
-                solve_quadratic_real(noncoop_quadratic_pj_variant(gains, noise, price=lam)),
-                None,
-                budgets.p_j_max,
-            )
-        )
-    elif kind is ScenarioKind.ONE_SIDE_COOP:
-        entries.append(
-            _check_formula(
-                "one_side_coop.p_a",
-                penalized_objective(kind, "p_a", gains, noise, price=lam),
-                solve_quadratic_real(one_side_quadratic_pa(gains, noise, price=lam)),
-                closed["one_side_pa"],
-                budgets.p_a_max,
-            )
-        )
-        entries.append(
-            _check_formula(
-                "one_side_coop.p_j",
-                penalized_objective(kind, "p_j", gains, noise, price=lam, alpha=a),
-                solve_quadratic_real(one_side_quadratic_pj(gains, noise, alpha=a, price=lam)),
-                closed["one_side_pj"],
-                budgets.p_j_max,
-            )
-        )
-    elif kind is ScenarioKind.MAC_COOP:
-        objective_pj = penalized_objective(kind, "p_j", gains, noise, price=lam, alpha=a)
-        objective_pa = penalized_objective(kind, "p_a", gains, noise, price=lam, alpha=a)
-        entries.append(
-            _check_formula(
-                "mac_coop.p_j",
-                objective_pj,
-                solve_quadratic_real(mac_quadratic_pj(gains, noise, alpha=a, price=lam)),
-                closed["mac_pj"],
-                budgets.p_j_max,
-            )
-        )
-        entries.append(
-            _check_formula(
-                "mac_coop.p_a",
-                objective_pa,
-                solve_quadratic_real(mac_quadratic_pa(gains, noise, alpha=a, price=lam)),
-                closed["mac_pa"],
-                budgets.p_a_max,
-            )
-        )
-        attenuated = gains.effective(geometry)
-        objective_pj_d = penalized_objective(kind, "p_j", attenuated, noise, price=lam, alpha=a)
-        objective_pa_d = penalized_objective(kind, "p_a", attenuated, noise, price=lam, alpha=a)
-        for formula_id, builder, objective, hi in (
-            ("mac_coop.p_j.distance", distance_mac_quadratic_pj, objective_pj_d, budgets.p_j_max),
-            (
-                "mac_coop.p_j.distance.variant",
-                distance_mac_quadratic_pj_variant,
-                objective_pj_d,
-                budgets.p_j_max,
-            ),
-            ("mac_coop.p_a.distance", distance_mac_quadratic_pa, objective_pa_d, budgets.p_a_max),
-            (
-                "mac_coop.p_a.distance.variant",
-                distance_mac_quadratic_pa_variant,
-                objective_pa_d,
-                budgets.p_a_max,
-            ),
-        ):
-            entries.append(
-                _check_formula(
-                    formula_id,
-                    objective,
-                    solve_quadratic_real(
-                        builder(gains, noise, geometry, alpha=a, price=lam)
-                    ),
-                    None,
-                    hi,
-                )
-            )
-    elif kind is ScenarioKind.RELAY_COOP:
-        seed_a = 0.5 * budgets.p_a_max
-        seed_j = 0.5 * budgets.p_j_max
-        hi_jb = max(min(budgets.p_j_max - seed_j, (budgets.p_a_max - seed_a) / a), 0.0)
-        hi_ab = max(min(budgets.p_a_max - seed_a, a * (budgets.p_j_max - seed_j)), 0.0)
-        entries.append(
-            _check_formula(
-                "relay_coop.p_jb",
-                penalized_objective(kind, "p_jb", gains, noise, price=lam, alpha=a, p_a=seed_a),
-                solve_cubic_real(relay_cubic_for_a(gains, noise, p_a=seed_a, alpha=a, price=lam)),
-                None,
-                hi_jb,
-            )
-        )
-        entries.append(
-            _check_formula(
-                "relay_coop.p_ab",
-                penalized_objective(kind, "p_ab", gains, noise, price=lam, alpha=a, p_j=seed_j),
-                solve_cubic_real(relay_cubic_for_j(gains, noise, p_j=seed_j, alpha=a, price=lam)),
-                None,
-                hi_ab,
-            )
-        )
-    else:  # pragma: no cover - ScenarioKind is exhaustive
-        raise ValueError(f"unknown scenario kind: {kind!r}")
-
+        coeffs = polynomial(point)
+        roots = solve_cubic_real(coeffs) if len(coeffs) == 4 else solve_quadratic_real(coeffs)
+        entries.append(_check_formula(formula_id, objective, roots, closed.get(key), bounds[side]))
     return ValidationReport(kind=kind, entries=tuple(entries))

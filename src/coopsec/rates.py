@@ -32,6 +32,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 from .model import ChannelGains, NoiseModel, snr_direct, snr_relay_path
 
@@ -112,8 +113,45 @@ def rate_mrc_relay(snr_direct_path: float, snr_relayed_path: float) -> float:
     return math.log1p(snr_direct_path + snr_relayed_path)
 
 
+class _Link(NamedTuple):
+    """How one message travels in a direct (non-relaying) mode.
+
+    The message reaches the receiver over gain ``main`` and leaks over gain
+    ``eve``.  It is funded by the decision variable ``power`` and goes on
+    air at ``power * alpha**alpha_power``.
+    """
+
+    main: str
+    eve: str
+    power: str
+    alpha_power: int
+
+
+# Message 1 (a's) and message 2 (j's) of each direct mode.  Secrecy rates,
+# the allocator's objectives and its allocations all read this one table.
+_DIRECT_LINKS: dict[ScenarioKind, tuple[_Link, _Link]] = {
+    ScenarioKind.NON_COOP: (_Link("g_ab", "g_ae", "p_a", 0), _Link("g_jb", "g_je", "p_j", 0)),
+    ScenarioKind.ONE_SIDE_COOP: (
+        _Link("g_ab", "g_ae", "p_a", 0),
+        _Link("g_ab", "g_ae", "p_j", 1),
+    ),
+    ScenarioKind.MAC_COOP: (_Link("g_ab", "g_ae", "p_j", 1), _Link("g_jb", "g_je", "p_a", -1)),
+}
+
+
 def _gap(snr_main: float, snr_eve: float) -> float:
     return math.log1p(snr_main) - math.log1p(snr_eve)
+
+
+def _message_gap(link: _Link, gains: ChannelGains, power: float, alpha, s2: float) -> float:
+    if link.alpha_power > 0:
+        power = alpha * power
+    elif link.alpha_power < 0:
+        power = power / alpha
+    return _gap(
+        snr_direct(getattr(gains, link.main), power, s2),
+        snr_direct(getattr(gains, link.eve), power, s2),
+    )
 
 
 def secrecy_rate(
@@ -152,29 +190,16 @@ def secrecy_rate(
     s2 = noise.sigma2
     kind = ScenarioKind(kind)
 
-    if kind is ScenarioKind.NON_COOP:
-        cs1 = _gap(snr_direct(gains.g_ab, p_a, s2), snr_direct(gains.g_ae, p_a, s2))
-        cs2 = _gap(snr_direct(gains.g_jb, p_j, s2), snr_direct(gains.g_je, p_j, s2))
-        return RatePair(cs1, cs2)
-
-    if kind is ScenarioKind.ONE_SIDE_COOP:
-        if alpha is None:
-            raise ValueError("one_side_coop requires alpha")
-        donated = float(alpha) * p_j
-        cs1 = _gap(snr_direct(gains.g_ab, p_a, s2), snr_direct(gains.g_ae, p_a, s2))
-        cs2 = _gap(snr_direct(gains.g_ab, donated, s2), snr_direct(gains.g_ae, donated, s2))
-        return RatePair(cs1, cs2)
-
-    if kind is ScenarioKind.MAC_COOP:
-        if alpha is None:
-            raise ValueError("mac_coop requires alpha")
-        alpha = float(alpha)
-        if alpha <= 0:
-            raise ValueError("mac_coop requires alpha > 0 (power swap divides by it)")
-        borrowed_a = alpha * p_j
-        borrowed_j = p_a / alpha
-        cs1 = _gap(snr_direct(gains.g_ab, borrowed_a, s2), snr_direct(gains.g_ae, borrowed_a, s2))
-        cs2 = _gap(snr_direct(gains.g_jb, borrowed_j, s2), snr_direct(gains.g_je, borrowed_j, s2))
+    links = _DIRECT_LINKS.get(kind)
+    if links is not None:
+        if any(link.alpha_power for link in links):
+            if alpha is None:
+                raise ValueError(f"{kind.value} requires alpha")
+            alpha = float(alpha)
+            if alpha <= 0 and any(link.alpha_power < 0 for link in links):
+                raise ValueError(f"{kind.value} requires alpha > 0 (power swap divides by it)")
+        powers = {"p_a": p_a, "p_j": p_j}
+        cs1, cs2 = (_message_gap(link, gains, powers[link.power], alpha, s2) for link in links)
         return RatePair(cs1, cs2)
 
     # relay_coop

@@ -27,7 +27,6 @@ from coopsec import (
     PowerBudget,
     Provenance,
     ScenarioKind,
-    distance_adjusted_mac_allocation,
     distance_constraints_met,
     finite_diff_derivative,
     grid_search_optimum,
@@ -410,8 +409,8 @@ def test_criterion_09_special_case_collapses():
         assert abs(ours - theirs) <= 1e-9
 
     # path loss folded into the gains is a no-op at unit distances
-    adjusted = distance_adjusted_mac_allocation(
-        STD_GAINS, STD_NOISE, UNIT_GEOMETRY, STD_BUDGETS, alpha=0.8, price=lam
+    adjusted = mac_allocation(
+        STD_GAINS.effective(UNIT_GEOMETRY), STD_NOISE, STD_BUDGETS, alpha=0.8, price=lam
     )
     plain = mac_allocation(STD_GAINS, STD_NOISE, STD_BUDGETS, alpha=0.8, price=lam)
     assert adjusted == plain

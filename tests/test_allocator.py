@@ -18,7 +18,6 @@ from coopsec import (
     RatePair,
     ScenarioKind,
     bisect_price_for_budget,
-    distance_adjusted_mac_allocation,
     evaluate_closed_forms,
     finite_diff_derivative,
     mac_allocation,
@@ -420,16 +419,20 @@ class TestCooperativeAllocations:
         self, std_gains, std_noise, unit_geometry
     ):
         flat = mac_allocation(std_gains, std_noise, PowerBudget(10.0, 10.0), alpha=0.8, price=0.01)
-        adjusted = distance_adjusted_mac_allocation(
-            std_gains, std_noise, unit_geometry, PowerBudget(10.0, 10.0), alpha=0.8, price=0.01
+        adjusted = mac_allocation(
+            std_gains.effective(unit_geometry),
+            std_noise,
+            PowerBudget(10.0, 10.0),
+            alpha=0.8,
+            price=0.01,
         )
         assert adjusted == flat
 
     def test_distance_adjusted_shifts_with_geometry(self, std_gains, std_noise):
         geometry = Geometry(d_ab=1.0, d_ae=2.0, d_jb=1.0, d_je=2.0, d_aj=1.0, eta=2.0)
         near = mac_allocation(std_gains, std_noise, PowerBudget(50.0, 50.0), alpha=0.8, price=0.01)
-        far = distance_adjusted_mac_allocation(
-            std_gains, std_noise, geometry, PowerBudget(50.0, 50.0), alpha=0.8, price=0.01
+        far = mac_allocation(
+            std_gains.effective(geometry), std_noise, PowerBudget(50.0, 50.0), alpha=0.8, price=0.01
         )
         # a receding eavesdropper makes larger powers worthwhile
         assert far.p_j > near.p_j
@@ -438,6 +441,33 @@ class TestCooperativeAllocations:
     def test_mac_rejects_zero_alpha(self, std_gains, std_noise, std_budgets):
         with pytest.raises(ValueError):
             mac_allocation(std_gains, std_noise, std_budgets, alpha=0.0, price=0.01)
+
+
+class TestZeroPrice:
+    """No price over identical links: the objective is flat, so nothing is spent."""
+
+    FLAT = ChannelGains(g_ab=0.3, g_ae=0.3, g_jb=0.3, g_je=0.3, g_aj=0.2)
+
+    @pytest.mark.parametrize(
+        "allocate",
+        [
+            lambda g, n, b: noncoop_allocation(g, n, b, price=0.0),
+            lambda g, n, b: one_side_allocation(g, n, b, alpha=0.8, price=0.0),
+            lambda g, n, b: mac_allocation(g, n, b, alpha=0.8, price=0.0),
+        ],
+        ids=["non_coop", "one_side_coop", "mac_coop"],
+    )
+    def test_flat_objective_spends_nothing(self, allocate, std_noise, std_budgets):
+        allocation = allocate(self.FLAT, std_noise, std_budgets)
+        assert (allocation.p_a, allocation.p_j) == (0.0, 0.0)
+        assert allocation.provenance == {"p_a": Provenance.ZERO, "p_j": Provenance.ZERO}
+        assert allocation.cs == RatePair(0.0, 0.0)
+
+    def test_stronger_link_still_spends_the_budget(self, std_noise, std_budgets):
+        gains = ChannelGains(g_ab=0.3, g_ae=0.3, g_jb=0.5, g_je=0.3, g_aj=0.2)
+        allocation = noncoop_allocation(gains, std_noise, std_budgets, price=0.0)
+        assert (allocation.p_a, allocation.p_j) == (0.0, 5.0)
+        assert allocation.provenance == {"p_a": Provenance.ZERO, "p_j": Provenance.BUDGET}
 
 
 class TestRelayAllocation:

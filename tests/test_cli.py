@@ -154,6 +154,61 @@ class TestNegotiateCommand:
         assert "cs1_base2" in result["allocation"]
 
 
+class TestBadConfigs:
+    def write_config(self, tmp_path, text):
+        path = tmp_path / "config.json"
+        path.write_text(text, encoding="utf-8")
+        return str(path)
+
+    def test_zero_price_over_identical_links_negotiates(self, tmp_path, capsys):
+        config = self.write_config(
+            tmp_path,
+            '{"lambda": 0, "gains": {"g_ab": 0.3, "g_ae": 0.3, "g_jb": 0.5, "g_je": 0.3, '
+            '"g_aj": 0.2}, "geometry": {"d_ab": 1, "d_ae": 1, "d_jb": 1, "d_je": 1, '
+            '"d_aj": 0.5, "eta": 2}}',
+        )
+        out = tmp_path / "negotiate.json"
+        code, text = run_cli(["negotiate", "--config", config, "--out", str(out)], capsys)
+        assert code == 0
+        result = json.loads(out.read_text(encoding="utf-8"))
+        assert result["allocation"]["p_a"] == 0.0
+        assert result["allocation"]["provenance"]["p_a"] == "zero-clamped"
+
+    @pytest.mark.parametrize(
+        "text", ['{"lambda": NaN}', '{"lambda": Infinity}', '{"sigma2": Infinity}']
+    )
+    def test_non_finite_values_exit_with_one_line(self, tmp_path, capsys, text):
+        config = self.write_config(tmp_path, text)
+        with pytest.raises(SystemExit) as excinfo:
+            main(["negotiate", "--config", config, "--out", str(tmp_path / "n.json")])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err[-1].startswith("coopsec: error: --config: invalid config")
+        assert "must be finite" in err[-1]
+
+    def test_zero_link_gain_marks_closed_forms_absent(self, tmp_path, capsys):
+        config = self.write_config(
+            tmp_path, '{"gains": {"g_ab": 0.4, "g_ae": 0, "g_jb": 0.5, "g_je": 0.3, "g_aj": 0.2}}'
+        )
+        out = tmp_path / "validation.json"
+        argv = ["validate", "--config", config, "--samples", "1", "--out", str(out)]
+        code, _ = run_cli(argv, capsys)
+        assert code == 0
+        report = json.loads(out.read_text(encoding="utf-8"))
+        entries = [e for r in report["config_point"]["reports"].values() for e in r["entries"]]
+        assert len(entries) == 13
+        assert all(e["closed_form_value"] is None for e in entries)
+        assert all(e["root_value"] is not None for e in entries)
+
+    def test_zero_price_validation_is_a_clean_error(self, tmp_path, capsys):
+        config = self.write_config(tmp_path, '{"lambda": 0}')
+        with pytest.raises(SystemExit) as excinfo:
+            main(["validate", "--config", config, "--out", str(tmp_path / "v.json")])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err[-1].startswith("coopsec: error: validate: price must be positive")
+
+
 class TestParser:
     def test_requires_a_subcommand(self):
         with pytest.raises(SystemExit):

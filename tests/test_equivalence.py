@@ -1,0 +1,266 @@
+"""The closed-form quadratic solver and the priced-gap kernel against the
+algorithms they replaced.
+
+The reference is the earlier general-purpose path, kept here verbatim:
+companion-matrix roots (``np.roots``) polished by guarded Newton steps, and
+the candidate picks applied to the roots of each mode's printed stationarity
+polynomial.  Tolerances are fixed from the conditioning of each case, not
+tuned to the results.
+"""
+
+from __future__ import annotations
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from coopsec import (
+    ChannelGains,
+    NoiseModel,
+    PowerBudget,
+    Provenance,
+    ScenarioKind,
+    mac_allocation,
+    noncoop_allocation,
+    one_side_allocation,
+    penalized_objective,
+)
+from coopsec.allocator import (
+    mac_quadratic_pa,
+    mac_quadratic_pj,
+    noncoop_quadratic,
+    one_side_quadratic_pa,
+    one_side_quadratic_pj,
+    solve_quadratic_real,
+)
+
+# relative tolerances, fixed before the comparison was run
+SEPARATED_ROOT_TOL = 1e-12
+NEAR_DOUBLE_ROOT_TOL = 1e-8  # roots 1e-6 apart: condition ~ eps / 1e-6
+POWER_TOL = 1e-12
+
+
+def reference_roots(coeffs, merge_tol=1e-9):
+    """Real roots via ``np.roots`` and guarded Newton polishing, ascending."""
+
+    coeffs = [float(c) for c in coeffs]
+    if all(c == 0.0 for c in coeffs):
+        raise ValueError("polynomial is identically zero")
+    while coeffs and coeffs[0] == 0.0:
+        coeffs = coeffs[1:]
+    if len(coeffs) <= 1:
+        return []
+    deriv = np.polyder(np.asarray(coeffs))
+    roots = []
+    for z in np.roots(coeffs):
+        if abs(z.imag) > 1e-8 * max(1.0, abs(z)):
+            continue
+        x = float(z.real)
+        best = abs(float(np.polyval(coeffs, x)))
+        for _ in range(3):
+            slope = float(np.polyval(deriv, x))
+            if slope == 0.0 or not math.isfinite(slope):
+                break
+            step = float(np.polyval(coeffs, x)) / slope
+            if not math.isfinite(step):
+                break
+            candidate = x - step
+            value = abs(float(np.polyval(coeffs, candidate)))
+            if value >= best:
+                break
+            x, best = candidate, value
+        roots.append(x)
+    roots.sort()
+    merged = []
+    for x in roots:
+        if merged and abs(x - merged[-1]) <= merge_tol * max(1.0, abs(x)):
+            continue
+        merged.append(x)
+    return merged
+
+
+def reference_argmax(objective, roots, hi):
+    candidates = [0.0]
+    if hi > 0:
+        candidates.append(float(hi))
+    candidates.extend(float(r) for r in roots if math.isfinite(r) and 0.0 < r < hi)
+    best_p, best_v = 0.0, -math.inf
+    for p in sorted(candidates):
+        v = float(objective(p))
+        if math.isfinite(v) and v > best_v:
+            best_p, best_v = p, v
+    if best_p == 0.0:
+        return best_p, Provenance.ZERO
+    if best_p == hi:
+        return best_p, Provenance.BUDGET
+    return best_p, Provenance.INTERIOR
+
+
+def reference_threshold(g_main, g_eve, roots, hi):
+    interior = [r for r in roots if math.isfinite(r) and 0.0 < r < hi]
+    if interior:
+        return min(interior), Provenance.INTERIOR
+    if g_main > g_eve and hi > 0:
+        return float(hi), Provenance.BUDGET
+    return 0.0, Provenance.ZERO
+
+
+def printed_roots(coeffs):
+    # a flat objective (no price, identical links) has no stationary point
+    return reference_roots(coeffs) if any(coeffs) else []
+
+
+def assert_roots_match(ours, theirs, tol):
+    assert len(ours) == len(theirs)
+    for x, y in zip(ours, theirs):
+        assert abs(x - y) <= tol * max(1.0, abs(y)), (ours, theirs)
+
+
+class TestQuadraticSolverAgainstReference:
+    def test_random_separated_roots(self):
+        rng = np.random.default_rng(5606)
+        for _ in range(2000):
+            r = np.sort(rng.uniform(-50.0, 50.0, size=2))
+            if r[1] - r[0] < 1e-3:
+                continue
+            lead = float(rng.uniform(0.01, 100.0)) * (1.0 if rng.random() < 0.5 else -1.0)
+            coeffs = [lead, -lead * (r[0] + r[1]), lead * r[0] * r[1]]
+            ours = solve_quadratic_real(coeffs)
+            assert_roots_match(ours, reference_roots(coeffs), SEPARATED_ROOT_TOL)
+
+    def test_random_coefficients(self):
+        rng = np.random.default_rng(5607)
+        for _ in range(2000):
+            coeffs = [float(c) for c in rng.normal(size=3) * 10.0 ** rng.uniform(-3, 3, size=3)]
+            ours = solve_quadratic_real(coeffs)
+            theirs = reference_roots(coeffs)
+            if len(ours) == len(theirs) == 2 and abs(theirs[1] - theirs[0]) > 1e-6 * max(
+                1.0, abs(theirs[1])
+            ):
+                assert_roots_match(ours, theirs, SEPARATED_ROOT_TOL)
+            else:
+                # near-tangent draws: the count may differ only at the
+                # real/complex boundary, which neither algorithm resolves
+                assert abs(len(ours) - len(theirs)) <= 1
+
+    def test_near_double_roots(self):
+        rng = np.random.default_rng(5608)
+        for _ in range(500):
+            centre = float(rng.uniform(-5.0, 5.0))
+            gap = 1e-6 * max(1.0, abs(centre))
+            r0, r1 = centre, centre + gap
+            coeffs = [1.0, -(r0 + r1), r0 * r1]
+            ours = solve_quadratic_real(coeffs)
+            assert_roots_match(ours, reference_roots(coeffs), NEAR_DOUBLE_ROOT_TOL)
+            assert_roots_match(ours, [r0, r1], NEAR_DOUBLE_ROOT_TOL)
+
+    def test_exact_double_root_is_kept(self):
+        for centre in (-3.0, 0.5, 1.0, 7.25):
+            coeffs = [2.0, -4.0 * centre, 2.0 * centre * centre]
+            assert solve_quadratic_real(coeffs) == [centre]
+            # the eigenvalue path keeps it at 0.5 and 1 but splits it into a
+            # complex pair (imaginary part ~4e-8 and ~1e-7) at -3 and 7.25
+            assert reference_roots(coeffs) == ([centre] if centre in (0.5, 1.0) else [])
+
+    @pytest.mark.parametrize(
+        "coeffs", [[0.0, 2.0, -4.0], [0.0, -3.0, 1.5], [0.0, 0.0, 5.0], [0.0, 7.0, 0.0]]
+    )
+    def test_zero_leading_coefficient(self, coeffs):
+        assert solve_quadratic_real(coeffs) == pytest.approx(reference_roots(coeffs), rel=1e-15)
+
+    def test_severe_cancellation(self):
+        # x^2 + 1e8 x + 1: the textbook formula loses the small root to
+        # cancellation (it returns about -7.45e-9); the exact roots are
+        # -1e8 and -1e-8 to double precision
+        coeffs = [1.0, 1e8, 1.0]
+        ours = solve_quadratic_real(coeffs)
+        assert_roots_match(ours, reference_roots(coeffs), SEPARATED_ROOT_TOL)
+        assert ours[1] == pytest.approx(-1e-8, rel=1e-15)
+        assert ours[0] == pytest.approx(-1e8, rel=1e-15)
+
+    def test_no_overflow_for_huge_coefficients(self):
+        roots = solve_quadratic_real([1e200, -3e200, 2e200])
+        assert roots == pytest.approx([1.0, 2.0], rel=1e-15)
+
+
+gain = st.floats(min_value=0.0, max_value=1.0)
+positive_gain = st.floats(min_value=1e-3, max_value=1.0)
+
+
+@st.composite
+def direct_point(draw):
+    g = {name: draw(positive_gain) for name in ("g_ab", "g_ae", "g_jb", "g_je")}
+    # identical legitimate and tapped links on either side
+    if draw(st.booleans()):
+        g["g_ae"] = g["g_ab"]
+    if draw(st.booleans()):
+        g["g_je"] = g["g_jb"]
+    gains = ChannelGains(**g, g_aj=draw(gain))
+    noise = NoiseModel(draw(st.floats(min_value=0.05, max_value=5.0)))
+    budget = PowerBudget(
+        draw(st.floats(min_value=0.0, max_value=50.0)),
+        draw(st.floats(min_value=0.0, max_value=50.0)),
+    )
+    alpha = draw(st.floats(min_value=0.05, max_value=1.0))
+    price = draw(st.one_of(st.just(0.0), st.floats(min_value=1e-4, max_value=2.0)))
+    return gains, noise, budget, alpha, price
+
+
+def assert_same_decision(ours, theirs):
+    assert ours[1] is theirs[1]
+    assert math.isclose(ours[0], theirs[0], rel_tol=POWER_TOL, abs_tol=0.0), (ours, theirs)
+
+
+class TestKernelAgainstPrintedPolynomials:
+    """Every direct allocation equals the old pick over its printed polynomial."""
+
+    @given(direct_point())
+    @settings(max_examples=300, deadline=None)
+    def test_noncoop(self, point):
+        gains, noise, budget, _, lam = point
+        allocation = noncoop_allocation(gains, noise, budget, price=lam)
+        s2 = noise.sigma2
+        for side, g_main, g_eve, hi in (
+            ("p_a", gains.g_ab, gains.g_ae, budget.p_a_max),
+            ("p_j", gains.g_jb, gains.g_je, budget.p_j_max),
+        ):
+            roots = printed_roots(noncoop_quadratic(g_main, g_eve, s2, lam))
+            assert_same_decision(
+                (getattr(allocation, side), allocation.provenance[side]),
+                reference_threshold(g_main, g_eve, roots, hi),
+            )
+
+    @given(direct_point())
+    @settings(max_examples=300, deadline=None)
+    def test_one_side(self, point):
+        gains, noise, budget, alpha, lam = point
+        allocation = one_side_allocation(gains, noise, budget, alpha=alpha, price=lam)
+        kind = ScenarioKind.ONE_SIDE_COOP
+        for side, coeffs, hi in (
+            ("p_a", one_side_quadratic_pa(gains, noise, price=lam), budget.p_a_max),
+            ("p_j", one_side_quadratic_pj(gains, noise, alpha=alpha, price=lam), budget.p_j_max),
+        ):
+            objective = penalized_objective(kind, side, gains, noise, price=lam, alpha=alpha)
+            assert_same_decision(
+                (getattr(allocation, side), allocation.provenance[side]),
+                reference_argmax(objective, printed_roots(coeffs), hi),
+            )
+
+    @given(direct_point())
+    @settings(max_examples=300, deadline=None)
+    def test_mac(self, point):
+        gains, noise, budget, alpha, lam = point
+        allocation = mac_allocation(gains, noise, budget, alpha=alpha, price=lam)
+        kind = ScenarioKind.MAC_COOP
+        for side, coeffs, hi in (
+            ("p_j", mac_quadratic_pj(gains, noise, alpha=alpha, price=lam), budget.p_j_max),
+            ("p_a", mac_quadratic_pa(gains, noise, alpha=alpha, price=lam), budget.p_a_max),
+        ):
+            objective = penalized_objective(kind, side, gains, noise, price=lam, alpha=alpha)
+            assert_same_decision(
+                (getattr(allocation, side), allocation.provenance[side]),
+                reference_argmax(objective, printed_roots(coeffs), hi),
+            )

@@ -118,6 +118,14 @@ class TestExperimentConfig:
         with pytest.raises(ValueError):
             ExperimentConfig(trajectory=())
 
+    @pytest.mark.parametrize(
+        "field",
+        [{"sigma2": math.inf}, {"alpha": math.nan}, {"price": math.nan}, {"price": math.inf}],
+    )
+    def test_rejects_non_finite_scalars(self, field):
+        with pytest.raises(ValueError, match="must be finite"):
+            ExperimentConfig(**field)
+
     def test_replace_returns_modified_copy(self):
         base = ExperimentConfig()
         changed = base.replace(seed=3, log_base="2")

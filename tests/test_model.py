@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from coopsec import (
     ChannelGains,
     CooperationLevel,
-    DualPrice,
     Geometry,
     NoiseModel,
     PowerBudget,
@@ -100,13 +99,6 @@ class TestScalarWrappers:
 
     def test_cooperation_level_floats(self):
         assert float(CooperationLevel(0.8)) == 0.8
-
-    def test_dual_price_rejects_negative(self):
-        with pytest.raises(ValueError):
-            DualPrice(-0.01)
-
-    def test_dual_price_floats(self):
-        assert float(DualPrice(0.01)) == 0.01
 
 
 class TestSnrDirect:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 
@@ -183,6 +184,21 @@ class TestValidateScenario:
     def test_rejects_non_positive_price(self):
         with pytest.raises(ValueError):
             standard_report(ScenarioKind.NON_COOP, 0.0)
+
+
+class TestZeroGains:
+    @pytest.mark.parametrize("zero", ["g_ab", "g_ae", "g_aj"])
+    def test_every_entry_stays_finite(self, zero):
+        # the closed forms divide by g_ab, g_ae, g_jb and g_je, not by g_aj
+        gains = ChannelGains(**{**dataclasses.asdict(STD_GAINS), zero: 0.0})
+        for kind in ScenarioKind:
+            report = validate_scenario(kind, gains, UNIT_GEOMETRY, 1.0, 0.8, 0.01, STD_BUDGETS)
+            payload = json.loads(json.dumps(report.as_dict(), allow_nan=False))
+            for entry in payload["entries"]:
+                if zero != "g_aj":
+                    assert entry["closed_form_value"] is None
+                for key in ("root_value", "oracle_value", "abs_deviation", "rel_deviation"):
+                    assert entry[key] is not None and math.isfinite(entry[key])
 
 
 class TestValidationReport:
