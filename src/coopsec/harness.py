@@ -785,8 +785,8 @@ def run_negotiation(config: ExperimentConfig) -> dict[str, object]:
 
 
 def write_json(data: Mapping[str, object], path: str | Path) -> None:
-    """Serialize a report deterministically (sorted keys, no NaN)."""
+    """Serialize a report deterministically (sorted keys, no NaN), in one write."""
 
+    text = json.dumps(data, indent=2, sort_keys=True, allow_nan=False) + "\n"
     with open(path, "w", encoding="utf-8") as handle:
-        json.dump(data, handle, indent=2, sort_keys=True, allow_nan=False)
-        handle.write("\n")
+        handle.write(text)

@@ -172,7 +172,7 @@ def secrecy_rate(
     kind:
         Operating mode; decides which powers and links matter.
     p_a, p_j:
-        Power spent on each side's own message.
+        Power spent on each side's own message.  Every power must be finite.
     alpha:
         Power-exchange ratio; required for the MAC and one-sided modes.
     p_ab, p_jb:
@@ -185,6 +185,8 @@ def secrecy_rate(
         Unclamped rates in nats.
     """
 
+    if not all(map(math.isfinite, (p_a, p_j, p_ab, p_jb))):
+        raise ValueError(f"powers must be finite: p_a={p_a}, p_j={p_j}, p_ab={p_ab}, p_jb={p_jb}")
     if p_a < 0 or p_j < 0:
         raise ValueError("message powers must be non-negative")
     s2 = noise.sigma2

@@ -12,6 +12,8 @@ from hypothesis import strategies as st
 
 from coopsec import (
     ChannelGains,
+    ConstraintMode,
+    NegotiationPolicy,
     NoiseModel,
     PowerBudget,
     Provenance,
@@ -21,10 +23,12 @@ from coopsec import (
     evaluate_closed_forms,
     finite_diff_derivative,
     mac_allocation,
+    negotiate,
     noncoop_allocation,
     one_side_allocation,
     penalized_objective,
     relay_allocation,
+    validate_scenario,
 )
 from coopsec.allocator import (
     distance_mac_quadratic_pa,
@@ -78,6 +82,11 @@ class TestSolveQuadratic:
     def test_constant_has_no_roots(self):
         assert solve_quadratic_real([0.0, 0.0, 5.0]) == []
 
+    def test_negligible_leading_coefficient_degrades(self):
+        # the dropped roots lie near -2e323 and -4e323, beyond the float range
+        assert solve_quadratic_real([5e-324, 1.0, 0.0]) == [0.0]
+        assert solve_quadratic_real([5e-324, 5e-324, 2.0]) == []
+
     def test_identically_zero_rejected(self):
         with pytest.raises(ValueError):
             solve_quadratic_real([0.0, 0.0, 0.0])
@@ -130,6 +139,77 @@ class TestSolveCubic:
         ]
         for root in solve_cubic_real(coeffs):
             assert poly_residual(coeffs, root) <= 1e-10
+
+    @pytest.mark.parametrize("c", [-3.0, 0.5, -1.5, 2.0, 7.25])
+    def test_exact_double_root_comes_back_once(self, c):
+        # companion-matrix eigenvalues lose this pair to an imaginary part
+        # of ~3e-8 at -3, 0.5 and -1.5, and split it ~3e-8 apart at 2 and 7.25
+        roots = solve_cubic_real(np.poly([1.0, c, c]))
+        assert len(roots) == 2
+        for found, expected in zip(roots, sorted([1.0, c])):
+            assert abs(found - expected) <= 1e-7
+
+    def test_rounded_double_roots_come_back_once(self):
+        # double roots that binary floats cannot hold: the cubic then
+        # vanishes at its critical point only to rounding
+        rng = np.random.default_rng(7)
+        for _ in range(300):
+            c, other = (float(v) for v in rng.uniform(-10.0, 10.0, size=2))
+            if abs(c - other) < 0.5:
+                continue
+            roots = solve_cubic_real(rng.uniform(0.1, 10.0) * np.poly([other, c, c]))
+            assert len(roots) == 2
+            for found, expected in zip(roots, sorted([other, c])):
+                assert abs(found - expected) <= 1e-11 * max(1.0, abs(expected))
+
+    @pytest.mark.parametrize("c", [-3.0, 0.5, -1.5, 2.0, 7.25])
+    def test_roots_1e6_apart_stay_distinct(self, c):
+        expected = sorted([1.0, c, c + 1e-6])
+        roots = solve_cubic_real(np.poly(expected))
+        assert len(roots) == 3
+        for found, root in zip(roots, expected):
+            assert abs(found - root) <= 1e-7
+
+    def test_triple_root(self):
+        assert solve_cubic_real([2.0, -30.0, 150.0, -250.0]) == [5.0]
+
+    @pytest.mark.parametrize(
+        "coeffs, expected",
+        [
+            # beside a root of 1e20 a closed form alone puts 1 and 2 near 3.6e10
+            ([1e-20, 1.0, -3.0, 2.0], [-1e20, 1.0, 2.0]),
+            # Cardano's real root is the smallest one, next to a double root
+            (
+                [0.1015625, -0.8721381841525535, 1.8723077224785563, -4.381071620702211e-302],
+                [2.3399313948791275e-302, 4.293603368135648],
+            ),
+            # a subnormal leading coefficient: the root is -(d / a) ** (1 / 3)
+            ([5e-324, 0.0, 0.0, 7.11168308072375e-50], [-2.4325545008428476e91]),
+        ],
+    )
+    def test_roots_of_very_different_sizes(self, coeffs, expected):
+        assert solve_cubic_real(coeffs) == pytest.approx(expected, rel=1e-14)
+
+    def test_extreme_coefficient_scales(self):
+        for scale in (1e-300, 1e300):
+            roots = solve_cubic_real([scale, -6.0 * scale, 11.0 * scale, -6.0 * scale])
+            assert roots == pytest.approx([1.0, 2.0, 3.0], rel=1e-14)
+
+    def test_rejects_bad_coefficients(self):
+        with pytest.raises(ValueError, match="4 coefficients"):
+            solve_cubic_real([1.0, 2.0, 3.0])
+        with pytest.raises(ValueError, match="identically zero"):
+            solve_cubic_real([0.0, 0.0, 0.0, 0.0])
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="finite"):
+                solve_cubic_real([1.0, bad, 0.0, 1.0])
+
+    def test_leading_zeros_lower_the_degree(self):
+        assert solve_cubic_real([0.0, 0.0, 2.0, -4.0]) == [2.0]
+        assert solve_cubic_real([0.0, 0.0, 0.0, 5.0]) == []
+        # the dropped roots, near -2e323, lie beyond the float range
+        assert solve_cubic_real([0.0, 5e-324, 1.0, 0.0]) == [0.0]
+        assert solve_cubic_real([0.0, 0.0, 5e-324, 1.0]) == []
 
 
 class TestPolynomialAnchors:
@@ -569,3 +649,38 @@ class TestBisectPrice:
         price = bisect_price_for_budget(consumed, 10.0, price_lo=1e-6)
         assert consumed(price) <= 10.0
         assert consumed(price) >= 9.9
+
+
+class TestScalarPathsAvoidNumpyRootFinding:
+    """Allocation and audit solve their polynomials without ``np.roots``."""
+
+    def test_negotiate_and_validate_in_every_mode(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("numpy root finding on a scalar path")
+
+        monkeypatch.setattr(np, "roots", forbidden)
+        monkeypatch.setattr(np, "polyval", forbidden)
+        geometry = Geometry(d_ab=1.0, d_ae=2.0, d_jb=1.0, d_je=2.0, d_aj=2.0, eta=2.0)
+        budgets = PowerBudget(p_a_max=5.0, p_j_max=5.0)
+        ladder = [
+            (NegotiationPolicy(), ScenarioKind.RELAY_COOP),
+            (NegotiationPolicy(john_accepts_relay=False), ScenarioKind.MAC_COOP),
+            (
+                NegotiationPolicy(john_accepts_relay=False, john_accepts_mac=False),
+                ScenarioKind.ONE_SIDE_COOP,
+            ),
+            (
+                NegotiationPolicy(
+                    john_accepts_relay=False, john_accepts_mac=False, john_accepts_one_side=False
+                ),
+                ScenarioKind.NON_COOP,
+            ),
+        ]
+        for policy, expected in ladder:
+            mode, _ = negotiate(
+                policy, STD_GAINS, geometry, 1.0, 0.01, budgets, ConstraintMode.CORRECTED
+            )
+            assert mode is expected
+        for kind in ScenarioKind:
+            report = validate_scenario(kind, STD_GAINS, geometry, 1.0, 0.8, 0.01, budgets)
+            assert report.entries

@@ -1,16 +1,18 @@
-"""The closed-form quadratic solver and the priced-gap kernel against the
+"""The closed-form root solvers and the priced-gap kernel against the
 algorithms they replaced.
 
 The reference is the earlier general-purpose path, kept here verbatim:
 companion-matrix roots (``np.roots``) polished by guarded Newton steps, and
 the candidate picks applied to the roots of each mode's printed stationarity
-polynomial.  Tolerances are fixed from the conditioning of each case, not
-tuned to the results.
+polynomial.  Relay allocation is compared with itself running on the
+reference roots.  Tolerances are fixed from the conditioning of each case,
+not tuned to the results.
 """
 
 from __future__ import annotations
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -27,13 +29,18 @@ from coopsec import (
     noncoop_allocation,
     one_side_allocation,
     penalized_objective,
+    relay_allocation,
 )
+from coopsec import allocator
 from coopsec.allocator import (
     mac_quadratic_pa,
     mac_quadratic_pj,
     noncoop_quadratic,
     one_side_quadratic_pa,
     one_side_quadratic_pj,
+    relay_cubic_for_a,
+    relay_cubic_for_j,
+    solve_cubic_real,
     solve_quadratic_real,
 )
 
@@ -114,9 +121,13 @@ def printed_roots(coeffs):
 
 
 def assert_roots_match(ours, theirs, tol):
-    assert len(ours) == len(theirs)
+    assert len(ours) == len(theirs), (ours, theirs)
     for x, y in zip(ours, theirs):
         assert abs(x - y) <= tol * max(1.0, abs(y)), (ours, theirs)
+
+
+def separated(roots, gap):
+    return all(hi - lo > gap * max(1.0, abs(hi)) for lo, hi in zip(roots, roots[1:]))
 
 
 class TestQuadraticSolverAgainstReference:
@@ -184,6 +195,53 @@ class TestQuadraticSolverAgainstReference:
     def test_no_overflow_for_huge_coefficients(self):
         roots = solve_quadratic_real([1e200, -3e200, 2e200])
         assert roots == pytest.approx([1.0, 2.0], rel=1e-15)
+
+
+class TestCubicSolverAgainstReference:
+    def test_relay_cubics(self):
+        # the benchmark's parameter ranges, with path loss from distances in
+        # [0.3, 3] and the own-message power anywhere in [0, 10]
+        rng = np.random.default_rng(5609)
+        for _ in range(1000):
+            gains = ChannelGains(
+                *(rng.uniform(0.05, 0.6, size=6) * rng.uniform(0.3, 3.0, size=6) ** -2.0)
+            )
+            noise = NoiseModel(float(rng.uniform(0.5, 2.0)))
+            alpha = float(rng.uniform(0.3, 1.0))
+            price = float(10.0 ** rng.uniform(-3.0, 0.0))
+            own = float(rng.uniform(0.0, 10.0))
+            for coeffs in (
+                relay_cubic_for_a(gains, noise, p_a=own, alpha=alpha, price=price),
+                relay_cubic_for_j(gains, noise, p_j=own, alpha=alpha, price=price),
+            ):
+                theirs = reference_roots(coeffs)
+                assert separated(theirs, 1e-6)
+                assert_roots_match(solve_cubic_real(coeffs), theirs, SEPARATED_ROOT_TOL)
+
+    def test_random_separated_roots(self):
+        rng = np.random.default_rng(5610)
+        for _ in range(2000):
+            r = np.sort(rng.uniform(-50.0, 50.0, size=3))
+            if not separated(list(r), 0.02):
+                continue
+            lead = float(rng.uniform(0.01, 100.0)) * (1.0 if rng.random() < 0.5 else -1.0)
+            coeffs = [float(c) for c in lead * np.poly(r)]
+            ours = solve_cubic_real(coeffs)
+            assert_roots_match(ours, reference_roots(coeffs), SEPARATED_ROOT_TOL)
+            assert_roots_match(ours, list(r), SEPARATED_ROOT_TOL)
+
+    def test_random_coefficients(self):
+        rng = np.random.default_rng(5611)
+        for _ in range(2000):
+            coeffs = [float(c) for c in rng.normal(size=4) * 10.0 ** rng.uniform(-3, 3, size=4)]
+            ours = solve_cubic_real(coeffs)
+            theirs = reference_roots(coeffs)
+            if separated(theirs, 1e-6):
+                assert_roots_match(ours, theirs, SEPARATED_ROOT_TOL)
+            else:
+                # near-tangent draws: the count may differ only at the
+                # real/complex boundary, which neither algorithm resolves
+                assert abs(len(ours) - len(theirs)) <= 1
 
 
 gain = st.floats(min_value=0.0, max_value=1.0)
@@ -264,3 +322,33 @@ class TestKernelAgainstPrintedPolynomials:
                 (getattr(allocation, side), allocation.provenance[side]),
                 reference_argmax(objective, printed_roots(coeffs), hi),
             )
+
+
+@st.composite
+def relay_point(draw):
+    g = {name: draw(positive_gain) for name in ("g_ab", "g_ae", "g_jb", "g_je", "g_ja")}
+    # no inter-transmitter link: the printed cubic then has an exact double root
+    gains = ChannelGains(**g, g_aj=draw(st.one_of(st.just(0.0), positive_gain)))
+    noise = NoiseModel(draw(st.floats(min_value=0.05, max_value=5.0)))
+    budget = PowerBudget(
+        draw(st.floats(min_value=0.0, max_value=50.0)),
+        draw(st.floats(min_value=0.0, max_value=50.0)),
+    )
+    alpha = draw(st.floats(min_value=0.05, max_value=1.0))
+    price = draw(st.one_of(st.just(0.0), st.floats(min_value=1e-4, max_value=2.0)))
+    return gains, noise, budget, alpha, price, draw(st.booleans())
+
+
+class TestRelayAllocationAgainstReferenceRoots:
+    @given(relay_point())
+    @settings(max_examples=300, deadline=None)
+    def test_same_decision(self, point):
+        gains, noise, budget, alpha, lam, alternating = point
+        kwargs = dict(alpha=alpha, price=lam, alternating=alternating)
+        ours = relay_allocation(gains, noise, budget, **kwargs)
+        with mock.patch.object(allocator, "solve_cubic_real", reference_roots):
+            theirs = relay_allocation(gains, noise, budget, **kwargs)
+        assert ours.provenance == theirs.provenance
+        for name in ("p_a", "p_j", "p_ab", "p_jb"):
+            ours_p, theirs_p = getattr(ours, name), getattr(theirs, name)
+            assert math.isclose(ours_p, theirs_p, rel_tol=POWER_TOL, abs_tol=0.0), (ours, theirs)

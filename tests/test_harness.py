@@ -341,6 +341,15 @@ class TestRunValidation:
         report = run_validation(ExperimentConfig(price=0.01, seed=3), samples=2)
         write_json(report, tmp_path / "validation.json")
 
+    def test_report_bytes_match_the_streaming_encoder(self, tmp_path):
+        report = run_validation(ExperimentConfig(price=0.01, seed=3), samples=2)
+        streamed = tmp_path / "streamed.json"
+        with open(streamed, "w", encoding="utf-8") as handle:
+            json.dump(report, handle, indent=2, sort_keys=True, allow_nan=False)
+            handle.write("\n")
+        write_json(report, tmp_path / "validation.json")
+        assert (tmp_path / "validation.json").read_bytes() == streamed.read_bytes()
+
 
 class TestRunNegotiation:
     def test_result_shape_and_mode(self):

@@ -81,6 +81,14 @@ class TestSecrecyRateNonCoop:
         with pytest.raises(ValueError):
             secrecy_rate(ScenarioKind.NON_COOP, std_gains, std_noise, p_a=-1.0, p_j=0.0)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    @pytest.mark.parametrize("name", ["p_a", "p_j", "p_ab", "p_jb"])
+    @pytest.mark.parametrize("kind", list(ScenarioKind))
+    def test_rejects_non_finite_power(self, std_gains, std_noise, kind, name, bad):
+        powers = {"p_a": 1.0, "p_j": 1.0, "p_ab": 0.5, "p_jb": 0.5, name: bad}
+        with pytest.raises(ValueError, match="powers must be finite"):
+            secrecy_rate(kind, std_gains, std_noise, alpha=0.8, **powers)
+
     @given(p=st.floats(min_value=0.0, max_value=50.0))
     def test_monotone_when_main_link_stronger(self, p):
         lower = secrecy_rate(ScenarioKind.NON_COOP, STD_GAINS, STD_NOISE, p_a=p, p_j=0.0)
