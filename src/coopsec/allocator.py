@@ -126,8 +126,8 @@ def solve_quadratic_real(coeffs: Sequence[float]) -> list[float]:
     ``q / c0`` and ``c2 / q``.  A leading coefficient below 2**-1022 of the
     largest one degrades to the linear (or empty) case: the root it drops
     lies beyond the float range.  Roots within 1e-9 (relative) of each other
-    merge, and a complex pair whose imaginary part is within 1e-8 of its
-    modulus counts as one double root.
+    merge, and a complex pair whose imaginary part is at most 1e-8
+    ``max(1, modulus)`` counts as one double root.
     """
 
     if len(coeffs) != 3:
@@ -655,7 +655,27 @@ def _scale(link: _Link, alpha: float | None) -> float:
 def _priced_gap_objective(
     g_main: float, g_eve: float, s2: float, lam: float, scale: float
 ) -> Callable[[float], float]:
+    """Priced secrecy gap of a message carried at ``x = scale * p``.
+
+    An array of one or more dimensions is evaluated into the function's own
+    buffers, with the scalar expression's operations in the same order, so
+    both give the same bits; the caller's array is never written.
+    """
+
     def f(p):
+        # the float test first keeps the allocator's scalar calls cheap
+        if type(p) is not float and isinstance(p, np.ndarray) and p.ndim:
+            x = scale * p
+            main = g_main * x
+            main /= s2
+            np.log1p(main, out=main)
+            eve = g_eve * x
+            eve /= s2
+            np.log1p(eve, out=eve)
+            main -= eve
+            x *= lam
+            main -= x
+            return main
         x = scale * p
         return np.log1p(g_main * x / s2) - np.log1p(g_eve * x / s2) - lam * x
 
@@ -672,16 +692,102 @@ def _priced_relay_objective(
     own_power: float,
     pay_scale: float,
 ) -> Callable[[float], float]:
+    """Priced relay secrecy rate in the relaying slice ``p``.
+
+    Arrays of one or more dimensions take the same in-place path as
+    :func:`_priced_gap_objective`, bit for bit equal to the scalar
+    expression.
+    """
+
     base_main = g_direct * own_power / s2
     eve_term = math.log1p(g_eve * own_power / s2)
     first_hop = g_hop1 * own_power
 
     def f(p):
+        if type(p) is not float and isinstance(p, np.ndarray) and p.ndim:
+            hop = g_hop2 * p
+            relayed = first_hop * hop
+            hop += first_hop
+            hop += s2
+            hop *= s2
+            relayed /= hop
+            relayed += base_main
+            np.log1p(relayed, out=relayed)
+            relayed -= eve_term
+            np.multiply(lam * pay_scale, p, out=hop)
+            relayed -= hop
+            return relayed
         second_hop = g_hop2 * p
         relayed = first_hop * second_hop / (s2 * (first_hop + second_hop + s2))
         return np.log1p(base_main + relayed) - eve_term - lam * pay_scale * p
 
     return f
+
+
+_OBJECTIVE_FORMS = {"gap": _priced_gap_objective, "relay": _priced_relay_objective}
+
+
+def _objective_key(
+    kind: ScenarioKind,
+    side: str,
+    gains: ChannelGains,
+    noise: NoiseModel,
+    price: float,
+    alpha: float | None = None,
+    p_a: float | None = None,
+    p_j: float | None = None,
+) -> tuple:
+    """Form tag and defining floats of :func:`penalized_objective`'s objective.
+
+    The tag names a factory in ``_OBJECTIVE_FORMS`` and the floats are its
+    arguments, so two equal keys build objectives that agree bit for bit at
+    every point.
+    """
+
+    kind = ScenarioKind(kind)
+    lam = _as_price(price)
+    s2 = noise.sigma2
+
+    for link in _DIRECT_LINKS.get(kind, ()):
+        if link.power == side:
+            return (
+                "gap",
+                getattr(gains, link.main),
+                getattr(gains, link.eve),
+                s2,
+                lam,
+                _scale(link, alpha),
+            )
+    if kind is ScenarioKind.RELAY_COOP:
+        if side == "p_jb":
+            if p_a is None:
+                raise ValueError("relay side 'p_jb' needs the seed power p_a")
+            return (
+                "relay",
+                gains.g_ab,
+                gains.g_ae,
+                gains.g_aj,
+                gains.g_jb,
+                s2,
+                lam,
+                p_a,
+                _as_alpha(alpha),
+            )
+        if side == "p_ab":
+            if p_j is None:
+                raise ValueError("relay side 'p_ab' needs the seed power p_j")
+            return (
+                "relay",
+                gains.g_jb,
+                gains.g_je,
+                gains.g_ja,
+                gains.g_ab,
+                s2,
+                lam,
+                p_j,
+                1.0 / _as_alpha(alpha),
+            )
+    raise ValueError(f"unknown decision variable {side!r} for {kind.value}")
 
 
 def penalized_objective(
@@ -703,29 +809,8 @@ def penalized_objective(
     callable accepts scalars or numpy arrays.
     """
 
-    kind = ScenarioKind(kind)
-    lam = _as_price(price)
-    s2 = noise.sigma2
-
-    for link in _DIRECT_LINKS.get(kind, ()):
-        if link.power == side:
-            return _priced_gap_objective(
-                getattr(gains, link.main), getattr(gains, link.eve), s2, lam, _scale(link, alpha)
-            )
-    if kind is ScenarioKind.RELAY_COOP:
-        if side == "p_jb":
-            if p_a is None:
-                raise ValueError("relay side 'p_jb' needs the seed power p_a")
-            return _priced_relay_objective(
-                gains.g_ab, gains.g_ae, gains.g_aj, gains.g_jb, s2, lam, p_a, _as_alpha(alpha)
-            )
-        if side == "p_ab":
-            if p_j is None:
-                raise ValueError("relay side 'p_ab' needs the seed power p_j")
-            return _priced_relay_objective(
-                gains.g_jb, gains.g_je, gains.g_ja, gains.g_ab, s2, lam, p_j, 1.0 / _as_alpha(alpha)
-            )
-    raise ValueError(f"unknown decision variable {side!r} for {kind.value}")
+    key = _objective_key(kind, side, gains, noise, price, alpha, p_a, p_j)
+    return _OBJECTIVE_FORMS[key[0]](*key[1:])
 
 
 # ---------------------------------------------------------------------------

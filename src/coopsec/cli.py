@@ -128,13 +128,22 @@ def _resolve_config(
     return config
 
 
+def _run(parser: argparse.ArgumentParser, command: str, run, *args, **kwargs):
+    """Call ``run``, reporting a ``ValueError`` as a one-line usage error."""
+
+    try:
+        return run(*args, **kwargs)
+    except ValueError as exc:
+        parser.error(f"{command}: {exc}")
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     config = _resolve_config(parser, args)
 
     if args.command == "sweep":
-        rows = run_sweep(config)
+        rows = _run(parser, "sweep", run_sweep, config)
         write_sweep_csv(rows, args.out, log_base=config.log_base)
         print(f"sweep: wrote {len(rows)} rows to {args.out}")
         return 0
@@ -142,10 +151,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     if args.command == "validate":
         if args.samples < 0:
             parser.error("--samples must be non-negative")
-        try:
-            report = run_validation(config, samples=args.samples)
-        except ValueError as exc:
-            parser.error(f"validate: {exc}")
+        report = _run(parser, "validate", run_validation, config, samples=args.samples)
         write_json(report, args.out)
         summary = report["summary"]
         counts = ", ".join(f"{verdict}={count}" for verdict, count in sorted(summary.items()))
@@ -153,14 +159,14 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 0
 
     if args.command == "mobility":
-        rows = run_mobility(config)
+        rows = _run(parser, "mobility", run_mobility, config)
         write_mobility_csv(rows, args.out, log_base=config.log_base)
         changes = sum(1 for row in rows if row.changed)
         print(f"mobility: {len(rows)} steps, {changes} mode changes; wrote {args.out}")
         return 0
 
     if args.command == "negotiate":
-        result = run_negotiation(config)
+        result = _run(parser, "negotiate", run_negotiation, config)
         write_json(result, args.out)
         print(f"negotiate: mode {result['mode']}; wrote {args.out}")
         return 0

@@ -656,8 +656,13 @@ def _params(config: ExperimentConfig) -> dict[str, object]:
 
 
 def _audit_point(config: ExperimentConfig) -> dict[str, object]:
-    """Parameter block and per-scenario validation reports at one point."""
+    """Parameter block and per-scenario validation reports at one point.
 
+    The four scenarios share one table of oracle searches, which lives only
+    as long as this call.
+    """
+
+    searches: dict[tuple, float] = {}
     return {
         "params": _params(config),
         "reports": {
@@ -669,6 +674,7 @@ def _audit_point(config: ExperimentConfig) -> dict[str, object]:
                 config.alpha,
                 config.price,
                 config.budgets,
+                _searches=searches,
             ).as_dict()
             for kind in _ALL_SCENARIOS
         },

@@ -191,6 +191,9 @@ def snr_relay_path(g_ir: float, g_rk: float, p_i: float, p_rk: float, sigma2: fl
         raise ValueError("gains and powers must be non-negative")
     hop_i = g_ir * p_i
     hop_k = g_rk * p_rk
+    if hop_i == 0.0 or hop_k == 0.0:
+        # the denominator below can underflow to zero at a tiny sigma2
+        return 0.0
     return hop_i * hop_k / (sigma2 * (hop_i + hop_k + sigma2))
 
 

@@ -11,13 +11,15 @@ allocation.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, NamedTuple, Sequence
+from typing import Callable, Iterable, MutableMapping, NamedTuple, Sequence
 
 import numpy as np
 
 from .allocator import (
+    _objective_key,
     distance_mac_quadratic_pa,
     distance_mac_quadratic_pa_variant,
     distance_mac_quadratic_pj,
@@ -68,6 +70,25 @@ def _eval_scalar(objective: Objective, x: float) -> float:
     return value
 
 
+@functools.lru_cache(maxsize=4)
+def _grid_index(resolution: int) -> np.ndarray:
+    index = np.arange(resolution, dtype=float)
+    index.flags.writeable = False
+    return index
+
+
+def _grid(lo: float, hi: float, resolution: int) -> np.ndarray:
+    """``np.linspace(lo, hi, resolution)`` for ``lo < hi``, bit for bit."""
+
+    step = (hi - lo) / (resolution - 1)
+    if step == 0.0:
+        return np.linspace(lo, hi, resolution)
+    xs = _grid_index(resolution) * step
+    xs += lo
+    xs[-1] = hi
+    return xs
+
+
 def grid_search_optimum(
     objective: Objective,
     lo: float,
@@ -81,6 +102,13 @@ def grid_search_optimum(
     bracket around the best grid point down to a width of
     ``(hi - lo) / resolution / 100``.  Ties anywhere resolve toward the
     smaller ``x``, which keeps the result deterministic.
+
+    The grid is ``np.linspace(lo, hi, resolution)`` bit for bit, built by
+    numpy's own recipe without its overhead: a cached read-only
+    ``arange(resolution)`` times ``step = (hi - lo) / (resolution - 1)``,
+    plus ``lo``, with the last point set to ``hi``.  A step that underflows
+    to zero falls back to ``np.linspace``, which divides before it
+    multiplies.
 
     Parameters
     ----------
@@ -116,7 +144,7 @@ def grid_search_optimum(
     if hi == lo:
         return lo, _eval_scalar(objective, lo)
 
-    xs = np.linspace(lo, hi, resolution)
+    xs = _grid(lo, hi, resolution)
     ys: np.ndarray | None
     try:
         raw = objective(xs)
@@ -127,11 +155,12 @@ def grid_search_optimum(
         ys = None
     if ys is None:
         ys = np.array([float(objective(float(x))) for x in xs])
-    bad = np.flatnonzero(~np.isfinite(ys))
-    if bad.size:
+    # argmax stops at the first NaN and finds +inf; the minimum finds -inf
+    idx = int(np.argmax(ys))
+    if not (math.isfinite(ys[idx]) and math.isfinite(ys.min())):
+        bad = np.flatnonzero(~np.isfinite(ys))
         raise ValueError(f"objective is not finite at x={float(xs[bad[0]])!r}")
 
-    idx = int(np.argmax(ys))
     best_x = float(xs[idx])
     best_y = float(ys[idx])
 
@@ -307,9 +336,11 @@ class ValidationReport:
 def _check_formula(
     formula_id: str,
     objective: Objective,
+    objective_key: tuple,
     roots: Sequence[float],
     closed_form: float | None,
     hi_budget: float,
+    searches: MutableMapping[tuple, float],
     resolution: int = _DEFAULT_RESOLUTION,
 ) -> FormulaCheck:
     """Compare one polynomial condition (and optional closed form) with the oracle.
@@ -317,7 +348,8 @@ def _check_formula(
     The search interval starts at the budget bound but is stretched to twice
     the largest positive candidate value, so a stationary point lying beyond
     the budget is still visible to the comparison instead of being clamped
-    out of existence.
+    out of existence.  ``searches`` holds the oracle argmax of each
+    ``(objective_key, hi, resolution)`` already searched at this point.
     """
 
     positives = [r for r in roots if math.isfinite(r) and r > 0.0]
@@ -327,7 +359,11 @@ def _check_formula(
     hi = max([float(hi_budget), 1.0] + [2.0 * c for c in candidates])
     step = hi / (resolution - 1)
 
-    oracle_x, _ = grid_search_optimum(objective, 0.0, hi, resolution)
+    search = (objective_key, hi, resolution)
+    oracle_x = searches.get(search)
+    if oracle_x is None:
+        oracle_x, _ = grid_search_optimum(objective, 0.0, hi, resolution)
+        searches[search] = oracle_x
 
     pool = sorted({0.0, hi}.union(r for r in positives if r < hi))
     root_value = pool[0]
@@ -505,6 +541,8 @@ def validate_scenario(
     alpha: float,
     price: float,
     budgets: PowerBudget,
+    *,
+    _searches: MutableMapping[tuple, float] | None = None,
 ) -> ValidationReport:
     """Run every formula of one scenario against the numeric oracle.
 
@@ -522,6 +560,14 @@ def validate_scenario(
     Relay entries evaluate their cubic coefficients at own-message powers of
     half of each budget, and the relaying slice ranges over what those seeds
     leave free.
+
+    Entries that maximise the same objective on the same interval share one
+    grid search: ``non_coop.p_a`` and ``one_side_coop.p_a``, for example,
+    or a ``.variant`` and its base entry when their roots stretch the
+    interval alike.  The objective is identified by the floats that define
+    it, never by the callable.  A call shares searches among its own
+    entries; :func:`coopsec.harness.run_validation` shares them across the
+    four scenarios of one parameter point, and never between points.
 
     Parameters
     ----------
@@ -568,19 +614,23 @@ def validate_scenario(
     rows = _AUDIT[kind]
     attenuated = gains.effective(geometry) if any(row[2] for row in rows) else gains
 
+    searches = {} if _searches is None else _searches
     entries = []
-    for formula_id, side, path_loss, polynomial, key in rows:
-        objective = penalized_objective(
-            kind,
-            side,
-            attenuated if path_loss else gains,
-            noise,
-            price=lam,
-            alpha=a,
-            p_a=point.seed_a,
-            p_j=point.seed_j,
-        )
+    for formula_id, side, path_loss, polynomial, closed_key in rows:
+        args = (kind, side, attenuated if path_loss else gains, noise)
+        terms = dict(price=lam, alpha=a, p_a=point.seed_a, p_j=point.seed_j)
+        objective = penalized_objective(*args, **terms)
         coeffs = polynomial(point)
         roots = solve_cubic_real(coeffs) if len(coeffs) == 4 else solve_quadratic_real(coeffs)
-        entries.append(_check_formula(formula_id, objective, roots, closed.get(key), bounds[side]))
+        entries.append(
+            _check_formula(
+                formula_id,
+                objective,
+                _objective_key(*args, **terms),
+                roots,
+                closed.get(closed_key),
+                bounds[side],
+                searches,
+            )
+        )
     return ValidationReport(kind=kind, entries=tuple(entries))

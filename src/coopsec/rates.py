@@ -183,6 +183,12 @@ def secrecy_rate(
     -------
     RatePair
         Unclamped rates in nats.
+
+    Raises
+    ------
+    ValueError
+        On a non-finite or negative power, or when a rate is not finite
+        because a gain over ``sigma2`` overflows its SNR.
     """
 
     if not all(map(math.isfinite, (p_a, p_j, p_ab, p_jb))):
@@ -202,19 +208,22 @@ def secrecy_rate(
                 raise ValueError(f"{kind.value} requires alpha > 0 (power swap divides by it)")
         powers = {"p_a": p_a, "p_j": p_j}
         cs1, cs2 = (_message_gap(link, gains, powers[link.power], alpha, s2) for link in links)
-        return RatePair(cs1, cs2)
-
-    # relay_coop
-    if p_ab < 0 or p_jb < 0:
-        raise ValueError("relay powers must be non-negative")
-    relayed_a = snr_relay_path(gains.g_aj, gains.g_jb, p_a, p_jb, s2)
-    cs1 = rate_mrc_relay(snr_direct(gains.g_ab, p_a, s2), relayed_a) - rate_p2p(
-        snr_direct(gains.g_ae, p_a, s2)
-    )
-    relayed_j = snr_relay_path(gains.g_ja, gains.g_ab, p_j, p_ab, s2)
-    cs2 = rate_mrc_relay(snr_direct(gains.g_jb, p_j, s2), relayed_j) - rate_p2p(
-        snr_direct(gains.g_je, p_j, s2)
-    )
+    else:  # relay_coop
+        if p_ab < 0 or p_jb < 0:
+            raise ValueError("relay powers must be non-negative")
+        relayed_a = snr_relay_path(gains.g_aj, gains.g_jb, p_a, p_jb, s2)
+        cs1 = rate_mrc_relay(snr_direct(gains.g_ab, p_a, s2), relayed_a) - rate_p2p(
+            snr_direct(gains.g_ae, p_a, s2)
+        )
+        relayed_j = snr_relay_path(gains.g_ja, gains.g_ab, p_j, p_ab, s2)
+        cs2 = rate_mrc_relay(snr_direct(gains.g_jb, p_j, s2), relayed_j) - rate_p2p(
+            snr_direct(gains.g_je, p_j, s2)
+        )
+    if not (math.isfinite(cs1) and math.isfinite(cs2)):
+        raise ValueError(
+            f"{kind.value} secrecy rates are not finite (cs1={cs1}, cs2={cs2}): "
+            "a gain over sigma2 overflows the SNR"
+        )
     return RatePair(cs1, cs2)
 
 

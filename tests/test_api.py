@@ -18,12 +18,16 @@ import coopsec
 MODULES = ["allocator", "cli", "harness", "model", "oracle", "protocol", "rates"]
 
 
-def traced_names():
+def load_tracing():
     path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
     spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)
-    return [(module, attr) for _, module, attr in tracing.TRACED]
+    return tracing
+
+
+def traced_names():
+    return [(module, attr) for _, module, attr in load_tracing().TRACED]
 
 
 def test_package_exports_resolve():
@@ -47,3 +51,23 @@ def test_benchmark_traced_names_resolve(module_name, attr):
     for part in attr.split("."):
         target = getattr(target, part)
     assert callable(target)
+
+
+def test_traced_validation_matches_untraced():
+    """The tracer wraps every objective in a counting closure; the oracle's
+    shared searches must not depend on the callable it gets."""
+
+    from coopsec.harness import ExperimentConfig, run_validation
+
+    tracing = load_tracing()
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        traced = run_validation(ExperimentConfig(seed=3), samples=2)
+    finally:
+        tracer.uninstall()
+    assert traced == run_validation(ExperimentConfig(seed=3), samples=2)
+    export = tracer.export()
+    searches = export["functions"]["oracle.grid_search_optimum"]["calls"]
+    assert 0 < searches < 13 * 3
+    assert export["counts"][tracing.ARRAY_POINTS] == searches * 10001

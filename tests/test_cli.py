@@ -3,11 +3,15 @@
 from __future__ import annotations
 
 import json
+import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import coopsec
 from coopsec import ExperimentConfig, SweepAxis, read_sweep_csv, write_json
 from coopsec.cli import main
 
@@ -200,6 +204,30 @@ class TestBadConfigs:
         assert all(e["closed_form_value"] is None for e in entries)
         assert all(e["root_value"] is not None for e in entries)
 
+    @pytest.mark.parametrize("command", ["sweep", "mobility", "negotiate"])
+    @pytest.mark.parametrize("g_ae", [0.2, 1e300])
+    def test_overflowing_snr_is_a_clean_error(self, tmp_path, capsys, command, g_ae):
+        config = self.write_config(
+            tmp_path,
+            f'{{"gains": {{"g_ab": 1e300, "g_ae": {g_ae}, "g_jb": 0.5, "g_je": 0.3, '
+            f'"g_aj": 0.2, "g_ja": 0.2}}, "sigma2": 1e-300}}',
+        )
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as excinfo:
+            main([command, "--config", config, "--out", str(out)])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err[-1].startswith(f"coopsec: error: {command}: ")
+        assert not out.exists()
+
+    def test_tiny_noise_sweep_stays_finite(self, tmp_path, capsys):
+        config = self.write_config(tmp_path, '{"sigma2": 1e-300}')
+        out = tmp_path / "sweep.csv"
+        code, _ = run_cli(["sweep", "--config", config, "--out", str(out)], capsys)
+        assert code == 0
+        rows = read_sweep_csv(out)
+        assert rows and all(math.isfinite(row.cs1_nat) and math.isfinite(row.cs2_nat) for row in rows)
+
     def test_zero_price_validation_is_a_clean_error(self, tmp_path, capsys):
         config = self.write_config(tmp_path, '{"lambda": 0}')
         with pytest.raises(SystemExit) as excinfo:
@@ -216,11 +244,15 @@ class TestParser:
 
     def test_module_entry_point_runs(self, tmp_path):
         out = tmp_path / "fig3.csv"
+        # the child imports the same package as this process
+        src = str(Path(coopsec.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         proc = subprocess.run(
             [sys.executable, "-m", "coopsec", "sweep", "--preset", "fig3", "--out", str(out)],
             capture_output=True,
             text=True,
             check=True,
+            env={**os.environ, "PYTHONPATH": path},
         )
         assert "wrote 82 rows" in proc.stdout
         assert out.exists()

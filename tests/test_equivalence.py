@@ -7,6 +7,9 @@ the candidate picks applied to the roots of each mode's printed stationarity
 polynomial.  Relay allocation is compared with itself running on the
 reference roots.  Tolerances are fixed from the conditioning of each case,
 not tuned to the results.
+
+The penalized objectives evaluate arrays in place; their reference is the
+earlier out-of-place expression, and there the comparison is bit for bit.
 """
 
 from __future__ import annotations
@@ -27,6 +30,7 @@ from coopsec import (
     ScenarioKind,
     mac_allocation,
     noncoop_allocation,
+    grid_search_optimum,
     one_side_allocation,
     penalized_objective,
     relay_allocation,
@@ -352,3 +356,114 @@ class TestRelayAllocationAgainstReferenceRoots:
         for name in ("p_a", "p_j", "p_ab", "p_jb"):
             ours_p, theirs_p = getattr(ours, name), getattr(theirs, name)
             assert math.isclose(ours_p, theirs_p, rel_tol=POWER_TOL, abs_tol=0.0), (ours, theirs)
+
+
+def reference_gap_objective(g_main, g_eve, s2, lam, scale):
+    """The priced-gap objective as one out-of-place expression."""
+
+    def f(p):
+        x = scale * p
+        return np.log1p(g_main * x / s2) - np.log1p(g_eve * x / s2) - lam * x
+
+    return f
+
+
+def reference_relay_objective(g_direct, g_eve, g_hop1, g_hop2, s2, lam, own_power, pay_scale):
+    """The priced relay objective as one out-of-place expression."""
+
+    base_main = g_direct * own_power / s2
+    eve_term = math.log1p(g_eve * own_power / s2)
+    first_hop = g_hop1 * own_power
+
+    def f(p):
+        second_hop = g_hop2 * p
+        relayed = first_hop * second_hop / (s2 * (first_hop + second_hop + s2))
+        return np.log1p(base_main + relayed) - eve_term - lam * pay_scale * p
+
+    return f
+
+
+REFERENCE_FORMS = {"gap": reference_gap_objective, "relay": reference_relay_objective}
+
+
+def random_objective_keys(rng, count):
+    """Objective keys of every mode and side at random parameter points."""
+
+    keys = []
+    for _ in range(count):
+        gains = ChannelGains(*(float(g) for g in rng.uniform(0.0, 2.0, size=6)))
+        noise = NoiseModel(float(10.0 ** rng.uniform(-3.0, 1.0)))
+        terms = dict(
+            price=float(10.0 ** rng.uniform(-4.0, 0.5)),
+            alpha=float(rng.uniform(0.05, 1.0)),
+            p_a=float(rng.uniform(0.0, 20.0)),
+            p_j=float(rng.uniform(0.0, 20.0)),
+        )
+        for kind, sides in (
+            (ScenarioKind.NON_COOP, ("p_a", "p_j")),
+            (ScenarioKind.ONE_SIDE_COOP, ("p_a", "p_j")),
+            (ScenarioKind.MAC_COOP, ("p_a", "p_j")),
+            (ScenarioKind.RELAY_COOP, ("p_jb", "p_ab")),
+        ):
+            for side in sides:
+                keys.append(((kind, side, gains, noise), terms))
+    return keys
+
+
+def same_bits(got, want):
+    got, want = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
+    return got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+class TestInPlaceObjectivesAgainstReference:
+    """The array path of both objectives gives the out-of-place expression's bits."""
+
+    def test_arrays_scalars_and_zero_dim(self):
+        rng = np.random.default_rng(20)
+        for args, terms in random_objective_keys(rng, 40):
+            form, *params = allocator._objective_key(*args, **terms)
+            ours = penalized_objective(*args, **terms)
+            theirs = REFERENCE_FORMS[form](*params)
+            hi = float(rng.uniform(0.0, 50.0))
+            grid = np.linspace(0.0, hi, 1001)
+            before = grid.copy()
+            assert same_bits(ours(grid), theirs(grid)), (form, params)
+            assert grid.tobytes() == before.tobytes()
+            # a strided view and a 2-d block take the same path
+            assert same_bits(ours(grid[::7]), theirs(grid[::7]))
+            assert same_bits(ours(grid[:1000].reshape(40, 25)), theirs(grid[:1000].reshape(40, 25)))
+            for p in (0.0, hi, float(rng.uniform(0.0, hi))):
+                got, want = ours(p), theirs(p)
+                assert type(got) is type(want) and same_bits(got, want)
+                zero_dim = np.array(p)
+                got, want = ours(zero_dim), theirs(zero_dim)
+                assert type(got) is type(want) and same_bits(got, want)
+                assert zero_dim == p
+
+    def test_read_only_input(self):
+        grid = np.linspace(0.0, 5.0, 11)
+        grid.flags.writeable = False
+        gains = ChannelGains(g_ab=0.4, g_ae=0.3, g_jb=0.5, g_je=0.3, g_aj=0.2)
+        for kind, side in ((ScenarioKind.NON_COOP, "p_a"), (ScenarioKind.RELAY_COOP, "p_jb")):
+            objective = penalized_objective(
+                kind, side, gains, NoiseModel(1.0), price=0.1, alpha=0.8, p_a=2.0, p_j=2.0
+            )
+            assert np.all(np.isfinite(objective(grid)))
+
+    def test_grid_search_takes_the_array_path(self):
+        gains = ChannelGains(g_ab=0.4, g_ae=0.3, g_jb=0.5, g_je=0.3, g_aj=0.2)
+        for kind, side in ((ScenarioKind.MAC_COOP, "p_a"), (ScenarioKind.RELAY_COOP, "p_ab")):
+            objective = penalized_objective(
+                kind, side, gains, NoiseModel(1.0), price=0.01, alpha=0.8, p_a=2.0, p_j=2.0
+            )
+            calls = []
+
+            def recorded(p, objective=objective):
+                calls.append(p)
+                return objective(p)
+
+            grid_search_optimum(recorded, 0.0, 7.5)
+            arrays = [p for p in calls if isinstance(p, np.ndarray)]
+            assert [a.shape for a in arrays] == [(10001,)]
+            # the rest is the golden-section pass on one bracket, not a scan
+            assert len(calls) - 1 < 60

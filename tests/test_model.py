@@ -125,6 +125,13 @@ class TestSnrRelayPath:
         assert snr_relay_path(0.2, 0.5, 0.0, 5.0, 1.0) == 0.0
         assert snr_relay_path(0.2, 0.5, 5.0, 0.0, 1.0) == 0.0
 
+    @pytest.mark.parametrize(
+        "args", [(0.2, 0.5, 0.0, 0.0), (0.0, 0.0, 5.0, 5.0), (0.2, 0.5, 1e-30, 0.0)]
+    )
+    def test_zero_hop_with_underflowing_denominator(self, args):
+        # sigma2 * (hop_i + hop_k + sigma2) underflows to zero at sigma2 = 1e-300
+        assert snr_relay_path(*args, 1e-300) == 0.0
+
     @given(
         g1=st.floats(min_value=0.01, max_value=10.0),
         g2=st.floats(min_value=0.01, max_value=10.0),

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from coopsec import (
     ChannelGains,
+    ExperimentConfig,
     Geometry,
     PowerBudget,
     ScenarioKind,
@@ -20,6 +21,7 @@ from coopsec import (
     grid_search_optimum,
     validate_scenario,
 )
+from coopsec import harness, oracle
 from coopsec.oracle import VERDICT_AGREE, VERDICT_INFEASIBLE, VERDICT_SUSPECTED_TYPO
 
 STD_GAINS = ChannelGains(g_ab=0.4, g_ae=0.3, g_jb=0.5, g_je=0.3, g_aj=0.2)
@@ -233,3 +235,159 @@ class TestValidationReport:
         assert VERDICT_AGREE == "agree"
         assert VERDICT_SUSPECTED_TYPO == "suspected-typo"
         assert VERDICT_INFEASIBLE == "infeasible"
+
+
+def random_intervals(rng, count):
+    """Intervals with ``lo != 0`` of either sign, with spans relative to
+    ``|lo|`` (1e-12 to 1e3) or absolute (1e-12 to 1e300)."""
+
+    intervals = []
+    while len(intervals) < count:
+        lo = float(rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-300.0, 300.0))
+        if rng.random() < 0.5:
+            hi = lo + abs(lo) * float(10.0 ** rng.uniform(-12.0, 3.0))
+        else:
+            hi = lo + float(10.0 ** rng.uniform(-12.0, 300.0))
+        if math.isfinite(hi) and hi > lo:
+            intervals.append((lo, hi))
+    return intervals
+
+
+class TestExactGrid:
+    """The search grid is ``np.linspace`` bit for bit."""
+
+    @pytest.mark.parametrize("n", [2, 3, 101, 10001])
+    def test_matches_linspace_on_random_intervals(self, n):
+        for lo, hi in random_intervals(np.random.default_rng(n), 750):
+            assert oracle._grid(lo, hi, n).tobytes() == np.linspace(lo, hi, n).tobytes(), (lo, hi)
+
+    @pytest.mark.parametrize(
+        "lo,hi",
+        [(0.0, 5e-324), (0.0, 1e-320), (-1e-321, 1e-321), (1e-310, 1e-310 + 1e-319)],
+    )
+    @pytest.mark.parametrize("n", [2, 3, 101, 10001])
+    def test_subnormal_spans(self, lo, hi, n):
+        assert oracle._grid(lo, hi, n).tobytes() == np.linspace(lo, hi, n).tobytes()
+
+    def test_huge_span(self):
+        for lo, hi in ((-1e300, 1e300), (-8e307, 8e307), (1.0, 1.7e308)):
+            for n in (2, 10001):
+                assert oracle._grid(lo, hi, n).tobytes() == np.linspace(lo, hi, n).tobytes()
+
+    def test_cached_index_is_read_only(self):
+        first = oracle._grid(1.0, 2.0, 101)
+        first[:] = -1.0
+        assert oracle._grid(1.0, 2.0, 101).tobytes() == np.linspace(1.0, 2.0, 101).tobytes()
+        with pytest.raises(ValueError):
+            oracle._grid_index(101)[0] = 5.0
+
+    def test_search_evaluates_the_linspace_grid(self):
+        seen = []
+
+        def objective(x):
+            seen.append(np.array(x, copy=True))
+            return -((x - 0.3) ** 2)
+
+        grid_search_optimum(objective, -2.5, 1.75, resolution=517)
+        assert seen[0].tobytes() == np.linspace(-2.5, 1.75, 517).tobytes()
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_vectorized_non_finite_names_first_bad_point(self, bad):
+        xs = np.linspace(0.0, 10.0, 101)
+
+        def objective(x):
+            return np.where(x > 4.0, bad, x) if isinstance(x, np.ndarray) else x
+
+        with pytest.raises(ValueError, match=f"not finite at x={float(xs[41])!r}$"):
+            grid_search_optimum(objective, 0.0, 10.0, resolution=101)
+
+    def test_huge_finite_values_pass(self):
+        # a sum over these overflows; the finiteness test must not use one
+        def huge(x):
+            return np.full_like(x, 1e308) if isinstance(x, np.ndarray) else 1e308
+
+        best_x, best_f = grid_search_optimum(huge, 0.0, 1.0)
+        assert best_x == 0.0 and best_f == 1e308
+
+
+class _NoStore(dict):
+    """A search table that forgets every store: each lookup misses."""
+
+    def __setitem__(self, key, value):
+        pass
+
+
+def config_point_reports(config, searches_factory):
+    return {
+        kind.value: validate_scenario(
+            kind,
+            config.gains,
+            config.geometry,
+            config.sigma2,
+            config.alpha,
+            config.price,
+            config.budgets,
+            _searches=searches_factory(),
+        ).as_dict()
+        for kind in ScenarioKind
+    }
+
+
+@pytest.fixture
+def counted_searches(monkeypatch):
+    """Record ``(objective values on a probe grid, hi)`` for every grid search."""
+
+    calls = []
+    original = oracle.grid_search_optimum
+    probe = np.linspace(0.0, 3.0, 7)
+
+    def counting(objective, lo, hi, resolution=10001):
+        calls.append((objective(probe).tobytes(), hi))
+        return original(objective, lo, hi, resolution)
+
+    monkeypatch.setattr(oracle, "grid_search_optimum", counting)
+    return calls
+
+
+def audit_configs():
+    yield ExperimentConfig()
+    yield ExperimentConfig(price=0.01)
+    yield ExperimentConfig(price=0.02, alpha=0.5, budgets=PowerBudget(p_a_max=8.0, p_j_max=3.0))
+
+
+class TestSharedSearches:
+    @pytest.mark.parametrize("config", list(audit_configs()))
+    def test_one_search_per_distinct_objective_and_interval(self, counted_searches, config):
+        config_point_reports(config, _NoStore)
+        assert len(counted_searches) == 13
+        distinct = len(set(counted_searches))
+        assert distinct < 13
+        # a repeated point searches again: nothing outlives one point
+        for _ in range(2):
+            counted_searches.clear()
+            harness._audit_point(config)
+            assert len(counted_searches) == distinct
+
+    def test_lone_scenario_shares_within_itself_only(self, counted_searches):
+        point = (STD_GAINS, UNIT_GEOMETRY, 1.0, 0.8, 1.0, STD_BUDGETS)
+        validate_scenario(ScenarioKind.NON_COOP, *point)
+        validate_scenario(ScenarioKind.ONE_SIDE_COOP, *point)
+        # at price 1 every root is negative: the variant shares its base's search,
+        # and one_side_coop.p_a searches again what non_coop.p_a searched
+        assert len(counted_searches) == 2 + 2
+
+    @pytest.mark.parametrize("config", list(audit_configs()))
+    def test_reports_equal_without_sharing(self, config):
+        shared = harness._audit_point(config)["reports"]
+        assert shared == config_point_reports(config, _NoStore)
+
+    def test_validation_report_equal_without_sharing(self, monkeypatch):
+        config = ExperimentConfig(seed=5)
+        shared = harness.run_validation(config, samples=3)
+        original = harness.validate_scenario
+
+        def never_shared(*args, _searches=None, **kwargs):
+            return original(*args, _searches=_NoStore(), **kwargs)
+
+        monkeypatch.setattr(harness, "validate_scenario", never_shared)
+        assert json.dumps(harness.run_validation(config, samples=3)) == json.dumps(shared)

@@ -182,6 +182,17 @@ class TestSecrecyRateRelay:
         assert pair.cs1 > 0
 
 
+class TestSecrecyRateOverflow:
+    @pytest.mark.parametrize("g_ae", [0.3, 1e300])
+    @pytest.mark.parametrize("kind", list(ScenarioKind))
+    def test_overflowing_snr_names_the_mode(self, kind, g_ae):
+        # g_ab alone overflows to cs1 = inf; both gains give inf - inf = nan
+        gains = ChannelGains(g_ab=1e300, g_ae=g_ae, g_jb=0.5, g_je=0.3, g_aj=0.2)
+        with pytest.raises(ValueError, match=f"^{kind.value} secrecy rates are not finite") as info:
+            secrecy_rate(kind, gains, NoiseModel(1e-300), p_a=1.0, p_j=1.0, alpha=0.8)
+        assert "\n" not in str(info.value)
+
+
 class TestSecrecyRegion:
     def test_standard_point(self, std_gains, std_noise):
         region = mac_secrecy_region(std_gains, std_noise, p_a=5.0, p_j=5.0)
