@@ -727,6 +727,47 @@ def _priced_relay_objective(
 _OBJECTIVE_FORMS = {"gap": _priced_gap_objective, "relay": _priced_relay_objective}
 
 
+def _gap_magnitude(
+    g_main: float, g_eve: float, s2: float, lam: float, scale: float, hi: float
+) -> float:
+    x = scale * hi
+    return math.log1p(g_main * x / s2) + math.log1p(g_eve * x / s2) + lam * x
+
+
+def _relay_magnitude(
+    g_direct: float,
+    g_eve: float,
+    g_hop1: float,
+    g_hop2: float,
+    s2: float,
+    lam: float,
+    own_power: float,
+    pay_scale: float,
+    hi: float,
+) -> float:
+    # the relayed SNR never exceeds the first hop's, g_hop1 * own_power / s2
+    base_main = g_direct * own_power / s2
+    reach = base_main + g_hop1 * own_power / s2
+    return math.log1p(reach) + math.log1p(g_eve * own_power / s2) + lam * pay_scale * hi
+
+
+# Per form: the sum of the magnitudes of the objective's terms on ``[0, hi]``
+# (each term grows with the decision variable, so its value at ``hi``).
+_OBJECTIVE_MAGNITUDES = {"gap": _gap_magnitude, "relay": _relay_magnitude}
+
+
+def _objective_magnitude(key: tuple, hi: float) -> float:
+    """Bound on the summed term magnitudes of ``key``'s objective on ``[0, hi]``.
+
+    Every term of both forms is evaluated to within a few ulps of its own
+    size, so the objective's rounding error anywhere on the interval is a
+    small multiple of ``2**-52`` times this bound.  Overflow shows as
+    ``inf``.
+    """
+
+    return _OBJECTIVE_MAGNITUDES[key[0]](*key[1:], hi)
+
+
 def _objective_key(
     kind: ScenarioKind,
     side: str,

@@ -790,9 +790,91 @@ def run_negotiation(config: ExperimentConfig) -> dict[str, object]:
     return result
 
 
-def write_json(data: Mapping[str, object], path: str | Path) -> None:
-    """Serialize a report deterministically (sorted keys, no NaN), in one write."""
+class _Unwritable(Exception):
+    """A value the direct writer leaves to ``json.dumps``."""
 
-    text = json.dumps(data, indent=2, sort_keys=True, allow_nan=False) + "\n"
+
+def _indented_json(data: object) -> str:
+    """``json.dumps(data, indent=2, sort_keys=True, allow_nan=False)``, directly.
+
+    One recursive writer appends to one list, which is joined once.  It
+    tries the types in the stdlib encoder's order (``str``, ``None``,
+    ``True``, ``False``, ``int``, ``float``, list or tuple, dict) and spells
+    them as it does: ``encode_basestring_ascii``, ``int.__repr__`` and
+    ``float.__repr__``.  A non-finite float, a non-``str`` key or any other
+    type raises :class:`_Unwritable`.
+    """
+
+    encode_str = json.encoder.encode_basestring_ascii
+    out: list[str] = []
+    append = out.append
+
+    def write(value: object, indent: str) -> None:
+        if isinstance(value, str):
+            append(encode_str(value))
+        elif value is None:
+            append("null")
+        elif value is True:
+            append("true")
+        elif value is False:
+            append("false")
+        elif isinstance(value, int):
+            append(int.__repr__(value))
+        elif isinstance(value, float):
+            if not math.isfinite(value):
+                raise _Unwritable
+            append(float.__repr__(value))
+        elif isinstance(value, (list, tuple)):
+            if not value:
+                append("[]")
+                return
+            inner = indent + "  "
+            separator = "[" + inner
+            for item in value:
+                append(separator)
+                write(item, inner)
+                separator = "," + inner
+            append(indent + "]")
+        elif isinstance(value, dict):
+            if not value:
+                append("{}")
+                return
+            try:
+                items = sorted(value.items())
+            except TypeError:
+                raise _Unwritable from None
+            inner = indent + "  "
+            separator = "{" + inner
+            for key, item in items:
+                if not isinstance(key, str):
+                    raise _Unwritable
+                append(separator + encode_str(key) + ": ")
+                write(item, inner)
+                separator = "," + inner
+            append(indent + "}")
+        else:
+            raise _Unwritable
+
+    write(data, "\n")
+    return "".join(out)
+
+
+def write_json(data: Mapping[str, object], path: str | Path) -> None:
+    """Serialize a report deterministically (sorted keys, no NaN), in one write.
+
+    The text is ``json.dumps(data, indent=2, sort_keys=True,
+    allow_nan=False)`` plus a newline, byte for byte.  CPython's C encoder
+    does not indent, so that call runs the stdlib's generator encoder;
+    :func:`_indented_json` writes the same bytes directly.  Anything it
+    leaves (non-finite floats, non-``str`` keys, other types, nesting deep
+    or circular enough to exhaust the recursion limit) goes to ``json.dumps``
+    for the whole document, so coercions and errors stay the stdlib's.
+    """
+
+    try:
+        text = _indented_json(data)
+    except (_Unwritable, RecursionError):
+        text = json.dumps(data, indent=2, sort_keys=True, allow_nan=False)
+    text += "\n"
     with open(path, "w", encoding="utf-8") as handle:
         handle.write(text)

@@ -194,7 +194,12 @@ def snr_relay_path(g_ir: float, g_rk: float, p_i: float, p_rk: float, sigma2: fl
     if hop_i == 0.0 or hop_k == 0.0:
         # the denominator below can underflow to zero at a tiny sigma2
         return 0.0
-    return hop_i * hop_k / (sigma2 * (hop_i + hop_k + sigma2))
+    total = hop_i + hop_k + sigma2
+    denominator = sigma2 * total
+    if denominator == 0.0:
+        # tiny but nonzero hops: divide before multiplying
+        return (hop_i / sigma2) * (hop_k / total)
+    return hop_i * hop_k / denominator
 
 
 def effective_gain(gain: float, distance: float, eta: float) -> float:

@@ -20,6 +20,7 @@ import numpy as np
 
 from .allocator import (
     _objective_key,
+    _objective_magnitude,
     distance_mac_quadratic_pa,
     distance_mac_quadratic_pa_variant,
     distance_mac_quadratic_pj,
@@ -161,12 +162,26 @@ def grid_search_optimum(
         bad = np.flatnonzero(~np.isfinite(ys))
         raise ValueError(f"objective is not finite at x={float(xs[bad[0]])!r}")
 
-    best_x = float(xs[idx])
-    best_y = float(ys[idx])
+    return _refine(
+        objective,
+        float(xs[max(idx - 1, 0)]),
+        float(xs[min(idx + 1, resolution - 1)]),
+        float(xs[idx]),
+        float(ys[idx]),
+        (hi - lo) / resolution / 100.0,
+    )
 
-    a = float(xs[max(idx - 1, 0)])
-    b = float(xs[min(idx + 1, resolution - 1)])
-    tol = (hi - lo) / resolution / 100.0
+
+def _refine(
+    objective: Objective, a: float, b: float, best_x: float, best_y: float, tol: float
+) -> tuple[float, float]:
+    """Golden-section pass over ``[a, b]``, the bracket around a grid argmax.
+
+    The bracket shrinks to width ``tol``; the refined point replaces the
+    grid's ``(best_x, best_y)`` only if it is higher, or equally high and
+    further left.
+    """
+
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
     c = b - invphi * (b - a)
     d = a + invphi * (b - a)
@@ -189,6 +204,135 @@ def grid_search_optimum(
     if ref_y > best_y or (ref_y == best_y and ref_x < best_x):
         best_x, best_y = ref_x, ref_y
     return best_x, best_y
+
+
+@functools.lru_cache(maxsize=4)
+def _coarse_index(resolution: int) -> tuple[tuple[int, ...], np.ndarray] | None:
+    """Grid positions of the coarse pass, as ints and as ``_grid_index`` floats.
+
+    Every ``stride``-th position plus the last one, with ``stride`` about
+    ``sqrt(resolution / 2)``: that balances the coarse samples against the
+    two-cell window.  ``None`` when the grid is too small for a coarse pass.
+    """
+
+    stride = math.isqrt(resolution // 2)
+    if stride < 2:
+        return None
+    positions = (*range(0, resolution - 1, stride), resolution - 1)
+    index = np.array(positions, dtype=float)
+    index.flags.writeable = False
+    return positions, index
+
+
+def _windowed_search(
+    objective: Objective,
+    objective_key: tuple,
+    hi: float,
+    resolution: int = _DEFAULT_RESOLUTION,
+) -> tuple[float, float]:
+    """``grid_search_optimum(objective, 0.0, hi, resolution)``, exactly, on a few points.
+
+    ``objective`` must be what :func:`coopsec.allocator.penalized_objective`
+    returns for ``objective_key``: every such objective is unimodal on
+    ``[0, hi]`` (the priced gap is concave or decreasing, the relay slice
+    concave).  The exhaustive search takes the first argmax of the computed
+    values on the whole grid; this search finds the same grid point from a
+    coarse pass and one window, then runs the same golden-section pass.
+
+    - **Coarse pass.** The objective is evaluated at every ``stride``-th
+      grid point and the last one (see :func:`_coarse_index`), each built as
+      ``index * step + 0.0`` with the last set to ``hi``, so it equals the
+      full grid's point bit for bit.
+    - **Error bound.** Each term of the objective is computed to within a few
+      ulps of its size, so every computed value lies within ``delta / 2`` of
+      the exact value at the same float ``x``, where ``delta = 2**-30 *
+      (1 + M)`` and ``M`` bounds the terms' summed magnitudes on the
+      interval (:func:`coopsec.allocator._objective_magnitude`).
+    - **Window.** Let ``Y`` be the largest coarse value and ``S`` the coarse
+      samples computed at ``>= Y - 2 delta``.  The window runs from the
+      coarse sample just left of ``S`` to the one just right of it (or to the
+      grid's end); every grid point in it is evaluated and the first argmax
+      taken.
+
+    Why the window holds the full grid's first argmax: every coarse sample
+    whose exact value is the coarse maximum computes to at least
+    ``Y - delta``, so it lies in ``S``.  Take a point ``x`` left of the
+    window's left edge ``L``, and a coarse maximiser ``c`` right of ``L``.
+    Unimodality gives ``f(L) >= min(f(x), f(c))``; ``f(L) >= f(c)`` would
+    make ``L`` a coarse maximiser and put it in ``S``, so ``f(x) <= f(L)``.
+    ``L`` computed below ``Y - 2 delta``, so ``f(L) < Y - 1.5 delta`` (the
+    threshold's own rounding is far below ``delta``) and ``x`` computes
+    below ``Y - delta``.  The right side is the mirror case.  Every point
+    outside the window thus computes below ``Y``, which a point inside
+    attains.  The edges themselves compute below ``Y``, so the bracket
+    ``xs[idx - 1], xs[idx + 1]`` of the golden-section pass lies in the
+    window.
+
+    Falls back to the exhaustive :func:`grid_search_optimum`, which keeps
+    its checks and messages, when:
+
+    - the step is zero (or ``hi`` not finite and positive), or the grid is
+      too small for a coarse pass;
+    - ``delta`` is not finite;
+    - any coarse or window value is not finite (the exhaustive search then
+      names the first bad ``x``; every intermediate of both forms is
+      monotone in ``x``, so overflow or a zero divisor shows at an end
+      point, which the coarse pass samples);
+    - the window spans more than a quarter of the grid, as for a flat
+      objective;
+    - the coarse samples dip by more than ``2 delta`` below a higher sample
+      on each side, or the window's argmax sits on an edge inside the grid:
+      tripwires for a broken unimodality or error assumption.
+
+    Every evaluation goes through ``objective`` itself.
+    """
+
+    step = hi / (resolution - 1)
+    coarse = _coarse_index(resolution)
+    if coarse is None or not 0.0 < step < math.inf:
+        return grid_search_optimum(objective, 0.0, hi, resolution)
+    delta = 2.0**-30 * (1.0 + _objective_magnitude(objective_key, hi))
+    if not math.isfinite(delta):
+        return grid_search_optimum(objective, 0.0, hi, resolution)
+    positions, index = coarse
+
+    # ``_grid``'s points without its ``+= lo``: adding 0.0 changes no bit here
+    xs = index * step
+    xs[-1] = hi
+    ys = objective(xs)
+    # finite only if every value is (an overflowing sum just falls back)
+    if not math.isfinite(ys.sum()):
+        return grid_search_optimum(objective, 0.0, hi, resolution)
+    dip = np.maximum.accumulate(ys)
+    top = float(dip[-1])
+    np.minimum(dip, np.maximum.accumulate(ys[::-1])[::-1], out=dip)
+    dip -= ys
+    if dip.max() > 2.0 * delta:
+        return grid_search_optimum(objective, 0.0, hi, resolution)
+    near = np.flatnonzero(ys >= top - 2.0 * delta)
+    first = int(near[0])
+    last = int(near[-1]) + 1
+    start = positions[first - 1] if first else 0
+    stop = positions[last] if last < len(positions) else resolution - 1
+    if 4 * (stop - start + 1) > resolution:
+        return grid_search_optimum(objective, 0.0, hi, resolution)
+
+    wx = _grid_index(resolution)[start : stop + 1] * step
+    if stop == resolution - 1:
+        wx[-1] = hi
+    wy = objective(wx)
+    idx = int(wy.argmax())
+    edge = (idx == 0 and start > 0) or (idx == stop - start and stop < resolution - 1)
+    if edge or not math.isfinite(wy.sum()):
+        return grid_search_optimum(objective, 0.0, hi, resolution)
+    return _refine(
+        objective,
+        float(wx[max(idx - 1, 0)]),
+        float(wx[min(idx + 1, stop - start)]),
+        float(wx[idx]),
+        float(wy[idx]),
+        hi / resolution / 100.0,
+    )
 
 
 def finite_diff_derivative(objective: Objective, x: float, h: float) -> float:
@@ -348,8 +492,10 @@ def _check_formula(
     The search interval starts at the budget bound but is stretched to twice
     the largest positive candidate value, so a stationary point lying beyond
     the budget is still visible to the comparison instead of being clamped
-    out of existence.  ``searches`` holds the oracle argmax of each
-    ``(objective_key, hi, resolution)`` already searched at this point.
+    out of existence.  The oracle argmax is :func:`grid_search_optimum`'s,
+    found by :func:`_windowed_search`.  ``searches`` holds the oracle argmax
+    of each ``(objective_key, hi, resolution)`` already searched at this
+    point.
     """
 
     positives = [r for r in roots if math.isfinite(r) and r > 0.0]
@@ -362,7 +508,7 @@ def _check_formula(
     search = (objective_key, hi, resolution)
     oracle_x = searches.get(search)
     if oracle_x is None:
-        oracle_x, _ = grid_search_optimum(objective, 0.0, hi, resolution)
+        oracle_x, _ = _windowed_search(objective, objective_key, hi, resolution)
         searches[search] = oracle_x
 
     pool = sorted({0.0, hi}.union(r for r in positives if r < hi))
@@ -555,7 +701,8 @@ def validate_scenario(
     non-cooperative scenario checks the alternate j-side spelling with the
     cross-indexed linear term.  The printed closed forms divide by every
     direct link gain, so when one of those gains is zero they are reported
-    absent and only the roots are audited.
+    absent and only the roots are audited; so they are when one of their
+    float powers overflows.
 
     Relay entries evaluate their cubic coefficients at own-message powers of
     half of each budget, and the relaying slice ranges over what those seeds
@@ -599,7 +746,10 @@ def validate_scenario(
         raise ValueError("price must be positive for closed-form evaluation")
     closed: dict[str, float] = {}
     if min(gains.g_ab, gains.g_ae, gains.g_jb, gains.g_je) > 0:
-        closed = evaluate_closed_forms(gains, noise, alpha=a, price=lam)
+        try:
+            closed = evaluate_closed_forms(gains, noise, alpha=a, price=lam)
+        except OverflowError:
+            pass
     point = _AuditPoint(
         gains, noise, geometry, a, lam, 0.5 * budgets.p_a_max, 0.5 * budgets.p_j_max
     )
@@ -620,7 +770,10 @@ def validate_scenario(
         args = (kind, side, attenuated if path_loss else gains, noise)
         terms = dict(price=lam, alpha=a, p_a=point.seed_a, p_j=point.seed_j)
         objective = penalized_objective(*args, **terms)
-        coeffs = polynomial(point)
+        try:
+            coeffs = polynomial(point)
+        except OverflowError:
+            raise ValueError(f"{formula_id}: polynomial coefficients overflow") from None
         roots = solve_cubic_real(coeffs) if len(coeffs) == 4 else solve_quadratic_real(coeffs)
         entries.append(
             _check_formula(

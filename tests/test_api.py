@@ -53,21 +53,44 @@ def test_benchmark_traced_names_resolve(module_name, attr):
     assert callable(target)
 
 
-def test_traced_validation_matches_untraced():
+def test_traced_validation_matches_untraced(monkeypatch):
     """The tracer wraps every objective in a counting closure; the oracle's
-    shared searches must not depend on the callable it gets."""
+    shared searches must not depend on the callable it gets, and the traced
+    array points are exactly the points the searches evaluated."""
 
+    import numpy as np
+
+    from coopsec import oracle
     from coopsec.harness import ExperimentConfig, run_validation
+
+    searched = []
+    original = oracle._windowed_search
+
+    def recording(objective, objective_key, hi, resolution=10001):
+        points = []
+
+        def counted(p):
+            if isinstance(p, np.ndarray):
+                points.append(p.size)
+            return objective(p)
+
+        result = original(counted, objective_key, hi, resolution)
+        searched.append(sum(points))
+        return result
 
     tracing = load_tracing()
     tracer = tracing.Tracer()
     tracer.install()
+    monkeypatch.setattr(oracle, "_windowed_search", recording)
     try:
         traced = run_validation(ExperimentConfig(seed=3), samples=2)
     finally:
         tracer.uninstall()
+    traced_points = list(searched)
+    searched.clear()
     assert traced == run_validation(ExperimentConfig(seed=3), samples=2)
-    export = tracer.export()
-    searches = export["functions"]["oracle.grid_search_optimum"]["calls"]
-    assert 0 < searches < 13 * 3
-    assert export["counts"][tracing.ARRAY_POINTS] == searches * 10001
+    assert len(searched) == len(traced_points)
+    assert 0 < len(traced_points) < 13 * 3
+    assert tracer.export()["counts"][tracing.ARRAY_POINTS] == sum(traced_points)
+    # a coarse pass and one window per search, not the whole grid
+    assert sum(traced_points) < len(traced_points) * 10001 // 10

@@ -220,6 +220,30 @@ class TestBadConfigs:
         assert err[-1].startswith(f"coopsec: error: {command}: ")
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "gains",
+        [
+            '"g_ab": 1e300, "g_ae": 0.3, "g_jb": 0.5, "g_je": 0.3',
+            '"g_ab": 1e300, "g_ae": 1e300, "g_jb": 0.5, "g_je": 0.3',
+            '"g_ab": 1e160, "g_ae": 0.3, "g_jb": 0.5, "g_je": 0.3',
+        ],
+    )
+    def test_overflowing_validation_is_a_clean_error(self, tmp_path, capsys, gains):
+        # the closed forms' float powers overflow first; they are reported absent,
+        # and the audit then stops on a non-finite objective or coefficient
+        sigma2 = "1e-300" if "1e300" in gains else "1.0"
+        config = self.write_config(
+            tmp_path, f'{{"gains": {{{gains}, "g_aj": 0.2, "g_ja": 0.2}}, "sigma2": {sigma2}}}'
+        )
+        out = tmp_path / "v.json"
+        with pytest.raises(SystemExit) as excinfo:
+            main(["validate", "--config", config, "--samples", "0", "--out", str(out)])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 2 and err[0].startswith("usage: ")
+        assert err[-1].startswith("coopsec: error: validate: ")
+        assert not out.exists()
+
     def test_tiny_noise_sweep_stays_finite(self, tmp_path, capsys):
         config = self.write_config(tmp_path, '{"sigma2": 1e-300}')
         out = tmp_path / "sweep.csv"

@@ -35,7 +35,7 @@ from coopsec import (
     penalized_objective,
     relay_allocation,
 )
-from coopsec import allocator
+from coopsec import allocator, oracle
 from coopsec.allocator import (
     mac_quadratic_pa,
     mac_quadratic_pj,
@@ -467,3 +467,61 @@ class TestInPlaceObjectivesAgainstReference:
             assert [a.shape for a in arrays] == [(10001,)]
             # the rest is the golden-section pass on one bracket, not a scan
             assert len(calls) - 1 < 60
+
+
+def log_uniform(lo, hi):
+    return st.floats(min_value=lo, max_value=hi).map(lambda e: 10.0**e)
+
+
+@st.composite
+def near_pair(draw, lo, hi):
+    """Two gains, often equal or a relative nudge apart."""
+
+    first = draw(log_uniform(lo, hi))
+    nudge = draw(st.sampled_from([None, None, 0.0, 1e-12, -1e-12, 1e-6, -1e-6, 1e-3]))
+    second = draw(log_uniform(lo, hi)) if nudge is None else first * (1.0 + nudge)
+    return first, second
+
+
+@st.composite
+def objective_key(draw):
+    """Keys of both objective forms over wide ranges: gains 1e-4 to 1e2,
+    prices down to 1e-9, near-equal legitimate and tapped gains."""
+
+    s2 = draw(log_uniform(-2.0, 1.0))
+    lam = draw(log_uniform(-9.0, 1.0))
+    scale = draw(st.one_of(st.just(1.0), st.floats(min_value=0.3, max_value=1.0 / 0.3)))
+    main, eve = draw(near_pair(-4.0, 2.0))
+    if draw(st.booleans()):
+        return ("gap", main, eve, s2, lam, scale)
+    hop1, hop2 = (draw(log_uniform(-4.0, 2.0)) for _ in range(2))
+    own = draw(st.one_of(st.just(0.0), log_uniform(-2.0, 1.5)))
+    return ("relay", main, eve, hop1, hop2, s2, lam, own, scale)
+
+
+def search_outcome(search, *args):
+    try:
+        return search(*args)
+    except ValueError as exc:
+        return str(exc)
+
+
+class TestWindowedSearchAgainstExhaustive:
+    """The oracle's windowed search returns the exhaustive grid search's
+    ``(x, value)`` exactly; the fallbacks keep its error messages."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(key=objective_key(), hi=st.one_of(log_uniform(0.0, 4.0), st.just(1.0)))
+    def test_same_argmax_and_value(self, key, hi):
+        objective = allocator._OBJECTIVE_FORMS[key[0]](*key[1:])
+        want = search_outcome(grid_search_optimum, objective, 0.0, hi)
+        assert search_outcome(oracle._windowed_search, objective, key, hi) == want
+
+    def test_every_mode_and_side(self):
+        rng = np.random.default_rng(2024)
+        for args, terms in random_objective_keys(rng, 40):
+            objective = penalized_objective(*args, **terms)
+            key = allocator._objective_key(*args, **terms)
+            for hi in (1.0, float(10.0 ** rng.uniform(0.0, 3.0))):
+                want = grid_search_optimum(objective, 0.0, hi)
+                assert oracle._windowed_search(objective, key, hi) == want, (key, hi)

@@ -5,7 +5,10 @@ from __future__ import annotations
 import json
 import math
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from coopsec import (
     ChannelGains,
@@ -27,6 +30,7 @@ from coopsec import (
     write_mobility_csv,
     write_sweep_csv,
 )
+from coopsec import harness
 from coopsec.harness import PRESETS
 
 
@@ -386,3 +390,113 @@ class TestRunNegotiation:
         write_json(result, second)
         assert first.read_bytes() == second.read_bytes()
         assert first.read_bytes().endswith(b"\n")
+
+
+class FloatSub(float):
+    def __repr__(self):
+        return "FloatSub()"
+
+
+class IntSub(int):
+    def __repr__(self):
+        return "IntSub()"
+
+
+class StrSub(str):
+    pass
+
+
+def stdlib_text(data):
+    return json.dumps(data, indent=2, sort_keys=True, allow_nan=False) + "\n"
+
+
+def written_text(data, tmp_path):
+    path = tmp_path / "out.json"
+    write_json(data, path)
+    return path.read_text(encoding="utf-8")
+
+
+finite = st.floats(allow_nan=False, allow_infinity=False)
+json_leaves = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    finite,
+    st.sampled_from([-0.0, 0.0, 1e-05, 1e16, 1e22, 5e-324, 1.7976931348623157e308]),
+    st.text(),
+    st.sampled_from(["é", " ", "\x00", '"\\/\b\f\n\r\t', "\U0001f600", "\ud800"]),
+    finite.map(FloatSub),
+    st.integers().map(IntSub),
+    st.text().map(StrSub),
+)
+json_documents = st.recursive(
+    json_leaves,
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.lists(children, max_size=4).map(tuple),
+        st.dictionaries(st.one_of(st.text(), st.text().map(StrSub)), children, max_size=4),
+    ),
+    max_leaves=25,
+)
+
+
+class TestWriteJson:
+    """``write_json`` writes the stdlib's indented, sorted text byte for byte."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=json_documents)
+    def test_direct_writer_matches_the_stdlib(self, data):
+        assert harness._indented_json(data) + "\n" == stdlib_text(data)
+
+    def test_nested_containers_and_special_values(self, tmp_path):
+        data = {
+            "z": [1, -0.0, 1e-05, 1e16, True, False, None, (), [], {}, ("a", (2.5,))],
+            "a": {"é": "\x7f ", "b": {"c": [{}]}, "": FloatSub(2.0), "i": IntSub(3)},
+            "m": StrSub("sub"),
+        }
+        assert written_text(data, tmp_path) == stdlib_text(data)
+        for scalar in ("top", 3, 2.5, None, True, [], {}):
+            assert written_text(scalar, tmp_path) == stdlib_text(scalar)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, FloatSub(math.inf)])
+    def test_non_finite_floats_raise_the_stdlib_error(self, tmp_path, bad):
+        for data in (bad, {"a": [1.0, bad]}):
+            with pytest.raises(ValueError) as stdlib:
+                stdlib_text(data)
+            with pytest.raises(ValueError) as ours:
+                write_json(data, tmp_path / "out.json")
+            assert str(ours.value) == str(stdlib.value)
+            assert str(ours.value).startswith("Out of range float values are not JSON compliant")
+
+    @pytest.mark.parametrize(
+        "data",
+        [{1: "a", 2: "b"}, {"x": {2.5: 1, -1.0: 2}}, {"x": {False: [1]}}, {None: {True: 3}}],
+    )
+    def test_non_string_keys_are_coerced_as_in_the_stdlib(self, tmp_path, data):
+        assert written_text(data, tmp_path) == stdlib_text(data)
+
+    @pytest.mark.parametrize(
+        "data",
+        [{1: "a", "b": 2}, {(1, 2): 3}, {"x": object()}, [np.int64(3)], {"s": {1, 2}}],
+    )
+    def test_unsupported_values_raise_the_stdlib_error(self, tmp_path, data):
+        with pytest.raises(TypeError) as stdlib:
+            stdlib_text(data)
+        with pytest.raises(TypeError) as ours:
+            write_json(data, tmp_path / "out.json")
+        assert str(ours.value) == str(stdlib.value)
+
+    def test_self_nesting_raises_the_stdlib_error(self, tmp_path):
+        loop: list = [1]
+        loop.append(loop)
+        nested: dict = {"a": {}}
+        nested["a"]["b"] = nested
+        for data in (loop, nested):
+            with pytest.raises(ValueError, match="^Circular reference detected$"):
+                write_json(data, tmp_path / "out.json")
+
+    def test_validation_report_and_negotiation_result(self, tmp_path):
+        report = run_validation(ExperimentConfig(seed=4), samples=100)
+        assert written_text(report, tmp_path) == stdlib_text(report)
+        result = run_negotiation(mobility_default_config().replace(price=0.01, log_base="2"))
+        assert written_text(result, tmp_path) == stdlib_text(result)

@@ -132,6 +132,12 @@ class TestSnrRelayPath:
         # sigma2 * (hop_i + hop_k + sigma2) underflows to zero at sigma2 = 1e-300
         assert snr_relay_path(*args, 1e-300) == 0.0
 
+    def test_tiny_hops_with_underflowing_denominator(self):
+        # sigma2 * (hop_i + hop_k + sigma2) underflows, but neither hop is zero
+        value = snr_relay_path(0.2, 0.5, 1e-30, 1e-30, 1e-300)
+        assert value == pytest.approx((2e-31 / 1e-300) * (5e-31 / 7e-31), rel=1e-12)
+        assert snr_relay_path(0.5, 0.2, 1e-30, 1e-30, 1e-300) == pytest.approx(value, rel=1e-15)
+
     @given(
         g1=st.floats(min_value=0.01, max_value=10.0),
         g2=st.floats(min_value=0.01, max_value=10.0),

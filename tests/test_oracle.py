@@ -21,7 +21,7 @@ from coopsec import (
     grid_search_optimum,
     validate_scenario,
 )
-from coopsec import harness, oracle
+from coopsec import allocator, harness, oracle
 from coopsec.oracle import VERDICT_AGREE, VERDICT_INFEASIBLE, VERDICT_SUSPECTED_TYPO
 
 STD_GAINS = ChannelGains(g_ab=0.4, g_ae=0.3, g_jb=0.5, g_je=0.3, g_aj=0.2)
@@ -203,6 +203,25 @@ class TestZeroGains:
                     assert entry[key] is not None and math.isfinite(entry[key])
 
 
+class TestOverflowingClosedForms:
+    def test_closed_forms_are_reported_absent(self):
+        # (s2*g_ab + s2*g_ae) ** 2 overflows a float power; the objectives stay finite
+        gains = ChannelGains(g_ab=1e160, g_ae=0.3, g_jb=0.5, g_je=0.3, g_aj=0.2)
+        for kind in (ScenarioKind.NON_COOP, ScenarioKind.ONE_SIDE_COOP, ScenarioKind.MAC_COOP):
+            report = validate_scenario(kind, gains, UNIT_GEOMETRY, 1.0, 0.8, 0.01, STD_BUDGETS)
+            payload = json.loads(json.dumps(report.as_dict(), allow_nan=False))
+            for entry in payload["entries"]:
+                assert entry["closed_form_value"] is None
+                assert math.isfinite(entry["oracle_value"])
+
+    def test_overflowing_relay_coefficients_are_a_value_error(self):
+        gains = ChannelGains(g_ab=1e160, g_ae=0.3, g_jb=0.5, g_je=0.3, g_aj=0.2)
+        with pytest.raises(ValueError, match="^relay_coop.p_ab: polynomial coefficients overflow$"):
+            validate_scenario(
+                ScenarioKind.RELAY_COOP, gains, UNIT_GEOMETRY, 1.0, 0.8, 0.01, STD_BUDGETS
+            )
+
+
 class TestValidationReport:
     def test_entry_lookup_raises_on_unknown_id(self):
         report = standard_report(ScenarioKind.NON_COOP, 0.01)
@@ -335,17 +354,17 @@ def config_point_reports(config, searches_factory):
 
 @pytest.fixture
 def counted_searches(monkeypatch):
-    """Record ``(objective values on a probe grid, hi)`` for every grid search."""
+    """Record ``(objective values on a probe grid, hi)`` for every oracle search."""
 
     calls = []
-    original = oracle.grid_search_optimum
+    original = oracle._windowed_search
     probe = np.linspace(0.0, 3.0, 7)
 
-    def counting(objective, lo, hi, resolution=10001):
+    def counting(objective, objective_key, hi, resolution=10001):
         calls.append((objective(probe).tobytes(), hi))
-        return original(objective, lo, hi, resolution)
+        return original(objective, objective_key, hi, resolution)
 
-    monkeypatch.setattr(oracle, "grid_search_optimum", counting)
+    monkeypatch.setattr(oracle, "_windowed_search", counting)
     return calls
 
 
@@ -391,3 +410,184 @@ class TestSharedSearches:
 
         monkeypatch.setattr(harness, "validate_scenario", never_shared)
         assert json.dumps(harness.run_validation(config, samples=3)) == json.dumps(shared)
+
+
+def keyed_objective(*key):
+    return allocator._OBJECTIVE_FORMS[key[0]](*key[1:]), key
+
+
+STD_GAP = ("gap", 0.4, 0.3, 1.0, 0.01, 0.8)
+STD_RELAY = ("relay", 0.4, 0.3, 0.2, 0.5, 1.0, 0.01, 2.5, 0.8)
+
+
+def parabola(x):
+    return -((x - 3.7) ** 2)
+
+
+@pytest.fixture
+def fallbacks(monkeypatch):
+    """Record every call of the windowed search's exhaustive fallback."""
+
+    calls = []
+    original = oracle.grid_search_optimum
+
+    def recording(objective, lo, hi, resolution=10001):
+        calls.append((lo, hi, resolution))
+        return original(objective, lo, hi, resolution)
+
+    monkeypatch.setattr(oracle, "grid_search_optimum", recording)
+    return calls
+
+
+def search_outcome(search, *args):
+    """A search's result, or the message of the ``ValueError`` it raised."""
+
+    try:
+        return search(*args)
+    except ValueError as exc:
+        return str(exc)
+
+
+class TestWindowedSearch:
+    """``_windowed_search`` returns exactly what the exhaustive search returns."""
+
+    @pytest.mark.parametrize("key", [STD_GAP, STD_RELAY])
+    @pytest.mark.parametrize("hi", [1.0, 7.5, 12.0, 1e4])
+    def test_matches_the_exhaustive_search_without_falling_back(self, fallbacks, key, hi):
+        objective, key = keyed_objective(*key)
+        want = grid_search_optimum(objective, 0.0, hi)
+        fallbacks.clear()
+        assert oracle._windowed_search(objective, key, hi) == want
+        assert fallbacks == []
+
+    def test_validation_never_falls_back_on_the_audit_draws(self, fallbacks):
+        harness.run_validation(ExperimentConfig(seed=0), samples=10)
+        assert fallbacks == []
+
+    @pytest.mark.parametrize("hi", [1.0, 12.0, 1e4])
+    def test_evaluates_the_exact_grid_points(self, hi):
+        objective, key = keyed_objective(*STD_GAP)
+        for probe in (objective, parabola, lambda x: x * 1.0, lambda x: -x):
+            seen = []
+
+            def recorded(x, probe=probe):
+                if isinstance(x, np.ndarray):
+                    seen.append(np.array(x, copy=True))
+                return probe(x)
+
+            oracle._windowed_search(recorded, key, hi)
+            grid = oracle._grid(0.0, hi, 10001)
+            positions, _ = oracle._coarse_index(10001)
+            coarse, window = seen
+            assert coarse.tobytes() == grid[list(positions)].tobytes()
+            start = int(np.flatnonzero(grid == window[0])[0])
+            assert window.tobytes() == grid[start : start + len(window)].tobytes()
+            assert len(coarse) + len(window) < 400
+
+    def test_step_zero_falls_back(self, fallbacks):
+        objective, key = keyed_objective(*STD_GAP)
+        got = oracle._windowed_search(objective, key, 5e-324)
+        assert fallbacks == [(0.0, 5e-324, 10001)]
+        assert got == grid_search_optimum(objective, 0.0, 5e-324)
+
+    @pytest.mark.parametrize("hi", [-1.0, math.inf, math.nan])
+    def test_malformed_interval_keeps_the_exhaustive_message(self, fallbacks, hi):
+        objective, key = keyed_objective(*STD_GAP)
+        want = search_outcome(grid_search_optimum, objective, 0.0, hi)
+        assert want in ("hi must be >= lo", "interval endpoints must be finite")
+        assert search_outcome(oracle._windowed_search, objective, key, hi) == want
+        assert len(fallbacks) == 1
+
+    def test_resolution_too_small_for_a_coarse_pass_falls_back(self, fallbacks):
+        objective, key = keyed_objective(*STD_GAP)
+        assert oracle._coarse_index(7) is None
+        assert oracle._windowed_search(objective, key, 12.0, 7) == grid_search_optimum(
+            objective, 0.0, 12.0, 7
+        )
+        assert fallbacks == [(0.0, 12.0, 7)]
+        assert oracle._coarse_index(8) is not None
+        fallbacks.clear()
+        assert oracle._windowed_search(objective, key, 12.0, 101) == grid_search_optimum(
+            objective, 0.0, 12.0, 101
+        )
+        assert fallbacks == []
+
+    def test_non_finite_error_bound_falls_back(self, fallbacks):
+        # g_hop1 * own_power / s2 overflows while the relayed SNR stays finite
+        objective, key = keyed_objective("relay", 0.4, 0.3, 1e300, 1e-10, 1e-10, 0.01, 1.0, 1.0)
+        got = oracle._windowed_search(objective, key, 1.0)
+        assert len(fallbacks) == 1
+        assert got == grid_search_optimum(objective, 0.0, 1.0)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize(
+        "key,hi",
+        [
+            (("gap", 1e300, 0.3, 1e-300, 1.0, 1.0), 12.0),  # the bound overflows
+            (("gap", 0.0, 0.3, 1.0, 1e-300, 1e10), 1e300),  # 0 * inf: the bound is NaN
+        ],
+    )
+    def test_non_finite_bound_keeps_the_exhaustive_message(self, fallbacks, key, hi):
+        objective, key = keyed_objective(*key)
+        want = search_outcome(grid_search_optimum, objective, 0.0, hi)
+        assert want.startswith("objective is not finite at x=")
+        assert search_outcome(oracle._windowed_search, objective, key, hi) == want
+        assert len(fallbacks) == 1
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_non_finite_coarse_value_falls_back(self, fallbacks):
+        # sigma2 * (first hop + sigma2) underflows to zero: 0 / 0 at p = 0
+        objective, key = keyed_objective("relay", 0.4, 0.3, 1e-200, 0.5, 1e-200, 0.01, 1.0, 1.0)
+        want = search_outcome(grid_search_optimum, objective, 0.0, 12.0)
+        assert want == "objective is not finite at x=0.0"
+        assert search_outcome(oracle._windowed_search, objective, key, 12.0) == want
+        assert len(fallbacks) == 1
+
+    def test_non_finite_window_value_falls_back(self, fallbacks):
+        grid = oracle._grid(0.0, 10.0, 10001)
+        bad = float(grid[3705])
+
+        def objective(x):
+            return np.where(x == bad, np.nan, parabola(x))
+
+        want = search_outcome(grid_search_optimum, objective, 0.0, 10.0)
+        assert want == f"objective is not finite at x={bad!r}"
+        assert search_outcome(oracle._windowed_search, objective, STD_GAP, 10.0) == want
+        assert len(fallbacks) == 1
+
+    @pytest.mark.parametrize("objective", [lambda x: 0.0 * x, lambda x: -1e-12 * x])
+    def test_wide_window_falls_back(self, fallbacks, objective):
+        # flat to within the error bound: every coarse sample is near the top
+        got = oracle._windowed_search(objective, STD_GAP, 12.0)
+        assert len(fallbacks) == 1
+        assert got == grid_search_optimum(objective, 0.0, 12.0)
+
+    def test_flat_priced_gap_falls_back(self, fallbacks):
+        objective, key = keyed_objective("gap", 0.4, 0.4, 1.0, 1e-12, 1.0)
+        assert oracle._windowed_search(objective, key, 1.0) == grid_search_optimum(
+            objective, 0.0, 1.0
+        )
+        assert len(fallbacks) == 1
+
+    def test_dip_between_coarse_samples_falls_back(self, fallbacks):
+        def bimodal(x):
+            return np.maximum(-((x - 2.0) ** 2), 0.5 - (x - 8.0) ** 2)
+
+        got = oracle._windowed_search(bimodal, STD_GAP, 10.0)
+        assert len(fallbacks) == 1
+        assert got == grid_search_optimum(bimodal, 0.0, 10.0)
+
+    def test_window_argmax_on_an_inner_edge_falls_back(self, fallbacks):
+        arrays = []
+
+        def shifty(x):
+            values = parabola(x)
+            if isinstance(x, np.ndarray):
+                arrays.append(len(x))
+                if len(arrays) == 2:
+                    values[0] += 100.0  # the window call disagrees with the coarse pass
+            return values
+
+        got = oracle._windowed_search(shifty, STD_GAP, 10.0)
+        assert len(fallbacks) == 1 and arrays[-1] == 10001
+        assert got == grid_search_optimum(parabola, 0.0, 10.0)
