@@ -71,7 +71,6 @@ from .protocol import (
     ConstraintMode,
     ConstraintVerdict,
     NegotiationPolicy,
-    adaptive_step,
     distance_constraints_met,
     negotiate,
 )
@@ -111,7 +110,6 @@ __all__ = [
     "SweepAxis",
     "SweepRow",
     "ValidationReport",
-    "adaptive_step",
     "bisect_price_for_budget",
     "distance_constraints_met",
     "effective_gain",

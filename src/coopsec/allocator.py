@@ -356,7 +356,9 @@ def relay_cubic_for_j(
 
     Mirror of :func:`relay_cubic_for_a` with the roles swapped.  One bracket
     mixes the two inter-transmitter gains; the validation layer is the place
-    that measures what that does to the roots.
+    that measures what that does to the roots.  Raises ``OverflowError``
+    when a coefficient term overflows a float, as ``g_ab**2`` does at
+    ``g_ab = 1e160``.
     """
 
     a = _as_alpha(alpha)
@@ -588,6 +590,9 @@ def evaluate_closed_forms(
     roots; an entry whose radicand is negative comes back as NaN.  Requires a
     strictly positive price (the expressions divide by it) and strictly
     positive gains (they divide by those too).
+
+    Raises ``OverflowError`` when an intermediate term overflows a float, as
+    a squared bracket does at ``g_ab = 1e160``.
 
     Keys: ``mac_pa``, ``mac_pj``, ``one_side_pa``, ``one_side_pj``,
     ``noncoop_pa``, ``noncoop_pj``.

@@ -149,8 +149,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 0
 
     if args.command == "validate":
-        if args.samples < 0:
-            parser.error("--samples must be non-negative")
         report = _run(parser, "validate", run_validation, config, samples=args.samples)
         write_json(report, args.out)
         summary = report["summary"]

@@ -18,18 +18,20 @@ from __future__ import annotations
 
 import csv
 import dataclasses
+import itertools
 import json
 import math
+import numbers
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .model import ChannelGains, Geometry, NoiseModel, PowerBudget
+from .model import ChannelGains, Geometry, NoiseModel, PowerBudget, _require_finite
 from .oracle import validate_scenario
-from .protocol import ConstraintMode, NegotiationPolicy, adaptive_step, distance_constraints_met, negotiate
-from .rates import _LN2, RatePair, ScenarioKind, secrecy_rate
+from .protocol import ConstraintMode, NegotiationPolicy, distance_constraints_met, negotiate
+from .rates import _LN2, ScenarioKind, secrecy_rate
 
 __all__ = [
     "DEFAULT_BUDGETS",
@@ -63,6 +65,16 @@ _POWER_AXES = ("p_a", "p_j", "p_ab", "p_jb")
 _DISTANCE_AXES = ("d_ab", "d_ae", "d_jb", "d_je", "d_aj")
 
 
+def _whole(name: str, value: object) -> int:
+    """``value`` as an ``int``; only an integer or an integral float is accepted."""
+
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class SweepAxis:
     """One swept coordinate: a power or a distance over a closed interval.
@@ -82,13 +94,11 @@ class SweepAxis:
                 f"unknown axis {self.name!r}; expected one of "
                 f"{', '.join(_POWER_AXES + _DISTANCE_AXES)}"
             )
-        lo = float(self.lo)
-        hi = float(self.hi)
-        if not (math.isfinite(lo) and math.isfinite(hi)):
-            raise ValueError("axis bounds must be finite")
+        lo = _require_finite("axis lo", self.lo)
+        hi = _require_finite("axis hi", self.hi)
         if hi < lo:
             raise ValueError("axis hi must be >= lo")
-        steps = int(self.steps)
+        steps = _whole("steps", self.steps)
         if lo < hi and steps < 2:
             raise ValueError("a non-degenerate axis needs at least 2 steps")
         if steps < 1:
@@ -124,7 +134,8 @@ class ExperimentConfig:
     (0.4, 0.3, 0.5, 0.3, 0.2), cooperation level 0.8, unit noise, unit
     distances with square-law path loss, budgets (5, 5), and unit power
     price.  ``trajectory`` is a sequence of ``(d_ae, d_je)`` pairs consumed
-    only by mobility runs.
+    only by mobility runs.  ``seed`` is an integer; a float seed must have
+    an integral value.
     """
 
     gains: ChannelGains = DEFAULT_GAINS
@@ -143,10 +154,7 @@ class ExperimentConfig:
 
     def __post_init__(self) -> None:
         for name in ("sigma2", "alpha", "price"):
-            value = float(getattr(self, name))
-            if not math.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value!r}")
-            object.__setattr__(self, name, value)
+            object.__setattr__(self, name, _require_finite(name, getattr(self, name)))
         if not self.sigma2 > 0:
             raise ValueError("sigma2 must be positive")
         if not 0.0 < self.alpha <= 1.0:
@@ -161,9 +169,12 @@ class ExperimentConfig:
         object.__setattr__(self, "constraint_mode", ConstraintMode(self.constraint_mode))
         if self.log_base not in ("e", "2"):
             raise ValueError("log_base must be 'e' or '2'")
-        object.__setattr__(self, "seed", int(self.seed))
+        object.__setattr__(self, "seed", _whole("seed", self.seed))
         if self.trajectory is not None:
-            path = tuple((float(d_ae), float(d_je)) for d_ae, d_je in self.trajectory)
+            try:
+                path = tuple((float(d_ae), float(d_je)) for d_ae, d_je in self.trajectory)
+            except (TypeError, ValueError):
+                raise ValueError("trajectory must be a list of [d_ae, d_je] pairs") from None
             if not path:
                 raise ValueError("trajectory must be non-empty when given")
             object.__setattr__(self, "trajectory", path)
@@ -193,61 +204,38 @@ class ExperimentConfig:
     def from_dict(cls, data: Mapping[str, object]) -> "ExperimentConfig":
         """Build a config from a mapping; absent keys keep their defaults."""
 
-        known = {
-            "gains",
-            "geometry",
-            "sigma2",
-            "alpha",
-            "lambda",
-            "budgets",
-            "scenarios",
-            "axis",
-            "preset",
-            "constraint_mode",
-            "log_base",
-            "seed",
-            "trajectory",
-        }
-        unknown = set(data) - known
+        unknown = set(data) - set(_CONFIG_FIELDS)
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
         kwargs: dict[str, object] = {}
-        if "gains" in data:
-            kwargs["gains"] = ChannelGains(**data["gains"])  # type: ignore[arg-type]
-        if "geometry" in data:
-            kwargs["geometry"] = Geometry(**data["geometry"])  # type: ignore[arg-type]
-        if "sigma2" in data:
-            kwargs["sigma2"] = data["sigma2"]
-        if "alpha" in data:
-            kwargs["alpha"] = data["alpha"]
-        if "lambda" in data:
-            kwargs["price"] = data["lambda"]
-        if "budgets" in data:
-            kwargs["budgets"] = PowerBudget(**data["budgets"])  # type: ignore[arg-type]
-        if "scenarios" in data:
-            kwargs["scenarios"] = tuple(
-                ScenarioKind(kind) for kind in data["scenarios"]  # type: ignore[union-attr]
-            )
-        if "axis" in data:
-            kwargs["axis"] = SweepAxis(**data["axis"])  # type: ignore[arg-type]
-        if "preset" in data:
-            kwargs["preset"] = data["preset"]
-        if "constraint_mode" in data:
-            kwargs["constraint_mode"] = ConstraintMode(data["constraint_mode"])
-        if "log_base" in data:
-            kwargs["log_base"] = data["log_base"]
-        if "seed" in data:
-            kwargs["seed"] = data["seed"]
-        if "trajectory" in data and data["trajectory"] is not None:
-            kwargs["trajectory"] = tuple(
-                (pair[0], pair[1]) for pair in data["trajectory"]  # type: ignore[index]
-            )
+        for key, value in data.items():
+            field, build = _CONFIG_FIELDS[key]
+            kwargs[field] = value if build is None else build(**value)  # type: ignore[arg-type]
         return cls(**kwargs)  # type: ignore[arg-type]
 
     def replace(self, **changes: object) -> "ExperimentConfig":
         """Return a copy with the given fields replaced."""
 
         return dataclasses.replace(self, **changes)  # type: ignore[arg-type]
+
+
+# Each config-file key: the ExperimentConfig field it sets, and the dataclass
+# built from its mapping (None passes the value to the constructor as is).
+_CONFIG_FIELDS = {
+    "gains": ("gains", ChannelGains),
+    "geometry": ("geometry", Geometry),
+    "sigma2": ("sigma2", None),
+    "alpha": ("alpha", None),
+    "lambda": ("price", None),
+    "budgets": ("budgets", PowerBudget),
+    "scenarios": ("scenarios", None),
+    "axis": ("axis", SweepAxis),
+    "preset": ("preset", None),
+    "constraint_mode": ("constraint_mode", None),
+    "log_base": ("log_base", None),
+    "seed": ("seed", None),
+    "trajectory": ("trajectory", None),
+}
 
 
 def load_config(path: str | Path) -> ExperimentConfig:
@@ -319,129 +307,59 @@ class MobilityRow:
     changed: bool
 
 
-def _row(
-    axis_value: float,
-    kind: ScenarioKind,
-    cs: RatePair,
-    *,
-    p_a: float,
-    p_j: float,
-    p_ab: float = 0.0,
-    p_jb: float = 0.0,
-    provenance: str = "",
-) -> SweepRow:
-    return SweepRow(
-        axis=float(axis_value),
-        cs1_nat=cs.cs1,
-        cs2_nat=cs.cs2,
-        p_a=float(p_a),
-        p_j=float(p_j),
-        p_ab=float(p_ab),
-        p_jb=float(p_jb),
-        mode=kind.value,
-        provenance=provenance,
-    )
+def _powers(p_a: float = 0.0, p_j: float = 0.0, p_ab: float = 0.0, p_jb: float = 0.0) -> dict:
+    return {"p_a": p_a, "p_j": p_j, "p_ab": p_ab, "p_jb": p_jb}
 
 
-def _preset_rows(config: ExperimentConfig) -> list[SweepRow]:
-    noise = NoiseModel(config.sigma2)
+_RowPlan = list[tuple[ScenarioKind, Geometry, dict[str, float], str]]
+
+
+def _axis_plan(config: ExperimentConfig, x: float) -> _RowPlan:
+    """One row per configured scenario for a plain sweep at axis value ``x``."""
+
+    name = config.axis.name
+    geometry = config.geometry
+    powers = _powers()
+    if name in _DISTANCE_AXES:
+        geometry = dataclasses.replace(geometry, **{name: x})
+    else:
+        powers[name] = x
+        if name == "p_jb":
+            powers["p_ab"] = config.alpha * x
+        elif name == "p_ab":
+            powers["p_jb"] = x / config.alpha
+    return [(kind, geometry, powers, "") for kind in config.scenarios]
+
+
+def _preset_plan(config: ExperimentConfig, x: float) -> _RowPlan:
+    """The fixed rows a preset draws at axis value ``x``."""
+
     alpha = config.alpha
-    rows: list[SweepRow] = []
-    values = config.axis.values()
-
+    geometry = config.geometry
     if config.preset in ("fig3", "fig4"):
         # Secrecy with and without relaying: the bare curve sweeps the main
         # power, the relayed curve sweeps the relaying power with the main
         # powers pinned at 5.
-        effective = config.gains.effective(config.geometry)
-        for x in values:
-            bare = secrecy_rate(ScenarioKind.NON_COOP, effective, noise, p_a=x, p_j=x)
-            rows.append(_row(x, ScenarioKind.NON_COOP, bare, p_a=x, p_j=x))
-            if config.preset == "fig3":
-                p_jb, p_ab = x, alpha * x
-            else:
-                p_ab, p_jb = x, x / alpha
-            relayed = secrecy_rate(
-                ScenarioKind.RELAY_COOP,
-                effective,
-                noise,
-                p_a=5.0,
-                p_j=5.0,
-                p_ab=p_ab,
-                p_jb=p_jb,
-            )
-            rows.append(
-                _row(x, ScenarioKind.RELAY_COOP, relayed, p_a=5.0, p_j=5.0, p_ab=p_ab, p_jb=p_jb)
-            )
-        return rows
-
+        p_ab, p_jb = (alpha * x, x) if config.preset == "fig3" else (x, x / alpha)
+        return [
+            (ScenarioKind.NON_COOP, geometry, _powers(x, x), ""),
+            (ScenarioKind.RELAY_COOP, geometry, _powers(5.0, 5.0, p_ab, p_jb), ""),
+        ]
     if config.preset == "fig5":
         # Distance sensitivity for a's secrecy: sweep d_ab with and without
         # relaying, under joint (d_ae, d_jb) variants.
-        for x in values:
-            for d_ae in (1.5, 3.0):
-                for d_jb in (1.0, 2.0):
-                    geometry = dataclasses.replace(
-                        config.geometry, d_ab=x, d_ae=d_ae, d_jb=d_jb
-                    )
-                    effective = config.gains.effective(geometry)
-                    label = f"d_ae={d_ae:g},d_jb={d_jb:g}"
-                    bare = secrecy_rate(
-                        ScenarioKind.NON_COOP, effective, noise, p_a=5.0, p_j=5.0
-                    )
-                    rows.append(
-                        _row(x, ScenarioKind.NON_COOP, bare, p_a=5.0, p_j=5.0, provenance=label)
-                    )
-                    relayed = secrecy_rate(
-                        ScenarioKind.RELAY_COOP,
-                        effective,
-                        noise,
-                        p_a=5.0,
-                        p_j=5.0,
-                        p_ab=alpha * 5.0,
-                        p_jb=5.0,
-                    )
-                    rows.append(
-                        _row(
-                            x,
-                            ScenarioKind.RELAY_COOP,
-                            relayed,
-                            p_a=5.0,
-                            p_j=5.0,
-                            p_ab=alpha * 5.0,
-                            p_jb=5.0,
-                            provenance=label,
-                        )
-                    )
-        return rows
-
+        bare, relayed = _powers(5.0, 5.0), _powers(5.0, 5.0, alpha * 5.0, 5.0)
+        plan: _RowPlan = []
+        for d_ae, d_jb in itertools.product((1.5, 3.0), (1.0, 2.0)):
+            moved = dataclasses.replace(geometry, d_ab=x, d_ae=d_ae, d_jb=d_jb)
+            label = f"d_ae={d_ae:g},d_jb={d_jb:g}"
+            plan.append((ScenarioKind.NON_COOP, moved, bare, label))
+            plan.append((ScenarioKind.RELAY_COOP, moved, relayed, label))
+        return plan
     if config.preset == "fig6":
-        effective = config.gains.effective(config.geometry)
-        for x in values:
-            relayed = secrecy_rate(
-                ScenarioKind.RELAY_COOP,
-                effective,
-                noise,
-                p_a=5.0,
-                p_j=5.0,
-                p_ab=alpha * x,
-                p_jb=x,
-            )
-            rows.append(
-                _row(x, ScenarioKind.RELAY_COOP, relayed, p_a=5.0, p_j=5.0, p_ab=alpha * x, p_jb=x)
-            )
-        return rows
-
-    if config.preset in ("fig7", "fig8"):
-        effective = config.gains.effective(config.geometry)
-        for x in values:
-            pair = secrecy_rate(
-                ScenarioKind.MAC_COOP, effective, noise, p_a=x, p_j=x, alpha=alpha
-            )
-            rows.append(_row(x, ScenarioKind.MAC_COOP, pair, p_a=x, p_j=x))
-        return rows
-
-    raise ValueError(f"unknown preset {config.preset!r}")
+        return [(ScenarioKind.RELAY_COOP, geometry, _powers(5.0, 5.0, alpha * x, x), "")]
+    # fig7 and fig8: the same cooperative power sweep, over different geometries
+    return [(ScenarioKind.MAC_COOP, geometry, _powers(x, x), "")]
 
 
 def run_sweep(config: ExperimentConfig) -> list[SweepRow]:
@@ -455,53 +373,49 @@ def run_sweep(config: ExperimentConfig) -> list[SweepRow]:
     attenuated.
     """
 
-    if config.preset is not None:
-        return _preset_rows(config)
-
+    plan = _axis_plan if config.preset is None else _preset_plan
     noise = NoiseModel(config.sigma2)
     rows: list[SweepRow] = []
     for x in config.axis.values():
-        geometry = config.geometry
-        if config.axis.name in _DISTANCE_AXES:
-            geometry = dataclasses.replace(geometry, **{config.axis.name: x})
-        powers = {"p_a": 0.0, "p_j": 0.0, "p_ab": 0.0, "p_jb": 0.0}
-        if config.axis.name in _POWER_AXES:
-            powers[config.axis.name] = x
-            if config.axis.name == "p_jb":
-                powers["p_ab"] = config.alpha * x
-            elif config.axis.name == "p_ab":
-                powers["p_jb"] = x / config.alpha
-        effective = config.gains.effective(geometry)
-        for kind in config.scenarios:
-            pair = secrecy_rate(
-                kind,
-                effective,
-                noise,
-                p_a=powers["p_a"],
-                p_j=powers["p_j"],
-                alpha=config.alpha,
-                p_ab=powers["p_ab"],
-                p_jb=powers["p_jb"],
-            )
+        for kind, geometry, powers, label in plan(config, x):
+            effective = config.gains.effective(geometry)
+            pair = secrecy_rate(kind, effective, noise, alpha=config.alpha, **powers)
             rows.append(
-                _row(
-                    x,
-                    kind,
-                    pair,
-                    p_a=powers["p_a"],
-                    p_j=powers["p_j"],
-                    p_ab=powers["p_ab"],
-                    p_jb=powers["p_jb"],
-                )
+                SweepRow(x, pair.cs1, pair.cs2, **powers, mode=kind.value, provenance=label)
             )
     return rows
 
 
-def _format_float(value: float) -> str:
-    return "%.17g" % float(value)
-
-
 _SWEEP_COLUMNS = ("axis", "cs1_nat", "cs2_nat", "p_a", "p_j", "p_ab", "p_jb", "mode", "provenance")
+_MOBILITY_COLUMNS = ("step", "mode", "cs1_nat", "cs2_nat", "changed")
+
+
+def _cell(value: object) -> str:
+    if isinstance(value, float):
+        return "%.17g" % value
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    return str(value)
+
+
+def _write_csv(
+    path: str | Path, columns: Sequence[str], rows: Iterable[SweepRow | MobilityRow], log_base: str
+) -> None:
+    """Write one cell per column from each row's attribute of that name.
+
+    With ``log_base='2'`` two extra columns append the base-2 conversions
+    ``cs1_base2`` and ``cs2_base2`` of the rows' natural-log rates.
+    """
+
+    base2 = log_base == "2"
+    with open(path, "w", encoding="utf-8", newline="") as handle:
+        writer = csv.writer(handle)
+        writer.writerow([*columns, "cs1_base2", "cs2_base2"] if base2 else columns)
+        for row in rows:
+            record = [_cell(getattr(row, name)) for name in columns]
+            if base2:
+                record += [_cell(row.cs1_nat / _LN2), _cell(row.cs2_nat / _LN2)]
+            writer.writerow(record)
 
 
 def write_sweep_csv(rows: Sequence[SweepRow], path: str | Path, log_base: str = "e") -> None:
@@ -511,30 +425,7 @@ def write_sweep_csv(rows: Sequence[SweepRow], path: str | Path, log_base: str = 
     ``cs1_base2`` and ``cs2_base2`` (the natural columns stay authoritative).
     """
 
-    header = list(_SWEEP_COLUMNS)
-    if log_base == "2":
-        header += ["cs1_base2", "cs2_base2"]
-    with open(path, "w", encoding="utf-8", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(header)
-        for row in rows:
-            record = [
-                _format_float(row.axis),
-                _format_float(row.cs1_nat),
-                _format_float(row.cs2_nat),
-                _format_float(row.p_a),
-                _format_float(row.p_j),
-                _format_float(row.p_ab),
-                _format_float(row.p_jb),
-                row.mode,
-                row.provenance,
-            ]
-            if log_base == "2":
-                record += [
-                    _format_float(row.cs1_nat / _LN2),
-                    _format_float(row.cs2_nat / _LN2),
-                ]
-            writer.writerow(record)
+    _write_csv(path, _SWEEP_COLUMNS, rows, log_base)
 
 
 def read_sweep_csv(path: str | Path) -> list[SweepRow]:
@@ -545,22 +436,10 @@ def read_sweep_csv(path: str | Path) -> list[SweepRow]:
         header = next(reader)
         if header[: len(_SWEEP_COLUMNS)] != list(_SWEEP_COLUMNS):
             raise ValueError(f"unexpected sweep header: {header!r}")
-        rows = []
-        for record in reader:
-            rows.append(
-                SweepRow(
-                    axis=float(record[0]),
-                    cs1_nat=float(record[1]),
-                    cs2_nat=float(record[2]),
-                    p_a=float(record[3]),
-                    p_j=float(record[4]),
-                    p_ab=float(record[5]),
-                    p_jb=float(record[6]),
-                    mode=record[7],
-                    provenance=record[8],
-                )
-            )
-    return rows
+        return [
+            SweepRow(*map(float, record[:7]), mode=record[7], provenance=record[8])
+            for record in reader
+        ]
 
 
 def run_mobility(config: ExperimentConfig) -> list[MobilityRow]:
@@ -573,76 +452,35 @@ def run_mobility(config: ExperimentConfig) -> list[MobilityRow]:
     path from :func:`mobility_default_config` is used.
     """
 
-    trajectory = config.trajectory
-    if trajectory is None:
-        trajectory = mobility_default_config().trajectory
-        assert trajectory is not None
+    trajectory = config.trajectory or mobility_default_config().trajectory
     policy = NegotiationPolicy(alpha=config.alpha)
     rows: list[MobilityRow] = []
-    previous: ScenarioKind | None = None
     for step, (d_ae, d_je) in enumerate(trajectory):
-        geometry = config.geometry.with_eve_at(d_ae, d_je)
-        if previous is None:
-            mode, allocation = negotiate(
-                policy,
-                config.gains,
-                geometry,
-                config.sigma2,
-                config.price,
-                config.budgets,
-                config.constraint_mode,
-            )
-            changed = False
-        else:
-            mode, allocation, changed = adaptive_step(
-                previous,
-                policy,
-                config.gains,
-                geometry,
-                config.sigma2,
-                config.price,
-                config.budgets,
-                config.constraint_mode,
-            )
+        mode, allocation = negotiate(
+            policy,
+            config.gains,
+            config.geometry.with_eve_at(d_ae, d_je),
+            config.sigma2,
+            config.price,
+            config.budgets,
+            config.constraint_mode,
+        )
         rows.append(
             MobilityRow(
                 step=step,
                 mode=mode.value,
                 cs1_nat=allocation.cs.cs1,
                 cs2_nat=allocation.cs.cs2,
-                changed=changed,
+                changed=bool(rows) and rows[-1].mode != mode.value,
             )
         )
-        previous = mode
     return rows
-
-
-_MOBILITY_COLUMNS = ("step", "mode", "cs1_nat", "cs2_nat", "changed")
 
 
 def write_mobility_csv(rows: Sequence[MobilityRow], path: str | Path, log_base: str = "e") -> None:
     """Write mobility rows as CSV, mirroring the sweep float conventions."""
 
-    header = list(_MOBILITY_COLUMNS)
-    if log_base == "2":
-        header += ["cs1_base2", "cs2_base2"]
-    with open(path, "w", encoding="utf-8", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(header)
-        for row in rows:
-            record = [
-                str(row.step),
-                row.mode,
-                _format_float(row.cs1_nat),
-                _format_float(row.cs2_nat),
-                "true" if row.changed else "false",
-            ]
-            if log_base == "2":
-                record += [
-                    _format_float(row.cs1_nat / _LN2),
-                    _format_float(row.cs2_nat / _LN2),
-                ]
-            writer.writerow(record)
+    _write_csv(path, _MOBILITY_COLUMNS, rows, log_base)
 
 
 _PARAM_KEYS = ("gains", "geometry", "sigma2", "alpha", "lambda", "budgets")

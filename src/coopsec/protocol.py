@@ -17,24 +17,24 @@ selected by :class:`ConstraintMode`, never applied silently.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from enum import Enum
 
 from .allocator import (
     OptimalAllocation,
+    _as_alpha,
     mac_allocation,
     noncoop_allocation,
     one_side_allocation,
     relay_allocation,
 )
-from .model import ChannelGains, CooperationLevel, Geometry, NoiseModel, PowerBudget
+from .model import ChannelGains, Geometry, NoiseModel, PowerBudget
 from .rates import ScenarioKind
 
 __all__ = [
     "ConstraintMode",
     "ConstraintVerdict",
     "NegotiationPolicy",
-    "adaptive_step",
     "distance_constraints_met",
     "negotiate",
 ]
@@ -89,13 +89,7 @@ class ConstraintVerdict:
     def as_dict(self) -> dict[str, bool]:
         """JSON-ready mapping of all five flags."""
 
-        return {
-            "snr_condition_alice": self.snr_condition_alice,
-            "snr_condition_john": self.snr_condition_john,
-            "distance_alice_eve": self.distance_alice_eve,
-            "distance_john_eve": self.distance_john_eve,
-            "all_met": self.all_met,
-        }
+        return asdict(self)
 
 
 def distance_constraints_met(
@@ -185,7 +179,7 @@ class NegotiationPolicy:
 
     The negotiation leaves each party's acceptance criteria external, so
     they are plain inputs here rather than derived from utilities.  ``alpha``
-    is the cooperation level j announces when accepting.
+    is the cooperation level j announces when accepting, in (0, 1].
     """
 
     john_accepts_relay: bool = True
@@ -195,7 +189,7 @@ class NegotiationPolicy:
     alpha: float = 0.8
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "alpha", CooperationLevel(float(self.alpha)).alpha)
+        object.__setattr__(self, "alpha", _as_alpha(self.alpha))
 
 
 def negotiate(
@@ -253,25 +247,3 @@ def negotiate(
         return ScenarioKind.ONE_SIDE_COOP, allocation
     allocation = noncoop_allocation(attenuated, noise, budgets, price=price)
     return ScenarioKind.NON_COOP, allocation
-
-
-def adaptive_step(
-    previous_mode: ScenarioKind | str,
-    policy: NegotiationPolicy,
-    gains: ChannelGains,
-    geometry: Geometry,
-    sigma2: float,
-    price: float,
-    budgets: PowerBudget,
-    mode: ConstraintMode | str = ConstraintMode.AS_PUBLISHED,
-) -> tuple[ScenarioKind, OptimalAllocation, bool]:
-    """Re-run the negotiation after a geometry change.
-
-    Supports mobility sweeps where nodes keep checking the pairing
-    constraints as positions drift.  ``changed`` is true iff the newly
-    negotiated mode differs from ``previous_mode``.
-    """
-
-    previous = ScenarioKind(previous_mode)
-    new_mode, allocation = negotiate(policy, gains, geometry, sigma2, price, budgets, mode)
-    return new_mode, allocation, new_mode is not previous

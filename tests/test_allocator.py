@@ -422,6 +422,14 @@ class TestClosedForms:
         with pytest.raises(ValueError):
             evaluate_closed_forms(gains, std_noise, alpha=0.8, price=0.01)
 
+    def test_huge_gain_raises_overflow_error(self, std_noise):
+        # both docstrings name this exception; oracle.validate_scenario catches it
+        gains = ChannelGains(g_ab=1e160, g_ae=0.3, g_jb=0.5, g_je=0.3, g_aj=0.2)
+        with pytest.raises(OverflowError):
+            evaluate_closed_forms(gains, std_noise, alpha=0.8, price=0.01)
+        with pytest.raises(OverflowError):
+            relay_cubic_for_j(gains, std_noise, p_j=1.0, alpha=0.8, price=0.01)
+
 
 class TestNoncoopAllocation:
     def test_unit_price_goes_all_in(self, std_gains, std_noise, std_budgets):

@@ -252,6 +252,29 @@ class TestBadConfigs:
         rows = read_sweep_csv(out)
         assert rows and all(math.isfinite(row.cs1_nat) and math.isfinite(row.cs2_nat) for row in rows)
 
+    @pytest.mark.parametrize(
+        "command, text, message",
+        [
+            ("mobility", '{"trajectory": [[2.0]]}', "[d_ae, d_je] pairs"),
+            ("mobility", '{"trajectory": [[2.0, 2.0, 99.0]]}', "[d_ae, d_je] pairs"),
+            ("validate", '{"seed": 1.7}', "seed must be an integer, got 1.7"),
+            ("sweep", '{"axis": {"name": "p_a", "lo": 0, "hi": 1, "steps": 2.9}}',
+             "steps must be an integer, got 2.9"),
+        ],
+        ids=["short-pair", "triple", "float-seed", "float-steps"],
+    )
+    def test_malformed_entries_exit_with_one_line(self, tmp_path, capsys, command, text, message):
+        config = self.write_config(tmp_path, text)
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as excinfo:
+            main([command, "--config", config, "--out", str(out)])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 2 and err[0].startswith("usage: ")
+        assert err[-1].startswith(f"coopsec: error: --config: invalid config in {config}: ")
+        assert err[-1].endswith(message)
+        assert not out.exists()
+
     def test_zero_price_validation_is_a_clean_error(self, tmp_path, capsys):
         config = self.write_config(tmp_path, '{"lambda": 0}')
         with pytest.raises(SystemExit) as excinfo:

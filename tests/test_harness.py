@@ -62,6 +62,13 @@ class TestSweepAxis:
         axis = SweepAxis("d_ae", 0.5, 3.0, 11)
         assert SweepAxis(**axis.as_dict()) == axis
 
+    def test_steps_must_be_integral(self):
+        axis = SweepAxis("p_a", 0.0, 1.0, 3.0)
+        assert axis.steps == 3 and type(axis.steps) is int
+        for steps in (2.9, True, "3", math.inf):
+            with pytest.raises(ValueError, match="steps must be an integer"):
+                SweepAxis("p_a", 0.0, 0.0, steps)
+
 
 class TestExperimentConfig:
     def test_defaults_match_standard_parameter_block(self):
@@ -104,6 +111,19 @@ class TestExperimentConfig:
     def test_from_dict_rejects_unknown_keys(self):
         with pytest.raises(ValueError, match="unknown config keys"):
             ExperimentConfig.from_dict({"lamda": 0.01})
+
+    def test_seed_must_be_integral(self):
+        assert ExperimentConfig(seed=np.int64(4)).seed == 4
+        config = ExperimentConfig.from_dict({"seed": 5.0})
+        assert config.seed == 5 and type(config.seed) is int
+        for seed in (1.7, True, "7", math.nan):
+            with pytest.raises(ValueError, match="seed must be an integer"):
+                ExperimentConfig.from_dict({"seed": seed})
+
+    @pytest.mark.parametrize("trajectory", [[[2.0]], [[2.0, 2.0, 99.0]], [2.0], [[2.0, "x"]]])
+    def test_trajectory_entries_must_be_pairs(self, trajectory):
+        with pytest.raises(ValueError, match=r"^trajectory must be a list of \[d_ae, d_je\] pairs$"):
+            ExperimentConfig.from_dict({"trajectory": trajectory})
 
     def test_from_dict_defaults_absent_keys(self):
         assert ExperimentConfig.from_dict({}) == ExperimentConfig()

@@ -15,14 +15,15 @@ from coopsec import (
     NegotiationPolicy,
     NoiseModel,
     PowerBudget,
+    ExperimentConfig,
     ScenarioKind,
-    adaptive_step,
     distance_constraints_met,
     mac_allocation,
     negotiate,
     noncoop_allocation,
     one_side_allocation,
     relay_allocation,
+    run_mobility,
 )
 
 STD_GAINS = ChannelGains(g_ab=0.4, g_ae=0.3, g_jb=0.5, g_je=0.3, g_aj=0.2)
@@ -221,37 +222,43 @@ class TestNegotiationLadder:
             NegotiationPolicy(alpha=1.5)
         with pytest.raises(ValueError):
             NegotiationPolicy(alpha=-0.1)
+        # negotiate rejects alpha = 0 on every call, so the policy rejects it up front
+        with pytest.raises(ValueError, match=r"alpha in \(0, 1\]"):
+            NegotiationPolicy(alpha=0.0)
 
 
 class TestAdaptiveStep:
-    def step(self, previous, d_ae):
-        return adaptive_step(
-            previous,
-            NegotiationPolicy(),
-            STD_GAINS,
-            geometry_with_eve_at(d_ae),
-            sigma2=1.0,
+    """Mobility re-negotiates at every step and flags each change of mode."""
+
+    def walk(self, *d_ae):
+        config = ExperimentConfig(
+            gains=STD_GAINS,
+            geometry=geometry_with_eve_at(d_ae[0]),
             price=0.01,
             budgets=STD_BUDGETS,
-            mode="corrected",
+            constraint_mode="corrected",
+            trajectory=[(d, 2.0) for d in d_ae],
         )
+        return [(ScenarioKind(row.mode), row.changed) for row in run_mobility(config)]
 
     def test_unchanged_geometry_keeps_mode(self):
-        mode, _, changed = self.step(ScenarioKind.RELAY_COOP, 2.0)
-        assert mode is ScenarioKind.RELAY_COOP
-        assert changed is False
+        assert self.walk(2.0, 2.0) == [
+            (ScenarioKind.RELAY_COOP, False),
+            (ScenarioKind.RELAY_COOP, False),
+        ]
 
     def test_eavesdropper_leaving_flips_to_no_cooperation(self):
-        mode, _, changed = self.step(ScenarioKind.RELAY_COOP, 3.0)
-        assert mode is ScenarioKind.NON_COOP
-        assert changed is True
+        # the corrected gate holds up to d_ae = sqrt(6) and fails beyond it
+        assert self.walk(math.sqrt(6.0), 3.0) == [
+            (ScenarioKind.RELAY_COOP, False),
+            (ScenarioKind.NON_COOP, True),
+        ]
 
     def test_eavesdropper_returning_flips_back(self):
-        mode, _, changed = self.step("non_coop", 2.0)
-        assert mode is ScenarioKind.RELAY_COOP
-        assert changed is True
+        assert self.walk(3.0, 2.0) == [
+            (ScenarioKind.NON_COOP, False),
+            (ScenarioKind.RELAY_COOP, True),
+        ]
 
-    def test_previous_mode_accepts_strings(self):
-        mode, _, changed = self.step("relay_coop", 2.0)
-        assert mode is ScenarioKind.RELAY_COOP
-        assert changed is False
+    def test_first_step_is_never_flagged(self):
+        assert self.walk(3.0) == [(ScenarioKind.NON_COOP, False)]
