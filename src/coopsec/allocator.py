@@ -20,13 +20,10 @@ uses comes from the mode table in :mod:`coopsec.rates`.  One kernel solves
 :func:`noncoop_quadratic` in ``x`` for all six decisions.  Relaying solves
 the cubic :func:`relay_cubic_for_a`.
 
-Audit data, never driving an allocation: the per-mode transcriptions
-:func:`mac_quadratic_pj`, :func:`mac_quadratic_pa`,
-:func:`one_side_quadratic_pa` and :func:`one_side_quadratic_pj`, the
-``*_variant`` spellings, the ``distance_mac_quadratic_*`` forms, the j-side
-relay cubic :func:`relay_cubic_for_j` and the compact square-root forms of
-:func:`evaluate_closed_forms`.  The validation layer evaluates them and
-reports which ones the independent grid search supports.
+This module holds only what decides an allocation.  The paper's printed
+per-mode formulas, which no allocation follows, live with their audit in
+:mod:`coopsec.oracle`; :func:`evaluate_closed_forms` is the one exception
+(see its comment).
 """
 
 from __future__ import annotations
@@ -39,31 +36,21 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .model import ChannelGains, Geometry, NoiseModel, PowerBudget
+from .model import ChannelGains, NoiseModel, PowerBudget
 from .rates import _DIRECT_LINKS, RatePair, ScenarioKind, _Link, secrecy_rate
 
 __all__ = [
     "OptimalAllocation",
     "Provenance",
     "bisect_price_for_budget",
-    "distance_mac_quadratic_pa",
-    "distance_mac_quadratic_pa_variant",
-    "distance_mac_quadratic_pj",
-    "distance_mac_quadratic_pj_variant",
     "evaluate_closed_forms",
     "mac_allocation",
-    "mac_quadratic_pa",
-    "mac_quadratic_pj",
     "noncoop_allocation",
     "noncoop_quadratic",
-    "noncoop_quadratic_pj_variant",
     "one_side_allocation",
-    "one_side_quadratic_pa",
-    "one_side_quadratic_pj",
     "penalized_objective",
     "relay_allocation",
     "relay_cubic_for_a",
-    "relay_cubic_for_j",
     "solve_cubic_real",
     "solve_quadratic_real",
 ]
@@ -344,106 +331,13 @@ def relay_cubic_for_a(
     ]
 
 
-def relay_cubic_for_j(
-    gains: ChannelGains,
-    noise: NoiseModel,
-    *,
-    p_j: float,
-    alpha: float,
-    price: float,
-) -> list[float]:
-    """Cubic in ``p_ab`` (partner relaying power for j's message).
-
-    Mirror of :func:`relay_cubic_for_a` with the roles swapped.  One bracket
-    mixes the two inter-transmitter gains; the validation layer is the place
-    that measures what that does to the roots.  Raises ``OverflowError``
-    when a coefficient term overflows a float, as ``g_ab**2`` does at
-    ``g_ab = 1e160``.
-    """
-
-    a = _as_alpha(alpha)
-    lam = _as_price(price)
-    if p_j < 0:
-        raise ValueError("p_j must be non-negative")
-    g_ab, g_jb, g_je, g_ja, g_aj = gains.g_ab, gains.g_jb, gains.g_je, gains.g_ja, gains.g_aj
-    s2 = noise.sigma2
-    f1 = s2 * g_ab**2 + g_ab**2 * g_jb * p_j + g_ab**2 * g_ja * p_j
-    f2 = (s2 * g_ab + 2 * g_ab * g_jb * p_j + g_ab * g_ja * p_j + s2 * g_ab) * (g_ja * p_j + s2)
-    f3 = (g_jb * p_j + s2) * (g_ja * p_j + s2) ** 2
-    f4 = a * s2 * g_je * lam * p_j + a * g_je
-    f5 = a**2 * s2 * g_ja * g_ab * g_je * lam * p_j**2 * (g_ja * p_j + s2)
-    kappa = g_ja * g_ab * g_je * p_j * (g_aj * p_j + s2)
-    return [
-        g_je * f1,
-        g_je * f2 + f1 * f4,
-        g_je * f3 + f2 * f4 - a * kappa,
-        f3 * f4 - f5,
-    ]
-
-
-def mac_quadratic_pj(
-    gains: ChannelGains, noise: NoiseModel, *, alpha: float, price: float
-) -> list[float]:
-    """Quadratic in ``p_j`` for the power-swap mode (a's message side)."""
-
-    a = _as_alpha(alpha)
-    lam = _as_price(price)
-    g_ab, g_ae = gains.g_ab, gains.g_ae
-    s2 = noise.sigma2
-    return [
-        lam * a**2 * g_ab * g_ae,
-        lam * (a * s2 * g_ab + a * s2 * g_ae),
-        -(s2 * g_ab - s2 * g_ae - lam * s2**2),
-    ]
-
-
-def mac_quadratic_pa(
-    gains: ChannelGains, noise: NoiseModel, *, alpha: float, price: float
-) -> list[float]:
-    """Quadratic in ``p_a`` for the power-swap mode (j's message side)."""
-
-    a = _as_alpha(alpha)
-    lam = _as_price(price)
-    g_jb, g_je = gains.g_jb, gains.g_je
-    s2 = noise.sigma2
-    return [
-        lam * g_je * g_jb / a**2,
-        lam * (s2 * g_jb / a + s2 * g_je / a),
-        -(s2 * g_jb - s2 * g_je - lam * s2**2),
-    ]
-
-
-def one_side_quadratic_pa(gains: ChannelGains, noise: NoiseModel, *, price: float) -> list[float]:
-    """Quadratic in ``p_a`` when a transmits its own message directly."""
-
-    lam = _as_price(price)
-    g_ab, g_ae = gains.g_ab, gains.g_ae
-    s2 = noise.sigma2
-    return [
-        lam * g_ab * g_ae,
-        lam * (s2 * g_ab + s2 * g_ae),
-        -(s2 * g_ab - s2 * g_ae - lam * s2**2),
-    ]
-
-
-def one_side_quadratic_pj(
-    gains: ChannelGains, noise: NoiseModel, *, alpha: float, price: float
-) -> list[float]:
-    """Quadratic in ``p_j`` when j's donation carries its message over a's links.
-
-    Identical to :func:`mac_quadratic_pj`: the donated power rides the same
-    link pair with the same billing, so the stationarity condition matches.
-    """
-
-    return mac_quadratic_pj(gains, noise, alpha=alpha, price=price)
-
-
 def noncoop_quadratic(g_main: float, g_eve: float, sigma2: float, price: float) -> list[float]:
     """Quadratic in the carried power of a single directly sent message.
 
     Generic in the link pair: pass ``(g_ab, g_ae)`` for a message on a's
     links or ``(g_jb, g_je)`` for one on j's.  Every direct-mode allocation
-    solves this polynomial; the per-mode builders are its audit spellings.
+    solves this polynomial; :mod:`coopsec.oracle` audits its per-mode
+    printed spellings.
     """
 
     lam = _as_price(price)
@@ -456,131 +350,8 @@ def noncoop_quadratic(g_main: float, g_eve: float, sigma2: float, price: float) 
     ]
 
 
-def noncoop_quadratic_pj_variant(
-    gains: ChannelGains, noise: NoiseModel, *, price: float
-) -> list[float]:
-    """Alternate spelling of the j-side quadratic with a cross-indexed term.
-
-    Its linear coefficient mixes ``g_ab`` into a condition that otherwise
-    only involves j's links.  Kept for the validation report; allocations use
-    :func:`noncoop_quadratic` on ``(g_jb, g_je)``.
-    """
-
-    lam = _as_price(price)
-    s2 = noise.sigma2
-    return [
-        lam * gains.g_jb * gains.g_je,
-        lam * (s2 * gains.g_ab + s2 * gains.g_je),
-        -(s2 * gains.g_jb - s2 * gains.g_je - lam * s2**2),
-    ]
-
-
-def distance_mac_quadratic_pj(
-    gains: ChannelGains,
-    noise: NoiseModel,
-    geometry: Geometry,
-    *,
-    alpha: float,
-    price: float,
-) -> list[float]:
-    """Geometry-aware form of :func:`mac_quadratic_pj`.
-
-    Derived by substituting path-loss-scaled gains and clearing denominators,
-    so its roots coincide with ``mac_quadratic_pj`` evaluated on
-    ``gains.effective(geometry)``.
-    """
-
-    a = _as_alpha(alpha)
-    lam = _as_price(price)
-    g_ab, g_ae = gains.g_ab, gains.g_ae
-    s2 = noise.sigma2
-    dab = geometry.d_ab**geometry.eta
-    dae = geometry.d_ae**geometry.eta
-    return [
-        lam * a**2 * g_ab * g_ae,
-        lam * a * s2 * (g_ab * dae + g_ae * dab),
-        -(s2 * g_ab * dae - s2 * g_ae * dab - lam * s2**2 * dab * dae),
-    ]
-
-
-def distance_mac_quadratic_pj_variant(
-    gains: ChannelGains,
-    noise: NoiseModel,
-    geometry: Geometry,
-    *,
-    alpha: float,
-    price: float,
-) -> list[float]:
-    """Alternate route for the geometry-aware j-side quadratic.
-
-    Fixes the square-law exponent and pairs each gain with its own distance
-    in the linear term instead of the partner's.  Kept for comparison; the
-    substitution route above is what allocations use.
-    """
-
-    a = _as_alpha(alpha)
-    lam = _as_price(price)
-    g_ab, g_ae = gains.g_ab, gains.g_ae
-    s2 = noise.sigma2
-    dab = geometry.d_ab**2
-    dae = geometry.d_ae**2
-    return [
-        lam * a**2 * g_ab * g_ae,
-        lam * a * s2 * (g_ab * dab + g_ae * dae),
-        -(s2 * g_ab * dae - s2 * g_ae * dab - lam * s2**2 * dab * dae),
-    ]
-
-
-def distance_mac_quadratic_pa(
-    gains: ChannelGains,
-    noise: NoiseModel,
-    geometry: Geometry,
-    *,
-    alpha: float,
-    price: float,
-) -> list[float]:
-    """Geometry-aware form of :func:`mac_quadratic_pa` (substitution route)."""
-
-    a = _as_alpha(alpha)
-    lam = _as_price(price)
-    g_jb, g_je = gains.g_jb, gains.g_je
-    s2 = noise.sigma2
-    djb = geometry.d_jb**geometry.eta
-    dje = geometry.d_je**geometry.eta
-    return [
-        lam * g_je * g_jb / a**2,
-        (lam * s2 / a) * (g_jb * dje + g_je * djb),
-        -(s2 * g_jb * dje - s2 * g_je * djb - lam * s2**2 * djb * dje),
-    ]
-
-
-def distance_mac_quadratic_pa_variant(
-    gains: ChannelGains,
-    noise: NoiseModel,
-    geometry: Geometry,
-    *,
-    alpha: float,
-    price: float,
-) -> list[float]:
-    """Alternate route for the geometry-aware a-side quadratic.
-
-    Square-law exponent, with the constant term pairing each gain with its
-    own distance.  Kept for comparison only.
-    """
-
-    a = _as_alpha(alpha)
-    lam = _as_price(price)
-    g_jb, g_je = gains.g_jb, gains.g_je
-    s2 = noise.sigma2
-    djb = geometry.d_jb**2
-    dje = geometry.d_je**2
-    return [
-        lam * g_je * g_jb / a**2,
-        (lam * s2 / a) * (g_jb * dje + g_je * djb),
-        -(s2 * g_jb * djb - s2 * g_je * dje - lam * s2**2 * djb * dje),
-    ]
-
-
+# Printed audit data like the builders in :mod:`coopsec.oracle`, but it stays
+# here: the benchmark's tracer wraps it under ``coopsec.allocator``.
 def evaluate_closed_forms(
     gains: ChannelGains, noise: NoiseModel, *, alpha: float, price: float
 ) -> dict[str, float]:

@@ -59,8 +59,6 @@ DEFAULT_GAINS = ChannelGains(g_ab=0.4, g_ae=0.3, g_jb=0.5, g_je=0.3, g_aj=0.2)
 DEFAULT_GEOMETRY = Geometry(d_ab=1.0, d_ae=1.0, d_jb=1.0, d_je=1.0, d_aj=1.0, eta=2.0)
 DEFAULT_BUDGETS = PowerBudget(p_a_max=5.0, p_j_max=5.0)
 
-PRESETS = ("fig3", "fig4", "fig5", "fig6", "fig7", "fig8")
-
 _POWER_AXES = ("p_a", "p_j", "p_ab", "p_jb")
 _DISTANCE_AXES = ("d_ab", "d_ae", "d_jb", "d_je", "d_aj")
 
@@ -118,6 +116,20 @@ class SweepAxis:
         return {"name": self.name, "lo": self.lo, "hi": self.hi, "steps": self.steps}
 
 
+# Each preset's sweep axis and geometry; every other field keeps its default.
+_PRESET_SHAPES = {
+    "fig3": (SweepAxis("p_jb", 0.0, 10.0, 41), DEFAULT_GEOMETRY),
+    "fig4": (SweepAxis("p_ab", 0.0, 10.0, 41), DEFAULT_GEOMETRY),
+    "fig5": (SweepAxis("d_ab", 0.5, 3.0, 51), DEFAULT_GEOMETRY),
+    "fig6": (SweepAxis("p_jb", 0.0, 10.0, 41), DEFAULT_GEOMETRY),
+    "fig7": (SweepAxis("p_j", 0.0, 10.0, 41), DEFAULT_GEOMETRY),
+    "fig8": (
+        SweepAxis("p_j", 0.0, 10.0, 41),
+        Geometry(d_ab=2.0, d_ae=1.0, d_jb=1.0, d_je=1.0, d_aj=0.5, eta=2.0),
+    ),
+}
+PRESETS = tuple(_PRESET_SHAPES)
+
 _ALL_SCENARIOS = (
     ScenarioKind.RELAY_COOP,
     ScenarioKind.MAC_COOP,
@@ -172,7 +184,10 @@ class ExperimentConfig:
         object.__setattr__(self, "seed", _whole("seed", self.seed))
         if self.trajectory is not None:
             try:
-                path = tuple((float(d_ae), float(d_je)) for d_ae, d_je in self.trajectory)
+                path = tuple(
+                    (_require_finite("d_ae", d_ae), _require_finite("d_je", d_je))
+                    for d_ae, d_je in self.trajectory
+                )
             except (TypeError, ValueError):
                 raise ValueError("trajectory must be a list of [d_ae, d_je] pairs") from None
             if not path:
@@ -202,7 +217,10 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, data: Mapping[str, object]) -> "ExperimentConfig":
-        """Build a config from a mapping; absent keys keep their defaults."""
+        """Build a config from a mapping; absent keys keep their defaults,
+        which a named ``preset`` sets to its :func:`preset_config` axis and
+        geometry (an ``axis`` it gives must sweep the preset's coordinate).
+        """
 
         unknown = set(data) - set(_CONFIG_FIELDS)
         if unknown:
@@ -211,7 +229,13 @@ class ExperimentConfig:
         for key, value in data.items():
             field, build = _CONFIG_FIELDS[key]
             kwargs[field] = value if build is None else build(**value)  # type: ignore[arg-type]
-        return cls(**kwargs)  # type: ignore[arg-type]
+        if kwargs.get("preset") is None:
+            return cls(**kwargs)  # type: ignore[arg-type]
+        base = preset_config(kwargs["preset"])  # type: ignore[arg-type]
+        name = kwargs.get("axis", base.axis).name  # type: ignore[union-attr]
+        if name != base.axis.name:
+            raise ValueError(f"preset {base.preset} sweeps {base.axis.name}, not {name}")
+        return base.replace(**kwargs)
 
     def replace(self, **changes: object) -> "ExperimentConfig":
         """Return a copy with the given fields replaced."""
@@ -248,23 +272,10 @@ def load_config(path: str | Path) -> ExperimentConfig:
 def preset_config(name: str) -> ExperimentConfig:
     """Return the full configuration behind a named preset."""
 
-    if name == "fig3":
-        return ExperimentConfig(preset="fig3", axis=SweepAxis("p_jb", 0.0, 10.0, 41))
-    if name == "fig4":
-        return ExperimentConfig(preset="fig4", axis=SweepAxis("p_ab", 0.0, 10.0, 41))
-    if name == "fig5":
-        return ExperimentConfig(preset="fig5", axis=SweepAxis("d_ab", 0.5, 3.0, 51))
-    if name == "fig6":
-        return ExperimentConfig(preset="fig6", axis=SweepAxis("p_jb", 0.0, 10.0, 41))
-    if name == "fig7":
-        return ExperimentConfig(preset="fig7", axis=SweepAxis("p_j", 0.0, 10.0, 41))
-    if name == "fig8":
-        return ExperimentConfig(
-            preset="fig8",
-            axis=SweepAxis("p_j", 0.0, 10.0, 41),
-            geometry=Geometry(d_ab=2.0, d_ae=1.0, d_jb=1.0, d_je=1.0, d_aj=0.5, eta=2.0),
-        )
-    raise ValueError(f"unknown preset {name!r}; expected one of {PRESETS}")
+    if name not in PRESETS:
+        raise ValueError(f"unknown preset {name!r}; expected one of {PRESETS}")
+    axis, geometry = _PRESET_SHAPES[name]
+    return ExperimentConfig(preset=name, axis=axis, geometry=geometry)
 
 
 def mobility_default_config() -> ExperimentConfig:

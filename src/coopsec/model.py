@@ -30,7 +30,11 @@ __all__ = [
 
 
 def _require_finite(name: str, value: float) -> float:
-    value = float(value)
+    # a str, bytes or bool is no number; testing float first keeps negotiate cheap
+    if type(value) is not float:
+        if isinstance(value, (str, bytes, bool)):
+            raise ValueError(f"{name} must be a number, got {value!r}")
+        value = float(value)
     if not math.isfinite(value):
         raise ValueError(f"{name} must be finite, got {value!r}")
     return value

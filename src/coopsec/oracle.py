@@ -1,4 +1,4 @@
-"""Brute-force cross-checks for the allocator's polynomial machinery.
+"""The paper's printed formulas, and brute-force cross-checks of them.
 
 The allocator trusts published polynomial conditions and closed forms.  This
 module trusts nothing: it maximizes the same penalized objectives by direct
@@ -7,6 +7,10 @@ them by central differences.  ``validate_scenario`` runs both paths side by
 side and labels every formula with a verdict, so a transcription error in a
 printed expression surfaces as data instead of silently steering an
 allocation.
+
+The printed per-mode formulas that no allocation follows live here, as audit
+data next to the table that audits them; the compact closed forms stay in
+:func:`coopsec.allocator.evaluate_closed_forms`.
 """
 
 from __future__ import annotations
@@ -19,22 +23,15 @@ from typing import Callable, Iterable, MutableMapping, NamedTuple, Sequence
 import numpy as np
 
 from .allocator import (
+    _argmax_candidate,
+    _as_alpha,
+    _as_price,
     _objective_key,
     _objective_magnitude,
-    distance_mac_quadratic_pa,
-    distance_mac_quadratic_pa_variant,
-    distance_mac_quadratic_pj,
-    distance_mac_quadratic_pj_variant,
     evaluate_closed_forms,
-    mac_quadratic_pa,
-    mac_quadratic_pj,
     noncoop_quadratic,
-    noncoop_quadratic_pj_variant,
-    one_side_quadratic_pa,
-    one_side_quadratic_pj,
     penalized_objective,
     relay_cubic_for_a,
-    relay_cubic_for_j,
     solve_cubic_real,
     solve_quadratic_real,
 )
@@ -47,8 +44,17 @@ __all__ = [
     "VERDICT_SUSPECTED_TYPO",
     "FormulaCheck",
     "ValidationReport",
+    "distance_mac_quadratic_pa",
+    "distance_mac_quadratic_pa_variant",
+    "distance_mac_quadratic_pj",
+    "distance_mac_quadratic_pj_variant",
     "finite_diff_derivative",
     "grid_search_optimum",
+    "mac_quadratic_pa",
+    "mac_quadratic_pj",
+    "noncoop_quadratic_pj_variant",
+    "one_side_quadratic_pa",
+    "relay_cubic_for_j",
     "validate_scenario",
 ]
 
@@ -496,6 +502,10 @@ def _check_formula(
     found by :func:`_windowed_search`.  ``searches`` holds the oracle argmax
     of each ``(objective_key, hi, resolution)`` already searched at this
     point.
+
+    The roots imply a decision by the allocator's own rule,
+    :func:`coopsec.allocator._argmax_candidate`; it skips non-finite values,
+    which the oracle search has already ruled out on ``[0, hi]``.
     """
 
     positives = [r for r in roots if math.isfinite(r) and r > 0.0]
@@ -511,13 +521,7 @@ def _check_formula(
         oracle_x, _ = _windowed_search(objective, objective_key, hi, resolution)
         searches[search] = oracle_x
 
-    pool = sorted({0.0, hi}.union(r for r in positives if r < hi))
-    root_value = pool[0]
-    best = _eval_scalar(objective, pool[0])
-    for x in pool[1:]:
-        value = _eval_scalar(objective, x)
-        if value > best:
-            root_value, best = x, value
+    root_value, _ = _argmax_candidate(objective, positives, hi)
 
     interior = step < root_value < hi - step
     residual: float | None = None
@@ -586,6 +590,216 @@ def _check_formula(
     )
 
 
+# The paper's printed formulas: audit data that no allocation follows.
+
+
+def relay_cubic_for_j(
+    gains: ChannelGains,
+    noise: NoiseModel,
+    *,
+    p_j: float,
+    alpha: float,
+    price: float,
+) -> list[float]:
+    """Cubic in ``p_ab`` (partner relaying power for j's message).
+
+    Mirror of :func:`relay_cubic_for_a` with the roles swapped.  One bracket
+    mixes the two inter-transmitter gains; the validation layer is the place
+    that measures what that does to the roots.  Raises ``OverflowError``
+    when a coefficient term overflows a float, as ``g_ab**2`` does at
+    ``g_ab = 1e160``.
+    """
+
+    a = _as_alpha(alpha)
+    lam = _as_price(price)
+    if p_j < 0:
+        raise ValueError("p_j must be non-negative")
+    g_ab, g_jb, g_je, g_ja, g_aj = gains.g_ab, gains.g_jb, gains.g_je, gains.g_ja, gains.g_aj
+    s2 = noise.sigma2
+    f1 = s2 * g_ab**2 + g_ab**2 * g_jb * p_j + g_ab**2 * g_ja * p_j
+    f2 = (s2 * g_ab + 2 * g_ab * g_jb * p_j + g_ab * g_ja * p_j + s2 * g_ab) * (g_ja * p_j + s2)
+    f3 = (g_jb * p_j + s2) * (g_ja * p_j + s2) ** 2
+    f4 = a * s2 * g_je * lam * p_j + a * g_je
+    f5 = a**2 * s2 * g_ja * g_ab * g_je * lam * p_j**2 * (g_ja * p_j + s2)
+    kappa = g_ja * g_ab * g_je * p_j * (g_aj * p_j + s2)
+    return [
+        g_je * f1,
+        g_je * f2 + f1 * f4,
+        g_je * f3 + f2 * f4 - a * kappa,
+        f3 * f4 - f5,
+    ]
+
+
+def mac_quadratic_pj(
+    gains: ChannelGains, noise: NoiseModel, *, alpha: float, price: float
+) -> list[float]:
+    """Quadratic in ``p_j`` for the power-swap mode (a's message side)."""
+
+    a = _as_alpha(alpha)
+    lam = _as_price(price)
+    g_ab, g_ae = gains.g_ab, gains.g_ae
+    s2 = noise.sigma2
+    return [
+        lam * a**2 * g_ab * g_ae,
+        lam * (a * s2 * g_ab + a * s2 * g_ae),
+        -(s2 * g_ab - s2 * g_ae - lam * s2**2),
+    ]
+
+
+def mac_quadratic_pa(
+    gains: ChannelGains, noise: NoiseModel, *, alpha: float, price: float
+) -> list[float]:
+    """Quadratic in ``p_a`` for the power-swap mode (j's message side)."""
+
+    a = _as_alpha(alpha)
+    lam = _as_price(price)
+    g_jb, g_je = gains.g_jb, gains.g_je
+    s2 = noise.sigma2
+    return [
+        lam * g_je * g_jb / a**2,
+        lam * (s2 * g_jb / a + s2 * g_je / a),
+        -(s2 * g_jb - s2 * g_je - lam * s2**2),
+    ]
+
+
+def one_side_quadratic_pa(gains: ChannelGains, noise: NoiseModel, *, price: float) -> list[float]:
+    """Quadratic in ``p_a`` when a transmits its own message directly."""
+
+    lam = _as_price(price)
+    g_ab, g_ae = gains.g_ab, gains.g_ae
+    s2 = noise.sigma2
+    return [
+        lam * g_ab * g_ae,
+        lam * (s2 * g_ab + s2 * g_ae),
+        -(s2 * g_ab - s2 * g_ae - lam * s2**2),
+    ]
+
+
+def noncoop_quadratic_pj_variant(
+    gains: ChannelGains, noise: NoiseModel, *, price: float
+) -> list[float]:
+    """Alternate spelling of the j-side quadratic with a cross-indexed term.
+
+    Its linear coefficient mixes ``g_ab`` into a condition that otherwise
+    only involves j's links.  Kept for the validation report; allocations use
+    :func:`noncoop_quadratic` on ``(g_jb, g_je)``.
+    """
+
+    lam = _as_price(price)
+    s2 = noise.sigma2
+    return [
+        lam * gains.g_jb * gains.g_je,
+        lam * (s2 * gains.g_ab + s2 * gains.g_je),
+        -(s2 * gains.g_jb - s2 * gains.g_je - lam * s2**2),
+    ]
+
+
+def distance_mac_quadratic_pj(
+    gains: ChannelGains,
+    noise: NoiseModel,
+    geometry: Geometry,
+    *,
+    alpha: float,
+    price: float,
+) -> list[float]:
+    """Geometry-aware form of :func:`mac_quadratic_pj`.
+
+    Derived by substituting path-loss-scaled gains and clearing denominators,
+    so its roots coincide with ``mac_quadratic_pj`` evaluated on
+    ``gains.effective(geometry)``.
+    """
+
+    a = _as_alpha(alpha)
+    lam = _as_price(price)
+    g_ab, g_ae = gains.g_ab, gains.g_ae
+    s2 = noise.sigma2
+    dab = geometry.d_ab**geometry.eta
+    dae = geometry.d_ae**geometry.eta
+    return [
+        lam * a**2 * g_ab * g_ae,
+        lam * a * s2 * (g_ab * dae + g_ae * dab),
+        -(s2 * g_ab * dae - s2 * g_ae * dab - lam * s2**2 * dab * dae),
+    ]
+
+
+def distance_mac_quadratic_pj_variant(
+    gains: ChannelGains,
+    noise: NoiseModel,
+    geometry: Geometry,
+    *,
+    alpha: float,
+    price: float,
+) -> list[float]:
+    """Alternate route for the geometry-aware j-side quadratic.
+
+    Fixes the square-law exponent and pairs each gain with its own distance
+    in the linear term instead of the partner's.  Kept for comparison; the
+    substitution route above is what allocations use.
+    """
+
+    a = _as_alpha(alpha)
+    lam = _as_price(price)
+    g_ab, g_ae = gains.g_ab, gains.g_ae
+    s2 = noise.sigma2
+    dab = geometry.d_ab**2
+    dae = geometry.d_ae**2
+    return [
+        lam * a**2 * g_ab * g_ae,
+        lam * a * s2 * (g_ab * dab + g_ae * dae),
+        -(s2 * g_ab * dae - s2 * g_ae * dab - lam * s2**2 * dab * dae),
+    ]
+
+
+def distance_mac_quadratic_pa(
+    gains: ChannelGains,
+    noise: NoiseModel,
+    geometry: Geometry,
+    *,
+    alpha: float,
+    price: float,
+) -> list[float]:
+    """Geometry-aware form of :func:`mac_quadratic_pa` (substitution route)."""
+
+    a = _as_alpha(alpha)
+    lam = _as_price(price)
+    g_jb, g_je = gains.g_jb, gains.g_je
+    s2 = noise.sigma2
+    djb = geometry.d_jb**geometry.eta
+    dje = geometry.d_je**geometry.eta
+    return [
+        lam * g_je * g_jb / a**2,
+        (lam * s2 / a) * (g_jb * dje + g_je * djb),
+        -(s2 * g_jb * dje - s2 * g_je * djb - lam * s2**2 * djb * dje),
+    ]
+
+
+def distance_mac_quadratic_pa_variant(
+    gains: ChannelGains,
+    noise: NoiseModel,
+    geometry: Geometry,
+    *,
+    alpha: float,
+    price: float,
+) -> list[float]:
+    """Alternate route for the geometry-aware a-side quadratic.
+
+    Square-law exponent, with the constant term pairing each gain with its
+    own distance.  Kept for comparison only.
+    """
+
+    a = _as_alpha(alpha)
+    lam = _as_price(price)
+    g_jb, g_je = gains.g_jb, gains.g_je
+    s2 = noise.sigma2
+    djb = geometry.d_jb**2
+    dje = geometry.d_je**2
+    return [
+        lam * g_je * g_jb / a**2,
+        (lam * s2 / a) * (g_jb * dje + g_je * djb),
+        -(s2 * g_jb * djb - s2 * g_je * dje - lam * s2**2 * djb * dje),
+    ]
+
+
 class _AuditPoint(NamedTuple):
     """Inputs the audited polynomials are built from."""
 
@@ -634,7 +848,8 @@ _AUDIT = {
     ),
     ScenarioKind.ONE_SIDE_COOP: (
         ("one_side_coop.p_a", "p_a", False, _priced(one_side_quadratic_pa), "one_side_pa"),
-        ("one_side_coop.p_j", "p_j", False, _swapped(one_side_quadratic_pj), "one_side_pj"),
+        # j's donation rides a's links with the power-swap billing
+        ("one_side_coop.p_j", "p_j", False, _swapped(mac_quadratic_pj), "one_side_pj"),
     ),
     ScenarioKind.MAC_COOP: (
         ("mac_coop.p_j", "p_j", False, _swapped(mac_quadratic_pj), "mac_pj"),

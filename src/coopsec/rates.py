@@ -86,10 +86,7 @@ class RatePair:
 
         if base <= 1.0:
             raise ValueError(f"log base must exceed 1, got {base}")
-        if base == 2.0:
-            scale = _LN2
-        else:
-            scale = math.log(base)
+        scale = math.log(base)
         return RatePair(self.cs1 / scale, self.cs2 / scale)
 
 

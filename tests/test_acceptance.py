@@ -41,14 +41,8 @@ from coopsec import (
     run_sweep,
     validate_scenario,
 )
-from coopsec.allocator import (
-    mac_quadratic_pj,
-    noncoop_quadratic,
-    one_side_quadratic_pa,
-    one_side_quadratic_pj,
-    solve_cubic_real,
-    solve_quadratic_real,
-)
+from coopsec.allocator import noncoop_quadratic, solve_cubic_real, solve_quadratic_real
+from coopsec.oracle import mac_quadratic_pj, one_side_quadratic_pa
 from coopsec.cli import main as cli_main
 
 STD_GAINS = ChannelGains(g_ab=0.4, g_ae=0.3, g_jb=0.5, g_je=0.3, g_aj=0.2)
@@ -425,7 +419,7 @@ def test_criterion_09_special_case_collapses():
     donated_roots = sorted(
         r
         for r in solve_quadratic_real(
-            one_side_quadratic_pj(STD_GAINS, STD_NOISE, alpha=1.0, price=lam)
+            mac_quadratic_pj(STD_GAINS, STD_NOISE, alpha=1.0, price=lam)
         )
         if r > 0
     )

@@ -31,20 +31,21 @@ from coopsec import (
     validate_scenario,
 )
 from coopsec.allocator import (
+    noncoop_quadratic,
+    relay_cubic_for_a,
+    solve_cubic_real,
+    solve_quadratic_real,
+)
+from coopsec.oracle import (
     distance_mac_quadratic_pa,
     distance_mac_quadratic_pa_variant,
     distance_mac_quadratic_pj,
     distance_mac_quadratic_pj_variant,
     mac_quadratic_pa,
     mac_quadratic_pj,
-    noncoop_quadratic,
     noncoop_quadratic_pj_variant,
     one_side_quadratic_pa,
-    one_side_quadratic_pj,
-    relay_cubic_for_a,
     relay_cubic_for_j,
-    solve_cubic_real,
-    solve_quadratic_real,
 )
 from coopsec.model import Geometry
 
@@ -258,11 +259,6 @@ class TestPolynomialAnchors:
         direct = one_side_quadratic_pa(std_gains, std_noise, price=0.01)
         generic = noncoop_quadratic(0.4, 0.3, 1.0, 0.01)
         assert direct == pytest.approx(generic)
-
-    def test_one_side_pj_matches_mac_pj(self, std_gains, std_noise):
-        assert one_side_quadratic_pj(
-            std_gains, std_noise, alpha=0.8, price=0.01
-        ) == pytest.approx(mac_quadratic_pj(std_gains, std_noise, alpha=0.8, price=0.01))
 
     def test_unit_price_quadratic_has_no_positive_root(self):
         roots = solve_quadratic_real(noncoop_quadratic(0.4, 0.3, 1.0, 1.0))

@@ -2,7 +2,8 @@
 
 ``perfbench/tracing.py`` patches functions by module and attribute name; a
 rename or deletion in the package would otherwise only surface when the
-benchmark runs.
+benchmark runs.  The allocator holds only what decides an allocation; the
+paper's printed formulas live in :mod:`coopsec.oracle`.
 """
 
 from __future__ import annotations
@@ -51,6 +52,31 @@ def test_benchmark_traced_names_resolve(module_name, attr):
     for part in attr.split("."):
         target = getattr(target, part)
     assert callable(target)
+    # defined there, not re-exported: a move must update the benchmark's table
+    assert target.__module__ == module_name
+
+
+PRINTED_FORMULAS = [
+    "distance_mac_quadratic_pa",
+    "distance_mac_quadratic_pa_variant",
+    "distance_mac_quadratic_pj",
+    "distance_mac_quadratic_pj_variant",
+    "mac_quadratic_pa",
+    "mac_quadratic_pj",
+    "noncoop_quadratic_pj_variant",
+    "one_side_quadratic_pa",
+    "relay_cubic_for_j",
+]
+
+
+def test_allocator_holds_no_printed_formula_builder():
+    from coopsec import allocator, oracle
+
+    for name in PRINTED_FORMULAS + ["one_side_quadratic_pj"]:
+        assert not hasattr(allocator, name), name
+    for name in PRINTED_FORMULAS:
+        assert getattr(oracle, name).__module__ == "coopsec.oracle", name
+        assert name in oracle.__all__
 
 
 def test_traced_validation_matches_untraced(monkeypatch):

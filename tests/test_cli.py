@@ -53,6 +53,16 @@ class TestSweepCommand:
         assert code == 0
         assert len(read_sweep_csv(out)) == 3 * 4
 
+    @pytest.mark.parametrize("preset", coopsec.PRESETS)
+    def test_config_naming_a_preset_writes_the_preset(self, tmp_path, capsys, preset):
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps({"preset": preset}), encoding="utf-8")
+        written = []
+        for source in (["--config", str(config_path)], ["--preset", preset]):
+            written.append(tmp_path / f"{source[0][2:]}.csv")
+            assert run_cli(["sweep", *source, "--out", str(written[-1])], capsys)[0] == 0
+        assert written[0].read_bytes() == written[1].read_bytes()
+
     def test_config_and_preset_are_mutually_exclusive(self, tmp_path):
         with pytest.raises(SystemExit) as excinfo:
             main(["sweep", "--config", "c.json", "--preset", "fig3"])
@@ -260,8 +270,27 @@ class TestBadConfigs:
             ("validate", '{"seed": 1.7}', "seed must be an integer, got 1.7"),
             ("sweep", '{"axis": {"name": "p_a", "lo": 0, "hi": 1, "steps": 2.9}}',
              "steps must be an integer, got 2.9"),
+            ("negotiate", '{"sigma2": "1.5"}', "sigma2 must be a number, got '1.5'"),
+            ("negotiate", '{"sigma2": true}', "sigma2 must be a number, got True"),
+            ("negotiate", '{"alpha": "0.8"}', "alpha must be a number, got '0.8'"),
+            ("negotiate", '{"lambda": "0.01"}', "price must be a number, got '0.01'"),
+            ("negotiate",
+             '{"gains": {"g_ab": "0.4", "g_ae": 0.3, "g_jb": 0.5, "g_je": 0.3, "g_aj": 0.2}}',
+             "g_ab must be a number, got '0.4'"),
+            ("negotiate", '{"budgets": {"p_a_max": false, "p_j_max": 5}}',
+             "p_a_max must be a number, got False"),
+            ("sweep", '{"axis": {"name": "p_a", "lo": "0", "hi": 1, "steps": 2}}',
+             "axis lo must be a number, got '0'"),
+            ("mobility", '{"trajectory": [["2.0", 2.0]]}', "[d_ae, d_je] pairs"),
+            ("sweep",
+             '{"preset": "fig3", "axis": {"name": "d_ae", "lo": 1, "hi": 2, "steps": 3}}',
+             "preset fig3 sweeps p_jb, not d_ae"),
         ],
-        ids=["short-pair", "triple", "float-seed", "float-steps"],
+        ids=[
+            "short-pair", "triple", "float-seed", "float-steps", "string-sigma2", "bool-sigma2",
+            "string-alpha", "string-price", "string-gain", "bool-budget", "string-axis-bound",
+            "string-distance", "preset-axis-mismatch",
+        ],
     )
     def test_malformed_entries_exit_with_one_line(self, tmp_path, capsys, command, text, message):
         config = self.write_config(tmp_path, text)

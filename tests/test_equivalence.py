@@ -37,15 +37,16 @@ from coopsec import (
 )
 from coopsec import allocator, oracle
 from coopsec.allocator import (
-    mac_quadratic_pa,
-    mac_quadratic_pj,
     noncoop_quadratic,
-    one_side_quadratic_pa,
-    one_side_quadratic_pj,
     relay_cubic_for_a,
-    relay_cubic_for_j,
     solve_cubic_real,
     solve_quadratic_real,
+)
+from coopsec.oracle import (
+    mac_quadratic_pa,
+    mac_quadratic_pj,
+    one_side_quadratic_pa,
+    relay_cubic_for_j,
 )
 
 # relative tolerances, fixed before the comparison was run
@@ -303,7 +304,7 @@ class TestKernelAgainstPrintedPolynomials:
         kind = ScenarioKind.ONE_SIDE_COOP
         for side, coeffs, hi in (
             ("p_a", one_side_quadratic_pa(gains, noise, price=lam), budget.p_a_max),
-            ("p_j", one_side_quadratic_pj(gains, noise, alpha=alpha, price=lam), budget.p_j_max),
+            ("p_j", mac_quadratic_pj(gains, noise, alpha=alpha, price=lam), budget.p_j_max),
         ):
             objective = penalized_objective(kind, side, gains, noise, price=lam, alpha=alpha)
             assert_same_decision(

@@ -1,12 +1,13 @@
 """CLI outputs against the committed goldens of ``tests/golden/``.
 
 ``tests/golden/manifest.json`` lists each golden file with the ``coopsec``
-argv that writes it; the argv runs from ``tests/golden/`` (where its
-``--config`` files live) with ``--out <file>`` appended.  numpy's ``log1p``
-differs between SIMD code paths, so the bytes are compared only where
-numpy's version and SIMD set (as ``np.show_runtime()`` reports them) match
-``tests/golden/platform.json``.  Elsewhere every non-numeric JSON field and
-CSV cell is compared exactly and every numeric one to 1e-12 relative.
+argv, or the Python script of ``tests/golden/``, that writes it; either runs
+from ``tests/golden/`` (where the ``--config`` files live) with ``--out
+<file>`` appended.  numpy's ``log1p`` differs between SIMD code paths, so
+the bytes are compared only where numpy's version and SIMD set (as
+``np.show_runtime()`` reports them) match ``tests/golden/platform.json``.
+Elsewhere every non-numeric JSON field and CSV cell is compared exactly and
+every numeric one to 1e-12 relative.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ import csv
 import io
 import json
 import math
+import runpy
 from pathlib import Path
 
 import numpy as np
@@ -25,7 +27,7 @@ from coopsec.cli import main
 GOLDEN = Path(__file__).resolve().parent / "golden"
 FLOAT_REL_TOL = 1e-12
 MANIFEST = {
-    entry["file"]: entry["argv"]
+    entry["file"]: entry
     for entry in json.loads((GOLDEN / "manifest.json").read_text(encoding="utf-8"))["goldens"]
 }
 
@@ -96,7 +98,11 @@ def assert_matches_golden(out: Path, name: str) -> None:
 def run_golden_command(name, tmp_path, capsys, monkeypatch) -> Path:
     out = tmp_path / name
     monkeypatch.chdir(GOLDEN)
-    assert main([*MANIFEST[name], "--out", str(out)]) == 0
+    entry = MANIFEST[name]
+    if "script" in entry:
+        assert runpy.run_path(entry["script"])["main"](["--out", str(out)]) == 0
+    else:
+        assert main([*entry["argv"], "--out", str(out)]) == 0
     capsys.readouterr()
     return out
 
@@ -104,7 +110,7 @@ def run_golden_command(name, tmp_path, capsys, monkeypatch) -> Path:
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_validate_matches_the_golden_report(tmp_path, capsys, monkeypatch, seed):
     name = f"validate_s10_seed{seed}.json"
-    assert MANIFEST[name] == ["validate", "--samples", "10", "--seed", str(seed)]
+    assert MANIFEST[name]["argv"] == ["validate", "--samples", "10", "--seed", str(seed)]
     assert_matches_golden(run_golden_command(name, tmp_path, capsys, monkeypatch), name)
 
 
@@ -116,11 +122,16 @@ def test_output_matches_the_golden(tmp_path, capsys, monkeypatch, name):
 def test_manifest_lists_every_golden_output():
     inputs = {"manifest.json", "platform.json"}
     inputs |= {path.name for path in GOLDEN.glob("*_config.json")}
+    inputs |= {path.name for path in GOLDEN.glob("*.py")}
     outputs = {path.name for path in GOLDEN.iterdir()} - inputs
     assert outputs == set(MANIFEST)
-    for argv in MANIFEST.values():
+    for entry in MANIFEST.values():
+        assert ("argv" in entry) != ("script" in entry)
+        argv = entry.get("argv", [])
         if "--config" in argv:
             assert (GOLDEN / argv[argv.index("--config") + 1]).name in inputs
+        if "script" in entry:
+            assert (GOLDEN / entry["script"]).name in inputs
 
 
 def test_tolerant_comparison_flags_what_it_should():

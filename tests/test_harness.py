@@ -174,6 +174,19 @@ class TestPresets:
         with pytest.raises(ValueError):
             preset_config("fig2")
 
+    @pytest.mark.parametrize("name", PRESETS)
+    def test_config_naming_a_preset_takes_its_shape(self, name):
+        assert ExperimentConfig.from_dict({"preset": name}) == preset_config(name)
+        changed = ExperimentConfig.from_dict({"preset": name, "alpha": 0.5})
+        assert changed == preset_config(name).replace(alpha=0.5)
+
+    def test_config_naming_a_preset_keeps_what_it_gives(self):
+        axis = {"name": "p_j", "lo": 1.0, "hi": 2.0, "steps": 3}
+        geometry = {"d_ab": 1.5, "d_ae": 1.0, "d_jb": 1.0, "d_je": 1.0, "d_aj": 0.5}
+        config = ExperimentConfig.from_dict({"preset": "fig8", "axis": axis, "geometry": geometry})
+        assert config.axis == SweepAxis(**axis)
+        assert config.geometry == Geometry(**geometry)
+
     def test_far_eavesdropper_preset_moves_the_nodes(self):
         geometry = preset_config("fig8").geometry
         assert geometry.d_ab == 2.0

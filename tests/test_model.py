@@ -43,6 +43,20 @@ class TestChannelGains:
         with pytest.raises(ValueError):
             ChannelGains(g_ab=math.inf, g_ae=0.3, g_jb=0.5, g_je=0.3, g_aj=0.2)
 
+    @pytest.mark.parametrize(
+        "value", ["0.4", b"0.4", True, False], ids=["str", "bytes", "true", "false"]
+    )
+    def test_strings_and_booleans_are_not_numbers(self, value):
+        with pytest.raises(ValueError, match=r"^g_ab must be a number, got "):
+            ChannelGains(g_ab=value, g_ae=0.3, g_jb=0.5, g_je=0.3, g_aj=0.2)
+
+    def test_integers_and_numpy_floats_become_floats(self):
+        import numpy as np
+
+        gains = ChannelGains(g_ab=1, g_ae=np.float64(0.3), g_jb=0.5, g_je=0.3, g_aj=0.2)
+        assert type(gains.g_ab) is float and type(gains.g_ae) is float
+        assert (gains.g_ab, gains.g_ae) == (1.0, 0.3)
+
     def test_frozen(self, std_gains):
         with pytest.raises(AttributeError):
             std_gains.g_ab = 1.0

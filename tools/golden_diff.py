@@ -5,9 +5,9 @@ Usage, from the repository root::
     python3 tools/golden_diff.py
 
 Each command listed in ``tests/golden/manifest.json`` runs in a fresh
-interpreter (``python -m coopsec`` with ``src`` on the path), from
-``tests/golden/``, writing into a temporary directory; nothing under
-``tests/golden/`` is written.  For each file the report prints
+interpreter (``python -m coopsec``, or the entry's script, with ``src`` on
+the path), from ``tests/golden/``, writing into a temporary directory;
+nothing under ``tests/golden/`` is written.  For each file the report prints
 ``identical``, or:
 
 - per CSV column or JSON field (list indices folded to ``[]``), how many
@@ -123,7 +123,8 @@ def main() -> int:
         for entry in manifest["goldens"]:
             name = entry["file"]
             out = Path(scratch) / name
-            command = [sys.executable, "-m", "coopsec", *entry["argv"], "--out", str(out)]
+            runner = [entry["script"]] if "script" in entry else ["-m", "coopsec", *entry["argv"]]
+            command = [sys.executable, *runner, "--out", str(out)]
             run = subprocess.run(command, cwd=GOLDEN, env=env, capture_output=True, text=True)
             if run.returncode != 0:
                 lines = [f"  exit {run.returncode}: {run.stderr.strip().splitlines()[-1:]}"]
