@@ -52,7 +52,6 @@ from .harness import (
 )
 from .model import (
     ChannelGains,
-    CooperationLevel,
     Geometry,
     NoiseModel,
     PowerBudget,
@@ -90,7 +89,6 @@ __all__ = [
     "ChannelGains",
     "ConstraintMode",
     "ConstraintVerdict",
-    "CooperationLevel",
     "DEFAULT_BUDGETS",
     "DEFAULT_GAINS",
     "DEFAULT_GEOMETRY",

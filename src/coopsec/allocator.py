@@ -18,7 +18,9 @@ same priced secrecy gap ``log(1 + g x / s2) - log(1 + e x / s2) - price x`` in
 the carried power ``x = scale * p``; which links and which scale each message
 uses comes from the mode table in :mod:`coopsec.rates`.  One kernel solves
 :func:`noncoop_quadratic` in ``x`` for all six decisions.  Relaying solves
-the cubic :func:`relay_cubic_for_a`.
+the cubic :func:`relay_cubic_for_a` at fixed own-message seeds of half of each
+budget.  Every alpha, price and sigma2 goes through the one check of each in
+:mod:`coopsec.model`.
 
 This module holds only what decides an allocation.  The paper's printed
 per-mode formulas, which no allocation follows, live with their audit in
@@ -36,7 +38,7 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .model import ChannelGains, NoiseModel, PowerBudget
+from .model import ChannelGains, NoiseModel, PowerBudget, _as_alpha, _as_price, _as_sigma2
 from .rates import _DIRECT_LINKS, RatePair, ScenarioKind, _Link, secrecy_rate
 
 __all__ = [
@@ -85,20 +87,6 @@ class OptimalAllocation:
     p_jb: float
     cs: RatePair
     provenance: Mapping[str, Provenance]
-
-
-def _as_price(price: float) -> float:
-    lam = float(price)
-    if not math.isfinite(lam) or lam < 0:
-        raise ValueError(f"price must be finite and non-negative, got {price!r}")
-    return lam
-
-
-def _as_alpha(alpha: float) -> float:
-    a = float(alpha)
-    if not 0.0 < a <= 1.0:
-        raise ValueError(f"cooperative modes need alpha in (0, 1], got {alpha!r}")
-    return a
 
 
 # ---------------------------------------------------------------------------
@@ -341,8 +329,9 @@ def noncoop_quadratic(g_main: float, g_eve: float, sigma2: float, price: float) 
     """
 
     lam = _as_price(price)
-    if g_main < 0 or g_eve < 0 or sigma2 <= 0:
-        raise ValueError("gains must be non-negative and sigma2 positive")
+    sigma2 = _as_sigma2(sigma2)
+    if g_main < 0 or g_eve < 0:
+        raise ValueError("gains must be non-negative")
     return [
         lam * g_main * g_eve,
         lam * sigma2 * (g_main + g_eve),
@@ -777,6 +766,24 @@ def mac_allocation(
     return _direct_allocation(ScenarioKind.MAC_COOP, gains, noise, budget, a, lam, _ARGMAX)
 
 
+def _relay_seeds(budget: PowerBudget, alpha: float) -> tuple[float, float, float, float]:
+    """Relay mode's fixed own-message seeds and the slice bounds they leave.
+
+    Returns ``(seed_a, seed_j, hi_jb, hi_ab)``: the seeds are half of each
+    budget, ``p_jb`` may use what they leave free of j's budget and, at the
+    exchange ratio, of a's, and ``p_ab`` mirrors that.
+    """
+
+    seed_a, seed_j = 0.5 * budget.p_a_max, 0.5 * budget.p_j_max
+    free_a, free_j = budget.p_a_max - seed_a, budget.p_j_max - seed_j
+    return (
+        seed_a,
+        seed_j,
+        max(min(free_j, free_a / alpha), 0.0),
+        max(min(free_a, alpha * free_j), 0.0),
+    )
+
+
 def relay_allocation(
     gains: ChannelGains,
     noise: NoiseModel,
@@ -784,53 +791,29 @@ def relay_allocation(
     *,
     alpha: float,
     price: float,
-    p_a_seed: float | None = None,
-    p_j_seed: float | None = None,
-    alternating: bool = False,
-    max_iter: int = 50,
-    tol: float = 1e-8,
 ) -> OptimalAllocation:
     """Mutual relaying with the exchange ratio pinning the return slice.
 
     The request originates with transmitter a: the cubic picks j's relaying
     power ``p_jb`` and a's return slice is pinned to ``p_ab = alpha * p_jb``.
-    The seeds are the own-message powers at which the cubic's coefficients
-    are evaluated (half of each budget when omitted); the relaying slice is
-    chosen from what the seeds leave free,
-    ``[0, min(p_j_max - p_j_seed, (p_a_max - p_a_seed) / alpha)]``.  An empty
-    interval simply yields zero relaying, flagged ``zero-clamped``.
+    The cubic's coefficients are evaluated at fixed own-message seeds of half
+    of each budget, and the relaying slice is chosen from what those seeds
+    leave free, ``[0, min(p_j_max / 2, p_a_max / (2 alpha))]``.  A zero
+    budget simply yields zero relaying, flagged ``zero-clamped``.
 
     The returned own-message powers are the budget remainders
-    ``p_a_max - p_ab`` and ``p_j_max - p_jb``, which with a single pass can
-    differ from the seeds the coefficients saw.  ``alternating=True``
-    re-solves with the seeds replaced by those remainders until the slice
-    stops moving, making the reported powers self-consistent.
+    ``p_a_max - p_ab`` and ``p_j_max - p_jb``, which can differ from the
+    seeds the coefficients saw.
     """
 
-    a = _as_alpha(alpha)
-    lam = _as_price(price)
-    seed_a = 0.5 * budget.p_a_max if p_a_seed is None else float(p_a_seed)
-    seed_j = 0.5 * budget.p_j_max if p_j_seed is None else float(p_j_seed)
-    if seed_a < 0 or seed_j < 0:
-        raise ValueError("seeds must be non-negative")
-    hi = max(min(budget.p_j_max - seed_j, (budget.p_a_max - seed_a) / a), 0.0)
-
-    def pick(seed_power: float) -> tuple[float, Provenance]:
-        coeffs = relay_cubic_for_a(gains, noise, p_a=seed_power, alpha=a, price=lam)
-        roots = solve_cubic_real(coeffs)
-        objective = penalized_objective(
-            ScenarioKind.RELAY_COOP, "p_jb", gains, noise, price=lam, alpha=a, p_a=seed_power
-        )
-        return _argmax_candidate(objective, roots, hi)
-
-    p_jb, prov = pick(seed_a)
-    if alternating:
-        for _ in range(max_iter):
-            new_seed = max(budget.p_a_max - a * p_jb, 0.0)
-            if abs(new_seed - seed_a) <= tol:
-                break
-            seed_a = new_seed
-            p_jb, prov = pick(seed_a)
+    a, lam = _as_alpha(alpha), _as_price(price)
+    seed_a, _, hi, _ = _relay_seeds(budget, a)
+    coeffs = relay_cubic_for_a(gains, noise, p_a=seed_a, alpha=a, price=lam)
+    roots = solve_cubic_real(coeffs)
+    objective = penalized_objective(
+        ScenarioKind.RELAY_COOP, "p_jb", gains, noise, price=lam, alpha=a, p_a=seed_a
+    )
+    p_jb, prov = _argmax_candidate(objective, roots, hi)
     p_ab = a * p_jb
     p_a = max(budget.p_a_max - p_ab, 0.0)
     p_j = max(budget.p_j_max - p_jb, 0.0)

@@ -28,7 +28,16 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .model import ChannelGains, Geometry, NoiseModel, PowerBudget, _require_finite
+from .model import (
+    ChannelGains,
+    Geometry,
+    NoiseModel,
+    PowerBudget,
+    _as_alpha,
+    _as_price,
+    _as_sigma2,
+    _require_finite,
+)
 from .oracle import validate_scenario
 from .protocol import ConstraintMode, NegotiationPolicy, distance_constraints_met, negotiate
 from .rates import _LN2, ScenarioKind, secrecy_rate
@@ -116,6 +125,8 @@ class SweepAxis:
         return {"name": self.name, "lo": self.lo, "hi": self.hi, "steps": self.steps}
 
 
+_DEFAULT_AXIS = SweepAxis("p_a", 0.0, 10.0, 41)
+
 # Each preset's sweep axis and geometry; every other field keeps its default.
 _PRESET_SHAPES = {
     "fig3": (SweepAxis("p_jb", 0.0, 10.0, 41), DEFAULT_GEOMETRY),
@@ -145,19 +156,21 @@ class ExperimentConfig:
     Defaults reproduce the standard parameter block: gains
     (0.4, 0.3, 0.5, 0.3, 0.2), cooperation level 0.8, unit noise, unit
     distances with square-law path loss, budgets (5, 5), and unit power
-    price.  ``trajectory`` is a sequence of ``(d_ae, d_je)`` pairs consumed
-    only by mobility runs.  ``seed`` is an integer; a float seed must have
-    an integral value.
+    price.  A named ``preset`` sets the sweep axis and geometry that are not
+    given, and an ``axis`` that is given must sweep the preset's coordinate.
+    ``trajectory`` is a sequence of ``(d_ae, d_je)`` pairs consumed only by
+    mobility runs.  ``seed`` is an integer; a float seed must have an
+    integral value.
     """
 
     gains: ChannelGains = DEFAULT_GAINS
-    geometry: Geometry = DEFAULT_GEOMETRY
+    geometry: Geometry | None = None
     sigma2: float = 1.0
     alpha: float = 0.8
     price: float = 1.0
     budgets: PowerBudget = DEFAULT_BUDGETS
     scenarios: tuple[ScenarioKind, ...] = _ALL_SCENARIOS
-    axis: SweepAxis = SweepAxis("p_a", 0.0, 10.0, 41)
+    axis: SweepAxis | None = None
     preset: str | None = None
     constraint_mode: ConstraintMode = ConstraintMode.CORRECTED
     log_base: str = "e"
@@ -165,19 +178,24 @@ class ExperimentConfig:
     trajectory: tuple[tuple[float, float], ...] | None = None
 
     def __post_init__(self) -> None:
-        for name in ("sigma2", "alpha", "price"):
-            object.__setattr__(self, name, _require_finite(name, getattr(self, name)))
-        if not self.sigma2 > 0:
-            raise ValueError("sigma2 must be positive")
-        if not 0.0 < self.alpha <= 1.0:
-            raise ValueError("alpha must lie in (0, 1]")
-        if self.price < 0:
-            raise ValueError("price must be non-negative")
+        object.__setattr__(self, "sigma2", _as_sigma2(self.sigma2))
+        object.__setattr__(self, "alpha", _as_alpha(self.alpha))
+        object.__setattr__(self, "price", _as_price(self.price))
         object.__setattr__(
             self, "scenarios", tuple(ScenarioKind(kind) for kind in self.scenarios)
         )
-        if self.preset is not None and self.preset not in PRESETS:
+        if self.preset is None:
+            axis, geometry = _DEFAULT_AXIS, DEFAULT_GEOMETRY
+        elif self.preset in PRESETS:
+            axis, geometry = _PRESET_SHAPES[self.preset]
+            if self.axis is not None and self.axis.name != axis.name:
+                raise ValueError(f"preset {self.preset} sweeps {axis.name}, not {self.axis.name}")
+        else:
             raise ValueError(f"unknown preset {self.preset!r}; expected one of {PRESETS}")
+        if self.axis is None:
+            object.__setattr__(self, "axis", axis)
+        if self.geometry is None:
+            object.__setattr__(self, "geometry", geometry)
         object.__setattr__(self, "constraint_mode", ConstraintMode(self.constraint_mode))
         if self.log_base not in ("e", "2"):
             raise ValueError("log_base must be 'e' or '2'")
@@ -217,10 +235,7 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, data: Mapping[str, object]) -> "ExperimentConfig":
-        """Build a config from a mapping; absent keys keep their defaults,
-        which a named ``preset`` sets to its :func:`preset_config` axis and
-        geometry (an ``axis`` it gives must sweep the preset's coordinate).
-        """
+        """Build a config from a mapping; absent keys keep their defaults."""
 
         unknown = set(data) - set(_CONFIG_FIELDS)
         if unknown:
@@ -229,13 +244,7 @@ class ExperimentConfig:
         for key, value in data.items():
             field, build = _CONFIG_FIELDS[key]
             kwargs[field] = value if build is None else build(**value)  # type: ignore[arg-type]
-        if kwargs.get("preset") is None:
-            return cls(**kwargs)  # type: ignore[arg-type]
-        base = preset_config(kwargs["preset"])  # type: ignore[arg-type]
-        name = kwargs.get("axis", base.axis).name  # type: ignore[union-attr]
-        if name != base.axis.name:
-            raise ValueError(f"preset {base.preset} sweeps {base.axis.name}, not {name}")
-        return base.replace(**kwargs)
+        return cls(**kwargs)  # type: ignore[arg-type]
 
     def replace(self, **changes: object) -> "ExperimentConfig":
         """Return a copy with the given fields replaced."""
@@ -272,10 +281,7 @@ def load_config(path: str | Path) -> ExperimentConfig:
 def preset_config(name: str) -> ExperimentConfig:
     """Return the full configuration behind a named preset."""
 
-    if name not in PRESETS:
-        raise ValueError(f"unknown preset {name!r}; expected one of {PRESETS}")
-    axis, geometry = _PRESET_SHAPES[name]
-    return ExperimentConfig(preset=name, axis=axis, geometry=geometry)
+    return ExperimentConfig(preset=name)
 
 
 def mobility_default_config() -> ExperimentConfig:

@@ -19,7 +19,6 @@ from dataclasses import dataclass, replace
 
 __all__ = [
     "ChannelGains",
-    "CooperationLevel",
     "Geometry",
     "NoiseModel",
     "PowerBudget",
@@ -38,6 +37,30 @@ def _require_finite(name: str, value: float) -> float:
     if not math.isfinite(value):
         raise ValueError(f"{name} must be finite, got {value!r}")
     return value
+
+
+# The one check of each allocation input: a number, finite, and in range.
+
+
+def _as_alpha(alpha: float) -> float:
+    a = _require_finite("alpha", alpha)
+    if not 0.0 < a <= 1.0:
+        raise ValueError(f"cooperative modes need alpha in (0, 1], got {alpha!r}")
+    return a
+
+
+def _as_price(price: float) -> float:
+    lam = _require_finite("price", price)
+    if lam < 0:
+        raise ValueError(f"price must be non-negative, got {price!r}")
+    return lam
+
+
+def _as_sigma2(sigma2: float) -> float:
+    s2 = _require_finite("sigma2", sigma2)
+    if s2 <= 0:
+        raise ValueError(f"sigma2 must be positive, got {sigma2!r}")
+    return s2
 
 
 @dataclass(frozen=True)
@@ -97,10 +120,7 @@ class NoiseModel:
     sigma2: float
 
     def __post_init__(self) -> None:
-        value = _require_finite("sigma2", self.sigma2)
-        if value <= 0:
-            raise ValueError(f"sigma2 must be positive, got {value}")
-        object.__setattr__(self, "sigma2", value)
+        object.__setattr__(self, "sigma2", _as_sigma2(self.sigma2))
 
 
 @dataclass(frozen=True)
@@ -146,22 +166,6 @@ class PowerBudget:
             object.__setattr__(self, name, value)
 
 
-@dataclass(frozen=True)
-class CooperationLevel:
-    """Fraction of a helper's power mirrored by the other side, in [0, 1]."""
-
-    alpha: float
-
-    def __post_init__(self) -> None:
-        value = _require_finite("alpha", self.alpha)
-        if not 0.0 <= value <= 1.0:
-            raise ValueError(f"alpha must lie in [0, 1], got {value}")
-        object.__setattr__(self, "alpha", value)
-
-    def __float__(self) -> float:
-        return self.alpha
-
-
 def snr_direct(gain: float, power: float, sigma2: float) -> float:
     """Received SNR of a single link: ``gain * power / sigma2``.
 
@@ -169,8 +173,7 @@ def snr_direct(gain: float, power: float, sigma2: float) -> float:
     non-positive noise variance are rejected.
     """
 
-    if sigma2 <= 0:
-        raise ValueError(f"sigma2 must be positive, got {sigma2}")
+    sigma2 = _as_sigma2(sigma2)
     if gain < 0 or power < 0:
         raise ValueError("gain and power must be non-negative")
     return gain * power / sigma2
@@ -189,8 +192,7 @@ def snr_relay_path(g_ir: float, g_rk: float, p_i: float, p_rk: float, sigma2: fl
     are positive (the weaker hop is the bottleneck).
     """
 
-    if sigma2 <= 0:
-        raise ValueError(f"sigma2 must be positive, got {sigma2}")
+    sigma2 = _as_sigma2(sigma2)
     if min(g_ir, g_rk, p_i, p_rk) < 0:
         raise ValueError("gains and powers must be non-negative")
     hop_i = g_ir * p_i

@@ -24,10 +24,9 @@ import numpy as np
 
 from .allocator import (
     _argmax_candidate,
-    _as_alpha,
-    _as_price,
     _objective_key,
     _objective_magnitude,
+    _relay_seeds,
     evaluate_closed_forms,
     noncoop_quadratic,
     penalized_objective,
@@ -35,7 +34,7 @@ from .allocator import (
     solve_cubic_real,
     solve_quadratic_real,
 )
-from .model import ChannelGains, Geometry, NoiseModel, PowerBudget
+from .model import ChannelGains, Geometry, NoiseModel, PowerBudget, _as_alpha, _as_price
 from .rates import ScenarioKind
 
 __all__ = [
@@ -454,11 +453,6 @@ class ValidationReport:
             if item.formula_id == formula_id:
                 return item
         raise KeyError(formula_id)
-
-    def verdicts(self) -> dict[str, str]:
-        """Map each formula id to its verdict."""
-
-        return {item.formula_id: item.verdict for item in self.entries}
 
     def worst_verdict(self) -> str:
         """Most severe verdict present (typo > infeasible > agree)."""
@@ -919,9 +913,9 @@ def validate_scenario(
     absent and only the roots are audited; so they are when one of their
     float powers overflows.
 
-    Relay entries evaluate their cubic coefficients at own-message powers of
-    half of each budget, and the relaying slice ranges over what those seeds
-    leave free.
+    Relay entries evaluate their cubic coefficients at the half-budget seeds
+    :func:`coopsec.allocator.relay_allocation` uses, and the relaying slice
+    ranges over what those seeds leave free.
 
     Entries that maximise the same objective on the same interval share one
     grid search: ``non_coop.p_a`` and ``one_side_coop.p_a``, for example,
@@ -954,10 +948,10 @@ def validate_scenario(
     """
 
     kind = ScenarioKind(kind)
-    noise = NoiseModel(float(sigma2))
-    a = float(alpha)
-    lam = float(price)
-    if not lam > 0:
+    noise = NoiseModel(sigma2)
+    a = _as_alpha(alpha)
+    lam = _as_price(price)
+    if lam == 0:
         raise ValueError("price must be positive for closed-form evaluation")
     closed: dict[str, float] = {}
     if min(gains.g_ab, gains.g_ae, gains.g_jb, gains.g_je) > 0:
@@ -965,17 +959,9 @@ def validate_scenario(
             closed = evaluate_closed_forms(gains, noise, alpha=a, price=lam)
         except OverflowError:
             pass
-    point = _AuditPoint(
-        gains, noise, geometry, a, lam, 0.5 * budgets.p_a_max, 0.5 * budgets.p_j_max
-    )
-    free_a = budgets.p_a_max - point.seed_a
-    free_j = budgets.p_j_max - point.seed_j
-    bounds = {
-        "p_a": budgets.p_a_max,
-        "p_j": budgets.p_j_max,
-        "p_jb": max(min(free_j, free_a / a), 0.0),
-        "p_ab": max(min(free_a, a * free_j), 0.0),
-    }
+    seed_a, seed_j, hi_jb, hi_ab = _relay_seeds(budgets, a)
+    point = _AuditPoint(gains, noise, geometry, a, lam, seed_a, seed_j)
+    bounds = {"p_a": budgets.p_a_max, "p_j": budgets.p_j_max, "p_jb": hi_jb, "p_ab": hi_ab}
     rows = _AUDIT[kind]
     attenuated = gains.effective(geometry) if any(row[2] for row in rows) else gains
 
@@ -983,7 +969,7 @@ def validate_scenario(
     entries = []
     for formula_id, side, path_loss, polynomial, closed_key in rows:
         args = (kind, side, attenuated if path_loss else gains, noise)
-        terms = dict(price=lam, alpha=a, p_a=point.seed_a, p_j=point.seed_j)
+        terms = dict(price=lam, alpha=a, p_a=seed_a, p_j=seed_j)
         objective = penalized_objective(*args, **terms)
         try:
             coeffs = polynomial(point)

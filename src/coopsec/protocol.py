@@ -22,13 +22,12 @@ from enum import Enum
 
 from .allocator import (
     OptimalAllocation,
-    _as_alpha,
     mac_allocation,
     noncoop_allocation,
     one_side_allocation,
     relay_allocation,
 )
-from .model import ChannelGains, Geometry, NoiseModel, PowerBudget
+from .model import ChannelGains, Geometry, NoiseModel, PowerBudget, _as_alpha, _as_sigma2
 from .rates import ScenarioKind
 
 __all__ = [
@@ -133,12 +132,8 @@ def distance_constraints_met(
     """
 
     mode = ConstraintMode(mode)
-    s2 = float(sigma2)
-    if not (math.isfinite(s2) and s2 > 0):
-        raise ValueError("sigma2 must be positive and finite")
-    a = float(alpha)
-    if not (math.isfinite(a) and 0.0 < a <= 1.0):
-        raise ValueError("alpha must lie in (0, 1]")
+    s2 = _as_sigma2(sigma2)
+    a = _as_alpha(alpha)
     p_a = float(p_a)
     p_j = float(p_j)
     if p_a < 0 or p_j < 0:
@@ -221,7 +216,7 @@ def negotiate(
         returned mode.
     """
 
-    noise = NoiseModel(float(sigma2))
+    noise = NoiseModel(sigma2)
     verdict = distance_constraints_met(
         gains,
         geometry,

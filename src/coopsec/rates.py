@@ -34,7 +34,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple
 
-from .model import ChannelGains, NoiseModel, snr_direct, snr_relay_path
+from .model import ChannelGains, NoiseModel, _as_alpha, snr_direct, snr_relay_path
 
 __all__ = [
     "RatePair",
@@ -171,7 +171,8 @@ def secrecy_rate(
     p_a, p_j:
         Power spent on each side's own message.  Every power must be finite.
     alpha:
-        Power-exchange ratio; required for the MAC and one-sided modes.
+        Power-exchange ratio in ``(0, 1]``; required for the MAC and
+        one-sided modes, and checked whenever it is given.
     p_ab, p_jb:
         Relaying power slices (a relaying j's message, j relaying a's);
         only read in ``relay_coop`` mode.
@@ -195,14 +196,12 @@ def secrecy_rate(
     s2 = noise.sigma2
     kind = ScenarioKind(kind)
 
+    if alpha is not None:
+        alpha = _as_alpha(alpha)
     links = _DIRECT_LINKS.get(kind)
     if links is not None:
-        if any(link.alpha_power for link in links):
-            if alpha is None:
-                raise ValueError(f"{kind.value} requires alpha")
-            alpha = float(alpha)
-            if alpha <= 0 and any(link.alpha_power < 0 for link in links):
-                raise ValueError(f"{kind.value} requires alpha > 0 (power swap divides by it)")
+        if alpha is None and any(link.alpha_power for link in links):
+            raise ValueError(f"{kind.value} requires alpha")
         powers = {"p_a": p_a, "p_j": p_j}
         cs1, cs2 = (_message_gap(link, gains, powers[link.power], alpha, s2) for link in links)
     else:  # relay_coop

@@ -577,41 +577,13 @@ class TestRelayAllocation:
         allocation = relay_allocation(std_gains, std_noise, std_budgets, alpha=0.8, price=0.01)
         assert allocation.p_ab == pytest.approx(0.8 * allocation.p_jb)
 
-    def test_exhausted_seeds_leave_no_headroom(self, std_gains, std_noise, std_budgets):
+    def test_exhausted_seeds_leave_no_headroom(self, std_gains, std_noise):
+        # j's half-budget seed is its whole (zero) budget: nothing is left to relay
         allocation = relay_allocation(
-            std_gains,
-            std_noise,
-            std_budgets,
-            alpha=0.8,
-            price=0.01,
-            p_a_seed=5.0,
-            p_j_seed=5.0,
+            std_gains, std_noise, PowerBudget(5.0, 0.0), alpha=0.8, price=0.01
         )
         assert allocation.p_jb == 0.0
         assert allocation.provenance["p_jb"] is Provenance.ZERO
-
-    def test_negative_seed_rejected(self, std_gains, std_noise, std_budgets):
-        with pytest.raises(ValueError):
-            relay_allocation(
-                std_gains, std_noise, std_budgets, alpha=0.8, price=0.01, p_a_seed=-1.0
-            )
-
-    def test_alternating_reaches_fixed_point(self, std_gains, std_noise, std_budgets):
-        allocation = relay_allocation(
-            std_gains, std_noise, std_budgets, alpha=0.8, price=0.01, alternating=True
-        )
-        # the reported own power must equal the budget remainder the final
-        # coefficients were evaluated at, so re-solving from it is a no-op
-        again = relay_allocation(
-            std_gains,
-            std_noise,
-            std_budgets,
-            alpha=0.8,
-            price=0.01,
-            p_a_seed=allocation.p_a,
-            p_j_seed=0.5 * std_budgets.p_j_max,
-        )
-        assert again.p_jb == pytest.approx(allocation.p_jb, abs=1e-6)
 
     def test_powers_stay_within_budgets(self, std_gains, std_noise):
         for lam in (0.001, 0.01, 0.1, 1.0):

@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import importlib
 import importlib.util
+import inspect
+import sys
 from pathlib import Path
 
 import pytest
@@ -17,14 +19,24 @@ import pytest
 import coopsec
 
 MODULES = ["allocator", "cli", "harness", "model", "oracle", "protocol", "rates"]
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def load_perfbench(name):
+    """``perfbench/<name>.py`` as a module, registered under ``perfbench_<name>``
+    before it runs: a dataclass looks its own module up while it is built."""
+
+    module_name = f"perfbench_{name}"
+    if module_name not in sys.modules:
+        spec = importlib.util.spec_from_file_location(module_name, PERFBENCH / f"{name}.py")
+        module = importlib.util.module_from_spec(spec)
+        sys.modules[module_name] = module
+        spec.loader.exec_module(module)
+    return sys.modules[module_name]
 
 
 def load_tracing():
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
-    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
-    tracing = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracing)
-    return tracing
+    return load_perfbench("tracing")
 
 
 def traced_names():
@@ -120,3 +132,45 @@ def test_traced_validation_matches_untraced(monkeypatch):
     assert tracer.export()["counts"][tracing.ARRAY_POINTS] == sum(traced_points)
     # a coarse pass and one window per search, not the whole grid
     assert sum(traced_points) < len(traced_points) * 10001 // 10
+
+
+@pytest.mark.parametrize("workload", ["negotiation", "audit"])
+def test_benchmark_timed_functions_are_called(tmp_path, workload):
+    """Every function whose time the benchmark reports for every workload is
+    called by this one; a function a change stops calling would report no
+    time at all."""
+
+    tracing = load_tracing()
+    workloads = load_perfbench("workloads")
+    timed = load_perfbench("run").TIMED_EVERYWHERE
+    job = workloads.WORKLOADS[workload](0, PERFBENCH.parent, tmp_path)
+    job.prepare()
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        for i in range(64):
+            job.op(i)
+    finally:
+        tracer.uninstall()
+    called = tracer.export()["functions"]
+    assert [name for name in timed if name not in called] == []
+
+
+def test_allocations_share_one_signature():
+    from coopsec import allocator
+
+    def parameters(name):
+        params = inspect.signature(getattr(allocator, name)).parameters.values()
+        return [(p.name, p.kind is p.KEYWORD_ONLY) for p in params]
+
+    positional = [("gains", False), ("noise", False), ("budget", False)]
+    assert parameters("noncoop_allocation") == positional + [("price", True)]
+    for name in ("one_side_allocation", "mac_allocation", "relay_allocation"):
+        assert parameters(name) == positional + [("alpha", True), ("price", True)], name
+
+
+def test_cooperation_level_is_gone():
+    from coopsec import model
+
+    assert not hasattr(coopsec, "CooperationLevel")
+    assert not hasattr(model, "CooperationLevel")

@@ -12,7 +12,14 @@ from pathlib import Path
 import pytest
 
 import coopsec
-from coopsec import ExperimentConfig, SweepAxis, read_sweep_csv, write_json
+from coopsec import (
+    ExperimentConfig,
+    SweepAxis,
+    read_sweep_csv,
+    run_sweep,
+    write_json,
+    write_sweep_csv,
+)
 from coopsec.cli import main
 
 
@@ -62,6 +69,13 @@ class TestSweepCommand:
             written.append(tmp_path / f"{source[0][2:]}.csv")
             assert run_cli(["sweep", *source, "--out", str(written[-1])], capsys)[0] == 0
         assert written[0].read_bytes() == written[1].read_bytes()
+
+    @pytest.mark.parametrize("preset", coopsec.PRESETS)
+    def test_preset_built_in_python_writes_the_preset(self, tmp_path, capsys, preset):
+        built, cli = tmp_path / "built.csv", tmp_path / "cli.csv"
+        write_sweep_csv(run_sweep(ExperimentConfig(preset=preset)), built)
+        assert run_cli(["sweep", "--preset", preset, "--out", str(cli)], capsys)[0] == 0
+        assert built.read_bytes() == cli.read_bytes()
 
     def test_config_and_preset_are_mutually_exclusive(self, tmp_path):
         with pytest.raises(SystemExit) as excinfo:

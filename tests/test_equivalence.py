@@ -341,15 +341,15 @@ def relay_point(draw):
     )
     alpha = draw(st.floats(min_value=0.05, max_value=1.0))
     price = draw(st.one_of(st.just(0.0), st.floats(min_value=1e-4, max_value=2.0)))
-    return gains, noise, budget, alpha, price, draw(st.booleans())
+    return gains, noise, budget, alpha, price
 
 
 class TestRelayAllocationAgainstReferenceRoots:
     @given(relay_point())
     @settings(max_examples=300, deadline=None)
     def test_same_decision(self, point):
-        gains, noise, budget, alpha, lam, alternating = point
-        kwargs = dict(alpha=alpha, price=lam, alternating=alternating)
+        gains, noise, budget, alpha, lam = point
+        kwargs = dict(alpha=alpha, price=lam)
         ours = relay_allocation(gains, noise, budget, **kwargs)
         with mock.patch.object(allocator, "solve_cubic_real", reference_roots):
             theirs = relay_allocation(gains, noise, budget, **kwargs)

@@ -187,6 +187,10 @@ class TestPresets:
         assert config.axis == SweepAxis(**axis)
         assert config.geometry == Geometry(**geometry)
 
+    def test_preset_rejects_an_axis_it_does_not_sweep(self):
+        with pytest.raises(ValueError, match="^preset fig3 sweeps p_jb, not d_ae$"):
+            ExperimentConfig(preset="fig3", axis=SweepAxis("d_ae", 1.0, 2.0, 3))
+
     def test_far_eavesdropper_preset_moves_the_nodes(self):
         geometry = preset_config("fig8").geometry
         assert geometry.d_ab == 2.0

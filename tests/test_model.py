@@ -1,4 +1,5 @@
-"""Link-level primitives: gains, geometry, SNR building blocks."""
+"""Link-level primitives: gains, geometry, SNR building blocks, and the one
+check of each allocation input (alpha, price, sigma2) at every entry point."""
 
 from __future__ import annotations
 
@@ -10,7 +11,6 @@ from hypothesis import strategies as st
 
 from coopsec import (
     ChannelGains,
-    CooperationLevel,
     Geometry,
     NoiseModel,
     PowerBudget,
@@ -18,6 +18,17 @@ from coopsec import (
     snr_direct,
     snr_relay_path,
 )
+from coopsec.allocator import (
+    mac_allocation,
+    noncoop_allocation,
+    noncoop_quadratic,
+    one_side_allocation,
+    relay_allocation,
+)
+from coopsec.harness import ExperimentConfig
+from coopsec.oracle import validate_scenario
+from coopsec.protocol import NegotiationPolicy, distance_constraints_met, negotiate
+from coopsec.rates import ScenarioKind, secrecy_rate
 
 finite_gain = st.floats(min_value=0.0, max_value=10.0, allow_nan=False)
 positive_power = st.floats(min_value=0.0, max_value=100.0, allow_nan=False)
@@ -105,14 +116,6 @@ class TestScalarWrappers:
     def test_budget_rejects_negative(self):
         with pytest.raises(ValueError):
             PowerBudget(p_a_max=-1.0, p_j_max=5.0)
-
-    @pytest.mark.parametrize("bad", [-0.1, 1.1, math.nan])
-    def test_cooperation_level_range(self, bad):
-        with pytest.raises(ValueError):
-            CooperationLevel(bad)
-
-    def test_cooperation_level_floats(self):
-        assert float(CooperationLevel(0.8)) == 0.8
 
 
 class TestSnrDirect:
@@ -202,3 +205,103 @@ class TestEffectiveGain:
 
     def test_unit_distance_is_identity(self):
         assert effective_gain(0.37, 1.0, 3.1) == 0.37
+
+
+GAINS = ChannelGains(g_ab=0.4, g_ae=0.3, g_jb=0.5, g_je=0.3, g_aj=0.2)
+UNIT = Geometry(d_ab=1.0, d_ae=1.0, d_jb=1.0, d_je=1.0, d_aj=1.0)
+BUDGETS = PowerBudget(5.0, 5.0)
+
+# Every entry point that takes alpha, price or sigma2 as a plain number:
+# (the quantities it takes, a call given all three).
+ENTRY_POINTS = {
+    "ExperimentConfig": (
+        ("alpha", "price", "sigma2"),
+        lambda alpha, price, sigma2: ExperimentConfig(sigma2=sigma2, alpha=alpha, price=price),
+    ),
+    "NoiseModel": (("sigma2",), lambda alpha, price, sigma2: NoiseModel(sigma2)),
+    "NegotiationPolicy": (("alpha",), lambda alpha, price, sigma2: NegotiationPolicy(alpha=alpha)),
+    "negotiate": (
+        ("price", "sigma2"),
+        lambda alpha, price, sigma2: negotiate(
+            NegotiationPolicy(), GAINS, UNIT, sigma2, price, BUDGETS
+        ),
+    ),
+    "noncoop_allocation": (
+        ("price",),
+        lambda alpha, price, sigma2: noncoop_allocation(
+            GAINS, NoiseModel(1.0), BUDGETS, price=price
+        ),
+    ),
+    **{
+        allocation.__name__: (
+            ("alpha", "price"),
+            lambda alpha, price, sigma2, allocation=allocation: allocation(
+                GAINS, NoiseModel(1.0), BUDGETS, alpha=alpha, price=price
+            ),
+        )
+        for allocation in (one_side_allocation, mac_allocation, relay_allocation)
+    },
+    "noncoop_quadratic": (
+        ("price", "sigma2"),
+        lambda alpha, price, sigma2: noncoop_quadratic(0.4, 0.3, sigma2, price),
+    ),
+    "distance_constraints_met": (
+        ("alpha", "sigma2"),
+        lambda alpha, price, sigma2: distance_constraints_met(
+            GAINS, UNIT, sigma2, alpha, 5.0, 5.0
+        ),
+    ),
+    "validate_scenario": (
+        ("alpha", "price", "sigma2"),
+        lambda alpha, price, sigma2: validate_scenario(
+            ScenarioKind.NON_COOP, GAINS, UNIT, sigma2, alpha, price, BUDGETS
+        ),
+    ),
+    "secrecy_rate": (
+        ("alpha",),
+        lambda alpha, price, sigma2: secrecy_rate(
+            ScenarioKind.MAC_COOP, GAINS, NoiseModel(1.0), p_a=5.0, p_j=5.0, alpha=alpha
+        ),
+    ),
+}
+
+# Per quantity: a bad value and the start of the one line it raises.
+BAD_VALUES = {
+    "alpha": [
+        ("0.8", "alpha must be a number, got '0.8'"),
+        (True, "alpha must be a number, got True"),
+        (math.nan, "alpha must be finite"),
+        (0.0, "cooperative modes need alpha in (0, 1]"),
+        (1.5, "cooperative modes need alpha in (0, 1]"),
+    ],
+    "price": [
+        ("0.01", "price must be a number, got '0.01'"),
+        (False, "price must be a number, got False"),
+        (math.inf, "price must be finite"),
+        (-0.01, "price must be non-negative"),
+    ],
+    "sigma2": [
+        ("1.0", "sigma2 must be a number, got '1.0'"),
+        (True, "sigma2 must be a number, got True"),
+        (math.nan, "sigma2 must be finite"),
+        (0.0, "sigma2 must be positive"),
+    ],
+}
+
+
+class TestOneCheckPerInput:
+    @pytest.mark.parametrize(
+        "entry, quantity, value, message",
+        [
+            pytest.param(entry, quantity, value, message, id=f"{entry}-{quantity}-{value!r}")
+            for entry, (quantities, _) in ENTRY_POINTS.items()
+            for quantity in quantities
+            for value, message in BAD_VALUES[quantity]
+        ],
+    )
+    def test_bad_value_is_one_line(self, entry, quantity, value, message):
+        inputs = {"alpha": 0.8, "price": 0.01, "sigma2": 1.0, quantity: value}
+        with pytest.raises(ValueError) as info:
+            ENTRY_POINTS[entry][1](**inputs)
+        text = str(info.value)
+        assert text.startswith(message) and "\n" not in text
