@@ -409,38 +409,22 @@ def evaluate_closed_forms(
 
 
 def _scale(link: _Link, alpha: float | None) -> float:
-    """Carried power per unit of the link's decision variable."""
+    """Carried power per unit of the link's decision variable.
+
+    ``alpha`` is read only when the link carries it, and must be checked.
+    """
 
     if link.alpha_power == 0:
         return 1.0
-    a = _as_alpha(alpha)
-    return a if link.alpha_power > 0 else 1.0 / a
+    return alpha if link.alpha_power > 0 else 1.0 / alpha
 
 
 def _priced_gap_objective(
     g_main: float, g_eve: float, s2: float, lam: float, scale: float
 ) -> Callable[[float], float]:
-    """Priced secrecy gap of a message carried at ``x = scale * p``.
-
-    An array of one or more dimensions is evaluated into the function's own
-    buffers, with the scalar expression's operations in the same order, so
-    both give the same bits; the caller's array is never written.
-    """
+    """Priced secrecy gap of a message carried at ``x = scale * p``."""
 
     def f(p):
-        # the float test first keeps the allocator's scalar calls cheap
-        if type(p) is not float and isinstance(p, np.ndarray) and p.ndim:
-            x = scale * p
-            main = g_main * x
-            main /= s2
-            np.log1p(main, out=main)
-            eve = g_eve * x
-            eve /= s2
-            np.log1p(eve, out=eve)
-            main -= eve
-            x *= lam
-            main -= x
-            return main
         x = scale * p
         return np.log1p(g_main * x / s2) - np.log1p(g_eve * x / s2) - lam * x
 
@@ -457,31 +441,13 @@ def _priced_relay_objective(
     own_power: float,
     pay_scale: float,
 ) -> Callable[[float], float]:
-    """Priced relay secrecy rate in the relaying slice ``p``.
-
-    Arrays of one or more dimensions take the same in-place path as
-    :func:`_priced_gap_objective`, bit for bit equal to the scalar
-    expression.
-    """
+    """Priced relay secrecy rate in the relaying slice ``p``."""
 
     base_main = g_direct * own_power / s2
     eve_term = math.log1p(g_eve * own_power / s2)
     first_hop = g_hop1 * own_power
 
     def f(p):
-        if type(p) is not float and isinstance(p, np.ndarray) and p.ndim:
-            hop = g_hop2 * p
-            relayed = first_hop * hop
-            hop += first_hop
-            hop += s2
-            hop *= s2
-            relayed /= hop
-            relayed += base_main
-            np.log1p(relayed, out=relayed)
-            relayed -= eve_term
-            np.multiply(lam * pay_scale, p, out=hop)
-            relayed -= hop
-            return relayed
         second_hop = g_hop2 * p
         relayed = first_hop * second_hop / (s2 * (first_hop + second_hop + s2))
         return np.log1p(base_main + relayed) - eve_term - lam * pay_scale * p
@@ -490,47 +456,6 @@ def _priced_relay_objective(
 
 
 _OBJECTIVE_FORMS = {"gap": _priced_gap_objective, "relay": _priced_relay_objective}
-
-
-def _gap_magnitude(
-    g_main: float, g_eve: float, s2: float, lam: float, scale: float, hi: float
-) -> float:
-    x = scale * hi
-    return math.log1p(g_main * x / s2) + math.log1p(g_eve * x / s2) + lam * x
-
-
-def _relay_magnitude(
-    g_direct: float,
-    g_eve: float,
-    g_hop1: float,
-    g_hop2: float,
-    s2: float,
-    lam: float,
-    own_power: float,
-    pay_scale: float,
-    hi: float,
-) -> float:
-    # the relayed SNR never exceeds the first hop's, g_hop1 * own_power / s2
-    base_main = g_direct * own_power / s2
-    reach = base_main + g_hop1 * own_power / s2
-    return math.log1p(reach) + math.log1p(g_eve * own_power / s2) + lam * pay_scale * hi
-
-
-# Per form: the sum of the magnitudes of the objective's terms on ``[0, hi]``
-# (each term grows with the decision variable, so its value at ``hi``).
-_OBJECTIVE_MAGNITUDES = {"gap": _gap_magnitude, "relay": _relay_magnitude}
-
-
-def _objective_magnitude(key: tuple, hi: float) -> float:
-    """Bound on the summed term magnitudes of ``key``'s objective on ``[0, hi]``.
-
-    Every term of both forms is evaluated to within a few ulps of its own
-    size, so the objective's rounding error anywhere on the interval is a
-    small multiple of ``2**-52`` times this bound.  Overflow shows as
-    ``inf``.
-    """
-
-    return _OBJECTIVE_MAGNITUDES[key[0]](*key[1:], hi)
 
 
 def _objective_key(
@@ -562,7 +487,7 @@ def _objective_key(
                 getattr(gains, link.eve),
                 s2,
                 lam,
-                _scale(link, alpha),
+                _scale(link, _as_alpha(alpha) if link.alpha_power else None),
             )
     if kind is ScenarioKind.RELAY_COOP:
         if side == "p_jb":

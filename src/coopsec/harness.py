@@ -545,6 +545,7 @@ def run_validation(config: ExperimentConfig, samples: int = 100) -> dict[str, ob
     an aggregate verdict tally.
     """
 
+    samples = _whole("samples", samples)
     if samples < 0:
         raise ValueError("samples must be non-negative")
     report: dict[str, object] = {

@@ -31,9 +31,12 @@ __all__ = [
 def _require_finite(name: str, value: float) -> float:
     # a str, bytes or bool is no number; testing float first keeps negotiate cheap
     if type(value) is not float:
-        if isinstance(value, (str, bytes, bool)):
-            raise ValueError(f"{name} must be a number, got {value!r}")
-        value = float(value)
+        try:
+            if isinstance(value, (str, bytes, bool)):
+                raise TypeError
+            value = float(value)
+        except TypeError:
+            raise ValueError(f"{name} must be a number, got {value!r}") from None
     if not math.isfinite(value):
         raise ValueError(f"{name} must be finite, got {value!r}")
     return value
@@ -169,12 +172,12 @@ class PowerBudget:
 def snr_direct(gain: float, power: float, sigma2: float) -> float:
     """Received SNR of a single link: ``gain * power / sigma2``.
 
-    Linear in both ``gain`` and ``power``.  Negative gains or powers and a
-    non-positive noise variance are rejected.
+    Linear in both ``gain`` and ``power``.  Negative or NaN gains or powers
+    and a non-positive noise variance are rejected.
     """
 
     sigma2 = _as_sigma2(sigma2)
-    if gain < 0 or power < 0:
+    if not (gain >= 0 and power >= 0):
         raise ValueError("gain and power must be non-negative")
     return gain * power / sigma2
 
@@ -193,7 +196,7 @@ def snr_relay_path(g_ir: float, g_rk: float, p_i: float, p_rk: float, sigma2: fl
     """
 
     sigma2 = _as_sigma2(sigma2)
-    if min(g_ir, g_rk, p_i, p_rk) < 0:
+    if not (g_ir >= 0 and g_rk >= 0 and p_i >= 0 and p_rk >= 0):
         raise ValueError("gains and powers must be non-negative")
     hop_i = g_ir * p_i
     hop_k = g_rk * p_rk
@@ -216,10 +219,10 @@ def effective_gain(gain: float, distance: float, eta: float) -> float:
     computations can reuse every unit-distance formula unchanged.
     """
 
-    if distance <= 0:
+    if not distance > 0:
         raise ValueError(f"distance must be positive, got {distance}")
-    if eta < 1:
+    if not eta >= 1:
         raise ValueError(f"eta must be at least 1, got {eta}")
-    if gain < 0:
+    if not gain >= 0:
         raise ValueError(f"gain must be non-negative, got {gain}")
     return gain / distance**eta

@@ -25,7 +25,6 @@ import numpy as np
 from .allocator import (
     _argmax_candidate,
     _objective_key,
-    _objective_magnitude,
     _relay_seeds,
     evaluate_closed_forms,
     noncoop_quadratic,
@@ -76,25 +75,6 @@ def _eval_scalar(objective: Objective, x: float) -> float:
     return value
 
 
-@functools.lru_cache(maxsize=4)
-def _grid_index(resolution: int) -> np.ndarray:
-    index = np.arange(resolution, dtype=float)
-    index.flags.writeable = False
-    return index
-
-
-def _grid(lo: float, hi: float, resolution: int) -> np.ndarray:
-    """``np.linspace(lo, hi, resolution)`` for ``lo < hi``, bit for bit."""
-
-    step = (hi - lo) / (resolution - 1)
-    if step == 0.0:
-        return np.linspace(lo, hi, resolution)
-    xs = _grid_index(resolution) * step
-    xs += lo
-    xs[-1] = hi
-    return xs
-
-
 def grid_search_optimum(
     objective: Objective,
     lo: float,
@@ -108,13 +88,6 @@ def grid_search_optimum(
     bracket around the best grid point down to a width of
     ``(hi - lo) / resolution / 100``.  Ties anywhere resolve toward the
     smaller ``x``, which keeps the result deterministic.
-
-    The grid is ``np.linspace(lo, hi, resolution)`` bit for bit, built by
-    numpy's own recipe without its overhead: a cached read-only
-    ``arange(resolution)`` times ``step = (hi - lo) / (resolution - 1)``,
-    plus ``lo``, with the last point set to ``hi``.  A step that underflows
-    to zero falls back to ``np.linspace``, which divides before it
-    multiplies.
 
     Parameters
     ----------
@@ -150,7 +123,7 @@ def grid_search_optimum(
     if hi == lo:
         return lo, _eval_scalar(objective, lo)
 
-    xs = _grid(lo, hi, resolution)
+    xs = np.linspace(lo, hi, resolution)
     ys: np.ndarray | None
     try:
         raw = objective(xs)
@@ -182,9 +155,10 @@ def _refine(
 ) -> tuple[float, float]:
     """Golden-section pass over ``[a, b]``, the bracket around a grid argmax.
 
-    The bracket shrinks to width ``tol``; the refined point replaces the
-    grid's ``(best_x, best_y)`` only if it is higher, or equally high and
-    further left.
+    The bracket shrinks to width ``tol``, or until rounding puts a probe on
+    its edge (a ``tol`` below the float spacing there would loop forever);
+    the refined point replaces the grid's ``(best_x, best_y)`` only if it is
+    higher, or equally high and further left.
     """
 
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
@@ -192,7 +166,7 @@ def _refine(
     d = a + invphi * (b - a)
     fc = _eval_scalar(objective, c)
     fd = _eval_scalar(objective, d)
-    while (b - a) > tol:
+    while (b - a) > tol and a < c < d < b:
         if fc >= fd:
             b, d, fd = d, c, fc
             c = b - invphi * (b - a)
@@ -211,9 +185,50 @@ def _refine(
     return best_x, best_y
 
 
+def _gap_magnitude(
+    g_main: float, g_eve: float, s2: float, lam: float, scale: float, hi: float
+) -> float:
+    x = scale * hi
+    return math.log1p(g_main * x / s2) + math.log1p(g_eve * x / s2) + lam * x
+
+
+def _relay_magnitude(
+    g_direct: float,
+    g_eve: float,
+    g_hop1: float,
+    g_hop2: float,
+    s2: float,
+    lam: float,
+    own_power: float,
+    pay_scale: float,
+    hi: float,
+) -> float:
+    # the relayed SNR never exceeds the first hop's, g_hop1 * own_power / s2
+    base_main = g_direct * own_power / s2
+    reach = base_main + g_hop1 * own_power / s2
+    return math.log1p(reach) + math.log1p(g_eve * own_power / s2) + lam * pay_scale * hi
+
+
+# Per form: the sum of the magnitudes of the objective's terms on ``[0, hi]``
+# (each term grows with the decision variable, so its value at ``hi``).
+_OBJECTIVE_MAGNITUDES = {"gap": _gap_magnitude, "relay": _relay_magnitude}
+
+
+def _objective_magnitude(key: tuple, hi: float) -> float:
+    """Bound on the summed term magnitudes of ``key``'s objective on ``[0, hi]``.
+
+    Every term of both forms is evaluated to within a few ulps of its own
+    size, so the objective's rounding error anywhere on the interval is a
+    small multiple of ``2**-52`` times this bound.  Overflow shows as
+    ``inf``.
+    """
+
+    return _OBJECTIVE_MAGNITUDES[key[0]](*key[1:], hi)
+
+
 @functools.lru_cache(maxsize=4)
 def _coarse_index(resolution: int) -> tuple[tuple[int, ...], np.ndarray] | None:
-    """Grid positions of the coarse pass, as ints and as ``_grid_index`` floats.
+    """Grid positions of the coarse pass, as ints and as floats.
 
     Every ``stride``-th position plus the last one, with ``stride`` about
     ``sqrt(resolution / 2)``: that balances the coarse samples against the
@@ -246,13 +261,13 @@ def _windowed_search(
 
     - **Coarse pass.** The objective is evaluated at every ``stride``-th
       grid point and the last one (see :func:`_coarse_index`), each built as
-      ``index * step + 0.0`` with the last set to ``hi``, so it equals the
-      full grid's point bit for bit.
+      ``np.linspace`` builds it, ``index * step + 0.0`` with the last set to
+      ``hi``, so it equals the full grid's point bit for bit.
     - **Error bound.** Each term of the objective is computed to within a few
       ulps of its size, so every computed value lies within ``delta / 2`` of
       the exact value at the same float ``x``, where ``delta = 2**-30 *
       (1 + M)`` and ``M`` bounds the terms' summed magnitudes on the
-      interval (:func:`coopsec.allocator._objective_magnitude`).
+      interval (:func:`_objective_magnitude`).
     - **Window.** Let ``Y`` be the largest coarse value and ``S`` the coarse
       samples computed at ``>= Y - 2 delta``.  The window runs from the
       coarse sample just left of ``S`` to the one just right of it (or to the
@@ -301,17 +316,16 @@ def _windowed_search(
         return grid_search_optimum(objective, 0.0, hi, resolution)
     positions, index = coarse
 
-    # ``_grid``'s points without its ``+= lo``: adding 0.0 changes no bit here
+    # ``np.linspace``'s points without its ``+= lo``: adding 0.0 changes no bit here
     xs = index * step
     xs[-1] = hi
     ys = objective(xs)
     # finite only if every value is (an overflowing sum just falls back)
     if not math.isfinite(ys.sum()):
         return grid_search_optimum(objective, 0.0, hi, resolution)
-    dip = np.maximum.accumulate(ys)
-    top = float(dip[-1])
-    np.minimum(dip, np.maximum.accumulate(ys[::-1])[::-1], out=dip)
-    dip -= ys
+    rise = np.maximum.accumulate(ys)
+    top = float(rise[-1])
+    dip = np.minimum(rise, np.maximum.accumulate(ys[::-1])[::-1]) - ys
     if dip.max() > 2.0 * delta:
         return grid_search_optimum(objective, 0.0, hi, resolution)
     near = np.flatnonzero(ys >= top - 2.0 * delta)
@@ -322,7 +336,7 @@ def _windowed_search(
     if 4 * (stop - start + 1) > resolution:
         return grid_search_optimum(objective, 0.0, hi, resolution)
 
-    wx = _grid_index(resolution)[start : stop + 1] * step
+    wx = np.arange(start, stop + 1, dtype=float) * step
     if stop == resolution - 1:
         wx[-1] = hi
     wy = objective(wx)

@@ -81,14 +81,6 @@ class RatePair:
 
         return RatePair(max(self.cs1, 0.0), max(self.cs2, 0.0))
 
-    def to_base(self, base: float) -> "RatePair":
-        """Convert both rates from nats to logarithms of ``base``."""
-
-        if base <= 1.0:
-            raise ValueError(f"log base must exceed 1, got {base}")
-        scale = math.log(base)
-        return RatePair(self.cs1 / scale, self.cs2 / scale)
-
 
 def rate_p2p(snr: float) -> float:
     """Point-to-point rate ``log(1 + snr)`` in nats."""

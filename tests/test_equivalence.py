@@ -8,8 +8,9 @@ polynomial.  Relay allocation is compared with itself running on the
 reference roots.  Tolerances are fixed from the conditioning of each case,
 not tuned to the results.
 
-The penalized objectives evaluate arrays in place; their reference is the
-earlier out-of-place expression, and there the comparison is bit for bit.
+The penalized objectives evaluate arrays and scalars with one expression;
+their reference is the earlier expression, and there the comparison is bit
+for bit.
 """
 
 from __future__ import annotations
@@ -416,8 +417,8 @@ def same_bits(got, want):
     return got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
-class TestInPlaceObjectivesAgainstReference:
-    """The array path of both objectives gives the out-of-place expression's bits."""
+class TestObjectivesAgainstReference:
+    """Both objectives give the reference expression's bits on arrays and scalars."""
 
     def test_arrays_scalars_and_zero_dim(self):
         rng = np.random.default_rng(20)
@@ -430,7 +431,7 @@ class TestInPlaceObjectivesAgainstReference:
             before = grid.copy()
             assert same_bits(ours(grid), theirs(grid)), (form, params)
             assert grid.tobytes() == before.tobytes()
-            # a strided view and a 2-d block take the same path
+            # a strided view and a 2-d block too
             assert same_bits(ours(grid[::7]), theirs(grid[::7]))
             assert same_bits(ours(grid[:1000].reshape(40, 25)), theirs(grid[:1000].reshape(40, 25)))
             for p in (0.0, hi, float(rng.uniform(0.0, hi))):

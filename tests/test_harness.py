@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -375,8 +376,13 @@ class TestRunValidation:
         assert a["random_points"] != b["random_points"]
 
     def test_rejects_negative_samples(self):
-        with pytest.raises(ValueError):
-            run_validation(ExperimentConfig(), samples=-1)
+        for samples, message in (
+            (-1, "samples must be non-negative"),
+            (1.5, "samples must be an integer, got 1.5"),
+            (True, "samples must be an integer, got True"),
+        ):
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                run_validation(ExperimentConfig(), samples=samples)
 
     def test_report_serializes_without_nan(self, tmp_path):
         report = run_validation(ExperimentConfig(price=0.01, seed=3), samples=2)

@@ -23,6 +23,7 @@ from coopsec.allocator import (
     noncoop_allocation,
     noncoop_quadratic,
     one_side_allocation,
+    penalized_objective,
     relay_allocation,
 )
 from coopsec.harness import ExperimentConfig
@@ -55,7 +56,9 @@ class TestChannelGains:
             ChannelGains(g_ab=math.inf, g_ae=0.3, g_jb=0.5, g_je=0.3, g_aj=0.2)
 
     @pytest.mark.parametrize(
-        "value", ["0.4", b"0.4", True, False], ids=["str", "bytes", "true", "false"]
+        "value",
+        ["0.4", b"0.4", True, False, None, [0.4]],
+        ids=["str", "bytes", "true", "false", "none", "list"],
     )
     def test_strings_and_booleans_are_not_numbers(self, value):
         with pytest.raises(ValueError, match=r"^g_ab must be a number, got "):
@@ -207,6 +210,43 @@ class TestEffectiveGain:
         assert effective_gain(0.37, 1.0, 3.1) == 0.37
 
 
+# Per free function: valid arguments, and the message a NaN in each raises.
+NAN_CHECKS = {
+    effective_gain: (
+        (0.4, 2.0, 2.0),
+        (
+            "gain must be non-negative",
+            "distance must be positive",
+            "eta must be at least 1",
+        ),
+    ),
+    snr_direct: (
+        (0.4, 5.0, 1.0),
+        ("gain and power must be non-negative",) * 2 + ("sigma2 must be finite",),
+    ),
+    snr_relay_path: (
+        (0.2, 0.5, 1.0, 1.0, 1.0),
+        ("gains and powers must be non-negative",) * 4 + ("sigma2 must be finite",),
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "function, position",
+    [
+        pytest.param(function, position, id=f"{function.__name__}-{position}")
+        for function, (args, _) in NAN_CHECKS.items()
+        for position in range(len(args))
+    ],
+)
+def test_nan_argument_is_rejected(function, position):
+    args, messages = NAN_CHECKS[function]
+    args = list(args)
+    args[position] = math.nan
+    with pytest.raises(ValueError, match=f"^{messages[position]}"):
+        function(*args)
+
+
 GAINS = ChannelGains(g_ab=0.4, g_ae=0.3, g_jb=0.5, g_je=0.3, g_aj=0.2)
 UNIT = Geometry(d_ab=1.0, d_ae=1.0, d_jb=1.0, d_je=1.0, d_aj=1.0)
 BUDGETS = PowerBudget(5.0, 5.0)
@@ -241,6 +281,12 @@ ENTRY_POINTS = {
         )
         for allocation in (one_side_allocation, mac_allocation, relay_allocation)
     },
+    "penalized_objective": (
+        ("alpha", "price"),
+        lambda alpha, price, sigma2: penalized_objective(
+            ScenarioKind.MAC_COOP, "p_a", GAINS, NoiseModel(1.0), price=price, alpha=alpha
+        ),
+    ),
     "noncoop_quadratic": (
         ("price", "sigma2"),
         lambda alpha, price, sigma2: noncoop_quadratic(0.4, 0.3, sigma2, price),
@@ -270,6 +316,7 @@ BAD_VALUES = {
     "alpha": [
         ("0.8", "alpha must be a number, got '0.8'"),
         (True, "alpha must be a number, got True"),
+        (None, "alpha must be a number, got None"),
         (math.nan, "alpha must be finite"),
         (0.0, "cooperative modes need alpha in (0, 1]"),
         (1.5, "cooperative modes need alpha in (0, 1]"),
@@ -277,23 +324,34 @@ BAD_VALUES = {
     "price": [
         ("0.01", "price must be a number, got '0.01'"),
         (False, "price must be a number, got False"),
+        (None, "price must be a number, got None"),
         (math.inf, "price must be finite"),
         (-0.01, "price must be non-negative"),
     ],
     "sigma2": [
         ("1.0", "sigma2 must be a number, got '1.0'"),
         (True, "sigma2 must be a number, got True"),
+        (None, "sigma2 must be a number, got None"),
         (math.nan, "sigma2 must be finite"),
         (0.0, "sigma2 must be positive"),
     ],
 }
+
+# Where ``None`` means "not given", the entry's own message stands.
+NOT_GIVEN = {("secrecy_rate", "alpha"): "mac_coop requires alpha"}
 
 
 class TestOneCheckPerInput:
     @pytest.mark.parametrize(
         "entry, quantity, value, message",
         [
-            pytest.param(entry, quantity, value, message, id=f"{entry}-{quantity}-{value!r}")
+            pytest.param(
+                entry,
+                quantity,
+                value,
+                NOT_GIVEN.get((entry, quantity), message) if value is None else message,
+                id=f"{entry}-{quantity}-{value!r}",
+            )
             for entry, (quantities, _) in ENTRY_POINTS.items()
             for quantity in quantities
             for value, message in BAD_VALUES[quantity]

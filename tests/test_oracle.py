@@ -83,6 +83,12 @@ class TestGridSearchOptimum:
         assert xv == pytest.approx(xs, abs=1e-12)
         assert fv == pytest.approx(fs, abs=1e-12)
 
+    def test_tolerance_below_float_spacing_terminates(self):
+        # the refinement width (1e-3 / 10001 / 100) is below the spacing near 1e10
+        peak = 1e10 + 5e-4
+        best_x, _ = grid_search_optimum(lambda x: -((x - peak) ** 2), 1e10, 1e10 + 1e-3)
+        assert abs(best_x - peak) <= 1e-3 / 10000
+
     @settings(max_examples=40, deadline=None)
     @given(peak=st.floats(min_value=0.5, max_value=9.5))
     def test_parabola_peak_recovered_within_one_grid_step(self, peak):
@@ -256,29 +262,37 @@ class TestValidationReport:
         assert VERDICT_INFEASIBLE == "infeasible"
 
 
-def random_intervals(rng, count):
-    """Intervals with ``lo != 0`` of either sign, with spans relative to
-    ``|lo|`` (1e-12 to 1e3) or absolute (1e-12 to 1e300)."""
+def searched_arrays(search, *args):
+    """The arrays ``search`` evaluates its objective on, in order."""
 
-    intervals = []
-    while len(intervals) < count:
-        lo = float(rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-300.0, 300.0))
-        if rng.random() < 0.5:
-            hi = lo + abs(lo) * float(10.0 ** rng.uniform(-12.0, 3.0))
-        else:
-            hi = lo + float(10.0 ** rng.uniform(-12.0, 300.0))
-        if math.isfinite(hi) and hi > lo:
-            intervals.append((lo, hi))
-    return intervals
+    objective, *rest = args
+    seen = []
+
+    def recorded(x):
+        if isinstance(x, np.ndarray):
+            seen.append(np.array(x, copy=True))
+        return objective(x)
+
+    search(recorded, *rest)
+    return seen
 
 
 class TestExactGrid:
     """The search grid is ``np.linspace`` bit for bit."""
 
     @pytest.mark.parametrize("n", [2, 3, 101, 10001])
-    def test_matches_linspace_on_random_intervals(self, n):
-        for lo, hi in random_intervals(np.random.default_rng(n), 750):
-            assert oracle._grid(lo, hi, n).tobytes() == np.linspace(lo, hi, n).tobytes(), (lo, hi)
+    def test_matches_linspace_on_random_intervals(self, fallbacks, n):
+        # the windowed search on [0, hi] evaluates only np.linspace(0, hi, n)'s points
+        rng = np.random.default_rng(n)
+        for _ in range(750):
+            hi = float(10.0 ** rng.uniform(-300.0, 300.0))
+            objective, key = keyed_objective("gap", 0.4, 0.3, 1.0, 0.01, 10.0 / hi)
+            grid = np.linspace(0.0, hi, n)
+            for points in searched_arrays(oracle._windowed_search, objective, key, hi, n):
+                # every point is one of the grid's, bit for bit
+                assert np.isin(points.view(np.int64), grid.view(np.int64)).all(), hi
+        assert all(resolution == n for _, _, resolution in fallbacks)
+        assert bool(fallbacks) == (n < 8)
 
     @pytest.mark.parametrize(
         "lo,hi",
@@ -286,29 +300,18 @@ class TestExactGrid:
     )
     @pytest.mark.parametrize("n", [2, 3, 101, 10001])
     def test_subnormal_spans(self, lo, hi, n):
-        assert oracle._grid(lo, hi, n).tobytes() == np.linspace(lo, hi, n).tobytes()
+        (grid,) = searched_arrays(grid_search_optimum, lambda x: -(x / hi) ** 2, lo, hi, n)
+        assert grid.tobytes() == np.linspace(lo, hi, n).tobytes()
 
     def test_huge_span(self):
         for lo, hi in ((-1e300, 1e300), (-8e307, 8e307), (1.0, 1.7e308)):
             for n in (2, 10001):
-                assert oracle._grid(lo, hi, n).tobytes() == np.linspace(lo, hi, n).tobytes()
-
-    def test_cached_index_is_read_only(self):
-        first = oracle._grid(1.0, 2.0, 101)
-        first[:] = -1.0
-        assert oracle._grid(1.0, 2.0, 101).tobytes() == np.linspace(1.0, 2.0, 101).tobytes()
-        with pytest.raises(ValueError):
-            oracle._grid_index(101)[0] = 5.0
+                (grid,) = searched_arrays(grid_search_optimum, lambda x: -(x / hi) ** 2, lo, hi, n)
+                assert grid.tobytes() == np.linspace(lo, hi, n).tobytes()
 
     def test_search_evaluates_the_linspace_grid(self):
-        seen = []
-
-        def objective(x):
-            seen.append(np.array(x, copy=True))
-            return -((x - 0.3) ** 2)
-
-        grid_search_optimum(objective, -2.5, 1.75, resolution=517)
-        assert seen[0].tobytes() == np.linspace(-2.5, 1.75, 517).tobytes()
+        (grid,) = searched_arrays(grid_search_optimum, lambda x: -((x - 0.3) ** 2), -2.5, 1.75, 517)
+        assert grid.tobytes() == np.linspace(-2.5, 1.75, 517).tobytes()
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_vectorized_non_finite_names_first_bad_point(self, bad):
@@ -468,17 +471,9 @@ class TestWindowedSearch:
     def test_evaluates_the_exact_grid_points(self, hi):
         objective, key = keyed_objective(*STD_GAP)
         for probe in (objective, parabola, lambda x: x * 1.0, lambda x: -x):
-            seen = []
-
-            def recorded(x, probe=probe):
-                if isinstance(x, np.ndarray):
-                    seen.append(np.array(x, copy=True))
-                return probe(x)
-
-            oracle._windowed_search(recorded, key, hi)
-            grid = oracle._grid(0.0, hi, 10001)
+            coarse, window = searched_arrays(oracle._windowed_search, probe, key, hi)
+            grid = np.linspace(0.0, hi, 10001)
             positions, _ = oracle._coarse_index(10001)
-            coarse, window = seen
             assert coarse.tobytes() == grid[list(positions)].tobytes()
             start = int(np.flatnonzero(grid == window[0])[0])
             assert window.tobytes() == grid[start : start + len(window)].tobytes()
@@ -544,7 +539,7 @@ class TestWindowedSearch:
         assert len(fallbacks) == 1
 
     def test_non_finite_window_value_falls_back(self, fallbacks):
-        grid = oracle._grid(0.0, 10.0, 10001)
+        grid = np.linspace(0.0, 10.0, 10001)
         bad = float(grid[3705])
 
         def objective(x):

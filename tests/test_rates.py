@@ -34,16 +34,6 @@ class TestRatePair:
         pair = RatePair(-0.5, 0.3)
         assert pair.clamped() == RatePair(0.0, 0.3)
 
-    def test_to_base_two(self):
-        pair = RatePair(math.log(2.0), 2.0 * math.log(2.0))
-        base2 = pair.to_base(2.0)
-        assert base2.cs1 == pytest.approx(1.0)
-        assert base2.cs2 == pytest.approx(2.0)
-
-    def test_to_base_rejects_base_one(self):
-        with pytest.raises(ValueError):
-            RatePair(0.1, 0.1).to_base(1.0)
-
 
 class TestScalarRates:
     def test_rate_p2p_is_log1p(self):
