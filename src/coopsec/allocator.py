@@ -22,6 +22,14 @@ the cubic :func:`relay_cubic_for_a` at fixed own-message seeds of half of each
 budget.  Every alpha, price and sigma2 goes through the one check of each in
 :mod:`coopsec.model`.
 
+Public entry points check their inputs; private kernels take checked
+floats.  An allocation checks ``alpha`` and ``price`` once, then passes the
+floats to the kernels behind the public polynomials (:func:`_gap_quadratic`
+behind :func:`noncoop_quadratic`, :func:`_relay_cubic` behind
+:func:`relay_cubic_for_a`) and builds its objective from them directly;
+the kernels do the public functions' arithmetic in the same order, so the
+results are the same bits.
+
 This module holds only what decides an allocation.  The paper's printed
 per-mode formulas, which no allocation follows, live with their audit in
 :mod:`coopsec.oracle`; :func:`evaluate_closed_forms` is the one exception
@@ -107,7 +115,7 @@ def solve_quadratic_real(coeffs: Sequence[float]) -> list[float]:
 
     if len(coeffs) != 3:
         raise ValueError(f"expected 3 coefficients, got {len(coeffs)}")
-    a, b, c = (float(x) for x in coeffs)
+    a, b, c = map(float, coeffs)
     top = max(abs(a), abs(b), abs(c))
     if top == 0.0:
         raise ValueError("polynomial is identically zero")
@@ -303,8 +311,13 @@ def relay_cubic_for_a(
     lam = _as_price(price)
     if p_a < 0:
         raise ValueError("p_a must be non-negative")
+    return _relay_cubic(gains, noise.sigma2, p_a, a, lam)
+
+
+def _relay_cubic(gains: ChannelGains, s2: float, p_a: float, a: float, lam: float) -> list[float]:
+    """:func:`relay_cubic_for_a` on checked floats."""
+
     g_ab, g_ae, g_aj, g_jb = gains.g_ab, gains.g_ae, gains.g_aj, gains.g_jb
-    s2 = noise.sigma2
     w1 = s2 * g_jb**2 + g_jb**2 * g_ab * p_a + g_jb**2 * g_aj * p_a
     w2 = (s2 * g_jb + 2 * g_jb * g_ab * p_a + g_aj * g_jb * p_a + s2 * g_jb) * (g_aj + s2)
     w3 = (g_ab * p_a + s2) * (g_aj * p_a + s2) ** 2
@@ -332,6 +345,12 @@ def noncoop_quadratic(g_main: float, g_eve: float, sigma2: float, price: float) 
     sigma2 = _as_sigma2(sigma2)
     if g_main < 0 or g_eve < 0:
         raise ValueError("gains must be non-negative")
+    return _gap_quadratic(g_main, g_eve, sigma2, lam)
+
+
+def _gap_quadratic(g_main: float, g_eve: float, sigma2: float, lam: float) -> list[float]:
+    """:func:`noncoop_quadratic` on checked floats."""
+
     return [
         lam * g_main * g_eve,
         lam * sigma2 * (g_main + g_eve),
@@ -603,7 +622,7 @@ def _priced_gap_optimum(
     flat and the decision is zero, with no root to solve for.
     """
 
-    coeffs = noncoop_quadratic(g_main, g_eve, s2, lam)
+    coeffs = _gap_quadratic(g_main, g_eve, s2, lam)
     if not any(coeffs):
         return 0.0, Provenance.ZERO
     roots = [x / scale for x in solve_quadratic_real(coeffs)]
@@ -732,11 +751,12 @@ def relay_allocation(
     """
 
     a, lam = _as_alpha(alpha), _as_price(price)
+    s2 = noise.sigma2
     seed_a, _, hi, _ = _relay_seeds(budget, a)
-    coeffs = relay_cubic_for_a(gains, noise, p_a=seed_a, alpha=a, price=lam)
-    roots = solve_cubic_real(coeffs)
-    objective = penalized_objective(
-        ScenarioKind.RELAY_COOP, "p_jb", gains, noise, price=lam, alpha=a, p_a=seed_a
+    roots = solve_cubic_real(_relay_cubic(gains, s2, seed_a, a, lam))
+    # penalized_objective(RELAY_COOP, "p_jb", ...) at the seed, on the checked floats
+    objective = _priced_relay_objective(
+        gains.g_ab, gains.g_ae, gains.g_aj, gains.g_jb, s2, lam, seed_a, a
     )
     p_jb, prov = _argmax_candidate(objective, roots, hi)
     p_ab = a * p_jb

@@ -15,6 +15,7 @@ carrying distances around.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, replace
 
 __all__ = [
@@ -101,19 +102,33 @@ class ChannelGains:
     def effective(self, geometry: "Geometry") -> "ChannelGains":
         """Fold path loss into the gains.
 
-        Each link gain is divided by its distance raised to ``geometry.eta``;
-        the inter-transmitter distance ``d_aj`` applies in both directions.
+        Each link gain is divided by its distance raised to ``geometry.eta``,
+        as :func:`effective_gain` does; the inter-transmitter distance
+        ``d_aj`` applies in both directions.  A quotient that overflows is
+        rejected like a non-finite gain.
         """
 
+        # both inputs are checked: the gains are non-negative and every
+        # distance to the power eta is a positive normal float
         eta = geometry.eta
-        return ChannelGains(
-            g_ab=effective_gain(self.g_ab, geometry.d_ab, eta),
-            g_ae=effective_gain(self.g_ae, geometry.d_ae, eta),
-            g_jb=effective_gain(self.g_jb, geometry.d_jb, eta),
-            g_je=effective_gain(self.g_je, geometry.d_je, eta),
-            g_aj=effective_gain(self.g_aj, geometry.d_aj, eta),
-            g_ja=effective_gain(self.g_ja, geometry.d_aj, eta),
+        pair_loss = geometry.d_aj**eta
+        values = (
+            self.g_ab / geometry.d_ab**eta,
+            self.g_ae / geometry.d_ae**eta,
+            self.g_jb / geometry.d_jb**eta,
+            self.g_je / geometry.d_je**eta,
+            self.g_aj / pair_loss,
+            self.g_ja / pair_loss,
         )
+        if not all(map(math.isfinite, values)):
+            for name, value in zip(_GAIN_FIELDS, values):
+                _require_finite(name, value)
+        gains = object.__new__(ChannelGains)
+        vars(gains).update(zip(_GAIN_FIELDS, values))
+        return gains
+
+
+_GAIN_FIELDS = ("g_ab", "g_ae", "g_jb", "g_je", "g_aj", "g_ja")
 
 
 @dataclass(frozen=True)
@@ -128,7 +143,13 @@ class NoiseModel:
 
 @dataclass(frozen=True)
 class Geometry:
-    """Node distances plus the path-loss exponent."""
+    """Node distances plus the path-loss exponent.
+
+    Path loss divides by ``d**eta`` and the gating inequalities of
+    :mod:`coopsec.protocol` multiply by ``d**2``, so ``d**max(eta, 2)`` must
+    be a positive normal float for every distance ``d``: at ``eta = 2``,
+    ``d`` from about 1.5e-154 to 1.3e154.
+    """
 
     d_ab: float
     d_ae: float
@@ -147,6 +168,15 @@ class Geometry:
         if eta < 1:
             raise ValueError(f"eta must be at least 1, got {eta}")
         object.__setattr__(self, "eta", eta)
+        power = max(eta, 2.0)
+        for name in ("d_ab", "d_ae", "d_jb", "d_je", "d_aj"):
+            value = getattr(self, name)
+            try:
+                loss = value**power
+            except OverflowError:
+                loss = math.inf
+            if not sys.float_info.min <= loss <= sys.float_info.max:
+                raise ValueError(f"{name}**{power:g} is out of the float range, got {name}={value}")
 
     def with_eve_at(self, d_ae: float, d_je: float) -> "Geometry":
         """Return a copy with the eavesdropper moved to new distances."""
@@ -198,6 +228,13 @@ def snr_relay_path(g_ir: float, g_rk: float, p_i: float, p_rk: float, sigma2: fl
     sigma2 = _as_sigma2(sigma2)
     if not (g_ir >= 0 and g_rk >= 0 and p_i >= 0 and p_rk >= 0):
         raise ValueError("gains and powers must be non-negative")
+    return _relay_snr(g_ir, g_rk, p_i, p_rk, sigma2)
+
+
+def _relay_snr(g_ir: float, g_rk: float, p_i: float, p_rk: float, sigma2: float) -> float:
+    """:func:`snr_relay_path` on checked floats: non-negative gains and
+    powers, positive finite ``sigma2``."""
+
     hop_i = g_ir * p_i
     hop_k = g_rk * p_rk
     if hop_i == 0.0 or hop_k == 0.0:

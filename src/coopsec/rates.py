@@ -34,7 +34,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple
 
-from .model import ChannelGains, NoiseModel, _as_alpha, snr_direct, snr_relay_path
+from .model import ChannelGains, NoiseModel, _as_alpha, _relay_snr, snr_direct
 
 __all__ = [
     "RatePair",
@@ -133,14 +133,12 @@ def _gap(snr_main: float, snr_eve: float) -> float:
 
 
 def _message_gap(link: _Link, gains: ChannelGains, power: float, alpha, s2: float) -> float:
+    # the SNRs of model.snr_direct, on secrecy_rate's checked floats
     if link.alpha_power > 0:
         power = alpha * power
     elif link.alpha_power < 0:
         power = power / alpha
-    return _gap(
-        snr_direct(getattr(gains, link.main), power, s2),
-        snr_direct(getattr(gains, link.eve), power, s2),
-    )
+    return _gap(getattr(gains, link.main) * power / s2, getattr(gains, link.eve) * power / s2)
 
 
 def secrecy_rate(
@@ -199,14 +197,11 @@ def secrecy_rate(
     else:  # relay_coop
         if p_ab < 0 or p_jb < 0:
             raise ValueError("relay powers must be non-negative")
-        relayed_a = snr_relay_path(gains.g_aj, gains.g_jb, p_a, p_jb, s2)
-        cs1 = rate_mrc_relay(snr_direct(gains.g_ab, p_a, s2), relayed_a) - rate_p2p(
-            snr_direct(gains.g_ae, p_a, s2)
-        )
-        relayed_j = snr_relay_path(gains.g_ja, gains.g_ab, p_j, p_ab, s2)
-        cs2 = rate_mrc_relay(snr_direct(gains.g_jb, p_j, s2), relayed_j) - rate_p2p(
-            snr_direct(gains.g_je, p_j, s2)
-        )
+        # the direct branch and the relayed one add up, as in rate_mrc_relay
+        relayed_a = _relay_snr(gains.g_aj, gains.g_jb, p_a, p_jb, s2)
+        cs1 = math.log1p(gains.g_ab * p_a / s2 + relayed_a) - math.log1p(gains.g_ae * p_a / s2)
+        relayed_j = _relay_snr(gains.g_ja, gains.g_ab, p_j, p_ab, s2)
+        cs2 = math.log1p(gains.g_jb * p_j / s2 + relayed_j) - math.log1p(gains.g_je * p_j / s2)
     if not (math.isfinite(cs1) and math.isfinite(cs2)):
         raise ValueError(
             f"{kind.value} secrecy rates are not finite (cs1={cs1}, cs2={cs2}): "

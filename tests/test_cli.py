@@ -318,6 +318,53 @@ class TestBadConfigs:
         assert err[-1].endswith(message)
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["negotiate", "sweep", "mobility", "validate"])
+    @pytest.mark.parametrize(
+        "distances, message",
+        [
+            ('"d_ab": 1e200', "d_ab**2 is out of the float range, got d_ab=1e+200"),
+            ('"d_ab": 1e-200', "d_ab**2 is out of the float range, got d_ab=1e-200"),
+            ('"d_aj": 1e200, "eta": 1', "d_aj**2 is out of the float range, got d_aj=1e+200"),
+        ],
+        ids=["far", "near", "far-eta-1"],
+    )
+    def test_extreme_distances_exit_with_one_line(
+        self, tmp_path, capsys, command, distances, message
+    ):
+        geometry = {"d_ab": 1, "d_ae": 1, "d_jb": 1, "d_je": 1, "d_aj": 1}
+        geometry.update(json.loads(f"{{{distances}}}"))
+        config = self.write_config(tmp_path, json.dumps({"geometry": geometry}))
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as excinfo:
+            main([command, "--config", config, "--out", str(out)])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 2 and err[0].startswith("usage: ")
+        assert err[-1] == f"coopsec: error: --config: invalid config in {config}: {message}"
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "command, text, message",
+        [
+            ("mobility", '{"trajectory": [[2.0, 2.0], [1e200, 2.0]]}',
+             "mobility: d_ae**2 is out of the float range, got d_ae=1e+200"),
+            ("sweep", '{"axis": {"name": "d_ab", "lo": 1, "hi": 1e200, "steps": 3}}',
+             "sweep: d_ab**2 is out of the float range, got d_ab=5e+199"),
+        ],
+        ids=["trajectory", "axis"],
+    )
+    def test_extreme_distance_on_the_way_exits_with_one_line(
+        self, tmp_path, capsys, command, text, message
+    ):
+        config = self.write_config(tmp_path, text)
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as excinfo:
+            main([command, "--config", config, "--out", str(out)])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 2 and err[-1] == f"coopsec: error: {message}"
+        assert not out.exists()
+
     def test_zero_price_validation_is_a_clean_error(self, tmp_path, capsys):
         config = self.write_config(tmp_path, '{"lambda": 0}')
         with pytest.raises(SystemExit) as excinfo:

@@ -3,6 +3,7 @@ check of each allocation input (alpha, price, sigma2) at every entry point."""
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import pytest
@@ -18,6 +19,7 @@ from coopsec import (
     snr_direct,
     snr_relay_path,
 )
+from coopsec import model
 from coopsec.allocator import (
     mac_allocation,
     noncoop_allocation,
@@ -86,6 +88,39 @@ class TestChannelGains:
         assert eff.g_aj == pytest.approx(0.2 / 0.25)
         assert eff.g_ja == pytest.approx(0.2 / 0.25)
 
+    @given(
+        gains=st.lists(finite_gain, min_size=6, max_size=6),
+        distances=st.lists(distance, min_size=5, max_size=5),
+        eta=st.floats(min_value=1.0, max_value=4.0),
+    )
+    def test_effective_is_effective_gain_per_link(self, gains, distances, eta):
+        """The kernel gives the bits of ``effective_gain`` on every link."""
+
+        original = ChannelGains(*gains)
+        geometry = Geometry(*distances, eta=eta)
+        link_distances = distances + [distances[-1]]  # d_aj serves g_aj and g_ja
+        expected = ChannelGains(
+            *(effective_gain(g, d, eta) for g, d in zip(gains, link_distances))
+        )
+        got = original.effective(geometry)
+        assert type(got) is ChannelGains
+        for field in dataclasses.fields(ChannelGains):
+            assert repr(getattr(got, field.name)) == repr(getattr(expected, field.name))
+        assert got == expected
+        assert hash(got) == hash(expected)
+        assert repr(got) == repr(expected)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            got.g_ab = 1.0
+
+    @pytest.mark.parametrize(
+        "distances, name",
+        [((1e-5, 1.0, 1.0, 1.0, 1.0), "g_ab"), ((1.0, 1.0, 1.0, 1.0, 1e-5), "g_aj")],
+    )
+    def test_effective_overflow_names_the_gain(self, distances, name):
+        gains = ChannelGains(g_ab=1e300, g_ae=0.3, g_jb=0.5, g_je=0.3, g_aj=1e300)
+        with pytest.raises(ValueError, match=rf"^{name} must be finite, got inf$"):
+            gains.effective(Geometry(*distances))
+
 
 class TestGeometry:
     def test_zero_distance_rejected(self):
@@ -95,6 +130,30 @@ class TestGeometry:
     def test_eta_below_one_rejected(self):
         with pytest.raises(ValueError):
             Geometry(d_ab=1.0, d_ae=1.0, d_jb=1.0, d_je=1.0, d_aj=1.0, eta=0.5)
+
+    @pytest.mark.parametrize(
+        "name, value, eta, message",
+        [
+            ("d_ab", 1e200, 2.0, "d_ab**2 is out of the float range, got d_ab=1e+200"),
+            ("d_ab", 1e-200, 2.0, "d_ab**2 is out of the float range, got d_ab=1e-200"),
+            # the gating inequalities square d_aj whatever eta is
+            ("d_aj", 1e200, 1.0, "d_aj**2 is out of the float range, got d_aj=1e+200"),
+            ("d_je", 1e120, 3.0, "d_je**3 is out of the float range, got d_je=1e+120"),
+            ("d_ae", 1e-160, 2.0, "d_ae**2 is out of the float range, got d_ae=1e-160"),
+        ],
+    )
+    def test_distance_powers_must_stay_in_float_range(self, name, value, eta, message):
+        distances = dict(d_ab=1.0, d_ae=1.0, d_jb=1.0, d_je=1.0, d_aj=1.0)
+        distances[name] = value
+        with pytest.raises(ValueError) as info:
+            Geometry(**distances, eta=eta)
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("value", [1e-150, 1e150])
+    def test_distance_powers_inside_float_range_accepted(self, value):
+        geometry = Geometry(d_ab=value, d_ae=1.0, d_jb=1.0, d_je=1.0, d_aj=value)
+        gains = ChannelGains(g_ab=0.4, g_ae=0.3, g_jb=0.5, g_je=0.3, g_aj=0.2)
+        assert gains.effective(geometry).g_ab == 0.4 / value**2
 
     def test_with_eve_at_moves_only_eve(self, unit_geometry):
         moved = unit_geometry.with_eve_at(2.5, 3.0)
@@ -363,3 +422,48 @@ class TestOneCheckPerInput:
             ENTRY_POINTS[entry][1](**inputs)
         text = str(info.value)
         assert text.startswith(message) and "\n" not in text
+
+
+@pytest.fixture
+def checks(monkeypatch):
+    """Names passed to ``model._require_finite``, in call order."""
+
+    names = []
+    check = model._require_finite
+
+    def counting(name, value):
+        names.append(name)
+        return check(name, value)
+
+    monkeypatch.setattr(model, "_require_finite", counting)
+    return names
+
+
+class TestCheckCount:
+    """Past its entry point, the negotiate path passes checked floats on."""
+
+    def test_relay_allocation_checks_alpha_and_price_once(self, checks):
+        noise = NoiseModel(1.0)
+        checks.clear()
+        relay_allocation(GAINS, noise, BUDGETS, alpha=0.8, price=0.01)
+        assert sorted(checks) == ["alpha", "price"]
+
+    @pytest.mark.parametrize(
+        "geometry, switches, mode",
+        [
+            (UNIT, {}, ScenarioKind.RELAY_COOP),
+            (UNIT, {"john_accepts_relay": False}, ScenarioKind.MAC_COOP),
+            (UNIT, {"john_accepts_relay": False, "john_accepts_mac": False},
+             ScenarioKind.ONE_SIDE_COOP),
+            (UNIT, {"john_accepts_relay": False, "john_accepts_mac": False,
+                    "john_accepts_one_side": False}, ScenarioKind.NON_COOP),
+            (UNIT.with_eve_at(3.0, 3.0), {}, ScenarioKind.NON_COOP),
+        ],
+        ids=["relay", "mac", "one-side", "declined", "gated"],
+    )
+    def test_negotiate_checks_at_most_six_times(self, checks, geometry, switches, mode):
+        policy = NegotiationPolicy(**switches)
+        checks.clear()
+        kind, _ = negotiate(policy, GAINS, geometry, 1.0, 0.01, BUDGETS)
+        assert kind is mode
+        assert len(checks) <= 6, checks

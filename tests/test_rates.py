@@ -18,6 +18,8 @@ from coopsec import (
     rate_mrc_relay,
     rate_p2p,
     secrecy_rate,
+    snr_direct,
+    snr_relay_path,
 )
 
 gain = st.floats(min_value=0.01, max_value=2.0)
@@ -170,6 +172,68 @@ class TestSecrecyRateRelay:
     def test_string_kind_accepted(self, std_gains, std_noise):
         pair = secrecy_rate("relay_coop", std_gains, std_noise, p_a=5.0, p_j=5.0, p_jb=5.0)
         assert pair.cs1 > 0
+
+
+def composed_rates(kind, gains, s2, p_a, p_j, alpha, p_ab, p_jb):
+    """Secrecy rates spelled with the model's public SNR and rate functions."""
+
+    def gap(main, eve, power):
+        return rate_p2p(snr_direct(main, power, s2)) - rate_p2p(snr_direct(eve, power, s2))
+
+    def relayed(direct, eve, hop1, hop2, own, slice_):
+        combined = rate_mrc_relay(
+            snr_direct(direct, own, s2), snr_relay_path(hop1, hop2, own, slice_, s2)
+        )
+        return combined - rate_p2p(snr_direct(eve, own, s2))
+
+    g = gains
+    if kind is ScenarioKind.NON_COOP:
+        return gap(g.g_ab, g.g_ae, p_a), gap(g.g_jb, g.g_je, p_j)
+    if kind is ScenarioKind.ONE_SIDE_COOP:
+        return gap(g.g_ab, g.g_ae, p_a), gap(g.g_ab, g.g_ae, alpha * p_j)
+    if kind is ScenarioKind.MAC_COOP:
+        return gap(g.g_ab, g.g_ae, alpha * p_j), gap(g.g_jb, g.g_je, p_a / alpha)
+    return (
+        relayed(g.g_ab, g.g_ae, g.g_aj, g.g_jb, p_a, p_jb),
+        relayed(g.g_jb, g.g_je, g.g_ja, g.g_ab, p_j, p_ab),
+    )
+
+
+def assert_rates_compose(kind, gains, s2, p_a, p_j, alpha, p_ab, p_jb):
+    pair = secrecy_rate(
+        kind, gains, NoiseModel(s2), p_a=p_a, p_j=p_j, alpha=alpha, p_ab=p_ab, p_jb=p_jb
+    )
+    assert (pair.cs1, pair.cs2) == composed_rates(kind, gains, s2, p_a, p_j, alpha, p_ab, p_jb)
+
+
+class TestSecrecyRateKernel:
+    """``secrecy_rate`` computes its SNRs itself; the bits are those of the
+    public building blocks."""
+
+    @given(
+        kind=st.sampled_from(list(ScenarioKind)),
+        gains=st.lists(st.floats(min_value=0.0, max_value=10.0), min_size=6, max_size=6),
+        s2=st.one_of(st.just(1e-300), st.floats(min_value=0.01, max_value=10.0)),
+        powers=st.lists(power, min_size=4, max_size=4),
+        alpha=st.floats(min_value=0.01, max_value=1.0),
+    )
+    def test_equals_the_composition(self, kind, gains, s2, powers, alpha):
+        assert_rates_compose(kind, ChannelGains(*gains), s2, *powers[:2], alpha, *powers[2:])
+
+    @pytest.mark.parametrize(
+        "g_aj, g_jb, p_a, p_jb",
+        [
+            (0.2, 0.5, 0.0, 0.0),
+            (0.0, 0.0, 5.0, 5.0),
+            (0.2, 0.5, 1e-30, 0.0),
+            (0.2, 0.5, 1e-30, 1e-30),
+            (0.5, 0.2, 1e-30, 1e-30),
+        ],
+    )
+    def test_relay_hops_with_underflowing_denominator(self, g_aj, g_jb, p_a, p_jb):
+        # the relay hops of test_model's snr_relay_path cases at sigma2 = 1e-300
+        gains = ChannelGains(g_ab=0.4, g_ae=0.3, g_jb=g_jb, g_je=0.3, g_aj=g_aj, g_ja=g_aj)
+        assert_rates_compose(ScenarioKind.RELAY_COOP, gains, 1e-300, p_a, p_a, None, p_jb, p_jb)
 
 
 class TestSecrecyRateOverflow:
