@@ -76,8 +76,6 @@ from .protocol import (
 from .rates import (
     RatePair,
     ScenarioKind,
-    SecrecyRegion,
-    mac_secrecy_region,
     rate_mrc_relay,
     rate_p2p,
     secrecy_rate,
@@ -104,7 +102,6 @@ __all__ = [
     "Provenance",
     "RatePair",
     "ScenarioKind",
-    "SecrecyRegion",
     "SweepAxis",
     "SweepRow",
     "ValidationReport",
@@ -116,7 +113,6 @@ __all__ = [
     "grid_search_optimum",
     "load_config",
     "mac_allocation",
-    "mac_secrecy_region",
     "mobility_default_config",
     "negotiate",
     "noncoop_allocation",

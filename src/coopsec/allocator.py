@@ -785,35 +785,52 @@ def bisect_price_for_budget(
     target: float,
     *,
     price_lo: float = 0.0,
-    price_hi: float | None = None,
-    tol: float = 1e-10,
-    max_iter: int = 200,
 ) -> float:
     """Smallest price at which consumption drops to the target.
 
     ``consumed_power`` maps a price to total allocated power and must be
-    non-increasing.  The bracket's upper end is grown geometrically until it
-    satisfies the target, then bisected to ``tol`` (relative on the price).
-    Returns ``price_lo`` immediately when the target is already met there.
+    non-increasing.  The bracket's upper end starts at ``max(1, 2 * price_lo)``
+    and doubles until it meets the target; the bracket is then bisected to a
+    width of ``1e-10`` relative to the price.  Returns ``price_lo`` at once
+    when the target is met there.
+
+    Raises
+    ------
+    ValueError
+        On a negative target, on a probe that consumes strictly more than a
+        probe at a lower price, or when 120 doublings miss the target.
     """
 
     if target < 0:
         raise ValueError("target power must be non-negative")
+    probes: list[tuple[float, float]] = []
+
+    def consumed(price: float) -> float:
+        power = consumed_power(price)
+        for low, high in (sorted([probe, (price, power)]) for probe in probes):
+            if low[0] < high[0] and low[1] < high[1]:
+                raise ValueError(
+                    f"consumption rises with price: {low[1]} at price {low[0]} "
+                    f"but {high[1]} at price {high[0]}"
+                )
+        probes.append((price, power))
+        return power
+
     lo = float(price_lo)
-    if consumed_power(lo) <= target:
+    if consumed(lo) <= target:
         return lo
-    hi = float(price_hi) if price_hi is not None else max(1.0, 2.0 * lo)
-    expansions = 0
-    while consumed_power(hi) > target:
+    hi = max(1.0, 2.0 * lo)
+    for _ in range(121):
+        if consumed(hi) <= target:
+            break
         hi *= 2.0
-        expansions += 1
-        if expansions > 120:
-            raise ValueError("no price within range brings consumption to the target")
-    for _ in range(max_iter):
-        if hi - lo <= tol * max(1.0, hi):
+    else:
+        raise ValueError("no price within range brings consumption to the target")
+    for _ in range(200):
+        if hi - lo <= 1e-10 * max(1.0, hi):
             break
         mid = 0.5 * (lo + hi)
-        if consumed_power(mid) > target:
+        if consumed(mid) > target:
             lo = mid
         else:
             hi = mid

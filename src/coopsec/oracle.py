@@ -1,6 +1,7 @@
 """The paper's printed formulas, and brute-force cross-checks of them.
 
-The allocator trusts published polynomial conditions and closed forms.  This
+The allocator trusts two stationarity polynomials, the priced-gap quadratic
+and the printed relay cubic; no allocation evaluates a closed form.  This
 module trusts nothing: it maximizes the same penalized objectives by direct
 grid evaluation (plus a golden-section refinement pass) and differentiates
 them by central differences.  ``validate_scenario`` runs both paths side by
@@ -468,11 +469,6 @@ class ValidationReport:
                 return item
         raise KeyError(formula_id)
 
-    def worst_verdict(self) -> str:
-        """Most severe verdict present (typo > infeasible > agree)."""
-
-        return _most_severe(item.verdict for item in self.entries)
-
     def summary(self) -> dict[str, int]:
         """Verdict counts keyed by verdict string."""
 
@@ -499,7 +495,6 @@ def _check_formula(
     closed_form: float | None,
     hi_budget: float,
     searches: MutableMapping[tuple, float],
-    resolution: int = _DEFAULT_RESOLUTION,
 ) -> FormulaCheck:
     """Compare one polynomial condition (and optional closed form) with the oracle.
 
@@ -508,8 +503,7 @@ def _check_formula(
     the budget is still visible to the comparison instead of being clamped
     out of existence.  The oracle argmax is :func:`grid_search_optimum`'s,
     found by :func:`_windowed_search`.  ``searches`` holds the oracle argmax
-    of each ``(objective_key, hi, resolution)`` already searched at this
-    point.
+    of each ``(objective_key, hi)`` already searched at this point.
 
     The roots imply a decision by the allocator's own rule,
     :func:`coopsec.allocator._argmax_candidate`; it skips non-finite values,
@@ -521,12 +515,12 @@ def _check_formula(
     if closed_form is not None and math.isfinite(closed_form) and closed_form > 0.0:
         candidates.append(closed_form)
     hi = max([float(hi_budget), 1.0] + [2.0 * c for c in candidates])
-    step = hi / (resolution - 1)
+    step = hi / (_DEFAULT_RESOLUTION - 1)
 
-    search = (objective_key, hi, resolution)
+    search = (objective_key, hi)
     oracle_x = searches.get(search)
     if oracle_x is None:
-        oracle_x, _ = _windowed_search(objective, objective_key, hi, resolution)
+        oracle_x, _ = _windowed_search(objective, objective_key, hi)
         searches[search] = oracle_x
 
     root_value, _ = _argmax_candidate(objective, positives, hi)
@@ -741,8 +735,8 @@ def distance_mac_quadratic_pj_variant(
     """Alternate route for the geometry-aware j-side quadratic.
 
     Fixes the square-law exponent and pairs each gain with its own distance
-    in the linear term instead of the partner's.  Kept for comparison; the
-    substitution route above is what allocations use.
+    in the linear term instead of the partner's.  Kept for comparison;
+    allocations use ``gains.effective(geometry)``, not a distance quadratic.
     """
 
     a = _as_alpha(alpha)

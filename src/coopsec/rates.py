@@ -3,7 +3,8 @@
 All rates are natural-log values (nats per channel use).  A secrecy rate is
 the gap ``log(1 + snr_legitimate) - log(1 + snr_eavesdropper)``; it may be
 negative, in which case the operational secrecy capacity is zero and callers
-can apply :meth:`RatePair.clamped`.
+can apply :meth:`RatePair.clamped`.  Each message's rate is the gap on its
+own link pair: the two messages do not interfere.
 
 The four modes:
 
@@ -34,13 +35,11 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple
 
-from .model import ChannelGains, NoiseModel, _as_alpha, _relay_snr, snr_direct
+from .model import ChannelGains, NoiseModel, _as_alpha, _relay_snr
 
 __all__ = [
     "RatePair",
     "ScenarioKind",
-    "SecrecyRegion",
-    "mac_secrecy_region",
     "rate_mrc_relay",
     "rate_p2p",
     "secrecy_rate",
@@ -208,109 +207,3 @@ def secrecy_rate(
             "a gain over sigma2 overflows the SNR"
         )
     return RatePair(cs1, cs2)
-
-
-@dataclass(frozen=True)
-class SecrecyRegion:
-    """Rectangle-with-a-cut region of simultaneously achievable rate pairs.
-
-    Membership means ``0 <= r1 <= r1_max``, ``0 <= r2 <= r2_max`` and
-    ``r1 + r2 <= sum_max``.  The sum bound is independent of the individual
-    bounds; no ordering between them is assumed or enforced.
-    """
-
-    r1_max: float
-    r2_max: float
-    sum_max: float
-
-    def __post_init__(self) -> None:
-        for name in ("r1_max", "r2_max", "sum_max"):
-            value = float(getattr(self, name))
-            if not math.isfinite(value) or value < 0:
-                raise ValueError(f"{name} must be finite and non-negative, got {value}")
-            object.__setattr__(self, name, value)
-
-    def contains(self, pair: RatePair, tol: float = 1e-12) -> bool:
-        cs1, cs2 = pair.cs1, pair.cs2
-        return (
-            cs1 >= -tol
-            and cs2 >= -tol
-            and cs1 <= self.r1_max + tol
-            and cs2 <= self.r2_max + tol
-            and cs1 + cs2 <= self.sum_max + tol
-        )
-
-    def vertices(self) -> list[tuple[float, float]]:
-        """Boundary corners, counter-clockwise from the origin.
-
-        Collapses to the plain rectangle when the sum constraint is slack,
-        and drops the dominated corners when it bites.
-        """
-
-        c1, c2, cs = self.r1_max, self.r2_max, self.sum_max
-        points: list[tuple[float, float]] = [(0.0, 0.0)]
-        x_right = min(c1, cs)
-        points.append((x_right, 0.0))
-        if c1 + c2 > cs:
-            # the diagonal cut is active
-            if c1 < cs:
-                points.append((c1, cs - c1))
-            if c2 < cs:
-                points.append((cs - c2, c2))
-        else:
-            points.append((c1, c2))
-        points.append((0.0, min(c2, cs)))
-        deduped: list[tuple[float, float]] = []
-        for pt in points:
-            if not deduped or not (
-                math.isclose(pt[0], deduped[-1][0], abs_tol=1e-15)
-                and math.isclose(pt[1], deduped[-1][1], abs_tol=1e-15)
-            ):
-                deduped.append(pt)
-        return deduped
-
-
-def mac_secrecy_region(
-    gains: ChannelGains,
-    noise: NoiseModel,
-    *,
-    p_a: float,
-    p_j: float,
-    one_side: bool = False,
-) -> SecrecyRegion:
-    """Achievable secrecy-rate region when both messages share the channel.
-
-    The single-user caps compare each transmitter's own link pair; the sum
-    cap compares the superposed receive SNRs:
-
-        r1       <= log((s2 + g_ab p_a) / (s2 + g_ae p_a))
-        r2       <= log((s2 + g_jb p_j) / (s2 + g_je p_j))
-        r1 + r2  <= log((s2 + g_ab p_a + g_jb p_j) / (s2 + g_ae p_a + g_je p_j))
-
-    With ``one_side=True`` only message 1 needs secrecy: the r2 cap keeps the
-    full direct rate (no eavesdropper subtraction) and the sum cap subtracts
-    only the tap on transmitter a's signal.
-
-    Negative caps are clamped to zero, so a channel favouring the
-    eavesdropper yields a degenerate (empty-interior) region.
-    """
-
-    if p_a < 0 or p_j < 0:
-        raise ValueError("powers must be non-negative")
-    s2 = noise.sigma2
-    snr_ab = snr_direct(gains.g_ab, p_a, s2)
-    snr_ae = snr_direct(gains.g_ae, p_a, s2)
-    snr_jb = snr_direct(gains.g_jb, p_j, s2)
-    snr_je = snr_direct(gains.g_je, p_j, s2)
-    r1_max = _gap(snr_ab, snr_ae)
-    if one_side:
-        r2_max = rate_p2p(snr_jb)
-        sum_max = _gap(snr_ab + snr_jb, snr_ae)
-    else:
-        r2_max = _gap(snr_jb, snr_je)
-        sum_max = _gap(snr_ab + snr_jb, snr_ae + snr_je)
-    return SecrecyRegion(
-        r1_max=max(r1_max, 0.0),
-        r2_max=max(r2_max, 0.0),
-        sum_max=max(sum_max, 0.0),
-    )

@@ -603,12 +603,34 @@ class TestBisectPrice:
         assert bisect_price_for_budget(lambda lam: 1.0, 2.0, price_lo=0.0) == 0.0
 
     def test_unreachable_target_rejected(self):
-        with pytest.raises(ValueError):
+        # constant consumption never rises, so it is the bracket that gives up
+        with pytest.raises(ValueError, match="^no price within range brings consumption"):
             bisect_price_for_budget(lambda lam: 10.0, 5.0)
 
     def test_negative_target_rejected(self):
         with pytest.raises(ValueError):
             bisect_price_for_budget(lambda lam: 10.0 / (1.0 + lam), -1.0)
+
+    def test_rising_consumption_while_the_bracket_grows(self, std_gains, std_noise, std_budgets):
+        # the threshold rule spends 3.73 at price 0.05 but goes all-in (10)
+        # once no interior root is left, although a price near 0.08 meets 2
+        def spend(lam: float) -> float:
+            allocation = noncoop_allocation(std_gains, std_noise, std_budgets, price=lam)
+            return allocation.p_a + allocation.p_j
+
+        message = (
+            r"^consumption rises with price: 3\.727\d* at price 0\.05 but 10\.0 at price 1\.0$"
+        )
+        with pytest.raises(ValueError, match=message):
+            bisect_price_for_budget(spend, 2.0, price_lo=0.05)
+
+    def test_rising_consumption_during_the_bisection(self):
+        # the bracket [0, 1] is sound, but its midpoints see a bump
+        def bumped(lam: float) -> float:
+            return 10.0 / (1.0 + lam) + (3.0 if 0.7 < lam < 0.8 else 0.0)
+
+        with pytest.raises(ValueError, match=r" at price 0\.5 but [\d.]+ at price 0\.75$"):
+            bisect_price_for_budget(bumped, 5.0)
 
     def test_prices_swap_consumption_to_budget(self, std_gains, std_noise):
         # drive both stationary powers of the swap mode down to a joint cap

@@ -1,4 +1,5 @@
-"""Every exported name resolves, and so does everything the benchmark traces.
+"""Every exported name resolves, and so does everything the benchmark traces;
+every demo runs.
 
 ``perfbench/tracing.py`` patches functions by module and attribute name; a
 rename or deletion in the package would otherwise only surface when the
@@ -11,6 +12,7 @@ from __future__ import annotations
 import importlib
 import importlib.util
 import inspect
+import runpy
 import sys
 from pathlib import Path
 
@@ -20,6 +22,7 @@ import coopsec
 
 MODULES = ["allocator", "cli", "harness", "model", "oracle", "protocol", "rates"]
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+DEMOS = sorted((PERFBENCH.parent / "demos").glob("*.py"))
 
 
 def load_perfbench(name):
@@ -174,3 +177,24 @@ def test_cooperation_level_is_gone():
 
     assert not hasattr(coopsec, "CooperationLevel")
     assert not hasattr(model, "CooperationLevel")
+
+
+def test_unused_surface_is_gone():
+    from coopsec import allocator, oracle, rates
+
+    for name in ("SecrecyRegion", "mac_secrecy_region"):
+        assert not hasattr(coopsec, name)
+        assert not hasattr(rates, name)
+    assert not hasattr(oracle.ValidationReport, "worst_verdict")
+    params = inspect.signature(allocator.bisect_price_for_budget).parameters.values()
+    assert [(p.name, p.kind is p.KEYWORD_ONLY) for p in params] == [
+        ("consumed_power", False),
+        ("target", False),
+        ("price_lo", True),
+    ]
+
+
+@pytest.mark.parametrize("path", DEMOS, ids=lambda path: path.name)
+def test_demo_runs_and_prints(path, capsys):
+    runpy.run_path(str(path), run_name="__main__")
+    assert capsys.readouterr().out.strip()

@@ -22,7 +22,12 @@ from coopsec import (
     validate_scenario,
 )
 from coopsec import allocator, harness, oracle
-from coopsec.oracle import VERDICT_AGREE, VERDICT_INFEASIBLE, VERDICT_SUSPECTED_TYPO
+from coopsec.oracle import (
+    VERDICT_AGREE,
+    VERDICT_INFEASIBLE,
+    VERDICT_SUSPECTED_TYPO,
+    _most_severe,
+)
 
 STD_GAINS = ChannelGains(g_ab=0.4, g_ae=0.3, g_jb=0.5, g_je=0.3, g_aj=0.2)
 UNIT_GEOMETRY = Geometry(d_ab=1.0, d_ae=1.0, d_jb=1.0, d_je=1.0, d_aj=1.0)
@@ -235,9 +240,13 @@ class TestValidationReport:
             report.entry("non_coop.p_q")
 
     def test_worst_verdict_severity_order(self):
-        assert standard_report(ScenarioKind.NON_COOP, 0.01).worst_verdict() == VERDICT_SUSPECTED_TYPO
-        assert standard_report(ScenarioKind.NON_COOP, 1.0).worst_verdict() == VERDICT_AGREE
-        assert standard_report(ScenarioKind.MAC_COOP, 0.01).worst_verdict() == VERDICT_SUSPECTED_TYPO
+        # the CLI's worst verdict is the most severe key of the summary
+        def worst(kind, price):
+            return _most_severe(standard_report(kind, price).summary())
+
+        assert worst(ScenarioKind.NON_COOP, 0.01) == VERDICT_SUSPECTED_TYPO
+        assert worst(ScenarioKind.NON_COOP, 1.0) == VERDICT_AGREE
+        assert worst(ScenarioKind.MAC_COOP, 0.01) == VERDICT_SUSPECTED_TYPO
 
     def test_summary_counts_cover_every_entry(self):
         for kind in ScenarioKind:

@@ -12,15 +12,16 @@ from coopsec import (
     ChannelGains,
     NoiseModel,
     RatePair,
+    PowerBudget,
     ScenarioKind,
-    SecrecyRegion,
-    mac_secrecy_region,
     rate_mrc_relay,
     rate_p2p,
     secrecy_rate,
     snr_direct,
+    noncoop_allocation,
     snr_relay_path,
 )
+from coopsec.rates import _DIRECT_LINKS
 
 gain = st.floats(min_value=0.01, max_value=2.0)
 power = st.floats(min_value=0.0, max_value=50.0)
@@ -247,51 +248,57 @@ class TestSecrecyRateOverflow:
         assert "\n" not in str(info.value)
 
 
-class TestSecrecyRegion:
-    def test_standard_point(self, std_gains, std_noise):
-        region = mac_secrecy_region(std_gains, std_noise, p_a=5.0, p_j=5.0)
-        assert region.r1_max == pytest.approx(0.18232155679395445)
-        assert region.r2_max == pytest.approx(0.33647223662121295)
-        assert region.sum_max == pytest.approx(0.3184537311185347)
+GAIN_FIELDS = ("g_ab", "g_ae", "g_jb", "g_je", "g_aj", "g_ja")
+six_gains = st.lists(st.floats(min_value=0.0, max_value=10.0), min_size=6, max_size=6)
+two_powers = st.lists(power, min_size=2, max_size=2)
 
-    def test_sum_cap_constrains_membership(self, std_gains, std_noise):
-        region = mac_secrecy_region(std_gains, std_noise, p_a=5.0, p_j=5.0)
-        # at this point the sum cap sits between the two individual caps
-        assert region.r1_max < region.sum_max < region.r2_max
-        assert region.contains(RatePair(region.r1_max, 0.0))
-        assert not region.contains(RatePair(0.0, region.r2_max))
-        assert region.contains(RatePair(0.0, region.sum_max))
-        assert not region.contains(RatePair(region.r1_max, region.r2_max))
 
-    def test_vertices_trace_cut_rectangle(self, std_gains, std_noise):
-        region = mac_secrecy_region(std_gains, std_noise, p_a=5.0, p_j=5.0)
-        vertices = region.vertices()
-        assert vertices[0] == (0.0, 0.0)
-        for x, y in vertices:
-            assert region.contains(RatePair(x, y))
+class TestMessagesDoNotInterfere:
+    """One rate model: each message's rate is the gap on its own link pair,
+    at its own power, whatever the other message does."""
 
-    def test_one_side_keeps_full_rate_for_helper(self, std_gains, std_noise):
-        one_side = mac_secrecy_region(std_gains, std_noise, p_a=5.0, p_j=5.0, one_side=True)
-        both = mac_secrecy_region(std_gains, std_noise, p_a=5.0, p_j=5.0)
-        assert one_side.r2_max == pytest.approx(math.log1p(2.5))
-        assert one_side.r2_max > both.r2_max
-        assert one_side.sum_max > both.sum_max
-
-    def test_adverse_channel_degenerates(self, std_noise):
-        gains = ChannelGains(g_ab=0.1, g_ae=0.4, g_jb=0.1, g_je=0.4, g_aj=0.2)
-        region = mac_secrecy_region(gains, std_noise, p_a=5.0, p_j=5.0)
-        assert region.r1_max == 0.0
-        assert region.r2_max == 0.0
-        assert region.sum_max == 0.0
-
-    def test_rejects_negative_caps(self):
-        with pytest.raises(ValueError):
-            SecrecyRegion(r1_max=-0.1, r2_max=0.1, sum_max=0.1)
+    @pytest.mark.parametrize("kind", list(_DIRECT_LINKS))
+    @given(
+        gains=six_gains,
+        other_gains=six_gains,
+        powers=two_powers,
+        other_powers=two_powers,
+        alpha=st.floats(min_value=0.01, max_value=1.0),
+    )
+    def test_a_rate_reads_only_its_own_link(
+        self, kind, gains, other_gains, powers, other_powers, alpha
+    ):
+        ours = dict(zip(GAIN_FIELDS, gains))
+        own_powers = dict(zip(("p_a", "p_j"), powers))
+        rates = secrecy_rate(kind, ChannelGains(**ours), STD_NOISE, alpha=alpha, **own_powers)
+        for name, link in zip(("cs1", "cs2"), _DIRECT_LINKS[kind]):
+            # everything this message's link does not read comes from the other draw
+            moved = dict(zip(GAIN_FIELDS, other_gains))
+            moved.update({field: ours[field] for field in (link.main, link.eve)})
+            moved_powers = dict(zip(("p_a", "p_j"), other_powers))
+            moved_powers[link.power] = own_powers[link.power]
+            again = secrecy_rate(
+                kind, ChannelGains(**moved), STD_NOISE, alpha=alpha, **moved_powers
+            )
+            assert getattr(again, name).hex() == getattr(rates, name).hex()
 
     @given(
-        g_ab=gain, g_ae=gain, g_jb=gain, g_je=gain, p_a=power, p_j=power
+        gains=six_gains,
+        g_jb=st.floats(min_value=0.0, max_value=10.0),
+        g_je=st.floats(min_value=0.0, max_value=10.0),
+        budgets=st.lists(power, min_size=3, max_size=3),
+        price=st.floats(min_value=0.0, max_value=2.0),
     )
-    def test_sum_cap_never_exceeds_individual_sum(self, g_ab, g_ae, g_jb, g_je, p_a, p_j):
-        gains = ChannelGains(g_ab=g_ab, g_ae=g_ae, g_jb=g_jb, g_je=g_je, g_aj=0.2)
-        region = mac_secrecy_region(gains, NoiseModel(1.0), p_a=p_a, p_j=p_j)
-        assert region.sum_max <= region.r1_max + region.r2_max + 1e-9
+    def test_noncoop_allocation_of_a_ignores_j(self, gains, g_jb, g_je, budgets, price):
+        p_a_max, p_j_max, other_p_j_max = budgets
+        fields = dict(zip(GAIN_FIELDS, gains))
+        before = noncoop_allocation(
+            ChannelGains(**fields), STD_NOISE, PowerBudget(p_a_max, p_j_max), price=price
+        )
+        fields.update(g_jb=g_jb, g_je=g_je)
+        after = noncoop_allocation(
+            ChannelGains(**fields), STD_NOISE, PowerBudget(p_a_max, other_p_j_max), price=price
+        )
+        assert after.p_a.hex() == before.p_a.hex()
+        assert after.provenance["p_a"] is before.provenance["p_a"]
+        assert after.cs.cs1.hex() == before.cs.cs1.hex()
