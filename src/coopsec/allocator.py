@@ -371,7 +371,9 @@ def evaluate_closed_forms(
     positive gains (they divide by those too).
 
     Raises ``OverflowError`` when an intermediate term overflows a float, as
-    a squared bracket does at ``g_ab = 1e160``.
+    a squared bracket does at ``g_ab = 1e160``, and ``ZeroDivisionError``
+    when a divisor underflows to zero, as ``(lam * g_jb * g_je) ** 2`` does
+    at ``lam = 1e-300``.
 
     Keys: ``mac_pa``, ``mac_pj``, ``one_side_pa``, ``one_side_pj``,
     ``noncoop_pa``, ``noncoop_pj``.

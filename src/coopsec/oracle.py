@@ -4,10 +4,11 @@ The allocator trusts two stationarity polynomials, the priced-gap quadratic
 and the printed relay cubic; no allocation evaluates a closed form.  This
 module trusts nothing: it maximizes the same penalized objectives by direct
 grid evaluation (plus a golden-section refinement pass) and differentiates
-them by central differences.  ``validate_scenario`` runs both paths side by
-side and labels every formula with a verdict, so a transcription error in a
-printed expression surfaces as data instead of silently steering an
-allocation.
+them by central differences.  The decision the roots imply chooses only
+where the grid search looks first, never what it returns.
+``validate_scenario`` runs both paths side by side and labels every formula
+with a verdict, so a transcription error in a printed expression surfaces
+as data instead of silently steering an allocation.
 
 The printed per-mode formulas that no allocation follows live here, as audit
 data next to the table that audits them; the compact closed forms stay in
@@ -250,6 +251,7 @@ def _windowed_search(
     objective_key: tuple,
     hi: float,
     resolution: int = _DEFAULT_RESOLUTION,
+    hint: float | None = None,
 ) -> tuple[float, float]:
     """``grid_search_optimum(objective, 0.0, hi, resolution)``, exactly, on a few points.
 
@@ -257,37 +259,49 @@ def _windowed_search(
     returns for ``objective_key``: every such objective is unimodal on
     ``[0, hi]`` (the priced gap is concave or decreasing, the relay slice
     concave).  The exhaustive search takes the first argmax of the computed
-    values on the whole grid; this search finds the same grid point from a
-    coarse pass and one window, then runs the same golden-section pass.
+    values on the whole grid; this search finds the same grid point in one
+    window of the grid, then runs the same golden-section pass.  ``hint``,
+    a point of ``[0, hi]``, says where to look first; it never changes the
+    result.
 
-    - **Coarse pass.** The objective is evaluated at every ``stride``-th
-      grid point and the last one (see :func:`_coarse_index`), each built as
-      ``np.linspace`` builds it, ``index * step + 0.0`` with the last set to
-      ``hi``, so it equals the full grid's point bit for bit.
+    - **Grid points.** Every point evaluated is built as ``np.linspace``
+      builds it, ``index * step + 0.0`` with the last set to ``hi``, so it
+      equals the full grid's point bit for bit.
     - **Error bound.** Each term of the objective is computed to within a few
       ulps of its size, so every computed value lies within ``delta / 2`` of
       the exact value at the same float ``x``, where ``delta = 2**-30 *
       (1 + M)`` and ``M`` bounds the terms' summed magnitudes on the
       interval (:func:`_objective_magnitude`).
-    - **Window.** Let ``Y`` be the largest coarse value and ``S`` the coarse
-      samples computed at ``>= Y - 2 delta``.  The window runs from the
-      coarse sample just left of ``S`` to the one just right of it (or to the
-      grid's end); every grid point in it is evaluated and the first argmax
-      taken.
+    - **Window.** A run of grid points, evaluated in one array call, is a
+      window when every value is finite and each inner edge (an edge that
+      is not an end of the grid) computes below ``T - 2 delta``, where
+      ``T`` is the run's top value (:func:`_window`).
+    - **Hint window.** First, the grid points within one coarse stride (see
+      :func:`_coarse_index`) of the one nearest ``hint``, evaluated in one
+      array with the grid's two ends.  If they are not a window, or an end
+      is not finite, the search goes on to the coarse pass.
+    - **Coarse pass.** The objective is evaluated at every ``stride``-th
+      grid point and the last one.  Let ``Y`` be the largest coarse value and
+      ``S`` the coarse samples computed at ``>= Y - 2 delta``.  The coarse
+      window runs from the coarse sample just left of ``S`` to the one just
+      right of it (or to the grid's end).  It holds every coarse maximiser,
+      so ``T >= Y``, and its inner edges are coarse samples outside ``S``,
+      which computed below ``Y - 2 delta``: it is a window.
 
-    Why the window holds the full grid's first argmax: every coarse sample
-    whose exact value is the coarse maximum computes to at least
-    ``Y - delta``, so it lies in ``S``.  Take a point ``x`` left of the
-    window's left edge ``L``, and a coarse maximiser ``c`` right of ``L``.
-    Unimodality gives ``f(L) >= min(f(x), f(c))``; ``f(L) >= f(c)`` would
-    make ``L`` a coarse maximiser and put it in ``S``, so ``f(x) <= f(L)``.
-    ``L`` computed below ``Y - 2 delta``, so ``f(L) < Y - 1.5 delta`` (the
-    threshold's own rounding is far below ``delta``) and ``x`` computes
-    below ``Y - delta``.  The right side is the mirror case.  Every point
-    outside the window thus computes below ``Y``, which a point inside
-    attains.  The edges themselves compute below ``Y``, so the bracket
-    ``xs[idx - 1], xs[idx + 1]`` of the golden-section pass lies in the
-    window.
+    Why a window holds the full grid's first argmax: take a grid point ``x``
+    left of the window's inner left edge ``L``, and the window's first
+    argmax ``c``, computed at ``T``.  ``f(L) < T - 1.5 delta`` (the
+    threshold's own rounding is far below ``delta``) and ``f(c) >= T -
+    delta / 2``, so ``f(L) < f(c)``; unimodality gives ``f(L) >= min(f(x),
+    f(c))``, so ``f(x) <= f(L)`` and ``x`` computes below ``T - delta``.
+    The right side is the mirror case.  Every point outside the window thus
+    computes below ``T``, which ``c`` is the first to attain inside it.  The
+    inner edges compute below ``T`` too, so the bracket ``xs[idx - 1],
+    xs[idx + 1]`` of the golden-section pass lies in the window.  The
+    exhaustive search also rejects a non-finite value anywhere on the grid:
+    every intermediate of both forms is monotone in ``x``, so overflow or a
+    zero divisor shows at an end of the grid, which the hint window's array
+    and the coarse pass both evaluate.
 
     Falls back to the exhaustive :func:`grid_search_optimum`, which keeps
     its checks and messages, when:
@@ -295,15 +309,14 @@ def _windowed_search(
     - the step is zero (or ``hi`` not finite and positive), or the grid is
       too small for a coarse pass;
     - ``delta`` is not finite;
-    - any coarse or window value is not finite (the exhaustive search then
-      names the first bad ``x``; every intermediate of both forms is
-      monotone in ``x``, so overflow or a zero divisor shows at an end
-      point, which the coarse pass samples);
-    - the window spans more than a quarter of the grid, as for a flat
-      objective;
+    - any coarse value is not finite (the exhaustive search then names the
+      first bad ``x``);
+    - the coarse window spans more than a quarter of the grid, as for a
+      flat objective;
     - the coarse samples dip by more than ``2 delta`` below a higher sample
-      on each side, or the window's argmax sits on an edge inside the grid:
-      tripwires for a broken unimodality or error assumption.
+      on each side, or the coarse window is not a window: tripwires for a
+      broken unimodality or error assumption, or a non-finite value between
+      coarse samples.
 
     Every evaluation goes through ``objective`` itself.
     """
@@ -316,6 +329,15 @@ def _windowed_search(
     if not math.isfinite(delta):
         return grid_search_optimum(objective, 0.0, hi, resolution)
     positions, index = coarse
+    last = resolution - 1
+
+    if hint is not None:
+        stride = positions[1]
+        at = min(max(round(hint / step), 0), last)
+        start, stop = max(at - stride, 0), min(at + stride, last)
+        found = _window(objective, start, stop, step, hi, resolution, delta, True)
+        if found is not None:
+            return found
 
     # ``np.linspace``'s points without its ``+= lo``: adding 0.0 changes no bit here
     xs = index * step
@@ -331,26 +353,60 @@ def _windowed_search(
         return grid_search_optimum(objective, 0.0, hi, resolution)
     near = np.flatnonzero(ys >= top - 2.0 * delta)
     first = int(near[0])
-    last = int(near[-1]) + 1
+    after = int(near[-1]) + 1
     start = positions[first - 1] if first else 0
-    stop = positions[last] if last < len(positions) else resolution - 1
+    stop = positions[after] if after < len(positions) else last
     if 4 * (stop - start + 1) > resolution:
         return grid_search_optimum(objective, 0.0, hi, resolution)
-
-    wx = np.arange(start, stop + 1, dtype=float) * step
-    if stop == resolution - 1:
-        wx[-1] = hi
-    wy = objective(wx)
-    idx = int(wy.argmax())
-    edge = (idx == 0 and start > 0) or (idx == stop - start and stop < resolution - 1)
-    if edge or not math.isfinite(wy.sum()):
+    found = _window(objective, start, stop, step, hi, resolution, delta, False)
+    if found is None:
         return grid_search_optimum(objective, 0.0, hi, resolution)
+    return found
+
+
+def _window(
+    objective: Objective,
+    start: int,
+    stop: int,
+    step: float,
+    hi: float,
+    resolution: int,
+    delta: float,
+    ends: bool,
+) -> tuple[float, float] | None:
+    """The refined first argmax of grid positions ``start..stop``, if they form a window.
+
+    One array call evaluates the positions, each point as ``np.linspace``
+    builds it, followed with ``ends`` by the grid's two ends, which are
+    checked for finiteness only.  ``None`` when a value is not finite or an
+    inner edge computes at or above the top value less ``2 delta``: see
+    :func:`_windowed_search`.
+    """
+
+    last = resolution - 1
+    index = np.arange(start, stop + (3 if ends else 1), dtype=float)
+    size = stop - start + 1
+    if ends:
+        index[size:] = 0.0, last
+    xs = index * step
+    if stop == last:
+        xs[size - 1] = hi
+    if ends:
+        xs[-1] = hi
+    ys = objective(xs)
+    # finite only if every value is (an overflowing sum just fails the window)
+    if not math.isfinite(ys.sum()):
+        return None
+    idx = int(ys[:size].argmax())
+    low = float(ys[idx]) - 2.0 * delta
+    if (start > 0 and not ys[0] < low) or (stop < last and not ys[size - 1] < low):
+        return None
     return _refine(
         objective,
-        float(wx[max(idx - 1, 0)]),
-        float(wx[min(idx + 1, stop - start)]),
-        float(wx[idx]),
-        float(wy[idx]),
+        float(xs[max(idx - 1, 0)]),
+        float(xs[min(idx + 1, size - 1)]),
+        float(xs[idx]),
+        float(ys[idx]),
         hi / resolution / 100.0,
     )
 
@@ -501,13 +557,16 @@ def _check_formula(
     The search interval starts at the budget bound but is stretched to twice
     the largest positive candidate value, so a stationary point lying beyond
     the budget is still visible to the comparison instead of being clamped
-    out of existence.  The oracle argmax is :func:`grid_search_optimum`'s,
-    found by :func:`_windowed_search`.  ``searches`` holds the oracle argmax
-    of each ``(objective_key, hi)`` already searched at this point.
+    out of existence.  ``searches`` holds the oracle argmax of each
+    ``(objective_key, hi)`` already searched at this point.
 
     The roots imply a decision by the allocator's own rule,
-    :func:`coopsec.allocator._argmax_candidate`; it skips non-finite values,
-    which the oracle search has already ruled out on ``[0, hi]``.
+    :func:`coopsec.allocator._argmax_candidate`.  That decision is where the
+    oracle search looks first, but never what it returns: the oracle argmax
+    is :func:`grid_search_optimum`'s, found by :func:`_windowed_search`,
+    whatever the hint.  The rule skips non-finite values; a non-finite value
+    on ``[0, hi]`` makes the search raise, so no report carries a decision
+    drawn from one.
     """
 
     positives = [r for r in roots if math.isfinite(r) and r > 0.0]
@@ -517,13 +576,19 @@ def _check_formula(
     hi = max([float(hi_budget), 1.0] + [2.0 * c for c in candidates])
     step = hi / (_DEFAULT_RESOLUTION - 1)
 
+    root_value: float | None = None
     search = (objective_key, hi)
     oracle_x = searches.get(search)
     if oracle_x is None:
-        oracle_x, _ = _windowed_search(objective, objective_key, hi)
+        try:
+            root_value, _ = _argmax_candidate(objective, positives, hi)
+        except ZeroDivisionError:
+            # a divisor underflowed in scalar arithmetic: the search names the point first
+            pass
+        oracle_x, _ = _windowed_search(objective, objective_key, hi, hint=root_value)
         searches[search] = oracle_x
-
-    root_value, _ = _argmax_candidate(objective, positives, hi)
+    if root_value is None:
+        root_value, _ = _argmax_candidate(objective, positives, hi)
 
     interior = step < root_value < hi - step
     residual: float | None = None
@@ -919,7 +984,9 @@ def validate_scenario(
     cross-indexed linear term.  The printed closed forms divide by every
     direct link gain, so when one of those gains is zero they are reported
     absent and only the roots are audited; so they are when one of their
-    float powers overflows.
+    float powers overflows, or one of their divisors underflows to zero.
+    A polynomial whose coefficients overflow, or divide by a number that
+    underflows to zero, is a ``ValueError`` naming its entry.
 
     Relay entries evaluate their cubic coefficients at the half-budget seeds
     :func:`coopsec.allocator.relay_allocation` uses, and the relaying slice
@@ -965,7 +1032,7 @@ def validate_scenario(
     if min(gains.g_ab, gains.g_ae, gains.g_jb, gains.g_je) > 0:
         try:
             closed = evaluate_closed_forms(gains, noise, alpha=a, price=lam)
-        except OverflowError:
+        except (OverflowError, ZeroDivisionError):
             pass
     seed_a, seed_j, hi_jb, hi_ab = _relay_seeds(budgets, a)
     point = _AuditPoint(gains, noise, geometry, a, lam, seed_a, seed_j)
@@ -983,6 +1050,9 @@ def validate_scenario(
             coeffs = polynomial(point)
         except OverflowError:
             raise ValueError(f"{formula_id}: polynomial coefficients overflow") from None
+        except ZeroDivisionError:
+            message = "a polynomial coefficient's divisor underflows"
+            raise ValueError(f"{formula_id}: {message}") from None
         roots = solve_cubic_real(coeffs) if len(coeffs) == 4 else solve_quadratic_real(coeffs)
         entries.append(
             _check_formula(

@@ -107,7 +107,7 @@ def test_traced_validation_matches_untraced(monkeypatch):
     searched = []
     original = oracle._windowed_search
 
-    def recording(objective, objective_key, hi, resolution=10001):
+    def recording(objective, objective_key, hi, resolution=10001, hint=None):
         points = []
 
         def counted(p):
@@ -115,7 +115,7 @@ def test_traced_validation_matches_untraced(monkeypatch):
                 points.append(p.size)
             return objective(p)
 
-        result = original(counted, objective_key, hi, resolution)
+        result = original(counted, objective_key, hi, resolution, hint)
         searched.append(sum(points))
         return result
 

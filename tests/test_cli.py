@@ -268,6 +268,56 @@ class TestBadConfigs:
         assert err[-1].startswith("coopsec: error: validate: ")
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["validate", "sweep", "mobility", "negotiate"])
+    @pytest.mark.parametrize(
+        "text, validate_error",
+        [
+            # the closed forms divide by (lam * g_jb * g_je) ** 2 or (g_ab * g_ae) ** 2,
+            # which underflow to 0.0: they are reported absent
+            ('{"lambda": 1e-300}', None),
+            ('{"gains": {"g_ab": 1e-300, "g_ae": 0.3, "g_jb": 0.5, "g_je": 0.3, "g_aj": 0.2}}',
+             None),
+            # mac_quadratic_pa divides by alpha ** 2, which underflows to 0.0
+            ('{"alpha": 1e-300}', "mac_coop.p_a: a polynomial coefficient's divisor underflows"),
+        ],
+    )
+    def test_tiny_positive_inputs_run_or_fail_in_one_line(
+        self, tmp_path, capsys, command, text, validate_error
+    ):
+        config = self.write_config(tmp_path, text)
+        out = tmp_path / "out"
+        argv = [command, "--config", config, "--out", str(out)]
+        if command == "validate":
+            argv += ["--samples", "0"]
+        if command == "validate" and validate_error is not None:
+            with pytest.raises(SystemExit) as excinfo:
+                main(argv)
+            assert excinfo.value.code == 2
+            err = capsys.readouterr().err.strip().splitlines()
+            assert len(err) == 2 and err[-1] == f"coopsec: error: validate: {validate_error}"
+            assert not out.exists()
+            return
+        code, _ = run_cli(argv, capsys)
+        assert code == 0 and out.exists()
+        if command == "validate":
+            report = json.loads(out.read_text(encoding="utf-8"))
+            entries = [e for r in report["config_point"]["reports"].values() for e in r["entries"]]
+            assert len(entries) == 13
+            assert all(e["closed_form_value"] is None for e in entries)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_underflowing_noise_validation_is_a_clean_error(self, tmp_path, capsys):
+        # s2 * (first hop + s2) underflows: the relay objective is 0 / 0 at p = 0,
+        # which the oracle search reports before the roots' decision is formed
+        config = self.write_config(tmp_path, '{"sigma2": 5e-324}')
+        out = tmp_path / "v.json"
+        with pytest.raises(SystemExit) as excinfo:
+            main(["validate", "--config", config, "--samples", "0", "--out", str(out)])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err[-1] == "coopsec: error: validate: objective is not finite at x=0.0"
+        assert not out.exists()
+
     def test_tiny_noise_sweep_stays_finite(self, tmp_path, capsys):
         config = self.write_config(tmp_path, '{"sigma2": 1e-300}')
         out = tmp_path / "sweep.csv"

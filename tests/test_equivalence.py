@@ -519,11 +519,39 @@ class TestWindowedSearchAgainstExhaustive:
         want = search_outcome(grid_search_optimum, objective, 0.0, hi)
         assert search_outcome(oracle._windowed_search, objective, key, hi) == want
 
+    @settings(max_examples=300, deadline=None)
+    @given(
+        key=objective_key(),
+        hi=st.one_of(log_uniform(0.0, 4.0), st.just(1.0)),
+        stretch=st.one_of(st.none(), st.floats(min_value=1.2, max_value=30.0)),
+        where=st.one_of(
+            st.sampled_from(["zero", "hi", "argmax", "mirror"]),
+            st.floats(min_value=0.0, max_value=1.0),
+        ),
+    )
+    def test_same_argmax_and_value_whatever_the_hint(self, key, hi, stretch, where):
+        # hints at either end, on the true argmax, mirrored to the wrong side, or anywhere
+        objective = allocator._OBJECTIVE_FORMS[key[0]](*key[1:])
+        if stretch is not None:
+            # most draws peak at an end of [0, hi]: put an interior peak inside instead
+            peak = search_outcome(grid_search_optimum, objective, 0.0, 1e4)
+            if isinstance(peak, tuple) and 0.0 < peak[0] < 1e4:
+                hi = peak[0] * stretch
+        want = search_outcome(grid_search_optimum, objective, 0.0, hi)
+        argmax = want[0] if isinstance(want, tuple) else 0.5 * hi
+        named = {"zero": 0.0, "hi": hi, "argmax": argmax, "mirror": hi - argmax}
+        hint = named[where] if isinstance(where, str) else where * hi
+        assert search_outcome(oracle._windowed_search, objective, key, hi, 10001, hint) == want
+
     def test_every_mode_and_side(self):
         rng = np.random.default_rng(2024)
+        anywhere = np.random.default_rng(2025)
         for args, terms in random_objective_keys(rng, 40):
             objective = penalized_objective(*args, **terms)
             key = allocator._objective_key(*args, **terms)
             for hi in (1.0, float(10.0 ** rng.uniform(0.0, 3.0))):
                 want = grid_search_optimum(objective, 0.0, hi)
                 assert oracle._windowed_search(objective, key, hi) == want, (key, hi)
+                for hint in (0.0, hi, want[0], hi - want[0], float(anywhere.uniform(0.0, hi))):
+                    got = oracle._windowed_search(objective, key, hi, hint=hint)
+                    assert got == want, (key, hi, hint)

@@ -13,10 +13,12 @@ every numeric one to 1e-12 relative.
 from __future__ import annotations
 
 import csv
+import importlib.util
 import io
 import json
 import math
 import runpy
+import shutil
 from pathlib import Path
 
 import numpy as np
@@ -166,3 +168,39 @@ def test_tolerant_csv_comparison_flags_what_it_should():
             assert_close(edited, want)
     with pytest.raises(AssertionError):
         assert_close(csv_cells(text)[:-1], want)
+
+
+def test_golden_diff_write_rewrites_the_goldens(tmp_path, capsys, monkeypatch):
+    spec = importlib.util.spec_from_file_location(
+        "golden_diff", GOLDEN.parents[1] / "tools" / "golden_diff.py"
+    )
+    golden_diff = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(golden_diff)
+    copy = tmp_path / "golden"
+    shutil.copytree(GOLDEN, copy)
+    kept = ("negotiate.json", "sweep_d_ae.csv")
+    manifest = json.loads((copy / "manifest.json").read_text(encoding="utf-8"))
+    manifest["goldens"] = [entry for entry in manifest["goldens"] if entry["file"] in kept]
+    (copy / "manifest.json").write_text(json.dumps(manifest), encoding="utf-8")
+    monkeypatch.setattr(golden_diff, "GOLDEN", copy)
+    want = {name: (copy / name).read_bytes() for name in kept}
+    stale = want["negotiate.json"].replace(b'"mode": "', b'"mode": "stale_', 1)
+    assert stale != want["negotiate.json"]
+    (copy / "negotiate.json").write_bytes(stale)
+
+    # the report alone writes nothing
+    assert golden_diff.main([]) == 1
+    report = capsys.readouterr().out
+    assert report == (
+        "sweep_d_ae.csv: identical\n"
+        "negotiate.json: changed\n"
+        "  $.mode: 'stale_relay_coop' -> 'relay_coop'\n"
+    )
+    assert (copy / "negotiate.json").read_bytes() == stale
+
+    # --write prints the same report, then rewrites every golden from the code
+    assert golden_diff.main(["--write"]) == 1
+    assert capsys.readouterr().out == report + "wrote 2 of 2 goldens\n"
+    assert {name: (copy / name).read_bytes() for name in kept} == want
+    assert golden_diff.main([]) == 0
+    assert (GOLDEN / "negotiate.json").read_bytes() == want["negotiate.json"]

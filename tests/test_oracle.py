@@ -15,6 +15,7 @@ from coopsec import (
     ChannelGains,
     ExperimentConfig,
     Geometry,
+    NoiseModel,
     PowerBudget,
     ScenarioKind,
     finite_diff_derivative,
@@ -372,9 +373,9 @@ def counted_searches(monkeypatch):
     original = oracle._windowed_search
     probe = np.linspace(0.0, 3.0, 7)
 
-    def counting(objective, objective_key, hi, resolution=10001):
+    def counting(objective, objective_key, hi, resolution=10001, hint=None):
         calls.append((objective(probe).tobytes(), hi))
-        return original(objective, objective_key, hi, resolution)
+        return original(objective, objective_key, hi, resolution, hint)
 
     monkeypatch.setattr(oracle, "_windowed_search", counting)
     return calls
@@ -595,3 +596,147 @@ class TestWindowedSearch:
         got = oracle._windowed_search(shifty, STD_GAP, 10.0)
         assert len(fallbacks) == 1 and arrays[-1] == 10001
         assert got == grid_search_optimum(parabola, 0.0, 10.0)
+
+
+def array_calls(objective):
+    """``objective`` and the list of arrays it is called on, in order."""
+
+    arrays = []
+
+    def recorded(x):
+        if isinstance(x, np.ndarray):
+            arrays.append(np.array(x, copy=True))
+        return objective(x)
+
+    return recorded, arrays
+
+
+class TestHintedSearch:
+    """The hint says where to look first; the result is the exhaustive search's."""
+
+    @pytest.mark.parametrize("key", [STD_GAP, STD_RELAY])
+    @pytest.mark.parametrize("hi", [1.0, 12.0, 1e4])
+    def test_a_hit_evaluates_one_array_of_grid_points(self, fallbacks, key, hi):
+        objective, key = keyed_objective(*key)
+        want = grid_search_optimum(objective, 0.0, hi)
+        recorded, arrays = array_calls(objective)
+        assert oracle._windowed_search(recorded, key, hi, hint=want[0]) == want
+        assert fallbacks == [] and len(arrays) == 1
+        grid = np.linspace(0.0, hi, 10001)
+        (points,) = arrays
+        assert np.isin(points.view(np.int64), grid.view(np.int64)).all()
+        # the window of 2 * 70 + 1 points, or fewer at an end, and the grid's ends
+        assert len(points) <= 2 * 70 + 1 + 2
+        assert points[-2:].tolist() == [0.0, hi]
+
+    @pytest.mark.parametrize("objective,hint", [(lambda x: -x, 0.0), (lambda x: x * 1.0, 12.0)])
+    def test_a_hint_at_an_end_hits(self, fallbacks, objective, hint):
+        recorded, arrays = array_calls(objective)
+        got = oracle._windowed_search(recorded, STD_GAP, 12.0, hint=hint)
+        assert got == grid_search_optimum(objective, 0.0, 12.0)
+        assert len(arrays) == 1 and fallbacks == []
+
+    def test_a_wrong_side_hint_goes_on_to_the_coarse_pass(self, fallbacks):
+        objective, key = keyed_objective(*STD_GAP)
+        want = grid_search_optimum(objective, 0.0, 12.0)
+        # the argmax is interior, at 7.78, and the hint on the other side, at 4.22
+        assert 6.0 < want[0] < 12.0
+        recorded, arrays = array_calls(objective)
+        assert oracle._windowed_search(recorded, key, 12.0, hint=12.0 - want[0]) == want
+        assert fallbacks == [] and len(arrays) == 3
+        positions, _ = oracle._coarse_index(10001)
+        grid = np.linspace(0.0, 12.0, 10001)
+        assert arrays[1].tobytes() == grid[list(positions)].tobytes()
+
+    @pytest.mark.parametrize("objective", [lambda x: 0.0 * x, lambda x: -1e-12 * x])
+    def test_a_flat_objective_reaches_the_exhaustive_search(self, fallbacks, objective):
+        got = oracle._windowed_search(objective, STD_GAP, 12.0, hint=6.0)
+        assert fallbacks == [(0.0, 12.0, 10001)]
+        assert got == grid_search_optimum(objective, 0.0, 12.0)
+
+    def test_a_non_finite_value_in_the_hint_window_keeps_the_message(self, fallbacks):
+        grid = np.linspace(0.0, 10.0, 10001)
+        bad = float(grid[3705])
+
+        def objective(x):
+            return np.where(x == bad, np.nan, parabola(x))
+
+        want = search_outcome(grid_search_optimum, objective, 0.0, 10.0)
+        assert want == f"objective is not finite at x={bad!r}"
+        got = search_outcome(oracle._windowed_search, objective, STD_GAP, 10.0, 10001, 3.7)
+        assert got == want
+        assert len(fallbacks) == 1
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_a_non_finite_far_end_keeps_the_message(self, fallbacks):
+        # the second hop g_hop2 * p overflows from p = 17.97 on, where the relayed SNR
+        # is inf / inf; the error bound does not see it, and the argmax is at 0.01
+        objective, key = keyed_objective("relay", 0.4, 0.3, 0.2, 1e307, 1.0, 0.01, 1.0, 1.0)
+        want = search_outcome(grid_search_optimum, objective, 0.0, 100.0)
+        assert want.startswith("objective is not finite at x=17.9")
+        recorded, arrays = array_calls(objective)
+        got = search_outcome(oracle._windowed_search, recorded, key, 100.0, 10001, 0.0)
+        assert got == want
+        # the hint window alone is a window: only its evaluation of the far end stops it
+        assert np.isfinite(objective(arrays[0][:-1])).all()
+        assert len(fallbacks) == 1
+
+    def test_an_inner_edge_within_the_error_bound_is_no_window(self, fallbacks):
+        # a slow rise whose inner edge computes a rounding error (far below delta) low:
+        # the edge is below the top, but not by 2 delta, so the rise may go on past it
+        grid = np.linspace(0.0, 12.0, 10001)
+        edge = float(grid[5000 + 70])
+
+        def objective(x):
+            return 1e-12 * x - np.where(x == edge, 1e-10, 0.0)
+
+        want = grid_search_optimum(objective, 0.0, 12.0)
+        assert want[0] == 12.0
+        got = oracle._windowed_search(objective, STD_GAP, 12.0, hint=float(grid[5000]))
+        assert got == want and len(fallbacks) == 1
+
+    @pytest.mark.parametrize("seed,hits,misses", [(0, 91, 6), (1, 87, 6), (2, 92, 10)])
+    def test_hint_windows_on_the_golden_draws(self, monkeypatch, fallbacks, seed, hits, misses):
+        # the validate goldens' draws: most searches end on the hint window, and
+        # some go on to the coarse pass, so the goldens cover both paths
+        arrays_per_search = []
+        original = oracle._windowed_search
+
+        def counting(objective, objective_key, hi, resolution=10001, hint=None):
+            recorded, arrays = array_calls(objective)
+            result = original(recorded, objective_key, hi, resolution, hint)
+            arrays_per_search.append(len(arrays))
+            return result
+
+        monkeypatch.setattr(oracle, "_windowed_search", counting)
+        harness.run_validation(ExperimentConfig(seed=seed), samples=10)
+        assert arrays_per_search.count(1) == hits
+        assert arrays_per_search.count(3) == misses
+        assert len(arrays_per_search) == hits + misses and fallbacks == []
+
+
+class TestTinyInputs:
+    """Positive inputs small enough that a product or power underflows to zero."""
+
+    @pytest.mark.parametrize(
+        "gains,price",
+        [(STD_GAINS, 1e-300), (dataclasses.replace(STD_GAINS, g_ab=1e-300), 0.01)],
+    )
+    def test_underflowing_closed_forms_are_reported_absent(self, gains, price):
+        with pytest.raises(ZeroDivisionError):
+            allocator.evaluate_closed_forms(gains, NoiseModel(1.0), alpha=0.8, price=price)
+        for kind in ScenarioKind:
+            report = validate_scenario(kind, gains, UNIT_GEOMETRY, 1.0, 0.8, price, STD_BUDGETS)
+            payload = json.loads(json.dumps(report.as_dict(), allow_nan=False))
+            for entry in payload["entries"]:
+                assert entry["closed_form_value"] is None
+                assert math.isfinite(entry["oracle_value"])
+
+    def test_underflowing_polynomial_is_a_value_error(self):
+        # mac_quadratic_pa divides by alpha ** 2, which is 0.0 at alpha = 1e-300
+        with pytest.raises(
+            ValueError, match="^mac_coop.p_a: a polynomial coefficient's divisor underflows$"
+        ):
+            validate_scenario(
+                ScenarioKind.MAC_COOP, STD_GAINS, UNIT_GEOMETRY, 1.0, 1e-300, 0.01, STD_BUDGETS
+            )

@@ -2,13 +2,13 @@
 
 Usage, from the repository root::
 
-    python3 tools/golden_diff.py
+    python3 tools/golden_diff.py [--write]
 
 Each command listed in ``tests/golden/manifest.json`` runs in a fresh
 interpreter (``python -m coopsec``, or the entry's script, with ``src`` on
 the path), from ``tests/golden/``, writing into a temporary directory;
-nothing under ``tests/golden/`` is written.  For each file the report prints
-``identical``, or:
+without ``--write``, nothing under ``tests/golden/`` is written.  For each
+file the report prints ``identical``, or:
 
 - per CSV column or JSON field (list indices folded to ``[]``), how many
   numeric values shifted and the largest absolute and relative shift;
@@ -17,14 +17,20 @@ nothing under ``tests/golden/`` is written.  For each file the report prints
 - any change of shape (row count, missing or extra fields).
 
 The exit status is 0 when every file is identical and 1 otherwise.
+
+``--write`` prints the same report, then copies each fresh output over its
+golden, so that an intended change of output is committed on purpose with
+the report beside it.  A command that fails leaves its golden as it was.
 """
 
 from __future__ import annotations
 
+import argparse
 import csv
 import json
 import os
 import re
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -114,11 +120,17 @@ def compare(new: Path, old: Path) -> list[str]:
     return lines or ["  bytes differ, values equal"]
 
 
-def main() -> int:
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument(
+        "--write", action="store_true", help="then rewrite every golden from the current code"
+    )
+    args = parser.parse_args(argv)
     manifest = json.loads((GOLDEN / "manifest.json").read_text(encoding="utf-8"))
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
     all_identical = True
+    fresh = []
     with tempfile.TemporaryDirectory() as scratch:
         for entry in manifest["goldens"]:
             name = entry["file"]
@@ -130,10 +142,15 @@ def main() -> int:
                 lines = [f"  exit {run.returncode}: {run.stderr.strip().splitlines()[-1:]}"]
             else:
                 lines = compare(out, GOLDEN / name)
+                fresh.append(out)
             print(f"{name}: {'changed' if lines else 'identical'}")
             for line in lines:
                 print(line)
             all_identical = all_identical and not lines
+        if args.write:
+            for out in fresh:
+                shutil.copyfile(out, GOLDEN / out.name)
+            print(f"wrote {len(fresh)} of {len(manifest['goldens'])} goldens")
     return 0 if all_identical else 1
 
 
