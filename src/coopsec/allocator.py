@@ -109,8 +109,8 @@ def solve_quadratic_real(coeffs: Sequence[float]) -> list[float]:
     ``q / c0`` and ``c2 / q``.  A leading coefficient below 2**-1022 of the
     largest one degrades to the linear (or empty) case: the root it drops
     lies beyond the float range.  Roots within 1e-9 (relative) of each other
-    merge, and a complex pair whose imaginary part is at most 1e-8
-    ``max(1, modulus)`` counts as one double root.
+    merge, and a complex pair whose imaginary part is at most 1e-8 of its
+    modulus counts as one double root.
     """
 
     if len(coeffs) != 3:
@@ -128,7 +128,7 @@ def solve_quadratic_real(coeffs: Sequence[float]) -> list[float]:
     if disc < 0.0:
         re = -b / (2.0 * a)
         im = math.sqrt(-disc) / (2.0 * abs(a))
-        return [re] if im <= 1e-8 * max(1.0, math.hypot(re, im)) else []
+        return [re] if im <= 1e-8 * math.hypot(re, im) else []
     q = -0.5 * (b + math.copysign(math.sqrt(disc), b))
     if q == 0.0:  # b == c == 0: a double root at the origin
         return [0.0]
@@ -210,9 +210,9 @@ def solve_cubic_real(coeffs: Sequence[float]) -> list[float]:
     :func:`_merge_double_roots` joins the roots that rounding split apart.
 
     Roots within 1e-9 (relative) of each other merge, and a complex pair
-    whose imaginary part is at most 1e-8 ``max(1, modulus)`` counts as one
-    root.  A leading coefficient below 2**-1022 of the largest one lowers
-    the degree.  An identically zero polynomial or a non-finite coefficient
+    whose imaginary part is at most 1e-8 of its modulus counts as one root.
+    A leading coefficient below 2**-1022 of the largest one lowers the
+    degree.  An identically zero polynomial or a non-finite coefficient
     raises ``ValueError``.
     """
 
@@ -261,7 +261,8 @@ def solve_cubic_real(coeffs: Sequence[float]) -> list[float]:
         y = s + u - A / 3.0
         # the other roots are -(s + u)/2 - A/3 +- i sqrt(3)/2 (s - u); a pair
         # within 1e-8 relative is near a multiple root, and one within 1e-8
-        # absolute has |s - u| below 2e-8
+        # absolute has |s - u| below 2e-8; the deflated quadratic then keeps
+        # only a pair within 1e-8 relative
         re, im = -0.5 * (s + u) - A / 3.0, 0.5 * math.sqrt(3.0) * (s - u)
         outermost = y * y >= re * re + im * im
         deflate = multiple or math.ldexp(abs(s - u), k) <= 2e-8
@@ -572,6 +573,13 @@ def penalized_objective(
 def _argmax_candidate(
     objective: Callable[[float], float], roots: Sequence[float], hi: float
 ) -> tuple[float, Provenance]:
+    """The best of 0, ``hi`` and the roots inside ``(0, hi)`` under ``objective``.
+
+    Ties go to the smaller power.  A candidate whose value is not finite is
+    skipped, and so is one whose scalar evaluation divides by a number that
+    underflows to zero, where an array evaluation gives NaN.
+    """
+
     candidates = [0.0]
     if hi > 0:
         candidates.append(float(hi))
@@ -579,7 +587,10 @@ def _argmax_candidate(
     best_p = 0.0
     best_v = -math.inf
     for p in sorted(candidates):
-        v = float(objective(p))
+        try:
+            v = float(objective(p))
+        except ZeroDivisionError:
+            continue
         if math.isfinite(v) and v > best_v:
             best_p, best_v = p, v
     if best_p == 0.0:

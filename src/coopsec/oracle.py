@@ -4,8 +4,9 @@ The allocator trusts two stationarity polynomials, the priced-gap quadratic
 and the printed relay cubic; no allocation evaluates a closed form.  This
 module trusts nothing: it maximizes the same penalized objectives by direct
 grid evaluation (plus a golden-section refinement pass) and differentiates
-them by central differences.  The decision the roots imply chooses only
-where the grid search looks first, never what it returns.
+them by central differences.  The grid search looks first at the decision
+the roots imply, then at the objective's own stationary point; neither
+chooses what it returns.
 ``validate_scenario`` runs both paths side by side and labels every formula
 with a verdict, so a transcription error in a printed expression surfaces
 as data instead of silently steering an allocation.
@@ -17,7 +18,6 @@ data next to the table that audits them; the compact closed forms stay in
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, MutableMapping, NamedTuple, Sequence
@@ -25,8 +25,10 @@ from typing import Callable, Iterable, MutableMapping, NamedTuple, Sequence
 import numpy as np
 
 from .allocator import (
+    _ARGMAX,
     _argmax_candidate,
     _objective_key,
+    _priced_gap_optimum,
     _relay_seeds,
     evaluate_closed_forms,
     noncoop_quadratic,
@@ -228,22 +230,41 @@ def _objective_magnitude(key: tuple, hi: float) -> float:
     return _OBJECTIVE_MAGNITUDES[key[0]](*key[1:], hi)
 
 
-@functools.lru_cache(maxsize=4)
-def _coarse_index(resolution: int) -> tuple[tuple[int, ...], np.ndarray] | None:
-    """Grid positions of the coarse pass, as ints and as floats.
+def _stationary_hint(key: tuple, hi: float) -> float | None:
+    """The argmax on ``[0, hi]`` of ``key``'s objective, from its stationarity condition.
 
-    Every ``stride``-th position plus the last one, with ``stride`` about
-    ``sqrt(resolution / 2)``: that balances the coarse samples against the
-    two-cell window.  ``None`` when the grid is too small for a coarse pass.
+    A gap key takes the allocator's own kernel.  A relay key solves the
+    slice's exact condition: with ``h1 = g_hop1 * own``, ``u = h1 + s2 +
+    g_hop2 * p``, ``A = s2 (1 + g_direct own / s2) + h1``, ``K = h1 (h1 +
+    s2)`` and ``c = lam * pay_scale``, the derivative in ``p`` is ``g_hop2 K
+    / (u (A u - K)) - c``.  It falls as ``u`` grows, so the slice is concave
+    and its argmax is the larger root ``u+`` of ``c A u^2 - c K u - g_hop2 K
+    = 0``, mapped back to ``p`` and clamped to ``[0, hi]`` (KKT with box
+    constraints: Boyd & Vandenberghe, *Convex Optimization*, section 5.5).
+    When ``c``, ``K`` or ``g_hop2`` is zero the answer is an end.  ``None``
+    when the answer is not finite.
     """
 
-    stride = math.isqrt(resolution // 2)
-    if stride < 2:
+    if key[0] == "gap":
+        try:
+            return _priced_gap_optimum(*key[1:], hi, _ARGMAX)[0]
+        except OverflowError:  # sigma2 ** 2 in the quadratic
+            return None
+    g_direct, _, g_hop1, g_hop2, s2, lam, own_power, pay_scale = key[1:]
+    h1 = g_hop1 * own_power
+    K = h1 * (h1 + s2)
+    c = lam * pay_scale
+    if K == 0.0 or g_hop2 == 0.0:
+        return 0.0
+    if c == 0.0:
+        return hi
+    A = s2 * (1.0 + g_direct * own_power / s2) + h1
+    coeffs = (c * A, -c * K, -g_hop2 * K)
+    if not (all(map(math.isfinite, coeffs)) and any(coeffs)):
         return None
-    positions = (*range(0, resolution - 1, stride), resolution - 1)
-    index = np.array(positions, dtype=float)
-    index.flags.writeable = False
-    return positions, index
+    roots = solve_quadratic_real(coeffs)
+    p = (roots[-1] - h1 - s2) / g_hop2 if roots else math.nan
+    return min(max(p, 0.0), hi) if math.isfinite(p) else None
 
 
 def _windowed_search(
@@ -272,21 +293,15 @@ def _windowed_search(
       the exact value at the same float ``x``, where ``delta = 2**-30 *
       (1 + M)`` and ``M`` bounds the terms' summed magnitudes on the
       interval (:func:`_objective_magnitude`).
-    - **Window.** A run of grid points, evaluated in one array call, is a
-      window when every value is finite and each inner edge (an edge that
-      is not an end of the grid) computes below ``T - 2 delta``, where
-      ``T`` is the run's top value (:func:`_window`).
-    - **Hint window.** First, the grid points within one coarse stride (see
-      :func:`_coarse_index`) of the one nearest ``hint``, evaluated in one
-      array with the grid's two ends.  If they are not a window, or an end
-      is not finite, the search goes on to the coarse pass.
-    - **Coarse pass.** The objective is evaluated at every ``stride``-th
-      grid point and the last one.  Let ``Y`` be the largest coarse value and
-      ``S`` the coarse samples computed at ``>= Y - 2 delta``.  The coarse
-      window runs from the coarse sample just left of ``S`` to the one just
-      right of it (or to the grid's end).  It holds every coarse maximiser,
-      so ``T >= Y``, and its inner edges are coarse samples outside ``S``,
-      which computed below ``Y - 2 delta``: it is a window.
+    - **Window.** A run of grid points, evaluated in one array call with
+      the grid's two ends, is a window when every value is finite and each
+      inner edge (an edge that is not an end of the grid) computes below
+      ``T - 2 delta``, where ``T`` is the run's top value (:func:`_window`).
+    - **Where it looks.** First at the grid points within ``isqrt(resolution
+      // 2)`` positions (70 at 10001) of the one nearest ``hint``; if they
+      are not a window, at those around the one nearest
+      :func:`_stationary_hint`, the objective's own argmax, when that is a
+      different grid point.
 
     Why a window holds the full grid's first argmax: take a grid point ``x``
     left of the window's inner left edge ``L``, and the window's first
@@ -300,99 +315,72 @@ def _windowed_search(
     xs[idx + 1]`` of the golden-section pass lies in the window.  The
     exhaustive search also rejects a non-finite value anywhere on the grid:
     every intermediate of both forms is monotone in ``x``, so overflow or a
-    zero divisor shows at an end of the grid, which the hint window's array
-    and the coarse pass both evaluate.
+    zero divisor shows at an end of the grid, which every window's array
+    evaluates.
 
     Falls back to the exhaustive :func:`grid_search_optimum`, which keeps
-    its checks and messages, when:
-
-    - the step is zero (or ``hi`` not finite and positive), or the grid is
-      too small for a coarse pass;
-    - ``delta`` is not finite;
-    - any coarse value is not finite (the exhaustive search then names the
-      first bad ``x``);
-    - the coarse window spans more than a quarter of the grid, as for a
-      flat objective;
-    - the coarse samples dip by more than ``2 delta`` below a higher sample
-      on each side, or the coarse window is not a window: tripwires for a
-      broken unimodality or error assumption, or a non-finite value between
-      coarse samples.
-
-    Every evaluation goes through ``objective`` itself.
+    its checks and messages, when the step is zero (or ``hi`` not finite and
+    positive), when ``delta`` is not finite, or when neither place it looks
+    is a window, as for a flat objective or a non-finite value (the
+    exhaustive search then names the first bad ``x``).  Unimodality is
+    assumed, not checked: on an objective with two peaks, a window around
+    the lower one would be taken.  Every evaluation goes through
+    ``objective`` itself.
     """
 
     step = hi / (resolution - 1)
-    coarse = _coarse_index(resolution)
-    if coarse is None or not 0.0 < step < math.inf:
+    if not 0.0 < step < math.inf:
         return grid_search_optimum(objective, 0.0, hi, resolution)
     delta = 2.0**-30 * (1.0 + _objective_magnitude(objective_key, hi))
     if not math.isfinite(delta):
         return grid_search_optimum(objective, 0.0, hi, resolution)
-    positions, index = coarse
     last = resolution - 1
+    radius = math.isqrt(resolution // 2)
 
+    def nearest(x: float) -> int:
+        return min(max(round(x / step), 0), last)
+
+    tried = None
     if hint is not None:
-        stride = positions[1]
-        at = min(max(round(hint / step), 0), last)
-        start, stop = max(at - stride, 0), min(at + stride, last)
-        found = _window(objective, start, stop, step, hi, resolution, delta, True)
+        tried = nearest(hint)
+        found = _window(objective, tried, radius, step, hi, resolution, delta)
         if found is not None:
             return found
-
-    # ``np.linspace``'s points without its ``+= lo``: adding 0.0 changes no bit here
-    xs = index * step
-    xs[-1] = hi
-    ys = objective(xs)
-    # finite only if every value is (an overflowing sum just falls back)
-    if not math.isfinite(ys.sum()):
-        return grid_search_optimum(objective, 0.0, hi, resolution)
-    rise = np.maximum.accumulate(ys)
-    top = float(rise[-1])
-    dip = np.minimum(rise, np.maximum.accumulate(ys[::-1])[::-1]) - ys
-    if dip.max() > 2.0 * delta:
-        return grid_search_optimum(objective, 0.0, hi, resolution)
-    near = np.flatnonzero(ys >= top - 2.0 * delta)
-    first = int(near[0])
-    after = int(near[-1]) + 1
-    start = positions[first - 1] if first else 0
-    stop = positions[after] if after < len(positions) else last
-    if 4 * (stop - start + 1) > resolution:
-        return grid_search_optimum(objective, 0.0, hi, resolution)
-    found = _window(objective, start, stop, step, hi, resolution, delta, False)
-    if found is None:
-        return grid_search_optimum(objective, 0.0, hi, resolution)
-    return found
+    stationary = _stationary_hint(objective_key, hi)
+    if stationary is not None and nearest(stationary) != tried:
+        found = _window(objective, nearest(stationary), radius, step, hi, resolution, delta)
+        if found is not None:
+            return found
+    return grid_search_optimum(objective, 0.0, hi, resolution)
 
 
 def _window(
     objective: Objective,
-    start: int,
-    stop: int,
+    at: int,
+    radius: int,
     step: float,
     hi: float,
     resolution: int,
     delta: float,
-    ends: bool,
 ) -> tuple[float, float] | None:
-    """The refined first argmax of grid positions ``start..stop``, if they form a window.
+    """The refined first argmax of grid positions ``at - radius..at + radius``, if a window.
 
     One array call evaluates the positions, each point as ``np.linspace``
-    builds it, followed with ``ends`` by the grid's two ends, which are
-    checked for finiteness only.  ``None`` when a value is not finite or an
-    inner edge computes at or above the top value less ``2 delta``: see
+    builds it, followed by the grid's two ends, which are checked for
+    finiteness only.  ``None`` when a value is not finite or an inner edge
+    computes at or above the top value less ``2 delta``: see
     :func:`_windowed_search`.
     """
 
     last = resolution - 1
-    index = np.arange(start, stop + (3 if ends else 1), dtype=float)
+    start, stop = max(at - radius, 0), min(at + radius, last)
     size = stop - start + 1
-    if ends:
-        index[size:] = 0.0, last
+    index = np.arange(start, stop + 3, dtype=float)
+    index[size:] = 0.0, last
     xs = index * step
     if stop == last:
         xs[size - 1] = hi
-    if ends:
-        xs[-1] = hi
+    xs[-1] = hi
     ys = objective(xs)
     # finite only if every value is (an overflowing sum just fails the window)
     if not math.isfinite(ys.sum()):
@@ -564,9 +552,9 @@ def _check_formula(
     :func:`coopsec.allocator._argmax_candidate`.  That decision is where the
     oracle search looks first, but never what it returns: the oracle argmax
     is :func:`grid_search_optimum`'s, found by :func:`_windowed_search`,
-    whatever the hint.  The rule skips non-finite values; a non-finite value
-    on ``[0, hi]`` makes the search raise, so no report carries a decision
-    drawn from one.
+    whatever the hint.  The rule skips a candidate whose value is not finite
+    or whose evaluation divides by zero; a non-finite value on ``[0, hi]``
+    makes the search raise, so no report carries a decision drawn from one.
     """
 
     positives = [r for r in roots if math.isfinite(r) and r > 0.0]
@@ -576,19 +564,12 @@ def _check_formula(
     hi = max([float(hi_budget), 1.0] + [2.0 * c for c in candidates])
     step = hi / (_DEFAULT_RESOLUTION - 1)
 
-    root_value: float | None = None
+    root_value, _ = _argmax_candidate(objective, positives, hi)
     search = (objective_key, hi)
     oracle_x = searches.get(search)
     if oracle_x is None:
-        try:
-            root_value, _ = _argmax_candidate(objective, positives, hi)
-        except ZeroDivisionError:
-            # a divisor underflowed in scalar arithmetic: the search names the point first
-            pass
         oracle_x, _ = _windowed_search(objective, objective_key, hi, hint=root_value)
         searches[search] = oracle_x
-    if root_value is None:
-        root_value, _ = _argmax_candidate(objective, positives, hi)
 
     interior = step < root_value < hi - step
     residual: float | None = None

@@ -72,6 +72,17 @@ class TestSolveQuadratic:
     def test_no_real_roots(self):
         assert solve_quadratic_real([1.0, 0.0, 1.0]) == []
 
+    @pytest.mark.parametrize("c", [1e-20, 1e-40, 1e-200])
+    def test_a_small_complex_pair_is_no_root(self, c):
+        # the pair +-i sqrt(c) has modulus far below one, but it is far from real
+        assert solve_quadratic_real([1.0, 0.0, c]) == []
+        assert solve_cubic_real([1.0, 0.0, c, 0.0]) == [0.0]
+
+    def test_a_nearly_real_pair_is_one_root(self):
+        # 1 +- 1e-10 i: the imaginary part is 1e-10 of the modulus
+        assert solve_quadratic_real([1.0, -2.0, 1.0 + 1e-20]) == [1.0]
+        assert solve_quadratic_real([1e-30, -2e-45, 1e-60 + 1e-80]) == [pytest.approx(1e-15)]
+
     def test_double_root_merges(self):
         roots = solve_quadratic_real([1.0, -2.0, 1.0])
         assert len(roots) == 1
@@ -576,6 +587,15 @@ class TestRelayAllocation:
     def test_exchange_ratio_pins_return_slice(self, std_gains, std_noise, std_budgets):
         allocation = relay_allocation(std_gains, std_noise, std_budgets, alpha=0.8, price=0.01)
         assert allocation.p_ab == pytest.approx(0.8 * allocation.p_jb)
+
+    def test_a_zero_divisor_at_zero_power_is_skipped(self, std_gains):
+        # sigma2 * (first hop + sigma2) underflows to zero at p_jb = 0: 0 / 0 in
+        # float arithmetic, where an array evaluation gives NaN
+        allocation = relay_allocation(
+            std_gains, NoiseModel(1e-200), PowerBudget(0.0, 5.0), alpha=0.8, price=0.01
+        )
+        assert allocation.p_jb == 0.0
+        assert allocation.provenance["p_jb"] is Provenance.ZERO
 
     def test_exhausted_seeds_leave_no_headroom(self, std_gains, std_noise):
         # j's half-budget seed is its whole (zero) budget: nothing is left to relay

@@ -133,7 +133,7 @@ def test_traced_validation_matches_untraced(monkeypatch):
     assert len(searched) == len(traced_points)
     assert 0 < len(traced_points) < 13 * 3
     assert tracer.export()["counts"][tracing.ARRAY_POINTS] == sum(traced_points)
-    # a coarse pass and one window per search, not the whole grid
+    # one or two windows per search, not the whole grid
     assert sum(traced_points) < len(traced_points) * 10001 // 10
 
 

@@ -308,7 +308,7 @@ class TestBadConfigs:
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_underflowing_noise_validation_is_a_clean_error(self, tmp_path, capsys):
         # s2 * (first hop + s2) underflows: the relay objective is 0 / 0 at p = 0,
-        # which the oracle search reports before the roots' decision is formed
+        # which the roots' decision skips and the oracle search reports
         config = self.write_config(tmp_path, '{"sigma2": 5e-324}')
         out = tmp_path / "v.json"
         with pytest.raises(SystemExit) as excinfo:
@@ -317,6 +317,43 @@ class TestBadConfigs:
         err = capsys.readouterr().err.strip().splitlines()
         assert err[-1] == "coopsec: error: validate: objective is not finite at x=0.0"
         assert not out.exists()
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("command", ["validate", "sweep", "mobility", "negotiate"])
+    @pytest.mark.parametrize(
+        "text",
+        [
+            '{"sigma2": 5e-324}',
+            '{"sigma2": 1e-200, "budgets": {"p_a_max": 0, "p_j_max": 5}}',
+            '{"sigma2": 1e-300, "budgets": {"p_a_max": 0, "p_j_max": 0}}',
+        ],
+    )
+    def test_underflowing_noise_runs_or_fails_in_one_line(
+        self, tmp_path, capsys, command, text
+    ):
+        # with a zero own-power seed, s2 * (first hop + s2) is 0.0 at p_jb = 0: the
+        # relay objective is 0 / 0 there in float arithmetic, which the decision skips
+        config = self.write_config(tmp_path, text)
+        out = tmp_path / "out"
+        argv = [command, "--config", config, "--out", str(out)]
+        if command == "validate":
+            argv += ["--samples", "0"]
+        if command == "validate" or "5e-324" in text:
+            with pytest.raises(SystemExit) as excinfo:
+                main(argv)
+            assert excinfo.value.code == 2
+            err = capsys.readouterr().err.strip().splitlines()
+            assert len(err) == 2 and err[-1].startswith(f"coopsec: error: {command}: ")
+            if command == "validate":
+                assert err[-1].endswith(": objective is not finite at x=0.0")
+            assert not out.exists()
+            return
+        code, _ = run_cli(argv, capsys)
+        assert code == 0 and out.exists()
+        if command == "negotiate":
+            allocation = json.loads(out.read_text(encoding="utf-8"))["allocation"]
+            assert allocation["p_jb"] == 0.0
+            assert allocation["provenance"]["p_jb"] == "zero-clamped"
 
     def test_tiny_noise_sweep_stays_finite(self, tmp_path, capsys):
         config = self.write_config(tmp_path, '{"sigma2": 1e-300}')

@@ -20,7 +20,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from coopsec import (
@@ -501,6 +501,23 @@ def objective_key(draw):
     return ("relay", main, eve, hop1, hop2, s2, lam, own, scale)
 
 
+@st.composite
+def interior_key(draw):
+    """Keys over the relay audit's ranges: gains 0.05 to 1, sigma2 0.1 to 2,
+    prices log-uniform from 1e-5 to 10**0.5, alpha 0.2 to 1, budgets 1 to 10;
+    the gap keys' legitimate gain is the larger, so most peaks are interior."""
+
+    gains = [draw(st.floats(min_value=0.05, max_value=1.0)) for _ in range(4)]
+    s2 = draw(st.floats(min_value=0.1, max_value=2.0))
+    lam = draw(log_uniform(-5.0, 0.5))
+    alpha = draw(st.floats(min_value=0.2, max_value=1.0))
+    if draw(st.booleans()):
+        main, eve = max(gains[:2]), min(gains[:2])
+        return ("gap", main, eve, s2, lam, draw(st.sampled_from([1.0, alpha, 1.0 / alpha])))
+    own = 0.5 * draw(st.floats(min_value=1.0, max_value=10.0))
+    return ("relay", *gains, s2, lam, own, draw(st.sampled_from([alpha, 1.0 / alpha])))
+
+
 def search_outcome(search, *args):
     try:
         return search(*args)
@@ -542,6 +559,32 @@ class TestWindowedSearchAgainstExhaustive:
         named = {"zero": 0.0, "hi": hi, "argmax": argmax, "mirror": hi - argmax}
         hint = named[where] if isinstance(where, str) else where * hi
         assert search_outcome(oracle._windowed_search, objective, key, hi, 10001, hint) == want
+
+    @settings(max_examples=300, deadline=None)
+    @given(key=interior_key(), stretch=st.floats(min_value=1.2, max_value=30.0))
+    def test_without_a_hint_the_stationary_window_holds_interior_optima(self, key, stretch):
+        objective = allocator._OBJECTIVE_FORMS[key[0]](*key[1:])
+        peak, _ = grid_search_optimum(objective, 0.0, 1e4)
+        assume(0.0 < peak < 1e4)
+        hi = peak * stretch
+        want = grid_search_optimum(objective, 0.0, hi)
+        full_grid = []
+
+        def recording(*args):
+            full_grid.append(args)
+            return grid_search_optimum(*args)
+
+        with mock.patch.object(oracle, "grid_search_optimum", recording):
+            assert oracle._windowed_search(objective, key, hi) == want
+        if full_grid:
+            # only a peak flat to within the error bound over 70 grid steps is no
+            # window: an inner edge computes within 2 delta of the top
+            grid = np.linspace(0.0, hi, 10001)
+            at = round(oracle._stationary_hint(key, hi) / grid[1])
+            start, stop = max(at - 70, 0), min(at + 70, 10000)
+            ys = objective(grid[start : stop + 1])
+            low = ys.max() - 2.0 * 2.0**-30 * (1.0 + oracle._objective_magnitude(key, hi))
+            assert (start > 0 and ys[0] >= low) or (stop < 10000 and ys[-1] >= low)
 
     def test_every_mode_and_side(self):
         rng = np.random.default_rng(2024)

@@ -5,6 +5,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import random
 
 import numpy as np
 import pytest
@@ -301,8 +302,7 @@ class TestExactGrid:
             for points in searched_arrays(oracle._windowed_search, objective, key, hi, n):
                 # every point is one of the grid's, bit for bit
                 assert np.isin(points.view(np.int64), grid.view(np.int64)).all(), hi
-        assert all(resolution == n for _, _, resolution in fallbacks)
-        assert bool(fallbacks) == (n < 8)
+        assert fallbacks == []
 
     @pytest.mark.parametrize(
         "lo,hi",
@@ -478,16 +478,22 @@ class TestWindowedSearch:
         assert fallbacks == []
 
     @pytest.mark.parametrize("hi", [1.0, 12.0, 1e4])
-    def test_evaluates_the_exact_grid_points(self, hi):
-        objective, key = keyed_objective(*STD_GAP)
-        for probe in (objective, parabola, lambda x: x * 1.0, lambda x: -x):
-            coarse, window = searched_arrays(oracle._windowed_search, probe, key, hi)
-            grid = np.linspace(0.0, hi, 10001)
-            positions, _ = oracle._coarse_index(10001)
-            assert coarse.tobytes() == grid[list(positions)].tobytes()
-            start = int(np.flatnonzero(grid == window[0])[0])
-            assert window.tobytes() == grid[start : start + len(window)].tobytes()
-            assert len(coarse) + len(window) < 400
+    def test_evaluates_the_exact_grid_points(self, fallbacks, hi):
+        # a hint on the wrong side misses: two windows, each a run of grid points
+        # followed by the grid's two ends
+        grid = np.linspace(0.0, hi, 10001)
+        for key in (STD_GAP, STD_RELAY):
+            objective, key = keyed_objective(*key)
+            want = grid_search_optimum(objective, 0.0, hi)
+            hint = 0.0 if want[0] > 0.5 * hi else hi
+            arrays = searched_arrays(oracle._windowed_search, objective, key, hi, 10001, hint)
+            assert len(arrays) == 2 and fallbacks == []
+            for window in arrays:
+                run, ends = window[:-2], window[-2:]
+                start = int(np.flatnonzero(grid == run[0])[0])
+                assert run.tobytes() == grid[start : start + len(run)].tobytes()
+                assert ends.tobytes() == grid[[0, -1]].tobytes()
+                assert len(run) <= 2 * 70 + 1
 
     def test_step_zero_falls_back(self, fallbacks):
         objective, key = keyed_objective(*STD_GAP)
@@ -503,19 +509,18 @@ class TestWindowedSearch:
         assert search_outcome(oracle._windowed_search, objective, key, hi) == want
         assert len(fallbacks) == 1
 
-    def test_resolution_too_small_for_a_coarse_pass_falls_back(self, fallbacks):
-        objective, key = keyed_objective(*STD_GAP)
-        assert oracle._coarse_index(7) is None
-        assert oracle._windowed_search(objective, key, 12.0, 7) == grid_search_optimum(
-            objective, 0.0, 12.0, 7
-        )
-        assert fallbacks == [(0.0, 12.0, 7)]
-        assert oracle._coarse_index(8) is not None
-        fallbacks.clear()
-        assert oracle._windowed_search(objective, key, 12.0, 101) == grid_search_optimum(
-            objective, 0.0, 12.0, 101
-        )
-        assert fallbacks == []
+    @pytest.mark.parametrize("resolution", [2, 3, 4, 7, 8, 101])
+    @pytest.mark.parametrize("key", [STD_GAP, STD_RELAY])
+    def test_small_resolutions_match_the_exhaustive_search(self, fallbacks, key, resolution):
+        # the window radius isqrt(resolution // 2) is at least one grid step; on a
+        # coarse grid the argmax may sit on a window's inner edge, which falls back
+        objective, key = keyed_objective(*key)
+        for hi in (1.0, 12.0):
+            want = grid_search_optimum(objective, 0.0, hi, resolution)
+            for hint in (None, 0.0, hi):
+                assert oracle._windowed_search(objective, key, hi, resolution, hint) == want
+        assert all(n == resolution for _, _, n in fallbacks)
+        assert fallbacks == [] or resolution < 101
 
     def test_non_finite_error_bound_falls_back(self, fallbacks):
         # g_hop1 * own_power / s2 overflows while the relayed SNR stays finite
@@ -540,7 +545,7 @@ class TestWindowedSearch:
         assert len(fallbacks) == 1
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-    def test_non_finite_coarse_value_falls_back(self, fallbacks):
+    def test_non_finite_value_at_zero_falls_back(self, fallbacks):
         # sigma2 * (first hop + sigma2) underflows to zero: 0 / 0 at p = 0
         objective, key = keyed_objective("relay", 0.4, 0.3, 1e-200, 0.5, 1e-200, 0.01, 1.0, 1.0)
         want = search_outcome(grid_search_optimum, objective, 0.0, 12.0)
@@ -562,7 +567,7 @@ class TestWindowedSearch:
 
     @pytest.mark.parametrize("objective", [lambda x: 0.0 * x, lambda x: -1e-12 * x])
     def test_wide_window_falls_back(self, fallbacks, objective):
-        # flat to within the error bound: every coarse sample is near the top
+        # flat to within the error bound: no inner edge computes far enough below the top
         got = oracle._windowed_search(objective, STD_GAP, 12.0)
         assert len(fallbacks) == 1
         assert got == grid_search_optimum(objective, 0.0, 12.0)
@@ -574,28 +579,32 @@ class TestWindowedSearch:
         )
         assert len(fallbacks) == 1
 
-    def test_dip_between_coarse_samples_falls_back(self, fallbacks):
+    def test_a_peak_outside_both_windows_falls_back(self, fallbacks):
+        # the hint sits on the falling flank of the lower peak, and the key's
+        # stationary point, 7.78, on the rising flank of the higher one
         def bimodal(x):
             return np.maximum(-((x - 2.0) ** 2), 0.5 - (x - 8.0) ** 2)
 
-        got = oracle._windowed_search(bimodal, STD_GAP, 10.0)
+        got = oracle._windowed_search(bimodal, STD_GAP, 10.0, hint=2.5)
         assert len(fallbacks) == 1
         assert got == grid_search_optimum(bimodal, 0.0, 10.0)
 
     def test_window_argmax_on_an_inner_edge_falls_back(self, fallbacks):
+        objective, key = keyed_objective(*STD_GAP)
         arrays = []
 
         def shifty(x):
-            values = parabola(x)
+            values = objective(x)
             if isinstance(x, np.ndarray):
                 arrays.append(len(x))
                 if len(arrays) == 2:
-                    values[0] += 100.0  # the window call disagrees with the coarse pass
+                    values[0] += 100.0  # the stationary window's inner left edge
             return values
 
-        got = oracle._windowed_search(shifty, STD_GAP, 10.0)
+        # the hint misses, and the stationary window would hold the argmax
+        got = oracle._windowed_search(shifty, key, 10.0, hint=0.0)
         assert len(fallbacks) == 1 and arrays[-1] == 10001
-        assert got == grid_search_optimum(parabola, 0.0, 10.0)
+        assert got == grid_search_optimum(objective, 0.0, 10.0)
 
 
 def array_calls(objective):
@@ -636,17 +645,28 @@ class TestHintedSearch:
         assert got == grid_search_optimum(objective, 0.0, 12.0)
         assert len(arrays) == 1 and fallbacks == []
 
-    def test_a_wrong_side_hint_goes_on_to_the_coarse_pass(self, fallbacks):
-        objective, key = keyed_objective(*STD_GAP)
+    @pytest.mark.parametrize("key", [STD_GAP, STD_RELAY])
+    def test_a_wrong_side_hint_goes_on_to_the_stationary_window(self, fallbacks, key):
+        objective, key = keyed_objective(*key)
         want = grid_search_optimum(objective, 0.0, 12.0)
-        # the argmax is interior, at 7.78, and the hint on the other side, at 4.22
-        assert 6.0 < want[0] < 12.0
+        # the argmax is interior, at 7.78 (gap) or 5.97 (relay), and the hint at the far end
+        hint = 0.0 if want[0] > 6.0 else 12.0
+        assert 5.0 < want[0] < 8.0
         recorded, arrays = array_calls(objective)
-        assert oracle._windowed_search(recorded, key, 12.0, hint=12.0 - want[0]) == want
-        assert fallbacks == [] and len(arrays) == 3
-        positions, _ = oracle._coarse_index(10001)
+        assert oracle._windowed_search(recorded, key, 12.0, hint=hint) == want
+        assert fallbacks == [] and len(arrays) == 2
+        # the second window is centred on the grid point nearest the stationary hint
         grid = np.linspace(0.0, 12.0, 10001)
-        assert arrays[1].tobytes() == grid[list(positions)].tobytes()
+        at = round(oracle._stationary_hint(key, 12.0) / grid[1])
+        assert arrays[1][:-2].tobytes() == grid[at - 70 : at + 71].tobytes()
+
+    def test_a_hint_on_the_stationary_point_is_not_tried_twice(self, fallbacks):
+        # the flat objective is no window anywhere: one window, then the full grid
+        stationary = oracle._stationary_hint(STD_GAP, 12.0)
+        recorded, arrays = array_calls(lambda x: 0.0 * x)
+        oracle._windowed_search(recorded, STD_GAP, 12.0, hint=stationary)
+        assert [len(a) for a in arrays] == [2 * 70 + 1 + 2, 10001]
+        assert len(fallbacks) == 1
 
     @pytest.mark.parametrize("objective", [lambda x: 0.0 * x, lambda x: -1e-12 * x])
     def test_a_flat_objective_reaches_the_exhaustive_search(self, fallbacks, objective):
@@ -696,23 +716,103 @@ class TestHintedSearch:
         assert got == want and len(fallbacks) == 1
 
     @pytest.mark.parametrize("seed,hits,misses", [(0, 91, 6), (1, 87, 6), (2, 92, 10)])
-    def test_hint_windows_on_the_golden_draws(self, monkeypatch, fallbacks, seed, hits, misses):
-        # the validate goldens' draws: most searches end on the hint window, and
-        # some go on to the coarse pass, so the goldens cover both paths
-        arrays_per_search = []
-        original = oracle._windowed_search
-
-        def counting(objective, objective_key, hi, resolution=10001, hint=None):
-            recorded, arrays = array_calls(objective)
-            result = original(recorded, objective_key, hi, resolution, hint)
-            arrays_per_search.append(len(arrays))
-            return result
-
-        monkeypatch.setattr(oracle, "_windowed_search", counting)
+    def test_hint_windows_on_the_golden_draws(
+        self, arrays_per_search, fallbacks, seed, hits, misses
+    ):
+        # the validate goldens' draws: most searches end on the hint window, the
+        # rest on the stationary window, so the goldens cover both; none on the full grid
         harness.run_validation(ExperimentConfig(seed=seed), samples=10)
         assert arrays_per_search.count(1) == hits
-        assert arrays_per_search.count(3) == misses
+        assert arrays_per_search.count(2) == misses
         assert len(arrays_per_search) == hits + misses and fallbacks == []
+
+    def test_hint_windows_on_the_audit_job_seeds(self, arrays_per_search, fallbacks):
+        # the benchmark's audit jobs at seed 1: 64 job seeds, one sample each
+        rng = random.Random(1)
+        for job_seed in [rng.randrange(2**31) for _ in range(64)]:
+            harness.run_validation(ExperimentConfig(seed=job_seed), samples=1)
+        assert arrays_per_search.count(1) == 916
+        assert arrays_per_search.count(2) == 58
+        assert len(arrays_per_search) == 974 and fallbacks == []
+
+
+@pytest.fixture
+def arrays_per_search(monkeypatch):
+    """The number of arrays each oracle search evaluates, in order."""
+
+    counts = []
+    original = oracle._windowed_search
+
+    def counting(objective, objective_key, hi, resolution=10001, hint=None):
+        recorded, arrays = array_calls(objective)
+        result = original(recorded, objective_key, hi, resolution, hint)
+        counts.append(len(arrays))
+        return result
+
+    monkeypatch.setattr(oracle, "_windowed_search", counting)
+    return counts
+
+
+def relay_slope(key, p):
+    """The relay objective's derivative in ``p``, written out term by term."""
+
+    _, g_direct, _, g_hop1, g_hop2, s2, lam, own, pay_scale = key
+    h1, second_hop = g_hop1 * own, g_hop2 * p
+    d = h1 + second_hop + s2
+    relayed = h1 * second_hop / (s2 * d)
+    gain = h1 * g_hop2 * (h1 + s2) / (s2 * d * d)
+    return gain / (1.0 + g_direct * own / s2 + relayed) - lam * pay_scale
+
+
+class TestStationaryHint:
+    """``_stationary_hint`` is the argmax of the key's objective on ``[0, hi]``."""
+
+    def test_relay_slope_vanishes_at_interior_points(self):
+        rng = np.random.default_rng(17)
+        interior = 0
+        for _ in range(500):
+            g = rng.uniform(0.05, 1.0, 4)
+            s2, alpha = rng.uniform(0.1, 2.0), rng.uniform(0.2, 1.0)
+            lam = 10.0 ** rng.uniform(-5.0, 0.5)
+            own = 0.5 * rng.uniform(1.0, 10.0)
+            key = ("relay", *map(float, g), s2, lam, own, float(rng.choice([alpha, 1 / alpha])))
+            hi = 1e6
+            p = oracle._stationary_hint(key, hi)
+            price = lam * key[-1]
+            if 0.0 < p < hi:
+                interior += 1
+                assert abs(relay_slope(key, p)) <= 1e-9 * price, key
+            else:
+                # an end: the slope points out of the interval there
+                assert p == 0.0 and relay_slope(key, 0.0) <= 0.0, key
+        assert interior > 300
+
+    @pytest.mark.parametrize("hi", [1.0, 12.0])
+    def test_relay_hint_is_the_grid_argmax_to_a_grid_step(self, hi):
+        objective, key = keyed_objective(*STD_RELAY)
+        want, _ = grid_search_optimum(objective, 0.0, hi)
+        assert oracle._stationary_hint(key, hi) == pytest.approx(want, abs=hi / 10000)
+
+    def test_gap_keys_take_the_allocator_kernel(self):
+        for hi in (1.0, 12.0):
+            want = allocator._priced_gap_optimum(*STD_GAP[1:], hi, allocator._ARGMAX)[0]
+            assert oracle._stationary_hint(STD_GAP, hi) == want
+
+    @pytest.mark.parametrize(
+        "key,want",
+        [
+            (("relay", 0.4, 0.3, 0.2, 0.5, 1.0, 0.01, 0.0, 0.8), 0.0),  # no first hop
+            (("relay", 0.4, 0.3, 0.2, 0.0, 1.0, 0.01, 2.5, 0.8), 0.0),  # no second hop
+            (("relay", 0.4, 0.3, 0.2, 0.5, 1.0, 0.0, 2.5, 0.8), 12.0),  # no price
+            (("relay", 0.4, 0.3, 1e300, 1e300, 1.0, 0.01, 1e10, 0.8), None),  # K overflows
+        ],
+    )
+    def test_degenerate_relay_keys(self, key, want):
+        assert oracle._stationary_hint(key, 12.0) == want
+
+    def test_overflowing_gap_quadratic_is_no_hint(self):
+        # sigma2 ** 2 overflows in the priced-gap quadratic
+        assert oracle._stationary_hint(("gap", 0.4, 0.3, 1e200, 0.01, 1.0), 12.0) is None
 
 
 class TestTinyInputs:
