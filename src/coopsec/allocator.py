@@ -28,7 +28,19 @@ floats to the kernels behind the public polynomials (:func:`_gap_quadratic`
 behind :func:`noncoop_quadratic`, :func:`_relay_cubic` behind
 :func:`relay_cubic_for_a`) and builds its objective from them directly;
 the kernels do the public functions' arithmetic in the same order, so the
-results are the same bits.
+results are the same bits.  The rates of the decided powers come from
+``rates._secrecy_rate``, the kernel behind :func:`coopsec.rates.secrecy_rate`,
+and the result is built by ``model._from_checked`` without re-running the
+dataclass checks.
+
+An allocation compares only a few candidates (zero, the budget and the
+roots), each evaluated on Python floats with ``math.log1p``: numpy's scalar
+``log1p`` costs several times as much per call.  The objective factories
+take ``np.log1p`` by default, and :func:`penalized_objective` and the audit
+in :mod:`coopsec.oracle` keep it: the audit evaluates arrays, and
+``math.log1p`` differs from ``np.log1p`` in the last bit on some inputs, so
+the audit's printed values would move.  A decision could move only where two
+candidates tie to within those bits.
 
 This module holds only what decides an allocation.  The paper's printed
 per-mode formulas, which no allocation follows, live with their audit in
@@ -46,8 +58,16 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .model import ChannelGains, NoiseModel, PowerBudget, _as_alpha, _as_price, _as_sigma2
-from .rates import _DIRECT_LINKS, RatePair, ScenarioKind, _Link, secrecy_rate
+from .model import (
+    ChannelGains,
+    NoiseModel,
+    PowerBudget,
+    _as_alpha,
+    _as_price,
+    _as_sigma2,
+    _from_checked,
+)
+from .rates import _DIRECT_LINKS, RatePair, ScenarioKind, _Link, _secrecy_rate
 
 __all__ = [
     "OptimalAllocation",
@@ -442,13 +462,17 @@ def _scale(link: _Link, alpha: float | None) -> float:
 
 
 def _priced_gap_objective(
-    g_main: float, g_eve: float, s2: float, lam: float, scale: float
+    g_main: float, g_eve: float, s2: float, lam: float, scale: float, log1p=np.log1p
 ) -> Callable[[float], float]:
-    """Priced secrecy gap of a message carried at ``x = scale * p``."""
+    """Priced secrecy gap of a message carried at ``x = scale * p``.
+
+    ``log1p`` is ``np.log1p``, which takes arrays, unless an allocation
+    passes ``math.log1p`` for its scalar candidates.
+    """
 
     def f(p):
         x = scale * p
-        return np.log1p(g_main * x / s2) - np.log1p(g_eve * x / s2) - lam * x
+        return log1p(g_main * x / s2) - log1p(g_eve * x / s2) - lam * x
 
     return f
 
@@ -462,8 +486,12 @@ def _priced_relay_objective(
     lam: float,
     own_power: float,
     pay_scale: float,
+    log1p=np.log1p,
 ) -> Callable[[float], float]:
-    """Priced relay secrecy rate in the relaying slice ``p``."""
+    """Priced relay secrecy rate in the relaying slice ``p``.
+
+    ``log1p`` is as for :func:`_priced_gap_objective`.
+    """
 
     base_main = g_direct * own_power / s2
     eve_term = math.log1p(g_eve * own_power / s2)
@@ -472,7 +500,7 @@ def _priced_relay_objective(
     def f(p):
         second_hop = g_hop2 * p
         relayed = first_hop * second_hop / (s2 * (first_hop + second_hop + s2))
-        return np.log1p(base_main + relayed) - eve_term - lam * pay_scale * p
+        return log1p(base_main + relayed) - eve_term - lam * pay_scale * p
 
     return f
 
@@ -641,7 +669,8 @@ def _priced_gap_optimum(
     roots = [x / scale for x in solve_quadratic_real(coeffs)]
     if pick == _THRESHOLD:
         return _threshold_pick(roots, hi, g_main > g_eve)
-    return _argmax_candidate(_priced_gap_objective(g_main, g_eve, s2, lam, scale), roots, hi)
+    objective = _priced_gap_objective(g_main, g_eve, s2, lam, scale, math.log1p)
+    return _argmax_candidate(objective, roots, hi)
 
 
 # ---------------------------------------------------------------------------
@@ -671,14 +700,17 @@ def _direct_allocation(
         for link in _DIRECT_LINKS[kind]
     }
     (p_a, prov_a), (p_j, prov_j) = decided["p_a"], decided["p_j"]
-    return OptimalAllocation(
-        mode=kind,
-        p_a=p_a,
-        p_j=p_j,
-        p_ab=0.0,
-        p_jb=0.0,
-        cs=secrecy_rate(kind, gains, noise, p_a=p_a, p_j=p_j, alpha=alpha),
-        provenance={"p_a": prov_a, "p_j": prov_j},
+    return _from_checked(
+        OptimalAllocation,
+        {
+            "mode": kind,
+            "p_a": p_a,
+            "p_j": p_j,
+            "p_ab": 0.0,
+            "p_jb": 0.0,
+            "cs": _secrecy_rate(kind, gains, noise.sigma2, p_a, p_j, alpha, 0.0, 0.0),
+            "provenance": {"p_a": prov_a, "p_j": prov_j},
+        },
     )
 
 
@@ -769,23 +801,23 @@ def relay_allocation(
     roots = solve_cubic_real(_relay_cubic(gains, s2, seed_a, a, lam))
     # penalized_objective(RELAY_COOP, "p_jb", ...) at the seed, on the checked floats
     objective = _priced_relay_objective(
-        gains.g_ab, gains.g_ae, gains.g_aj, gains.g_jb, s2, lam, seed_a, a
+        gains.g_ab, gains.g_ae, gains.g_aj, gains.g_jb, s2, lam, seed_a, a, math.log1p
     )
     p_jb, prov = _argmax_candidate(objective, roots, hi)
     p_ab = a * p_jb
     p_a = max(budget.p_a_max - p_ab, 0.0)
     p_j = max(budget.p_j_max - p_jb, 0.0)
-    cs = secrecy_rate(
-        ScenarioKind.RELAY_COOP, gains, noise, p_a=p_a, p_j=p_j, p_ab=p_ab, p_jb=p_jb
-    )
-    return OptimalAllocation(
-        mode=ScenarioKind.RELAY_COOP,
-        p_a=p_a,
-        p_j=p_j,
-        p_ab=p_ab,
-        p_jb=p_jb,
-        cs=cs,
-        provenance={"p_jb": prov},
+    return _from_checked(
+        OptimalAllocation,
+        {
+            "mode": ScenarioKind.RELAY_COOP,
+            "p_a": p_a,
+            "p_j": p_j,
+            "p_ab": p_ab,
+            "p_jb": p_jb,
+            "cs": _secrecy_rate(ScenarioKind.RELAY_COOP, gains, s2, p_a, p_j, None, p_ab, p_jb),
+            "provenance": {"p_jb": prov},
+        },
     )
 
 

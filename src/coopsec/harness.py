@@ -536,6 +536,10 @@ def _audit_point(config: ExperimentConfig) -> dict[str, object]:
     }
 
 
+# An underflowing sigma2 makes the audit's numpy objectives divide by zero or
+# overflow.  Every value that reaches the report is tested for finiteness,
+# so numpy's warnings would only add lines to stderr.
+@np.errstate(divide="ignore", over="ignore", invalid="ignore")
 def run_validation(config: ExperimentConfig, samples: int = 100) -> dict[str, object]:
     """Validate every scenario at the config point and at random points.
 

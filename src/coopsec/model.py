@@ -29,18 +29,46 @@ __all__ = [
 ]
 
 
+def _as_number(name: str, value: float) -> float:
+    """``value`` as a float: the one test that an input is a number.
+
+    A str, bytes or bool is no number, nor is anything ``float()`` refuses.
+    """
+
+    if type(value) is float:
+        return value
+    try:
+        if isinstance(value, (str, bytes, bool)):
+            raise TypeError
+        return float(value)
+    except TypeError:
+        raise ValueError(f"{name} must be a number, got {value!r}") from None
+
+
 def _require_finite(name: str, value: float) -> float:
-    # a str, bytes or bool is no number; testing float first keeps negotiate cheap
+    # testing float first keeps negotiate cheap
     if type(value) is not float:
-        try:
-            if isinstance(value, (str, bytes, bool)):
-                raise TypeError
-            value = float(value)
-        except TypeError:
-            raise ValueError(f"{name} must be a number, got {value!r}") from None
+        value = _as_number(name, value)
     if not math.isfinite(value):
         raise ValueError(f"{name} must be finite, got {value!r}")
     return value
+
+
+def _from_checked(cls, fields):
+    """An instance of the frozen dataclass ``cls`` that holds ``fields``.
+
+    ``fields`` maps every field name to its value, as a dict or as
+    ``(name, value)`` pairs.  ``__init__`` and ``__post_init__`` do not run,
+    so each value must already be checked and converted to what
+    ``__post_init__`` would store.  The instance then compares, hashes and
+    prints like the constructed one, and ``dataclasses.replace`` builds its
+    copies through ``__init__``.  Kernels that take checked floats build
+    their results with it.
+    """
+
+    instance = object.__new__(cls)
+    instance.__dict__.update(fields)
+    return instance
 
 
 # The one check of each allocation input: a number, finite, and in range.
@@ -123,9 +151,7 @@ class ChannelGains:
         if not all(map(math.isfinite, values)):
             for name, value in zip(_GAIN_FIELDS, values):
                 _require_finite(name, value)
-        gains = object.__new__(ChannelGains)
-        vars(gains).update(zip(_GAIN_FIELDS, values))
-        return gains
+        return _from_checked(ChannelGains, zip(_GAIN_FIELDS, values))
 
 
 _GAIN_FIELDS = ("g_ab", "g_ae", "g_jb", "g_je", "g_aj", "g_ja")

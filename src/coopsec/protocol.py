@@ -27,7 +27,15 @@ from .allocator import (
     one_side_allocation,
     relay_allocation,
 )
-from .model import ChannelGains, Geometry, NoiseModel, PowerBudget, _as_alpha, _as_sigma2
+from .model import (
+    ChannelGains,
+    Geometry,
+    NoiseModel,
+    PowerBudget,
+    _as_alpha,
+    _as_sigma2,
+    _from_checked,
+)
 from .rates import ScenarioKind
 
 __all__ = [
@@ -159,12 +167,15 @@ def distance_constraints_met(
     dist_alice = _leq(gains.g_aj * geometry.d_ae**eta, gains.g_ae * geometry.d_aj**eta)
     dist_john = _leq(gains.g_ja * geometry.d_je**eta, gains.g_je * geometry.d_aj**eta)
 
-    return ConstraintVerdict(
-        snr_condition_alice=snr_alice,
-        snr_condition_john=snr_john,
-        distance_alice_eve=dist_alice,
-        distance_john_eve=dist_john,
-        all_met=snr_alice and snr_john and dist_alice and dist_john,
+    return _from_checked(
+        ConstraintVerdict,
+        {
+            "snr_condition_alice": snr_alice,
+            "snr_condition_john": snr_john,
+            "distance_alice_eve": dist_alice,
+            "distance_john_eve": dist_john,
+            "all_met": snr_alice and snr_john and dist_alice and dist_john,
+        },
     )
 
 

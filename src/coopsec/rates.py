@@ -35,7 +35,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple
 
-from .model import ChannelGains, NoiseModel, _as_alpha, _relay_snr
+from .model import ChannelGains, NoiseModel, _as_alpha, _as_number, _from_checked, _relay_snr
 
 __all__ = [
     "RatePair",
@@ -158,7 +158,8 @@ def secrecy_rate(
     kind:
         Operating mode; decides which powers and links matter.
     p_a, p_j:
-        Power spent on each side's own message.  Every power must be finite.
+        Power spent on each side's own message.  Every power must be a
+        finite number.
     alpha:
         Power-exchange ratio in ``(0, 1]``; required for the MAC and
         one-sided modes, and checked whenever it is given.
@@ -174,10 +175,15 @@ def secrecy_rate(
     Raises
     ------
     ValueError
-        On a non-finite or negative power, or when a rate is not finite
-        because a gain over ``sigma2`` overflows its SNR.
+        On a power that is no number, is not finite or is negative, or
+        when a rate is not finite because a gain over ``sigma2`` overflows
+        its SNR.
     """
 
+    p_a, p_j, p_ab, p_jb = (
+        _as_number(name, value)
+        for name, value in (("p_a", p_a), ("p_j", p_j), ("p_ab", p_ab), ("p_jb", p_jb))
+    )
     if not all(map(math.isfinite, (p_a, p_j, p_ab, p_jb))):
         raise ValueError(f"powers must be finite: p_a={p_a}, p_j={p_j}, p_ab={p_ab}, p_jb={p_jb}")
     if p_a < 0 or p_j < 0:
@@ -191,11 +197,36 @@ def secrecy_rate(
     if links is not None:
         if alpha is None and any(link.alpha_power for link in links):
             raise ValueError(f"{kind.value} requires alpha")
+    elif p_ab < 0 or p_jb < 0:
+        raise ValueError("relay powers must be non-negative")
+    return _secrecy_rate(kind, gains, s2, p_a, p_j, alpha, p_ab, p_jb)
+
+
+def _secrecy_rate(
+    kind: ScenarioKind,
+    gains: ChannelGains,
+    s2: float,
+    p_a: float,
+    p_j: float,
+    alpha: float | None,
+    p_ab: float,
+    p_jb: float,
+) -> RatePair:
+    """:func:`secrecy_rate` on checked floats.
+
+    ``kind`` is a :class:`ScenarioKind`, the powers are finite non-negative
+    floats, ``s2`` is a checked ``sigma2`` and ``alpha`` a checked ratio, or
+    ``None`` in a mode that does not read it.  The arithmetic is
+    :func:`secrecy_rate`'s, so the rates are the same bits.  Raises
+    ``ValueError`` when a rate is not finite, which no input check can
+    foresee.
+    """
+
+    links = _DIRECT_LINKS.get(kind)
+    if links is not None:
         powers = {"p_a": p_a, "p_j": p_j}
         cs1, cs2 = (_message_gap(link, gains, powers[link.power], alpha, s2) for link in links)
     else:  # relay_coop
-        if p_ab < 0 or p_jb < 0:
-            raise ValueError("relay powers must be non-negative")
         # the direct branch and the relayed one add up, as in rate_mrc_relay
         relayed_a = _relay_snr(gains.g_aj, gains.g_jb, p_a, p_jb, s2)
         cs1 = math.log1p(gains.g_ab * p_a / s2 + relayed_a) - math.log1p(gains.g_ae * p_a / s2)
@@ -206,4 +237,4 @@ def secrecy_rate(
             f"{kind.value} secrecy rates are not finite (cs1={cs1}, cs2={cs2}): "
             "a gain over sigma2 overflows the SNR"
         )
-    return RatePair(cs1, cs2)
+    return _from_checked(RatePair, {"cs1": cs1, "cs2": cs2})

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -30,6 +31,7 @@ from coopsec import (
     relay_allocation,
     validate_scenario,
 )
+from coopsec import allocator, oracle
 from coopsec.allocator import (
     noncoop_quadratic,
     relay_cubic_for_a,
@@ -670,7 +672,8 @@ class TestBisectPrice:
 
 
 class TestScalarPathsAvoidNumpyRootFinding:
-    """Allocation and audit solve their polynomials without ``np.roots``."""
+    """Allocation and audit solve their polynomials without ``np.roots``, and
+    negotiation calls no numpy function at all."""
 
     def test_negotiate_and_validate_in_every_mode(self, monkeypatch):
         def forbidden(*args, **kwargs):
@@ -702,3 +705,107 @@ class TestScalarPathsAvoidNumpyRootFinding:
         for kind in ScenarioKind:
             report = validate_scenario(kind, STD_GAINS, geometry, 1.0, 0.8, 0.01, budgets)
             assert report.entries
+
+    def test_negotiate_calls_no_numpy_function(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("numpy on the decision path")
+
+        geometry = Geometry(d_ab=1.0, d_ae=2.0, d_jb=1.0, d_je=2.0, d_aj=2.0, eta=2.0)
+        budgets = PowerBudget(p_a_max=5.0, p_j_max=5.0)
+        switches = ("john_accepts_relay", "john_accepts_mac", "john_accepts_one_side")
+        policies = [
+            NegotiationPolicy(**{name: False for name in switches[:declined]})
+            for declined in range(4)
+        ]
+        for name, value in list(vars(np).items()):
+            if callable(value) and not isinstance(value, type) and not name.startswith("_"):
+                monkeypatch.setattr(np, name, forbidden)
+        modes = {
+            negotiate(policy, STD_GAINS, geometry, 1.0, price, budgets, ConstraintMode.CORRECTED)[0]
+            for policy in policies
+            for price in (0.0, 0.01, 1.0)
+        }
+        monkeypatch.undo()
+        assert modes == set(ScenarioKind)
+
+
+@st.composite
+def decision(draw):
+    """One allocation decision over the relay audit's ranges (gains 0.05 to 1,
+    sigma2 0.1 to 2, prices log-uniform from 1e-5 to 10**0.5, alpha 0.2 to 1,
+    budgets 1 to 10): an objective key, the roots the allocation compares and
+    the bound ``hi``.  Relay decisions also compare the slice's exact
+    stationary point."""
+
+    g_ab, g_ae, g_aj, g_jb = (draw(st.floats(min_value=0.05, max_value=1.0)) for _ in range(4))
+    s2 = draw(st.floats(min_value=0.1, max_value=2.0))
+    lam = 10.0 ** draw(st.floats(min_value=-5.0, max_value=0.5))
+    alpha = draw(st.floats(min_value=0.2, max_value=1.0))
+    budget = PowerBudget(*(draw(st.floats(min_value=1.0, max_value=10.0)) for _ in range(2)))
+    if draw(st.booleans()):
+        scale = draw(st.sampled_from([1.0, alpha, 1.0 / alpha]))
+        coeffs = allocator._gap_quadratic(g_ab, g_ae, s2, lam)
+        roots = [x / scale for x in solve_quadratic_real(coeffs)]
+        return ("gap", g_ab, g_ae, s2, lam, scale), roots, budget.p_a_max
+    seed_a, _, hi, _ = allocator._relay_seeds(budget, alpha)
+    gains = ChannelGains(g_ab=g_ab, g_ae=g_ae, g_jb=g_jb, g_je=g_ae, g_aj=g_aj)
+    roots = solve_cubic_real(allocator._relay_cubic(gains, s2, seed_a, alpha, lam))
+    key = ("relay", g_ab, g_ae, g_aj, g_jb, s2, lam, seed_a, alpha)
+    hint = oracle._stationary_hint(key, hi)
+    return key, roots + ([] if hint is None else [hint]), hi
+
+
+def largest_term(key, p):
+    """The largest of an objective's three terms at ``p``, all non-negative."""
+
+    if key[0] == "gap":
+        _, g_main, g_eve, s2, lam, scale = key
+        x = scale * p
+        return max(math.log1p(g_main * x / s2), math.log1p(g_eve * x / s2), lam * x)
+    _, g_direct, g_eve, g_hop1, g_hop2, s2, lam, own, pay_scale = key
+    first_hop, second_hop = g_hop1 * own, g_hop2 * p
+    relayed = first_hop * second_hop / (s2 * (first_hop + second_hop + s2))
+    return max(
+        math.log1p(g_direct * own / s2 + relayed),
+        math.log1p(g_eve * own / s2),
+        lam * pay_scale * p,
+    )
+
+
+class TestDecisionsInPlainFloats:
+    """Allocations evaluate their candidates with ``math.log1p`` on floats;
+    the audit's ``np.log1p`` objectives pick the same."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(decision())
+    def test_math_and_numpy_objectives_pick_alike(self, drawn):
+        key, roots, hi = drawn
+        form = allocator._OBJECTIVE_FORMS[key[0]]
+        plain, with_numpy = form(*key[1:], math.log1p), form(*key[1:])
+        picked = allocator._argmax_candidate(plain, roots, hi)
+        assert picked == allocator._argmax_candidate(with_numpy, roots, hi)
+        for p in [0.0, hi, *(r for r in roots if 0.0 < r < hi)]:
+            value, reference = plain(p), with_numpy(p)
+            assert type(value) is float
+            magnitude = max(largest_term(key, p), abs(value))
+            assert abs(value - reference) <= 2.0 * math.ulp(magnitude), (key, p)
+
+    def test_every_compared_value_is_a_float(self):
+        values = []
+        argmax = allocator._argmax_candidate
+
+        def recording(objective, roots, hi):
+            def evaluated(p):
+                values.append(objective(p))
+                return values[-1]
+
+            return argmax(evaluated, roots, hi)
+
+        noise, budgets = NoiseModel(1.0), PowerBudget(5.0, 5.0)
+        with mock.patch.object(allocator, "_argmax_candidate", recording):
+            for price in (0.0, 1e-4, 0.01, 0.1, 1.0):
+                for allocate in (one_side_allocation, mac_allocation, relay_allocation):
+                    before = len(values)
+                    allocate(STD_GAINS, noise, budgets, alpha=0.8, price=price)
+                    assert len(values) > before
+        assert {type(v) for v in values} == {float}

@@ -355,6 +355,40 @@ class TestBadConfigs:
             assert allocation["p_jb"] == 0.0
             assert allocation["provenance"]["p_jb"] == "zero-clamped"
 
+    @pytest.mark.parametrize("command", ["validate", "sweep", "mobility", "negotiate"])
+    @pytest.mark.parametrize(
+        "text",
+        [
+            '{"sigma2": 5e-324}',
+            '{"sigma2": 1e-200, "budgets": {"p_a_max": 0, "p_j_max": 5}}',
+            '{"sigma2": 1e-300, "budgets": {"p_a_max": 0, "p_j_max": 0}}',
+        ],
+    )
+    def test_underflowing_noise_prints_no_warning(self, tmp_path, command, text):
+        # pytest captures warnings in-process, so only a child process shows
+        # what reaches stderr: nothing but the usage line and the error
+        config = self.write_config(tmp_path, text)
+        argv = [command, "--config", config, "--out", str(tmp_path / "out")]
+        if command == "validate":
+            argv += ["--samples", "0"]
+        src = str(Path(coopsec.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "coopsec", *argv],
+            capture_output=True,
+            text=True,
+            timeout=120,
+            env={**os.environ, "PYTHONPATH": path},
+        )
+        err = proc.stderr.splitlines()
+        if proc.returncode == 0:
+            assert err == []
+        else:
+            assert proc.returncode == 2
+            assert len(err) == 2, proc.stderr
+            assert err[0].startswith("usage: coopsec ")
+            assert err[1].startswith(f"coopsec: error: {command}: ")
+
     def test_tiny_noise_sweep_stays_finite(self, tmp_path, capsys):
         config = self.write_config(tmp_path, '{"sigma2": 1e-300}')
         out = tmp_path / "sweep.csv"

@@ -21,6 +21,8 @@ from coopsec import (
 )
 from coopsec import model
 from coopsec.allocator import (
+    OptimalAllocation,
+    Provenance,
     mac_allocation,
     noncoop_allocation,
     noncoop_quadratic,
@@ -30,8 +32,13 @@ from coopsec.allocator import (
 )
 from coopsec.harness import ExperimentConfig
 from coopsec.oracle import validate_scenario
-from coopsec.protocol import NegotiationPolicy, distance_constraints_met, negotiate
-from coopsec.rates import ScenarioKind, secrecy_rate
+from coopsec.protocol import (
+    ConstraintVerdict,
+    NegotiationPolicy,
+    distance_constraints_met,
+    negotiate,
+)
+from coopsec.rates import RatePair, ScenarioKind, secrecy_rate
 
 finite_gain = st.floats(min_value=0.0, max_value=10.0, allow_nan=False)
 positive_power = st.floats(min_value=0.0, max_value=100.0, allow_nan=False)
@@ -467,3 +474,59 @@ class TestCheckCount:
         kind, _ = negotiate(policy, GAINS, geometry, 1.0, 0.01, BUDGETS)
         assert kind is mode
         assert len(checks) <= 6, checks
+
+
+class TestFromChecked:
+    """A result built from checked fields is the constructed one."""
+
+    @pytest.mark.parametrize(
+        "cls, fields, change",
+        [
+            (RatePair, {"cs1": 0.25, "cs2": -0.5}, {"cs2": 1}),
+            (
+                ChannelGains,
+                {"g_ab": 0.4, "g_ae": 0.3, "g_jb": 0.5, "g_je": 0.3, "g_aj": 0.2, "g_ja": 0.25},
+                {"g_ja": None},
+            ),
+            (
+                ConstraintVerdict,
+                {
+                    "snr_condition_alice": True,
+                    "snr_condition_john": False,
+                    "distance_alice_eve": True,
+                    "distance_john_eve": True,
+                    "all_met": False,
+                },
+                {"snr_condition_john": True},
+            ),
+            (
+                OptimalAllocation,
+                {
+                    "mode": ScenarioKind.RELAY_COOP,
+                    "p_a": 4.5,
+                    "p_j": 4.0,
+                    "p_ab": 0.5,
+                    "p_jb": 1.0,
+                    "cs": RatePair(0.1, 0.2),
+                    "provenance": {"p_jb": Provenance.INTERIOR},
+                },
+                {"p_jb": 2.0},
+            ),
+        ],
+        ids=["RatePair", "ChannelGains", "ConstraintVerdict", "OptimalAllocation"],
+    )
+    def test_equals_hashes_and_prints_like_the_constructed(self, cls, fields, change):
+        built, constructed = model._from_checked(cls, fields), cls(**fields)
+        assert type(built) is cls
+        assert built == constructed and repr(built) == repr(constructed)
+        if cls is OptimalAllocation:
+            # its provenance is a dict, so neither object hashes
+            with pytest.raises(TypeError):
+                hash(built)
+        else:
+            assert hash(built) == hash(constructed)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(built, next(iter(fields)), 0.0)
+        # replace builds the copy through __init__ and __post_init__
+        assert dataclasses.replace(built) == constructed
+        assert dataclasses.replace(built, **change) == dataclasses.replace(constructed, **change)

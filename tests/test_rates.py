@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import math
+import re
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -21,7 +23,7 @@ from coopsec import (
     noncoop_allocation,
     snr_relay_path,
 )
-from coopsec.rates import _DIRECT_LINKS
+from coopsec.rates import _DIRECT_LINKS, _secrecy_rate
 
 gain = st.floats(min_value=0.01, max_value=2.0)
 power = st.floats(min_value=0.0, max_value=50.0)
@@ -81,6 +83,23 @@ class TestSecrecyRateNonCoop:
         powers = {"p_a": 1.0, "p_j": 1.0, "p_ab": 0.5, "p_jb": 0.5, name: bad}
         with pytest.raises(ValueError, match="powers must be finite"):
             secrecy_rate(kind, std_gains, std_noise, alpha=0.8, **powers)
+
+    @pytest.mark.parametrize("bad", [True, "1", None])
+    @pytest.mark.parametrize("name", ["p_a", "p_j", "p_ab", "p_jb"])
+    def test_rejects_a_power_that_is_no_number(self, std_gains, std_noise, name, bad):
+        powers = {"p_a": 1.0, "p_j": 1.0, "p_ab": 0.5, "p_jb": 0.5, name: bad}
+        message = f"^{name} must be a number, got {re.escape(repr(bad))}$"
+        for kind in ScenarioKind:
+            with pytest.raises(ValueError, match=message):
+                secrecy_rate(kind, std_gains, std_noise, alpha=0.8, **powers)
+
+    @pytest.mark.parametrize("kind", list(ScenarioKind))
+    def test_any_real_number_is_a_power(self, std_gains, std_noise, kind):
+        floats = secrecy_rate(kind, std_gains, std_noise, alpha=0.8, p_a=5.0, p_j=3.0, p_jb=1.0)
+        others = secrecy_rate(
+            kind, std_gains, std_noise, alpha=0.8, p_a=5, p_j=np.float64(3.0), p_jb=1
+        )
+        assert (others.cs1.hex(), others.cs2.hex()) == (floats.cs1.hex(), floats.cs2.hex())
 
     @given(p=st.floats(min_value=0.0, max_value=50.0))
     def test_monotone_when_main_link_stronger(self, p):
@@ -221,6 +240,23 @@ class TestSecrecyRateKernel:
     def test_equals_the_composition(self, kind, gains, s2, powers, alpha):
         assert_rates_compose(kind, ChannelGains(*gains), s2, *powers[:2], alpha, *powers[2:])
 
+    @given(
+        kind=st.sampled_from(list(ScenarioKind)),
+        gains=st.lists(st.floats(min_value=0.0, max_value=10.0), min_size=6, max_size=6),
+        s2=st.one_of(st.just(1e-300), st.floats(min_value=0.01, max_value=10.0)),
+        powers=st.lists(power, min_size=4, max_size=4),
+        alpha=st.floats(min_value=0.01, max_value=1.0),
+    )
+    def test_private_kernel_gives_the_public_bits(self, kind, gains, s2, powers, alpha):
+        gains = ChannelGains(*gains)
+        p_a, p_j, p_ab, p_jb = powers
+        public = secrecy_rate(
+            kind, gains, NoiseModel(s2), p_a=p_a, p_j=p_j, alpha=alpha, p_ab=p_ab, p_jb=p_jb
+        )
+        private = _secrecy_rate(kind, gains, s2, p_a, p_j, alpha, p_ab, p_jb)
+        assert (private.cs1.hex(), private.cs2.hex()) == (public.cs1.hex(), public.cs2.hex())
+        assert private == public and repr(private) == repr(public)
+
     @pytest.mark.parametrize(
         "g_aj, g_jb, p_a, p_jb",
         [
@@ -246,6 +282,10 @@ class TestSecrecyRateOverflow:
         with pytest.raises(ValueError, match=f"^{kind.value} secrecy rates are not finite") as info:
             secrecy_rate(kind, gains, NoiseModel(1e-300), p_a=1.0, p_j=1.0, alpha=0.8)
         assert "\n" not in str(info.value)
+        # the private kernel keeps the message: the CLI prints it as its one line
+        with pytest.raises(ValueError) as kernel_info:
+            _secrecy_rate(kind, gains, 1e-300, 1.0, 1.0, 0.8, 0.0, 0.0)
+        assert str(kernel_info.value) == str(info.value)
 
 
 GAIN_FIELDS = ("g_ab", "g_ae", "g_jb", "g_je", "g_aj", "g_ja")

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import re
 import shutil
 import subprocess
 import sys
@@ -28,6 +29,13 @@ def test_a_checkout_against_itself_times_identical_outputs(workload):
     assert result.returncode == 0, result.stderr
     assert f"{workload} seed 1: " in result.stdout
     assert "outputs identical" in result.stdout
+    ratio, share = result.stdout.strip().splitlines()[-2:]
+    assert ratio.startswith("median per-input ratio change/base: ")
+    found = re.fullmatch(r"change faster on (\d+) of (\d+) inputs \((\d+\.\d)%\)", share)
+    assert found, share
+    faster, inputs = int(found[1]), int(found[2])
+    assert 0 <= faster <= inputs and f"{workload} seed 1: {inputs} inputs" in result.stdout
+    assert found[3] == f"{100 * faster / inputs:.1f}"
 
 
 @pytest.mark.parametrize("workload", ["negotiation", "audit"])

@@ -22,9 +22,10 @@ machine with slow phases (see ``perfbench/run.py``), which hides a change
 smaller than that.  Here every round runs each input once on each side,
 back to back, alternating which side goes first, so a slow phase falls on
 both sides alike.  As in the benchmark, an input's time is its fastest
-repetition.  The tool prints each side's p50 and p90 over the inputs and
-the median over the inputs of the change's time over the base's.  It exits
-1, before timing anything, when the outputs differ.
+repetition.  The tool prints each side's p50 and p90 over the inputs, the
+median over the inputs of the change's time over the base's, and on how
+many inputs the change was faster.  It exits 1, before timing anything,
+when the outputs differ.
 """
 
 from __future__ import annotations
@@ -156,6 +157,8 @@ def main(argv: list[str] | None = None) -> int:
         print(f"{label:8}{percentile(us, 0.5):10.2f}{percentile(us, 0.9):10.2f}")
     ratio = statistics.median(c / b for b, c in zip(*best))
     print(f"median per-input ratio change/base: {ratio:.3f}")
+    faster = sum(c < b for b, c in zip(*best))
+    print(f"change faster on {faster} of {len(best[0])} inputs ({faster / len(best[0]):.1%})")
     return 0
 
 
