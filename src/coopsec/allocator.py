@@ -19,8 +19,8 @@ the carried power ``x = scale * p``; which links and which scale each message
 uses comes from the mode table in :mod:`coopsec.rates`.  One kernel solves
 :func:`noncoop_quadratic` in ``x`` for all six decisions.  Relaying solves
 the cubic :func:`relay_cubic_for_a` at fixed own-message seeds of half of each
-budget.  Every alpha, price and sigma2 goes through the one check of each in
-:mod:`coopsec.model`.
+budget.  Every number a public function takes goes through the one check
+family of :mod:`coopsec.model`.
 
 Public entry points check their inputs; private kernels take checked
 floats.  An allocation checks ``alpha`` and ``price`` once, then passes the
@@ -63,8 +63,8 @@ from .model import (
     NoiseModel,
     PowerBudget,
     _as_alpha,
-    _as_price,
-    _as_sigma2,
+    _as_nonnegative,
+    _as_positive,
     _from_checked,
 )
 from .rates import _DIRECT_LINKS, RatePair, ScenarioKind, _Link, _secrecy_rate
@@ -329,10 +329,8 @@ def relay_cubic_for_a(
     """
 
     a = _as_alpha(alpha)
-    lam = _as_price(price)
-    if p_a < 0:
-        raise ValueError("p_a must be non-negative")
-    return _relay_cubic(gains, noise.sigma2, p_a, a, lam)
+    lam = _as_nonnegative("price", price)
+    return _relay_cubic(gains, noise.sigma2, _as_nonnegative("p_a", p_a), a, lam)
 
 
 def _relay_cubic(gains: ChannelGains, s2: float, p_a: float, a: float, lam: float) -> list[float]:
@@ -362,11 +360,9 @@ def noncoop_quadratic(g_main: float, g_eve: float, sigma2: float, price: float) 
     printed spellings.
     """
 
-    lam = _as_price(price)
-    sigma2 = _as_sigma2(sigma2)
-    if g_main < 0 or g_eve < 0:
-        raise ValueError("gains must be non-negative")
-    return _gap_quadratic(g_main, g_eve, sigma2, lam)
+    g_main, g_eve = _as_nonnegative("g_main", g_main), _as_nonnegative("g_eve", g_eve)
+    sigma2 = _as_positive("sigma2", sigma2)
+    return _gap_quadratic(g_main, g_eve, sigma2, _as_nonnegative("price", price))
 
 
 def _gap_quadratic(g_main: float, g_eve: float, sigma2: float, lam: float) -> list[float]:
@@ -401,7 +397,7 @@ def evaluate_closed_forms(
     """
 
     a = _as_alpha(alpha)
-    lam = _as_price(price)
+    lam = _as_nonnegative("price", price)
     if lam == 0.0:
         raise ValueError("closed forms require a strictly positive price")
     g_ab, g_ae, g_jb, g_je = gains.g_ab, gains.g_ae, gains.g_jb, gains.g_je
@@ -526,7 +522,7 @@ def _objective_key(
     """
 
     kind = ScenarioKind(kind)
-    lam = _as_price(price)
+    lam = _as_nonnegative("price", price)
     s2 = noise.sigma2
 
     for link in _DIRECT_LINKS.get(kind, ()):
@@ -551,7 +547,7 @@ def _objective_key(
                 gains.g_jb,
                 s2,
                 lam,
-                p_a,
+                _as_nonnegative("p_a", p_a),
                 _as_alpha(alpha),
             )
         if side == "p_ab":
@@ -565,7 +561,7 @@ def _objective_key(
                 gains.g_ab,
                 s2,
                 lam,
-                p_j,
+                _as_nonnegative("p_j", p_j),
                 1.0 / _as_alpha(alpha),
             )
     raise ValueError(f"unknown decision variable {side!r} for {kind.value}")
@@ -687,18 +683,21 @@ def _direct_allocation(
     pick: str,
 ) -> OptimalAllocation:
     hi = {"p_a": budget.p_a_max, "p_j": budget.p_j_max}
-    decided = {
-        link.power: _priced_gap_optimum(
-            getattr(gains, link.main),
-            getattr(gains, link.eve),
-            noise.sigma2,
-            lam,
-            _scale(link, alpha),
-            hi[link.power],
-            pick,
-        )
-        for link in _DIRECT_LINKS[kind]
-    }
+    try:
+        decided = {
+            link.power: _priced_gap_optimum(
+                getattr(gains, link.main),
+                getattr(gains, link.eve),
+                noise.sigma2,
+                lam,
+                _scale(link, alpha),
+                hi[link.power],
+                pick,
+            )
+            for link in _DIRECT_LINKS[kind]
+        }
+    except OverflowError:  # sigma2 ** 2 in the quadratic
+        raise ValueError(f"{kind.value}: polynomial coefficients overflow") from None
     (p_a, prov_a), (p_j, prov_j) = decided["p_a"], decided["p_j"]
     return _from_checked(
         OptimalAllocation,
@@ -719,9 +718,8 @@ def noncoop_allocation(
 ) -> OptimalAllocation:
     """Independent direct transmission on both sides, by the threshold rule."""
 
-    return _direct_allocation(
-        ScenarioKind.NON_COOP, gains, noise, budget, None, _as_price(price), _THRESHOLD
-    )
+    lam = _as_nonnegative("price", price)
+    return _direct_allocation(ScenarioKind.NON_COOP, gains, noise, budget, None, lam, _THRESHOLD)
 
 
 def one_side_allocation(
@@ -734,7 +732,7 @@ def one_side_allocation(
 ) -> OptimalAllocation:
     """j donates power, a forwards j's message over its own links."""
 
-    a, lam = _as_alpha(alpha), _as_price(price)
+    a, lam = _as_alpha(alpha), _as_nonnegative("price", price)
     return _direct_allocation(ScenarioKind.ONE_SIDE_COOP, gains, noise, budget, a, lam, _ARGMAX)
 
 
@@ -751,7 +749,7 @@ def mac_allocation(
     Path loss enters through the gains: pass ``gains.effective(geometry)``.
     """
 
-    a, lam = _as_alpha(alpha), _as_price(price)
+    a, lam = _as_alpha(alpha), _as_nonnegative("price", price)
     return _direct_allocation(ScenarioKind.MAC_COOP, gains, noise, budget, a, lam, _ARGMAX)
 
 
@@ -795,10 +793,14 @@ def relay_allocation(
     seeds the coefficients saw.
     """
 
-    a, lam = _as_alpha(alpha), _as_price(price)
+    a, lam = _as_alpha(alpha), _as_nonnegative("price", price)
     s2 = noise.sigma2
     seed_a, _, hi, _ = _relay_seeds(budget, a)
-    roots = solve_cubic_real(_relay_cubic(gains, s2, seed_a, a, lam))
+    try:
+        coeffs = _relay_cubic(gains, s2, seed_a, a, lam)
+    except OverflowError:  # a float ** 2 raises where x * x would give inf
+        raise ValueError("relay_coop: polynomial coefficients overflow") from None
+    roots = solve_cubic_real(coeffs)
     # penalized_objective(RELAY_COOP, "p_jb", ...) at the seed, on the checked floats
     objective = _priced_relay_objective(
         gains.g_ab, gains.g_ae, gains.g_aj, gains.g_jb, s2, lam, seed_a, a, math.log1p
@@ -842,12 +844,12 @@ def bisect_price_for_budget(
     Raises
     ------
     ValueError
-        On a negative target, on a probe that consumes strictly more than a
-        probe at a lower price, or when 120 doublings miss the target.
+        On a ``target`` or ``price_lo`` that is not a finite non-negative
+        number, on a probe that consumes strictly more than a probe at a
+        lower price, or when 120 doublings miss the target.
     """
 
-    if target < 0:
-        raise ValueError("target power must be non-negative")
+    target = _as_nonnegative("target", target)
     probes: list[tuple[float, float]] = []
 
     def consumed(price: float) -> float:
@@ -861,7 +863,7 @@ def bisect_price_for_budget(
         probes.append((price, power))
         return power
 
-    lo = float(price_lo)
+    lo = _as_nonnegative("price_lo", price_lo)
     if consumed(lo) <= target:
         return lo
     hi = max(1.0, 2.0 * lo)

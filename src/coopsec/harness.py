@@ -21,7 +21,6 @@ import dataclasses
 import itertools
 import json
 import math
-import numbers
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
@@ -34,8 +33,9 @@ from .model import (
     NoiseModel,
     PowerBudget,
     _as_alpha,
-    _as_price,
-    _as_sigma2,
+    _as_nonnegative,
+    _as_positive,
+    _as_whole,
     _require_finite,
 )
 from .oracle import validate_scenario
@@ -72,16 +72,6 @@ _POWER_AXES = ("p_a", "p_j", "p_ab", "p_jb")
 _DISTANCE_AXES = ("d_ab", "d_ae", "d_jb", "d_je", "d_aj")
 
 
-def _whole(name: str, value: object) -> int:
-    """``value`` as an ``int``; only an integer or an integral float is accepted."""
-
-    if isinstance(value, float) and value.is_integer():
-        return int(value)
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    return int(value)
-
-
 @dataclass(frozen=True)
 class SweepAxis:
     """One swept coordinate: a power or a distance over a closed interval.
@@ -105,7 +95,7 @@ class SweepAxis:
         hi = _require_finite("axis hi", self.hi)
         if hi < lo:
             raise ValueError("axis hi must be >= lo")
-        steps = _whole("steps", self.steps)
+        steps = _as_whole("steps", self.steps)
         if lo < hi and steps < 2:
             raise ValueError("a non-degenerate axis needs at least 2 steps")
         if steps < 1:
@@ -178,9 +168,9 @@ class ExperimentConfig:
     trajectory: tuple[tuple[float, float], ...] | None = None
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "sigma2", _as_sigma2(self.sigma2))
+        object.__setattr__(self, "sigma2", _as_positive("sigma2", self.sigma2))
         object.__setattr__(self, "alpha", _as_alpha(self.alpha))
-        object.__setattr__(self, "price", _as_price(self.price))
+        object.__setattr__(self, "price", _as_nonnegative("price", self.price))
         object.__setattr__(
             self, "scenarios", tuple(ScenarioKind(kind) for kind in self.scenarios)
         )
@@ -199,7 +189,7 @@ class ExperimentConfig:
         object.__setattr__(self, "constraint_mode", ConstraintMode(self.constraint_mode))
         if self.log_base not in ("e", "2"):
             raise ValueError("log_base must be 'e' or '2'")
-        object.__setattr__(self, "seed", _whole("seed", self.seed))
+        object.__setattr__(self, "seed", _as_whole("seed", self.seed))
         if self.trajectory is not None:
             try:
                 path = tuple(
@@ -549,7 +539,7 @@ def run_validation(config: ExperimentConfig, samples: int = 100) -> dict[str, ob
     an aggregate verdict tally.
     """
 
-    samples = _whole("samples", samples)
+    samples = _as_whole("samples", samples)
     if samples < 0:
         raise ValueError("samples must be non-negative")
     report: dict[str, object] = {

@@ -15,6 +15,7 @@ carrying distances around.
 from __future__ import annotations
 
 import math
+import numbers
 import sys
 from dataclasses import dataclass, replace
 
@@ -71,7 +72,29 @@ def _from_checked(cls, fields):
     return instance
 
 
-# The one check of each allocation input: a number, finite, and in range.
+# The one check family: every number a public function takes is a number,
+# finite, and in its range.  A range error shows the checked float.
+
+
+def _as_nonnegative(name: str, value: float) -> float:
+    x = _require_finite(name, value)
+    if x < 0:
+        raise ValueError(f"{name} must be non-negative, got {x!r}")
+    return x
+
+
+def _as_positive(name: str, value: float) -> float:
+    x = _require_finite(name, value)
+    if x <= 0:
+        raise ValueError(f"{name} must be positive, got {x!r}")
+    return x
+
+
+def _as_eta(eta: float) -> float:
+    e = _require_finite("eta", eta)
+    if e < 1:
+        raise ValueError(f"eta must be at least 1, got {e!r}")
+    return e
 
 
 def _as_alpha(alpha: float) -> float:
@@ -81,18 +104,18 @@ def _as_alpha(alpha: float) -> float:
     return a
 
 
-def _as_price(price: float) -> float:
-    lam = _require_finite("price", price)
-    if lam < 0:
-        raise ValueError(f"price must be non-negative, got {price!r}")
-    return lam
+def _as_whole(name: str, value: object) -> int:
+    """``value`` as an ``int``; only an integer or an integral float is accepted."""
+
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
 
 
-def _as_sigma2(sigma2: float) -> float:
-    s2 = _require_finite("sigma2", sigma2)
-    if s2 <= 0:
-        raise ValueError(f"sigma2 must be positive, got {sigma2!r}")
-    return s2
+_GAIN_FIELDS = ("g_ab", "g_ae", "g_jb", "g_je", "g_aj", "g_ja")
+_DISTANCE_FIELDS = ("d_ab", "d_ae", "d_jb", "d_je", "d_aj")
 
 
 @dataclass(frozen=True)
@@ -114,18 +137,10 @@ class ChannelGains:
     g_ja: float | None = None
 
     def __post_init__(self) -> None:
-        for name in ("g_ab", "g_ae", "g_jb", "g_je", "g_aj"):
-            value = _require_finite(name, getattr(self, name))
-            if value < 0:
-                raise ValueError(f"{name} must be non-negative, got {value}")
-            object.__setattr__(self, name, value)
         if self.g_ja is None:
             object.__setattr__(self, "g_ja", self.g_aj)
-        else:
-            value = _require_finite("g_ja", self.g_ja)
-            if value < 0:
-                raise ValueError(f"g_ja must be non-negative, got {value}")
-            object.__setattr__(self, "g_ja", value)
+        for name in _GAIN_FIELDS:
+            object.__setattr__(self, name, _as_nonnegative(name, getattr(self, name)))
 
     def effective(self, geometry: "Geometry") -> "ChannelGains":
         """Fold path loss into the gains.
@@ -154,9 +169,6 @@ class ChannelGains:
         return _from_checked(ChannelGains, zip(_GAIN_FIELDS, values))
 
 
-_GAIN_FIELDS = ("g_ab", "g_ae", "g_jb", "g_je", "g_aj", "g_ja")
-
-
 @dataclass(frozen=True)
 class NoiseModel:
     """Common receiver noise power (variance of the additive noise)."""
@@ -164,7 +176,7 @@ class NoiseModel:
     sigma2: float
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "sigma2", _as_sigma2(self.sigma2))
+        object.__setattr__(self, "sigma2", _as_positive("sigma2", self.sigma2))
 
 
 @dataclass(frozen=True)
@@ -185,17 +197,12 @@ class Geometry:
     eta: float = 2.0
 
     def __post_init__(self) -> None:
-        for name in ("d_ab", "d_ae", "d_jb", "d_je", "d_aj"):
-            value = _require_finite(name, getattr(self, name))
-            if value <= 0:
-                raise ValueError(f"{name} must be positive, got {value}")
-            object.__setattr__(self, name, value)
-        eta = _require_finite("eta", self.eta)
-        if eta < 1:
-            raise ValueError(f"eta must be at least 1, got {eta}")
+        for name in _DISTANCE_FIELDS:
+            object.__setattr__(self, name, _as_positive(name, getattr(self, name)))
+        eta = _as_eta(self.eta)
         object.__setattr__(self, "eta", eta)
         power = max(eta, 2.0)
-        for name in ("d_ab", "d_ae", "d_jb", "d_je", "d_aj"):
+        for name in _DISTANCE_FIELDS:
             value = getattr(self, name)
             try:
                 loss = value**power
@@ -219,23 +226,18 @@ class PowerBudget:
 
     def __post_init__(self) -> None:
         for name in ("p_a_max", "p_j_max"):
-            value = _require_finite(name, getattr(self, name))
-            if value < 0:
-                raise ValueError(f"{name} must be non-negative, got {value}")
-            object.__setattr__(self, name, value)
+            object.__setattr__(self, name, _as_nonnegative(name, getattr(self, name)))
 
 
 def snr_direct(gain: float, power: float, sigma2: float) -> float:
     """Received SNR of a single link: ``gain * power / sigma2``.
 
-    Linear in both ``gain`` and ``power``.  Negative or NaN gains or powers
-    and a non-positive noise variance are rejected.
+    Linear in both ``gain`` and ``power``.  A negative or non-finite gain or
+    power and a non-positive noise variance are rejected.
     """
 
-    sigma2 = _as_sigma2(sigma2)
-    if not (gain >= 0 and power >= 0):
-        raise ValueError("gain and power must be non-negative")
-    return gain * power / sigma2
+    gain, power = _as_nonnegative("gain", gain), _as_nonnegative("power", power)
+    return gain * power / _as_positive("sigma2", sigma2)
 
 
 def snr_relay_path(g_ir: float, g_rk: float, p_i: float, p_rk: float, sigma2: float) -> float:
@@ -251,10 +253,9 @@ def snr_relay_path(g_ir: float, g_rk: float, p_i: float, p_rk: float, sigma2: fl
     are positive (the weaker hop is the bottleneck).
     """
 
-    sigma2 = _as_sigma2(sigma2)
-    if not (g_ir >= 0 and g_rk >= 0 and p_i >= 0 and p_rk >= 0):
-        raise ValueError("gains and powers must be non-negative")
-    return _relay_snr(g_ir, g_rk, p_i, p_rk, sigma2)
+    g_ir, g_rk = _as_nonnegative("g_ir", g_ir), _as_nonnegative("g_rk", g_rk)
+    p_i, p_rk = _as_nonnegative("p_i", p_i), _as_nonnegative("p_rk", p_rk)
+    return _relay_snr(g_ir, g_rk, p_i, p_rk, _as_positive("sigma2", sigma2))
 
 
 def _relay_snr(g_ir: float, g_rk: float, p_i: float, p_rk: float, sigma2: float) -> float:
@@ -282,10 +283,4 @@ def effective_gain(gain: float, distance: float, eta: float) -> float:
     computations can reuse every unit-distance formula unchanged.
     """
 
-    if not distance > 0:
-        raise ValueError(f"distance must be positive, got {distance}")
-    if not eta >= 1:
-        raise ValueError(f"eta must be at least 1, got {eta}")
-    if not gain >= 0:
-        raise ValueError(f"gain must be non-negative, got {gain}")
-    return gain / distance**eta
+    return _as_nonnegative("gain", gain) / _as_positive("distance", distance) ** _as_eta(eta)

@@ -37,7 +37,17 @@ from .allocator import (
     solve_cubic_real,
     solve_quadratic_real,
 )
-from .model import ChannelGains, Geometry, NoiseModel, PowerBudget, _as_alpha, _as_price
+from .model import (
+    ChannelGains,
+    Geometry,
+    NoiseModel,
+    PowerBudget,
+    _as_alpha,
+    _as_nonnegative,
+    _as_positive,
+    _as_whole,
+    _require_finite,
+)
 from .rates import ScenarioKind
 
 __all__ = [
@@ -115,13 +125,10 @@ def grid_search_optimum(
         non-finite at any evaluated point (the offending point is named).
     """
 
-    lo = float(lo)
-    hi = float(hi)
-    if not (math.isfinite(lo) and math.isfinite(hi)):
-        raise ValueError("interval endpoints must be finite")
+    lo, hi = _require_finite("lo", lo), _require_finite("hi", hi)
     if hi < lo:
         raise ValueError("hi must be >= lo")
-    resolution = int(resolution)
+    resolution = _as_whole("resolution", resolution)
     if resolution < 2:
         raise ValueError("resolution must be at least 2 samples")
     if hi == lo:
@@ -405,13 +412,11 @@ def finite_diff_derivative(objective: Objective, x: float, h: float) -> float:
     Raises
     ------
     ValueError
-        If ``h <= 0`` or either stencil evaluation is non-finite.
+        If ``x`` is not finite, ``h`` is not positive, or either stencil
+        evaluation is non-finite.
     """
 
-    x = float(x)
-    h = float(h)
-    if not h > 0:
-        raise ValueError("h must be positive")
+    x, h = _require_finite("x", x), _as_positive("h", h)
     upper = _eval_scalar(objective, x + h)
     lower = _eval_scalar(objective, x - h)
     return (upper - lower) / (2.0 * h)
@@ -659,9 +664,8 @@ def relay_cubic_for_j(
     """
 
     a = _as_alpha(alpha)
-    lam = _as_price(price)
-    if p_j < 0:
-        raise ValueError("p_j must be non-negative")
+    lam = _as_nonnegative("price", price)
+    p_j = _as_nonnegative("p_j", p_j)
     g_ab, g_jb, g_je, g_ja, g_aj = gains.g_ab, gains.g_jb, gains.g_je, gains.g_ja, gains.g_aj
     s2 = noise.sigma2
     f1 = s2 * g_ab**2 + g_ab**2 * g_jb * p_j + g_ab**2 * g_ja * p_j
@@ -684,7 +688,7 @@ def mac_quadratic_pj(
     """Quadratic in ``p_j`` for the power-swap mode (a's message side)."""
 
     a = _as_alpha(alpha)
-    lam = _as_price(price)
+    lam = _as_nonnegative("price", price)
     g_ab, g_ae = gains.g_ab, gains.g_ae
     s2 = noise.sigma2
     return [
@@ -700,7 +704,7 @@ def mac_quadratic_pa(
     """Quadratic in ``p_a`` for the power-swap mode (j's message side)."""
 
     a = _as_alpha(alpha)
-    lam = _as_price(price)
+    lam = _as_nonnegative("price", price)
     g_jb, g_je = gains.g_jb, gains.g_je
     s2 = noise.sigma2
     return [
@@ -713,7 +717,7 @@ def mac_quadratic_pa(
 def one_side_quadratic_pa(gains: ChannelGains, noise: NoiseModel, *, price: float) -> list[float]:
     """Quadratic in ``p_a`` when a transmits its own message directly."""
 
-    lam = _as_price(price)
+    lam = _as_nonnegative("price", price)
     g_ab, g_ae = gains.g_ab, gains.g_ae
     s2 = noise.sigma2
     return [
@@ -733,7 +737,7 @@ def noncoop_quadratic_pj_variant(
     :func:`noncoop_quadratic` on ``(g_jb, g_je)``.
     """
 
-    lam = _as_price(price)
+    lam = _as_nonnegative("price", price)
     s2 = noise.sigma2
     return [
         lam * gains.g_jb * gains.g_je,
@@ -758,7 +762,7 @@ def distance_mac_quadratic_pj(
     """
 
     a = _as_alpha(alpha)
-    lam = _as_price(price)
+    lam = _as_nonnegative("price", price)
     g_ab, g_ae = gains.g_ab, gains.g_ae
     s2 = noise.sigma2
     dab = geometry.d_ab**geometry.eta
@@ -786,7 +790,7 @@ def distance_mac_quadratic_pj_variant(
     """
 
     a = _as_alpha(alpha)
-    lam = _as_price(price)
+    lam = _as_nonnegative("price", price)
     g_ab, g_ae = gains.g_ab, gains.g_ae
     s2 = noise.sigma2
     dab = geometry.d_ab**2
@@ -809,7 +813,7 @@ def distance_mac_quadratic_pa(
     """Geometry-aware form of :func:`mac_quadratic_pa` (substitution route)."""
 
     a = _as_alpha(alpha)
-    lam = _as_price(price)
+    lam = _as_nonnegative("price", price)
     g_jb, g_je = gains.g_jb, gains.g_je
     s2 = noise.sigma2
     djb = geometry.d_jb**geometry.eta
@@ -836,7 +840,7 @@ def distance_mac_quadratic_pa_variant(
     """
 
     a = _as_alpha(alpha)
-    lam = _as_price(price)
+    lam = _as_nonnegative("price", price)
     g_jb, g_je = gains.g_jb, gains.g_je
     s2 = noise.sigma2
     djb = geometry.d_jb**2
@@ -965,7 +969,8 @@ def validate_scenario(
     cross-indexed linear term.  The printed closed forms divide by every
     direct link gain, so when one of those gains is zero they are reported
     absent and only the roots are audited; so they are when one of their
-    float powers overflows, or one of their divisors underflows to zero.
+    float powers overflows, or one of their divisors underflows to zero,
+    and a scenario none of whose entries has one does not evaluate them.
     A polynomial whose coefficients overflow, or divide by a number that
     underflows to zero, is a ``ValueError`` naming its entry.
 
@@ -1006,11 +1011,12 @@ def validate_scenario(
     kind = ScenarioKind(kind)
     noise = NoiseModel(sigma2)
     a = _as_alpha(alpha)
-    lam = _as_price(price)
+    lam = _as_nonnegative("price", price)
     if lam == 0:
         raise ValueError("price must be positive for closed-form evaluation")
+    rows = _AUDIT[kind]
     closed: dict[str, float] = {}
-    if min(gains.g_ab, gains.g_ae, gains.g_jb, gains.g_je) > 0:
+    if any(row[4] for row in rows) and min(gains.g_ab, gains.g_ae, gains.g_jb, gains.g_je) > 0:
         try:
             closed = evaluate_closed_forms(gains, noise, alpha=a, price=lam)
         except (OverflowError, ZeroDivisionError):
@@ -1018,7 +1024,6 @@ def validate_scenario(
     seed_a, seed_j, hi_jb, hi_ab = _relay_seeds(budgets, a)
     point = _AuditPoint(gains, noise, geometry, a, lam, seed_a, seed_j)
     bounds = {"p_a": budgets.p_a_max, "p_j": budgets.p_j_max, "p_jb": hi_jb, "p_ab": hi_ab}
-    rows = _AUDIT[kind]
     attenuated = gains.effective(geometry) if any(row[2] for row in rows) else gains
 
     searches = {} if _searches is None else _searches

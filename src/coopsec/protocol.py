@@ -33,7 +33,8 @@ from .model import (
     NoiseModel,
     PowerBudget,
     _as_alpha,
-    _as_sigma2,
+    _as_nonnegative,
+    _as_positive,
     _from_checked,
 )
 from .rates import ScenarioKind
@@ -140,12 +141,9 @@ def distance_constraints_met(
     """
 
     mode = ConstraintMode(mode)
-    s2 = _as_sigma2(sigma2)
+    s2 = _as_positive("sigma2", sigma2)
     a = _as_alpha(alpha)
-    p_a = float(p_a)
-    p_j = float(p_j)
-    if p_a < 0 or p_j < 0:
-        raise ValueError("main powers must be non-negative")
+    p_a, p_j = _as_nonnegative("p_a", p_a), _as_nonnegative("p_j", p_j)
 
     d_pair = geometry.d_ab if mode is ConstraintMode.AS_PUBLISHED else geometry.d_aj
     eta = geometry.eta
@@ -185,7 +183,8 @@ class NegotiationPolicy:
 
     The negotiation leaves each party's acceptance criteria external, so
     they are plain inputs here rather than derived from utilities.  ``alpha``
-    is the cooperation level j announces when accepting, in (0, 1].
+    is the cooperation level j announces when accepting, in (0, 1].  Each
+    switch must be a ``bool``.
     """
 
     john_accepts_relay: bool = True
@@ -195,6 +194,9 @@ class NegotiationPolicy:
     alpha: float = 0.8
 
     def __post_init__(self) -> None:
+        for name, value in vars(self).items():
+            if name != "alpha" and type(value) is not bool:
+                raise ValueError(f"{name} must be a bool, got {value!r}")
         object.__setattr__(self, "alpha", _as_alpha(self.alpha))
 
 
@@ -227,7 +229,6 @@ def negotiate(
         returned mode.
     """
 
-    noise = NoiseModel(sigma2)
     verdict = distance_constraints_met(
         gains,
         geometry,
@@ -237,6 +238,8 @@ def negotiate(
         budgets.p_j_max,
         mode,
     )
+    # the gate has checked sigma2
+    noise = _from_checked(NoiseModel, {"sigma2": float(sigma2)})
     attenuated = gains.effective(geometry)
     if verdict.all_met and policy.john_accepts_relay and policy.alice_accepts_relay:
         allocation = relay_allocation(

@@ -35,7 +35,15 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple
 
-from .model import ChannelGains, NoiseModel, _as_alpha, _as_number, _from_checked, _relay_snr
+from .model import (
+    ChannelGains,
+    NoiseModel,
+    _as_alpha,
+    _as_nonnegative,
+    _from_checked,
+    _relay_snr,
+    _require_finite,
+)
 
 __all__ = [
     "RatePair",
@@ -84,9 +92,7 @@ class RatePair:
 def rate_p2p(snr: float) -> float:
     """Point-to-point rate ``log(1 + snr)`` in nats."""
 
-    if snr < 0:
-        raise ValueError(f"snr must be non-negative, got {snr}")
-    return math.log1p(snr)
+    return math.log1p(_as_nonnegative("snr", snr))
 
 
 def rate_mrc_relay(snr_direct_path: float, snr_relayed_path: float) -> float:
@@ -96,9 +102,8 @@ def rate_mrc_relay(snr_direct_path: float, snr_relayed_path: float) -> float:
     ``log(1 + snr_direct_path + snr_relayed_path)``.
     """
 
-    if snr_direct_path < 0 or snr_relayed_path < 0:
-        raise ValueError("branch SNRs must be non-negative")
-    return math.log1p(snr_direct_path + snr_relayed_path)
+    snr_direct_path = _as_nonnegative("snr_direct_path", snr_direct_path)
+    return math.log1p(snr_direct_path + _as_nonnegative("snr_relayed_path", snr_relayed_path))
 
 
 class _Link(NamedTuple):
@@ -165,7 +170,8 @@ def secrecy_rate(
         one-sided modes, and checked whenever it is given.
     p_ab, p_jb:
         Relaying power slices (a relaying j's message, j relaying a's);
-        only read in ``relay_coop`` mode.
+        only read, and so only required non-negative, in ``relay_coop``
+        mode.
 
     Returns
     -------
@@ -180,26 +186,15 @@ def secrecy_rate(
         its SNR.
     """
 
-    p_a, p_j, p_ab, p_jb = (
-        _as_number(name, value)
-        for name, value in (("p_a", p_a), ("p_j", p_j), ("p_ab", p_ab), ("p_jb", p_jb))
-    )
-    if not all(map(math.isfinite, (p_a, p_j, p_ab, p_jb))):
-        raise ValueError(f"powers must be finite: p_a={p_a}, p_j={p_j}, p_ab={p_ab}, p_jb={p_jb}")
-    if p_a < 0 or p_j < 0:
-        raise ValueError("message powers must be non-negative")
-    s2 = noise.sigma2
+    p_a, p_j = _as_nonnegative("p_a", p_a), _as_nonnegative("p_j", p_j)
     kind = ScenarioKind(kind)
-
+    slice_check = _as_nonnegative if kind is ScenarioKind.RELAY_COOP else _require_finite
+    p_ab, p_jb = slice_check("p_ab", p_ab), slice_check("p_jb", p_jb)
     if alpha is not None:
         alpha = _as_alpha(alpha)
-    links = _DIRECT_LINKS.get(kind)
-    if links is not None:
-        if alpha is None and any(link.alpha_power for link in links):
-            raise ValueError(f"{kind.value} requires alpha")
-    elif p_ab < 0 or p_jb < 0:
-        raise ValueError("relay powers must be non-negative")
-    return _secrecy_rate(kind, gains, s2, p_a, p_j, alpha, p_ab, p_jb)
+    if alpha is None and any(link.alpha_power for link in _DIRECT_LINKS.get(kind, ())):
+        raise ValueError(f"{kind.value} requires alpha")
+    return _secrecy_rate(kind, gains, noise.sigma2, p_a, p_j, alpha, p_ab, p_jb)
 
 
 def _secrecy_rate(

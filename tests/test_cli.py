@@ -2,14 +2,20 @@
 
 from __future__ import annotations
 
+import copy
+import csv
+import io
 import json
 import math
 import os
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import coopsec
 from coopsec import (
@@ -27,6 +33,45 @@ def run_cli(argv, capsys):
     code = main(argv)
     out = capsys.readouterr().out
     return code, out
+
+
+def leaf_paths(node, path=()):
+    """Key paths to every number in a JSON-ready config mapping."""
+
+    if isinstance(node, (dict, list)):
+        for key, child in node.items() if isinstance(node, dict) else enumerate(node):
+            yield from leaf_paths(child, path + (key,))
+    elif isinstance(node, (int, float)) and not isinstance(node, bool):
+        yield path
+
+
+# A config with every numeric field set, and the values its numbers are drawn from.
+FUZZ_TEMPLATE = ExperimentConfig(trajectory=((1.0, 2.0), (2.0, 1.0))).to_dict()
+FUZZ_PATHS = tuple(leaf_paths(FUZZ_TEMPLATE))
+FUZZ_VALUES = (
+    0, -1, 1e-320, 1e-300, 1e-150, 0.5, 1, 3, 1e150, 1e300, 1.7e308, math.nan, math.inf, -math.inf
+)
+
+
+def output_numbers(path):
+    """Every number a command wrote: JSON values, or CSV cells that parse as floats."""
+
+    text = Path(path).read_text(encoding="utf-8")
+    numbers = []
+    if text.startswith("{"):
+
+        def keep(token):
+            numbers.append(float(token))
+
+        json.loads(text, parse_float=keep, parse_int=keep, parse_constant=keep)
+        return numbers
+    for row in csv.reader(io.StringIO(text)):
+        for cell in row:
+            try:
+                numbers.append(float(cell))
+            except ValueError:
+                pass  # a mode, a provenance or a header
+    return numbers
 
 
 class TestSweepCommand:
@@ -485,6 +530,61 @@ class TestBadConfigs:
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 2 and err[-1] == f"coopsec: error: {message}"
         assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["negotiate", "mobility", "sweep", "validate"])
+    @pytest.mark.parametrize("sigma2", ["1.4e154", "1e160", "1.7e308"])
+    def test_huge_noise_runs_or_fails_in_one_line(self, tmp_path, capsys, command, sigma2):
+        # sigma2 ** 2 overflows in the stationarity polynomials; a sweep solves none
+        config = self.write_config(tmp_path, f'{{"sigma2": {sigma2}}}')
+        out = tmp_path / "out"
+        argv = [command, "--config", config, "--out", str(out)]
+        if command == "sweep":
+            assert run_cli(argv, capsys)[0] == 0
+            assert all(map(math.isfinite, output_numbers(out)))
+            return
+        if command == "validate":
+            argv += ["--samples", "0"]
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        entry = {"negotiate": "relay_coop", "mobility": "non_coop", "validate": "relay_coop.p_jb"}
+        message = f"{command}: {entry[command]}: polynomial coefficients overflow"
+        assert len(err) == 2 and err[-1] == f"coopsec: error: {message}"
+        assert not out.exists()
+
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(st.dictionaries(st.sampled_from(FUZZ_PATHS), st.sampled_from(FUZZ_VALUES), min_size=1))
+    def test_any_numbers_run_finite_or_fail_in_one_line(self, tmp_path_factory, changes):
+        data = copy.deepcopy(FUZZ_TEMPLATE)
+        for path, value in changes.items():
+            node = data
+            for key in path[:-1]:
+                node = node[key]
+            node[path[-1]] = value
+        folder = tmp_path_factory.mktemp("fuzz")
+        config = self.write_config(folder, json.dumps(data, allow_nan=True))
+        out = folder / "out"
+        for command in ("negotiate", "sweep", "mobility", "validate"):
+            argv = [command, "--config", config, "--out", str(out)]
+            if command == "validate":
+                argv += ["--samples", "0"]
+            stderr = io.StringIO()
+            with redirect_stdout(io.StringIO()), redirect_stderr(stderr):
+                try:
+                    code = main(argv)
+                except SystemExit as exc:
+                    code = exc.code
+            if code == 0:
+                assert all(map(math.isfinite, output_numbers(out))), (command, data)
+                out.unlink()
+                continue
+            err = stderr.getvalue().splitlines()
+            assert code == 2 and len(err) == 2 and err[0].startswith("usage: coopsec "), err
+            assert err[1].startswith(
+                (f"coopsec: error: {command}: ", "coopsec: error: --config: invalid config in ")
+            ), err
+            assert not out.exists()
 
     def test_zero_price_validation_is_a_clean_error(self, tmp_path, capsys):
         config = self.write_config(tmp_path, '{"lambda": 0}')

@@ -1,5 +1,5 @@
 """Link-level primitives: gains, geometry, SNR building blocks, and the one
-check of each allocation input (alpha, price, sigma2) at every entry point."""
+check of every number at every entry point."""
 
 from __future__ import annotations
 
@@ -23,22 +23,29 @@ from coopsec import model
 from coopsec.allocator import (
     OptimalAllocation,
     Provenance,
+    bisect_price_for_budget,
     mac_allocation,
     noncoop_allocation,
     noncoop_quadratic,
     one_side_allocation,
     penalized_objective,
     relay_allocation,
+    relay_cubic_for_a,
 )
 from coopsec.harness import ExperimentConfig
-from coopsec.oracle import validate_scenario
+from coopsec.oracle import (
+    finite_diff_derivative,
+    grid_search_optimum,
+    relay_cubic_for_j,
+    validate_scenario,
+)
 from coopsec.protocol import (
     ConstraintVerdict,
     NegotiationPolicy,
     distance_constraints_met,
     negotiate,
 )
-from coopsec.rates import RatePair, ScenarioKind, secrecy_rate
+from coopsec.rates import RatePair, ScenarioKind, rate_mrc_relay, rate_p2p, secrecy_rate
 
 finite_gain = st.floats(min_value=0.0, max_value=10.0, allow_nan=False)
 positive_power = st.floats(min_value=0.0, max_value=100.0, allow_nan=False)
@@ -276,24 +283,11 @@ class TestEffectiveGain:
         assert effective_gain(0.37, 1.0, 3.1) == 0.37
 
 
-# Per free function: valid arguments, and the message a NaN in each raises.
+# Per free function: valid arguments, and the name an error on each argument gives.
 NAN_CHECKS = {
-    effective_gain: (
-        (0.4, 2.0, 2.0),
-        (
-            "gain must be non-negative",
-            "distance must be positive",
-            "eta must be at least 1",
-        ),
-    ),
-    snr_direct: (
-        (0.4, 5.0, 1.0),
-        ("gain and power must be non-negative",) * 2 + ("sigma2 must be finite",),
-    ),
-    snr_relay_path: (
-        (0.2, 0.5, 1.0, 1.0, 1.0),
-        ("gains and powers must be non-negative",) * 4 + ("sigma2 must be finite",),
-    ),
+    effective_gain: ((0.4, 2.0, 2.0), ("gain", "distance", "eta")),
+    snr_direct: ((0.4, 5.0, 1.0), ("gain", "power", "sigma2")),
+    snr_relay_path: ((0.2, 0.5, 1.0, 1.0, 1.0), ("g_ir", "g_rk", "p_i", "p_rk", "sigma2")),
 }
 
 
@@ -306,10 +300,10 @@ NAN_CHECKS = {
     ],
 )
 def test_nan_argument_is_rejected(function, position):
-    args, messages = NAN_CHECKS[function]
+    args, names = NAN_CHECKS[function]
     args = list(args)
     args[position] = math.nan
-    with pytest.raises(ValueError, match=f"^{messages[position]}"):
+    with pytest.raises(ValueError, match=f"^{names[position]} must be finite, got nan$"):
         function(*args)
 
 
@@ -317,8 +311,8 @@ GAINS = ChannelGains(g_ab=0.4, g_ae=0.3, g_jb=0.5, g_je=0.3, g_aj=0.2)
 UNIT = Geometry(d_ab=1.0, d_ae=1.0, d_jb=1.0, d_je=1.0, d_aj=1.0)
 BUDGETS = PowerBudget(5.0, 5.0)
 
-# Every entry point that takes alpha, price or sigma2 as a plain number:
-# (the quantities it takes, a call given all three).
+# Every entry point that takes a plain number: (the quantities checked
+# here, a call given alpha, price, sigma2 and the quantity under test).
 ENTRY_POINTS = {
     "ExperimentConfig": (
         ("alpha", "price", "sigma2"),
@@ -375,7 +369,105 @@ ENTRY_POINTS = {
             ScenarioKind.MAC_COOP, GAINS, NoiseModel(1.0), p_a=5.0, p_j=5.0, alpha=alpha
         ),
     ),
+    "snr_direct": (
+        ("gain", "power"),
+        lambda gain=0.4, power=5.0, sigma2=1.0, **_: snr_direct(gain, power, sigma2),
+    ),
+    "snr_relay_path": (
+        ("g_ir", "g_rk", "p_i", "p_rk"),
+        lambda g_ir=0.2, g_rk=0.5, p_i=1.0, p_rk=1.0, sigma2=1.0, **_: snr_relay_path(
+            g_ir, g_rk, p_i, p_rk, sigma2
+        ),
+    ),
+    "effective_gain": (
+        ("gain", "distance", "eta"),
+        lambda gain=0.4, distance=2.0, eta=2.0, **_: effective_gain(gain, distance, eta),
+    ),
+    "rate_p2p": (("snr",), lambda snr=1.0, **_: rate_p2p(snr)),
+    "rate_mrc_relay": (
+        ("snr_direct_path", "snr_relayed_path"),
+        lambda snr_direct_path=1.0, snr_relayed_path=0.5, **_: rate_mrc_relay(
+            snr_direct_path, snr_relayed_path
+        ),
+    ),
+    "secrecy_rate-powers": (
+        ("p_a", "p_j"),
+        lambda p_a=5.0, p_j=5.0, **_: secrecy_rate(
+            ScenarioKind.NON_COOP, GAINS, NoiseModel(1.0), p_a=p_a, p_j=p_j
+        ),
+    ),
+    "secrecy_rate-slices": (
+        ("p_ab", "p_jb"),
+        lambda p_ab=0.5, p_jb=0.5, **_: secrecy_rate(
+            ScenarioKind.RELAY_COOP, GAINS, NoiseModel(1.0), p_a=5.0, p_j=5.0, p_ab=p_ab, p_jb=p_jb
+        ),
+    ),
+    "distance_constraints_met-powers": (
+        ("p_a", "p_j"),
+        lambda p_a=5.0, p_j=5.0, **_: distance_constraints_met(GAINS, UNIT, 1.0, 0.8, p_a, p_j),
+    ),
+    "relay_cubic_for_a": (
+        ("p_a",),
+        lambda p_a=2.5, **_: relay_cubic_for_a(
+            GAINS, NoiseModel(1.0), p_a=p_a, alpha=0.8, price=0.01
+        ),
+    ),
+    "relay_cubic_for_j": (
+        ("p_j",),
+        lambda p_j=2.5, **_: relay_cubic_for_j(
+            GAINS, NoiseModel(1.0), p_j=p_j, alpha=0.8, price=0.01
+        ),
+    ),
+    "noncoop_quadratic-gains": (
+        ("g_main", "g_eve"),
+        lambda g_main=0.4, g_eve=0.3, **_: noncoop_quadratic(g_main, g_eve, 1.0, 0.01),
+    ),
+    "bisect_price_for_budget": (
+        ("target", "price_lo"),
+        lambda target=5.0, price_lo=0.0, **_: bisect_price_for_budget(
+            lambda lam: 10.0 / (1.0 + lam), target, price_lo=price_lo
+        ),
+    ),
+    "grid_search_optimum": (
+        ("lo", "hi", "resolution"),
+        lambda lo=0.0, hi=1.0, resolution=11, **_: grid_search_optimum(
+            lambda x: -((x - 0.5) ** 2), lo, hi, resolution
+        ),
+    ),
+    "finite_diff_derivative": (
+        ("x", "h"),
+        lambda x=0.5, h=1e-6, **_: finite_diff_derivative(lambda x: x * x, x, h),
+    ),
 }
+
+
+def bad_numbers(name, out_of_range=(), rule=""):
+    """A number's bad values and their messages: no number, not finite, out of range."""
+
+    return [
+        ("1", f"{name} must be a number, got '1'"),
+        (True, f"{name} must be a number, got True"),
+        (None, f"{name} must be a number, got None"),
+        (math.nan, f"{name} must be finite, got nan"),
+        (math.inf, f"{name} must be finite, got inf"),
+        (-math.inf, f"{name} must be finite, got -inf"),
+    ] + [(value, rule.format(value)) for value in out_of_range]
+
+
+def bad_counts(name, too_small, rule):
+    """A count's bad values: anything but an integer or an integral float."""
+
+    values = ["1", True, None, math.nan, math.inf, -math.inf, 2.7]
+    return [(value, f"{name} must be an integer, got {value!r}") for value in values] + [
+        (too_small, rule)
+    ]
+
+
+# Quantities that must be non-negative.
+NON_NEGATIVE = (
+    "gain", "power", "g_ir", "g_rk", "p_i", "p_rk", "snr", "snr_direct_path", "snr_relayed_path",
+    "p_a", "p_j", "p_ab", "p_jb", "g_main", "g_eve", "target", "price_lo",
+)
 
 # Per quantity: a bad value and the start of the one line it raises.
 BAD_VALUES = {
@@ -401,6 +493,15 @@ BAD_VALUES = {
         (math.nan, "sigma2 must be finite"),
         (0.0, "sigma2 must be positive"),
     ],
+    **{name: bad_numbers(name, [-1.0], f"{name} must be non-negative, got {{!r}}")
+       for name in NON_NEGATIVE},
+    "distance": bad_numbers("distance", [0.0, -1.0], "distance must be positive, got {!r}"),
+    "h": bad_numbers("h", [0.0], "h must be positive, got {!r}"),
+    "eta": bad_numbers("eta", [0.5], "eta must be at least 1, got {!r}"),
+    "lo": bad_numbers("lo", [2.0], "hi must be >= lo"),
+    "hi": bad_numbers("hi", [-1.0], "hi must be >= lo"),
+    "x": bad_numbers("x"),
+    "resolution": bad_counts("resolution", 1, "resolution must be at least 2 samples"),
 }
 
 # Where ``None`` means "not given", the entry's own message stands.

@@ -226,6 +226,16 @@ class TestNegotiationLadder:
         with pytest.raises(ValueError, match=r"alpha in \(0, 1\]"):
             NegotiationPolicy(alpha=0.0)
 
+    @pytest.mark.parametrize("value", ["no", 0, 1, None, 1.0])
+    @pytest.mark.parametrize(
+        "switch",
+        ["john_accepts_relay", "alice_accepts_relay", "john_accepts_mac", "john_accepts_one_side"],
+    )
+    def test_policy_switches_take_only_a_bool(self, switch, value):
+        # a truthy "no" would otherwise accept the rung
+        with pytest.raises(ValueError, match=rf"^{switch} must be a bool, got {value!r}$"):
+            NegotiationPolicy(**{switch: value})
+
 
 class TestAdaptiveStep:
     """Mobility re-negotiates at every step and flags each change of mode."""

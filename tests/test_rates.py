@@ -81,7 +81,7 @@ class TestSecrecyRateNonCoop:
     @pytest.mark.parametrize("kind", list(ScenarioKind))
     def test_rejects_non_finite_power(self, std_gains, std_noise, kind, name, bad):
         powers = {"p_a": 1.0, "p_j": 1.0, "p_ab": 0.5, "p_jb": 0.5, name: bad}
-        with pytest.raises(ValueError, match="powers must be finite"):
+        with pytest.raises(ValueError, match=f"^{name} must be finite, got {bad!r}$"):
             secrecy_rate(kind, std_gains, std_noise, alpha=0.8, **powers)
 
     @pytest.mark.parametrize("bad", [True, "1", None])
