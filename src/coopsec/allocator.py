@@ -16,11 +16,12 @@ eigenvalue or polynomial routine.
 Every direct-mode decision (non-cooperative, one-sided and power swap) is the
 same priced secrecy gap ``log(1 + g x / s2) - log(1 + e x / s2) - price x`` in
 the carried power ``x = scale * p``; which links and which scale each message
-uses comes from the mode table in :mod:`coopsec.rates`.  One kernel solves
-:func:`noncoop_quadratic` in ``x`` for all six decisions.  Relaying solves
-the cubic :func:`relay_cubic_for_a` at fixed own-message seeds of half of each
-budget.  Every number a public function takes goes through the one check
-family of :mod:`coopsec.model`.
+uses comes from the direct-mode link table in :mod:`coopsec.rates`.  One
+kernel solves :func:`noncoop_quadratic` in ``x`` for all six decisions.
+Relaying solves the cubic :func:`relay_cubic_for_a` at fixed own-message
+seeds of half of each budget; the relay slices' objectives read their links
+from the relay link table.  Every number a public function takes goes
+through the one check family of :mod:`coopsec.model`.
 
 Public entry points check their inputs; private kernels take checked
 floats.  An allocation checks ``alpha`` and ``price`` once, then passes the
@@ -30,8 +31,8 @@ behind :func:`noncoop_quadratic`, :func:`_relay_cubic` behind
 the kernels do the public functions' arithmetic in the same order, so the
 results are the same bits.  The rates of the decided powers come from
 ``rates._secrecy_rate``, the kernel behind :func:`coopsec.rates.secrecy_rate`,
-and the result is built by ``model._from_checked`` without re-running the
-dataclass checks.
+and one builder makes every result with ``model._from_checked``, without
+re-running the dataclass checks.
 
 An allocation compares only a few candidates (zero, the budget and the
 roots), each evaluated on Python floats with ``math.log1p``: numpy's scalar
@@ -67,7 +68,7 @@ from .model import (
     _as_positive,
     _from_checked,
 )
-from .rates import _DIRECT_LINKS, RatePair, ScenarioKind, _Link, _secrecy_rate
+from .rates import _DIRECT_LINKS, _RELAY_LINKS, RatePair, ScenarioKind, _secrecy_rate
 
 __all__ = [
     "OptimalAllocation",
@@ -446,15 +447,14 @@ def evaluate_closed_forms(
 # penalised objectives
 
 
-def _scale(link: _Link, alpha: float | None) -> float:
-    """Carried power per unit of the link's decision variable.
+def _scale(alpha_power: int, alpha: float | None) -> float:
+    """``alpha**alpha_power``: power carried, or billed, per unit of a link's
+    decision variable.  ``alpha`` must be checked when ``alpha_power`` is not
+    zero, and is not read otherwise."""
 
-    ``alpha`` is read only when the link carries it, and must be checked.
-    """
-
-    if link.alpha_power == 0:
+    if alpha_power == 0:
         return 1.0
-    return alpha if link.alpha_power > 0 else 1.0 / alpha
+    return alpha if alpha_power > 0 else 1.0 / alpha
 
 
 def _priced_gap_objective(
@@ -527,43 +527,16 @@ def _objective_key(
 
     for link in _DIRECT_LINKS.get(kind, ()):
         if link.power == side:
-            return (
-                "gap",
-                getattr(gains, link.main),
-                getattr(gains, link.eve),
-                s2,
-                lam,
-                _scale(link, _as_alpha(alpha) if link.alpha_power else None),
-            )
-    if kind is ScenarioKind.RELAY_COOP:
-        if side == "p_jb":
-            if p_a is None:
-                raise ValueError("relay side 'p_jb' needs the seed power p_a")
-            return (
-                "relay",
-                gains.g_ab,
-                gains.g_ae,
-                gains.g_aj,
-                gains.g_jb,
-                s2,
-                lam,
-                _as_nonnegative("p_a", p_a),
-                _as_alpha(alpha),
-            )
-        if side == "p_ab":
-            if p_j is None:
-                raise ValueError("relay side 'p_ab' needs the seed power p_j")
-            return (
-                "relay",
-                gains.g_jb,
-                gains.g_je,
-                gains.g_ja,
-                gains.g_ab,
-                s2,
-                lam,
-                _as_nonnegative("p_j", p_j),
-                1.0 / _as_alpha(alpha),
-            )
+            scale = _scale(link.alpha_power, _as_alpha(alpha) if link.alpha_power else None)
+            return ("gap", getattr(gains, link.main), getattr(gains, link.eve), s2, lam, scale)
+    for row in _RELAY_LINKS.get(kind, ()):
+        if row.slice == side:
+            own = {"p_a": p_a, "p_j": p_j}[row.power]
+            if own is None:
+                raise ValueError(f"relay side {side!r} needs the seed power {row.power}")
+            own = _as_nonnegative(row.power, own)
+            scale = _scale(row.alpha_power, _as_alpha(alpha))
+            return ("relay", *row.gains(gains), s2, lam, own, scale)
     raise ValueError(f"unknown decision variable {side!r} for {kind.value}")
 
 
@@ -673,6 +646,16 @@ def _priced_gap_optimum(
 # allocations
 
 
+def _allocation(kind, gains, s2, alpha, p_a, p_j, p_ab, p_jb, provenance) -> OptimalAllocation:
+    """The allocation at the decided powers, with their secrecy rates; every
+    argument is checked."""
+
+    cs = _secrecy_rate(kind, gains, s2, p_a, p_j, alpha, p_ab, p_jb)
+    fields = {"mode": kind, "p_a": p_a, "p_j": p_j, "p_ab": p_ab, "p_jb": p_jb, "cs": cs}
+    fields["provenance"] = provenance
+    return _from_checked(OptimalAllocation, fields)
+
+
 def _direct_allocation(
     kind: ScenarioKind,
     gains: ChannelGains,
@@ -690,7 +673,7 @@ def _direct_allocation(
                 getattr(gains, link.eve),
                 noise.sigma2,
                 lam,
-                _scale(link, alpha),
+                _scale(link.alpha_power, alpha),
                 hi[link.power],
                 pick,
             )
@@ -699,18 +682,8 @@ def _direct_allocation(
     except OverflowError:  # sigma2 ** 2 in the quadratic
         raise ValueError(f"{kind.value}: polynomial coefficients overflow") from None
     (p_a, prov_a), (p_j, prov_j) = decided["p_a"], decided["p_j"]
-    return _from_checked(
-        OptimalAllocation,
-        {
-            "mode": kind,
-            "p_a": p_a,
-            "p_j": p_j,
-            "p_ab": 0.0,
-            "p_jb": 0.0,
-            "cs": _secrecy_rate(kind, gains, noise.sigma2, p_a, p_j, alpha, 0.0, 0.0),
-            "provenance": {"p_a": prov_a, "p_j": prov_j},
-        },
-    )
+    provenance = {"p_a": prov_a, "p_j": prov_j}
+    return _allocation(kind, gains, noise.sigma2, alpha, p_a, p_j, 0.0, 0.0, provenance)
 
 
 def noncoop_allocation(
@@ -801,26 +774,15 @@ def relay_allocation(
     except OverflowError:  # a float ** 2 raises where x * x would give inf
         raise ValueError("relay_coop: polynomial coefficients overflow") from None
     roots = solve_cubic_real(coeffs)
+    kind = ScenarioKind.RELAY_COOP
     # penalized_objective(RELAY_COOP, "p_jb", ...) at the seed, on the checked floats
     objective = _priced_relay_objective(
-        gains.g_ab, gains.g_ae, gains.g_aj, gains.g_jb, s2, lam, seed_a, a, math.log1p
+        *_RELAY_LINKS[kind][0].gains(gains), s2, lam, seed_a, a, math.log1p
     )
     p_jb, prov = _argmax_candidate(objective, roots, hi)
     p_ab = a * p_jb
-    p_a = max(budget.p_a_max - p_ab, 0.0)
-    p_j = max(budget.p_j_max - p_jb, 0.0)
-    return _from_checked(
-        OptimalAllocation,
-        {
-            "mode": ScenarioKind.RELAY_COOP,
-            "p_a": p_a,
-            "p_j": p_j,
-            "p_ab": p_ab,
-            "p_jb": p_jb,
-            "cs": _secrecy_rate(ScenarioKind.RELAY_COOP, gains, s2, p_a, p_j, None, p_ab, p_jb),
-            "provenance": {"p_jb": prov},
-        },
-    )
+    p_a, p_j = max(budget.p_a_max - p_ab, 0.0), max(budget.p_j_max - p_jb, 0.0)
+    return _allocation(kind, gains, s2, None, p_a, p_j, p_ab, p_jb, {"p_jb": prov})
 
 
 # ---------------------------------------------------------------------------

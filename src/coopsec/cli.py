@@ -137,6 +137,13 @@ def _run(parser: argparse.ArgumentParser, command: str, run, *args, **kwargs):
         parser.error(f"{command}: {exc}")
 
 
+def _write(parser: argparse.ArgumentParser, path: str, write, data, **kwargs) -> None:
+    try:  # an unwritable --out is a one-line usage error, as an unreadable --config is
+        write(data, path, **kwargs)
+    except OSError as exc:
+        parser.error(f"--out: cannot write {path}: {exc.strerror or exc}")
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -144,13 +151,13 @@ def main(argv: Sequence[str] | None = None) -> int:
 
     if args.command == "sweep":
         rows = _run(parser, "sweep", run_sweep, config)
-        write_sweep_csv(rows, args.out, log_base=config.log_base)
+        _write(parser, args.out, write_sweep_csv, rows, log_base=config.log_base)
         print(f"sweep: wrote {len(rows)} rows to {args.out}")
         return 0
 
     if args.command == "validate":
         report = _run(parser, "validate", run_validation, config, samples=args.samples)
-        write_json(report, args.out)
+        _write(parser, args.out, write_json, report)
         summary = report["summary"]
         counts = ", ".join(f"{verdict}={count}" for verdict, count in sorted(summary.items()))
         print(f"validate: worst verdict {_most_severe(summary)} ({counts}); wrote {args.out}")
@@ -158,14 +165,14 @@ def main(argv: Sequence[str] | None = None) -> int:
 
     if args.command == "mobility":
         rows = _run(parser, "mobility", run_mobility, config)
-        write_mobility_csv(rows, args.out, log_base=config.log_base)
+        _write(parser, args.out, write_mobility_csv, rows, log_base=config.log_base)
         changes = sum(1 for row in rows if row.changed)
         print(f"mobility: {len(rows)} steps, {changes} mode changes; wrote {args.out}")
         return 0
 
     if args.command == "negotiate":
         result = _run(parser, "negotiate", run_negotiation, config)
-        write_json(result, args.out)
+        _write(parser, args.out, write_json, result)
         print(f"negotiate: mode {result['mode']}; wrote {args.out}")
         return 0
 

@@ -550,36 +550,15 @@ def run_validation(config: ExperimentConfig, samples: int = 100) -> dict[str, ob
     rng = np.random.default_rng(config.seed)
     random_points = []
     for index in range(samples):
-        g = rng.uniform(0.05, 0.6, size=6)
-        gains = ChannelGains(
-            g_ab=float(g[0]),
-            g_ae=float(g[1]),
-            g_jb=float(g[2]),
-            g_je=float(g[3]),
-            g_aj=float(g[4]),
-            g_ja=float(g[5]),
-        )
-        d = rng.uniform(0.5, 3.0, size=5)
-        geometry = Geometry(
-            d_ab=float(d[0]),
-            d_ae=float(d[1]),
-            d_jb=float(d[2]),
-            d_je=float(d[3]),
-            d_aj=float(d[4]),
-            eta=2.0,
-        )
-        sigma2 = float(rng.uniform(0.5, 2.0))
-        alpha = float(rng.uniform(0.3, 1.0))
-        price = float(10.0 ** rng.uniform(-3.0, -1.0))
-        b = rng.uniform(1.0, 10.0, size=2)
-        budgets = PowerBudget(p_a_max=float(b[0]), p_j_max=float(b[1]))
+        # drawn argument by argument; a vector fills its class's fields in
+        # order (g_ab..g_ja, d_ab..d_aj, p_a_max and p_j_max)
         point = ExperimentConfig(
-            gains=gains,
-            geometry=geometry,
-            sigma2=sigma2,
-            alpha=alpha,
-            price=price,
-            budgets=budgets,
+            gains=ChannelGains(*map(float, rng.uniform(0.05, 0.6, size=6))),
+            geometry=Geometry(*map(float, rng.uniform(0.5, 3.0, size=5)), eta=2.0),
+            sigma2=float(rng.uniform(0.5, 2.0)),
+            alpha=float(rng.uniform(0.3, 1.0)),
+            price=float(10.0 ** rng.uniform(-3.0, -1.0)),
+            budgets=PowerBudget(*map(float, rng.uniform(1.0, 10.0, size=2))),
         )
         random_points.append({"sample": index, **_audit_point(point)})
     report["random_points"] = random_points

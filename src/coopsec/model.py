@@ -280,7 +280,17 @@ def effective_gain(gain: float, distance: float, eta: float) -> float:
 
     Feeding the result into :func:`snr_direct` reproduces the path-loss form
     ``gain * power / (distance**eta * sigma2)`` exactly, so geometry-aware
-    computations can reuse every unit-distance formula unchanged.
+    computations can reuse every unit-distance formula unchanged.  A
+    ``distance**eta`` that under- or overflows, or a quotient that
+    overflows, is a ``ValueError``.
     """
 
-    return _as_nonnegative("gain", gain) / _as_positive("distance", distance) ** _as_eta(eta)
+    gain, distance = _as_nonnegative("gain", gain), _as_positive("distance", distance)
+    eta = _as_eta(eta)
+    try:
+        loss = distance**eta
+    except OverflowError:
+        loss = math.inf
+    if not 0.0 < loss < math.inf:
+        raise ValueError(f"distance**{eta:g} is out of the float range, got distance={distance}")
+    return _require_finite(f"gain / distance**{eta:g}", gain / loss)

@@ -33,6 +33,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from operator import attrgetter
 from typing import NamedTuple
 
 from .model import (
@@ -120,8 +121,21 @@ class _Link(NamedTuple):
     alpha_power: int
 
 
-# Message 1 (a's) and message 2 (j's) of each direct mode.  Secrecy rates,
-# the allocator's objectives and its allocations all read this one table.
+class _RelayLink(NamedTuple):
+    """How one message travels in relay mode: ``gains`` reads its direct,
+    eavesdropper and relay-hop gains (sender to partner, partner to
+    receiver); ``power`` funds it and the partner relays it with ``slice``,
+    billed at ``slice * alpha**alpha_power``."""
+
+    gains: attrgetter
+    power: str
+    slice: str
+    alpha_power: int
+
+
+# Message 1 (a's) and message 2 (j's) of each mode, in one of two tables.
+# Secrecy rates, the allocator's objectives and its allocations read them;
+# the relay rows are each other's mirror, written only here.
 _DIRECT_LINKS: dict[ScenarioKind, tuple[_Link, _Link]] = {
     ScenarioKind.NON_COOP: (_Link("g_ab", "g_ae", "p_a", 0), _Link("g_jb", "g_je", "p_j", 0)),
     ScenarioKind.ONE_SIDE_COOP: (
@@ -130,10 +144,12 @@ _DIRECT_LINKS: dict[ScenarioKind, tuple[_Link, _Link]] = {
     ),
     ScenarioKind.MAC_COOP: (_Link("g_ab", "g_ae", "p_j", 1), _Link("g_jb", "g_je", "p_a", -1)),
 }
-
-
-def _gap(snr_main: float, snr_eve: float) -> float:
-    return math.log1p(snr_main) - math.log1p(snr_eve)
+_RELAY_LINKS: dict[ScenarioKind, tuple[_RelayLink, _RelayLink]] = {
+    ScenarioKind.RELAY_COOP: (
+        _RelayLink(attrgetter("g_ab", "g_ae", "g_aj", "g_jb"), "p_a", "p_jb", 1),
+        _RelayLink(attrgetter("g_jb", "g_je", "g_ja", "g_ab"), "p_j", "p_ab", -1),
+    ),
+}
 
 
 def _message_gap(link: _Link, gains: ChannelGains, power: float, alpha, s2: float) -> float:
@@ -142,7 +158,16 @@ def _message_gap(link: _Link, gains: ChannelGains, power: float, alpha, s2: floa
         power = alpha * power
     elif link.alpha_power < 0:
         power = power / alpha
-    return _gap(getattr(gains, link.main) * power / s2, getattr(gains, link.eve) * power / s2)
+    g_main, g_eve = getattr(gains, link.main), getattr(gains, link.eve)
+    return math.log1p(g_main * power / s2) - math.log1p(g_eve * power / s2)
+
+
+def _relay_gap(row: _RelayLink, gains: ChannelGains, powers: dict, s2: float) -> float:
+    # the direct branch and the relayed one add up, as in rate_mrc_relay
+    g_main, g_eve, g_hop1, g_hop2 = row.gains(gains)
+    own = powers[row.power]
+    relayed = _relay_snr(g_hop1, g_hop2, own, powers[row.slice], s2)
+    return math.log1p(g_main * own / s2 + relayed) - math.log1p(g_eve * own / s2)
 
 
 def secrecy_rate(
@@ -221,12 +246,10 @@ def _secrecy_rate(
     if links is not None:
         powers = {"p_a": p_a, "p_j": p_j}
         cs1, cs2 = (_message_gap(link, gains, powers[link.power], alpha, s2) for link in links)
-    else:  # relay_coop
-        # the direct branch and the relayed one add up, as in rate_mrc_relay
-        relayed_a = _relay_snr(gains.g_aj, gains.g_jb, p_a, p_jb, s2)
-        cs1 = math.log1p(gains.g_ab * p_a / s2 + relayed_a) - math.log1p(gains.g_ae * p_a / s2)
-        relayed_j = _relay_snr(gains.g_ja, gains.g_ab, p_j, p_ab, s2)
-        cs2 = math.log1p(gains.g_jb * p_j / s2 + relayed_j) - math.log1p(gains.g_je * p_j / s2)
+    else:
+        powers = {"p_a": p_a, "p_j": p_j, "p_ab": p_ab, "p_jb": p_jb}
+        row_1, row_2 = _RELAY_LINKS[kind]
+        cs1, cs2 = _relay_gap(row_1, gains, powers, s2), _relay_gap(row_2, gains, powers, s2)
     if not (math.isfinite(cs1) and math.isfinite(cs2)):
         raise ValueError(
             f"{kind.value} secrecy rates are not finite (cs1={cs1}, cs2={cs2}): "

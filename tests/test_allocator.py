@@ -809,3 +809,26 @@ class TestDecisionsInPlainFloats:
                     allocate(STD_GAINS, noise, budgets, alpha=0.8, price=price)
                     assert len(values) > before
         assert {type(v) for v in values} == {float}
+
+
+class TestRelayObjectiveMirror:
+    """The two relay slices' objectives are each other's mirror image."""
+
+    @settings(derandomize=True, max_examples=200)
+    @given(
+        gains=st.lists(st.floats(min_value=0.0, max_value=10.0), min_size=6, max_size=6),
+        seed=st.floats(min_value=0.0, max_value=50.0),
+        alpha=st.floats(min_value=0.01, max_value=1.0),
+        price=st.floats(min_value=0.0, max_value=2.0),
+    )
+    def test_p_ab_key_is_the_mirrored_p_jb_key(self, gains, seed, alpha, price):
+        g_ab, g_ae, g_jb, g_je, g_aj, g_ja = gains
+        original = ChannelGains(g_ab, g_ae, g_jb, g_je, g_aj, g_ja)
+        swapped = ChannelGains(g_jb, g_je, g_ab, g_ae, g_ja, g_aj)
+        key = allocator._objective_key
+        relay, terms = ScenarioKind.RELAY_COOP, (STD_NOISE, price, alpha)
+        key_ab = key(relay, "p_ab", original, *terms, p_j=seed)
+        key_jb = key(relay, "p_jb", swapped, *terms, p_a=seed)
+        # the same floats but the billing: p_ab / alpha against alpha * p_jb
+        assert key_ab[:-1] == key_jb[:-1]
+        assert (key_ab[-1], key_jb[-1]) == (1.0 / alpha, alpha)

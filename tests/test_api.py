@@ -1,5 +1,5 @@
 """Every exported name resolves, and so does everything the benchmark traces;
-every demo runs.
+every demo runs, and the README's examples hold.
 
 ``perfbench/tracing.py`` patches functions by module and attribute name; a
 rename or deletion in the package would otherwise only surface when the
@@ -12,6 +12,8 @@ from __future__ import annotations
 import importlib
 import importlib.util
 import inspect
+import json
+import re
 import runpy
 import sys
 from pathlib import Path
@@ -23,6 +25,13 @@ import coopsec
 MODULES = ["allocator", "cli", "harness", "model", "oracle", "protocol", "rates"]
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 DEMOS = sorted((PERFBENCH.parent / "demos").glob("*.py"))
+README = (PERFBENCH.parent / "README.md").read_text(encoding="utf-8")
+
+
+def readme_blocks(language):
+    """The README's fenced code blocks in ``language``."""
+
+    return re.findall(rf"^```{language}\n(.*?)^```$", README, flags=re.M | re.S)
 
 
 def load_perfbench(name):
@@ -198,3 +207,19 @@ def test_unused_surface_is_gone():
 def test_demo_runs_and_prints(path, capsys):
     runpy.run_path(str(path), run_name="__main__")
     assert capsys.readouterr().out.strip()
+
+
+def test_readme_python_runs_and_prints(capsys):
+    (block,) = readme_blocks("python")
+    exec(compile(block, "README.md", "exec"), {"__name__": "__main__"})
+    assert capsys.readouterr().out.strip()
+
+
+def test_readme_config_lists_every_key_at_its_default():
+    from coopsec.harness import ExperimentConfig
+
+    (block,) = readme_blocks("json")
+    documented = json.loads(block)
+    assert ExperimentConfig.from_dict(documented) == ExperimentConfig()
+    # every key, nested ones too, with its default value
+    assert documented == ExperimentConfig().to_dict()

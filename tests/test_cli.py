@@ -227,6 +227,23 @@ class TestNegotiateCommand:
         assert "cs1_base2" in result["allocation"]
 
 
+class TestBadOutPath:
+    @pytest.mark.parametrize("command", ["sweep", "validate", "mobility", "negotiate"])
+    @pytest.mark.parametrize(
+        "target, reason",
+        [("missing", "No such file or directory"), ("directory", "Is a directory")],
+    )
+    def test_unwritable_out_is_a_clean_error(self, tmp_path, capsys, command, target, reason):
+        out = tmp_path / "absent" / "out.txt" if target == "missing" else tmp_path
+        argv = [command, "--out", str(out)] + (["--samples", "0"] if command == "validate" else [])
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 2 and err[0].startswith("usage: coopsec")
+        assert err[1] == f"coopsec: error: --out: cannot write {out}: {reason}"
+
+
 class TestBadConfigs:
     def write_config(self, tmp_path, text):
         path = tmp_path / "config.json"

@@ -282,6 +282,20 @@ class TestEffectiveGain:
     def test_unit_distance_is_identity(self):
         assert effective_gain(0.37, 1.0, 3.1) == 0.37
 
+    @pytest.mark.parametrize(
+        "gain, distance, eta, message",
+        [
+            (0.4, 1e-200, 2.0, "distance**2 is out of the float range, got distance=1e-200"),
+            (0.4, 1e200, 2.0, "distance**2 is out of the float range, got distance=1e+200"),
+            (0.4, 1e-100, 3.5, "distance**3.5 is out of the float range, got distance=1e-100"),
+            (1e300, 1e-10, 2.0, "gain / distance**2 must be finite, got inf"),
+        ],
+    )
+    def test_out_of_range_path_loss_is_one_line(self, gain, distance, eta, message):
+        with pytest.raises(ValueError) as info:
+            effective_gain(gain, distance, eta)
+        assert str(info.value) == message
+
 
 # Per free function: valid arguments, and the name an error on each argument gives.
 NAN_CHECKS = {
@@ -495,7 +509,12 @@ BAD_VALUES = {
     ],
     **{name: bad_numbers(name, [-1.0], f"{name} must be non-negative, got {{!r}}")
        for name in NON_NEGATIVE},
-    "distance": bad_numbers("distance", [0.0, -1.0], "distance must be positive, got {!r}"),
+    "distance": bad_numbers("distance", [0.0, -1.0], "distance must be positive, got {!r}") + [
+        (1e-200, "distance**2 is out of the float range, got distance=1e-200"),
+        (1e200, "distance**2 is out of the float range, got distance=1e+200"),
+        # a subnormal distance**2: the quotient overflows
+        (1e-155, "gain / distance**2 must be finite, got inf"),
+    ],
     "h": bad_numbers("h", [0.0], "h must be positive, got {!r}"),
     "eta": bad_numbers("eta", [0.5], "eta must be at least 1, got {!r}"),
     "lo": bad_numbers("lo", [2.0], "hi must be >= lo"),

@@ -7,7 +7,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from coopsec import (
@@ -23,7 +23,7 @@ from coopsec import (
     noncoop_allocation,
     snr_relay_path,
 )
-from coopsec.rates import _DIRECT_LINKS, _secrecy_rate
+from coopsec.rates import _DIRECT_LINKS, _RELAY_LINKS, _secrecy_rate
 
 gain = st.floats(min_value=0.01, max_value=2.0)
 power = st.floats(min_value=0.0, max_value=50.0)
@@ -342,3 +342,38 @@ class TestMessagesDoNotInterfere:
         assert after.p_a.hex() == before.p_a.hex()
         assert after.provenance["p_a"] is before.provenance["p_a"]
         assert after.cs.cs1.hex() == before.cs.cs1.hex()
+
+
+# a <-> j: the name of each gain and power on the other side
+MIRROR = {
+    "g_ab": "g_jb", "g_jb": "g_ab", "g_ae": "g_je", "g_je": "g_ae", "g_aj": "g_ja", "g_ja": "g_aj",
+    "p_a": "p_j", "p_j": "p_a", "p_ab": "p_jb", "p_jb": "p_ab",
+}
+
+
+class TestRelayMirror:
+    """Relay mode's two messages are each other's mirror image."""
+
+    @settings(derandomize=True, max_examples=300)
+    @given(
+        gains=six_gains,
+        powers=st.lists(power, min_size=4, max_size=4),
+        s2=st.one_of(st.just(1e-300), st.floats(min_value=0.01, max_value=10.0)),
+    )
+    def test_swapping_a_and_j_swaps_the_rates(self, gains, powers, s2):
+        fields = dict(zip(GAIN_FIELDS, gains))
+        spent = dict(zip(("p_a", "p_j", "p_ab", "p_jb"), powers))
+        relay, noise = ScenarioKind.RELAY_COOP, NoiseModel(s2)
+        rates = secrecy_rate(relay, ChannelGains(**fields), noise, **spent)
+        swapped = secrecy_rate(
+            relay,
+            ChannelGains(**{MIRROR[name]: value for name, value in fields.items()}),
+            noise,
+            **{MIRROR[name]: value for name, value in spent.items()},
+        )
+        assert (swapped.cs1.hex(), swapped.cs2.hex()) == (rates.cs2.hex(), rates.cs1.hex())
+
+    def test_every_mode_is_in_exactly_one_link_table(self):
+        for kind in ScenarioKind:
+            assert (kind in _DIRECT_LINKS) + (kind in _RELAY_LINKS) == 1, kind
+        assert len(_DIRECT_LINKS) + len(_RELAY_LINKS) == len(ScenarioKind)
