@@ -124,7 +124,7 @@ def _resolve_config(
     if args.log_base is not None:
         overrides["log_base"] = args.log_base
     if overrides:
-        config = config.replace(**overrides)
+        config = _run(parser, args.command, config.replace, **overrides)
     return config
 
 

@@ -149,8 +149,8 @@ class ExperimentConfig:
     price.  A named ``preset`` sets the sweep axis and geometry that are not
     given, and an ``axis`` that is given must sweep the preset's coordinate.
     ``trajectory`` is a sequence of ``(d_ae, d_je)`` pairs consumed only by
-    mobility runs.  ``seed`` is an integer; a float seed must have an
-    integral value.
+    mobility runs.  ``seed`` is a non-negative integer; a float seed must
+    have an integral value.
     """
 
     gains: ChannelGains = DEFAULT_GAINS
@@ -190,6 +190,8 @@ class ExperimentConfig:
         if self.log_base not in ("e", "2"):
             raise ValueError("log_base must be 'e' or '2'")
         object.__setattr__(self, "seed", _as_whole("seed", self.seed))
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
         if self.trajectory is not None:
             try:
                 path = tuple(
@@ -501,13 +503,8 @@ def _params(config: ExperimentConfig) -> dict[str, object]:
 
 
 def _audit_point(config: ExperimentConfig) -> dict[str, object]:
-    """Parameter block and per-scenario validation reports at one point.
+    """Parameter block and per-scenario validation reports at one point."""
 
-    The four scenarios share one table of oracle searches, which lives only
-    as long as this call.
-    """
-
-    searches: dict[tuple, float] = {}
     return {
         "params": _params(config),
         "reports": {
@@ -519,7 +516,6 @@ def _audit_point(config: ExperimentConfig) -> dict[str, object]:
                 config.alpha,
                 config.price,
                 config.budgets,
-                _searches=searches,
             ).as_dict()
             for kind in _ALL_SCENARIOS
         },

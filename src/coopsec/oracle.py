@@ -2,11 +2,11 @@
 
 The allocator trusts two stationarity polynomials, the priced-gap quadratic
 and the printed relay cubic; no allocation evaluates a closed form.  This
-module trusts nothing: it maximizes the same penalized objectives by direct
-grid evaluation (plus a golden-section refinement pass) and differentiates
-them by central differences.  The grid search looks first at the decision
-the roots imply, then at the objective's own stationary point; neither
-chooses what it returns.
+module trusts no polynomial: every audited objective is concave on its
+interval or non-increasing there, so its argmax is its KKT point, which the
+oracle takes only once the objective's own analytic slope certifies it.
+Where the certificate fails, an exhaustive grid search (plus a
+golden-section refinement pass) finds the argmax instead.
 ``validate_scenario`` runs both paths side by side and labels every formula
 with a verdict, so a transcription error in a printed expression surfaces
 as data instead of silently steering an allocation.
@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, MutableMapping, NamedTuple, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -76,6 +76,10 @@ VERDICT_INFEASIBLE = "infeasible"
 
 _DEFAULT_RESOLUTION = 10001
 _RESIDUAL_TOL = 1e-6
+# A certified KKT point's slope is within this share (4096 ulps) of its terms'
+# summed magnitudes of zero: room for the roundings of the point and the slope,
+# about 1000 ulps at worst; a wrong coefficient misses by far more.
+_CERTIFICATE = 2.0**-40
 
 Objective = Callable[[float], float]
 
@@ -196,60 +200,18 @@ def _refine(
     return best_x, best_y
 
 
-def _gap_magnitude(
-    g_main: float, g_eve: float, s2: float, lam: float, scale: float, hi: float
-) -> float:
-    x = scale * hi
-    return math.log1p(g_main * x / s2) + math.log1p(g_eve * x / s2) + lam * x
+def _exact_argmax(key: tuple, hi: float) -> float | None:
+    """The argmax on ``[0, hi]`` of ``key``'s objective, from its KKT conditions.
 
-
-def _relay_magnitude(
-    g_direct: float,
-    g_eve: float,
-    g_hop1: float,
-    g_hop2: float,
-    s2: float,
-    lam: float,
-    own_power: float,
-    pay_scale: float,
-    hi: float,
-) -> float:
-    # the relayed SNR never exceeds the first hop's, g_hop1 * own_power / s2
-    base_main = g_direct * own_power / s2
-    reach = base_main + g_hop1 * own_power / s2
-    return math.log1p(reach) + math.log1p(g_eve * own_power / s2) + lam * pay_scale * hi
-
-
-# Per form: the sum of the magnitudes of the objective's terms on ``[0, hi]``
-# (each term grows with the decision variable, so its value at ``hi``).
-_OBJECTIVE_MAGNITUDES = {"gap": _gap_magnitude, "relay": _relay_magnitude}
-
-
-def _objective_magnitude(key: tuple, hi: float) -> float:
-    """Bound on the summed term magnitudes of ``key``'s objective on ``[0, hi]``.
-
-    Every term of both forms is evaluated to within a few ulps of its own
-    size, so the objective's rounding error anywhere on the interval is a
-    small multiple of ``2**-52`` times this bound.  Overflow shows as
-    ``inf``.
-    """
-
-    return _OBJECTIVE_MAGNITUDES[key[0]](*key[1:], hi)
-
-
-def _stationary_hint(key: tuple, hi: float) -> float | None:
-    """The argmax on ``[0, hi]`` of ``key``'s objective, from its stationarity condition.
-
-    A gap key takes the allocator's own kernel.  A relay key solves the
-    slice's exact condition: with ``h1 = g_hop1 * own``, ``u = h1 + s2 +
-    g_hop2 * p``, ``A = s2 (1 + g_direct own / s2) + h1``, ``K = h1 (h1 +
-    s2)`` and ``c = lam * pay_scale``, the derivative in ``p`` is ``g_hop2 K
-    / (u (A u - K)) - c``.  It falls as ``u`` grows, so the slice is concave
-    and its argmax is the larger root ``u+`` of ``c A u^2 - c K u - g_hop2 K
-    = 0``, mapped back to ``p`` and clamped to ``[0, hi]`` (KKT with box
-    constraints: Boyd & Vandenberghe, *Convex Optimization*, section 5.5).
-    When ``c``, ``K`` or ``g_hop2`` is zero the answer is an end.  ``None``
-    when the answer is not finite.
+    Both forms are concave on ``[0, hi]`` or non-increasing there, so the
+    argmax is the stationary point clamped to the interval (Boyd &
+    Vandenberghe, *Convex Optimization*, section 5.5).  A gap key takes the
+    allocator's own kernel.  A relay key, with ``h1 = g_hop1 * own``, ``u =
+    h1 + s2 + g_hop2 * p``, ``A = s2 (1 + g_direct own / s2) + h1``, ``K =
+    h1 (h1 + s2)`` and ``c = lam * pay_scale``, has slope ``g_hop2 K / (u (A
+    u - K)) - c``, falling in ``u``: its argmax is the larger root of ``c A
+    u^2 - c K u - g_hop2 K = 0``, mapped back to ``p`` and clamped, or an
+    end when ``c``, ``K`` or ``g_hop2`` is zero.  ``None`` when not finite.
     """
 
     if key[0] == "gap":
@@ -274,136 +236,59 @@ def _stationary_hint(key: tuple, hi: float) -> float | None:
     return min(max(p, 0.0), hi) if math.isfinite(p) else None
 
 
-def _windowed_search(
-    objective: Objective,
-    objective_key: tuple,
-    hi: float,
-    resolution: int = _DEFAULT_RESOLUTION,
-    hint: float | None = None,
-) -> tuple[float, float]:
-    """``grid_search_optimum(objective, 0.0, hi, resolution)``, exactly, on a few points.
+def _slope(key: tuple, p: float) -> tuple[float, float]:
+    """The derivative in ``p`` of ``key``'s objective, and its terms' summed magnitudes.
 
-    ``objective`` must be what :func:`coopsec.allocator.penalized_objective`
-    returns for ``objective_key``: every such objective is unimodal on
-    ``[0, hi]`` (the priced gap is concave or decreasing, the relay slice
-    concave).  The exhaustive search takes the first argmax of the computed
-    values on the whole grid; this search finds the same grid point in one
-    window of the grid, then runs the same golden-section pass.  ``hint``,
-    a point of ``[0, hi]``, says where to look first; it never changes the
-    result.
-
-    - **Grid points.** Every point evaluated is built as ``np.linspace``
-      builds it, ``index * step + 0.0`` with the last set to ``hi``, so it
-      equals the full grid's point bit for bit.
-    - **Error bound.** Each term of the objective is computed to within a few
-      ulps of its size, so every computed value lies within ``delta / 2`` of
-      the exact value at the same float ``x``, where ``delta = 2**-30 *
-      (1 + M)`` and ``M`` bounds the terms' summed magnitudes on the
-      interval (:func:`_objective_magnitude`).
-    - **Window.** A run of grid points, evaluated in one array call with
-      the grid's two ends, is a window when every value is finite and each
-      inner edge (an edge that is not an end of the grid) computes below
-      ``T - 2 delta``, where ``T`` is the run's top value (:func:`_window`).
-    - **Where it looks.** First at the grid points within ``isqrt(resolution
-      // 2)`` positions (70 at 10001) of the one nearest ``hint``; if they
-      are not a window, at those around the one nearest
-      :func:`_stationary_hint`, the objective's own argmax, when that is a
-      different grid point.
-
-    Why a window holds the full grid's first argmax: take a grid point ``x``
-    left of the window's inner left edge ``L``, and the window's first
-    argmax ``c``, computed at ``T``.  ``f(L) < T - 1.5 delta`` (the
-    threshold's own rounding is far below ``delta``) and ``f(c) >= T -
-    delta / 2``, so ``f(L) < f(c)``; unimodality gives ``f(L) >= min(f(x),
-    f(c))``, so ``f(x) <= f(L)`` and ``x`` computes below ``T - delta``.
-    The right side is the mirror case.  Every point outside the window thus
-    computes below ``T``, which ``c`` is the first to attain inside it.  The
-    inner edges compute below ``T`` too, so the bracket ``xs[idx - 1],
-    xs[idx + 1]`` of the golden-section pass lies in the window.  The
-    exhaustive search also rejects a non-finite value anywhere on the grid:
-    every intermediate of both forms is monotone in ``x``, so overflow or a
-    zero divisor shows at an end of the grid, which every window's array
-    evaluates.
-
-    Falls back to the exhaustive :func:`grid_search_optimum`, which keeps
-    its checks and messages, when the step is zero (or ``hi`` not finite and
-    positive), when ``delta`` is not finite, or when neither place it looks
-    is a window, as for a flat objective or a non-finite value (the
-    exhaustive search then names the first bad ``x``).  Unimodality is
-    assumed, not checked: on an objective with two peaks, a window around
-    the lower one would be taken.  Every evaluation goes through
-    ``objective`` itself.
+    Written from the objective, not from any printed polynomial: ``scale *
+    (g_main / (s2 + g_main x) - g_eve / (s2 + g_eve x) - lam)`` at ``x =
+    scale * p`` for the gap, and ``h1 g_hop2 (h1 + s2) / (s2 d^2) / (1 +
+    base + relayed) - lam * pay_scale`` with ``d = h1 + g_hop2 p + s2`` for
+    the relay slice.  NaN when a divisor underflows to zero.
     """
 
-    step = hi / (resolution - 1)
-    if not 0.0 < step < math.inf:
-        return grid_search_optimum(objective, 0.0, hi, resolution)
-    delta = 2.0**-30 * (1.0 + _objective_magnitude(objective_key, hi))
-    if not math.isfinite(delta):
-        return grid_search_optimum(objective, 0.0, hi, resolution)
-    last = resolution - 1
-    radius = math.isqrt(resolution // 2)
-
-    def nearest(x: float) -> int:
-        return min(max(round(x / step), 0), last)
-
-    tried = None
-    if hint is not None:
-        tried = nearest(hint)
-        found = _window(objective, tried, radius, step, hi, resolution, delta)
-        if found is not None:
-            return found
-    stationary = _stationary_hint(objective_key, hi)
-    if stationary is not None and nearest(stationary) != tried:
-        found = _window(objective, nearest(stationary), radius, step, hi, resolution, delta)
-        if found is not None:
-            return found
-    return grid_search_optimum(objective, 0.0, hi, resolution)
+    try:
+        if key[0] == "gap":
+            _, g_main, g_eve, s2, lam, scale = key
+            x = scale * p
+            terms = (g_main / (s2 + g_main * x), -g_eve / (s2 + g_eve * x), -lam)
+            return scale * sum(terms), scale * sum(map(abs, terms))
+        _, g_direct, _, g_hop1, g_hop2, s2, lam, own_power, pay_scale = key
+        h1 = g_hop1 * own_power
+        d = h1 + g_hop2 * p + s2
+        relayed = h1 * g_hop2 * p / (s2 * d)
+        gain = h1 * g_hop2 * (h1 + s2) / (s2 * d * d) / (1.0 + g_direct * own_power / s2 + relayed)
+        return gain - lam * pay_scale, gain + lam * pay_scale
+    except ZeroDivisionError:
+        return math.nan, math.nan
 
 
-def _window(
-    objective: Objective,
-    at: int,
-    radius: int,
-    step: float,
-    hi: float,
-    resolution: int,
-    delta: float,
-) -> tuple[float, float] | None:
-    """The refined first argmax of grid positions ``at - radius..at + radius``, if a window.
+def _certified(key: tuple, p: float, hi: float) -> bool:
+    """Whether ``p`` meets the KKT conditions of ``key``'s objective on ``[0, hi]``:
+    zero slope inside, at most zero at 0, at least zero at ``hi``, to within
+    ``_CERTIFICATE`` of the slope's terms; a non-finite term certifies nothing."""
 
-    One array call evaluates the positions, each point as ``np.linspace``
-    builds it, followed by the grid's two ends, which are checked for
-    finiteness only.  ``None`` when a value is not finite or an inner edge
-    computes at or above the top value less ``2 delta``: see
-    :func:`_windowed_search`.
+    slope, size = _slope(key, p)
+    bound = _CERTIFICATE * size
+    return math.isfinite(size) and (p == 0.0 or slope >= -bound) and (p == hi or slope <= bound)
+
+
+def _oracle_argmax(objective: Objective, key: tuple, hi: float) -> float:
+    """The argmax on ``[0, hi]`` of ``objective``, which ``key`` defines.
+
+    Both ends are evaluated first, as one array, and a value that is not
+    finite there raises, naming the end: every intermediate of both forms is
+    monotone in the decision, so an overflow or a zero divisor anywhere on
+    the interval shows at an end.  The argmax is :func:`_exact_argmax`'s
+    point if :func:`_certified`, else the exhaustive grid search's.
     """
 
-    last = resolution - 1
-    start, stop = max(at - radius, 0), min(at + radius, last)
-    size = stop - start + 1
-    index = np.arange(start, stop + 3, dtype=float)
-    index[size:] = 0.0, last
-    xs = index * step
-    if stop == last:
-        xs[size - 1] = hi
-    xs[-1] = hi
-    ys = objective(xs)
-    # finite only if every value is (an overflowing sum just fails the window)
-    if not math.isfinite(ys.sum()):
-        return None
-    idx = int(ys[:size].argmax())
-    low = float(ys[idx]) - 2.0 * delta
-    if (start > 0 and not ys[0] < low) or (stop < last and not ys[size - 1] < low):
-        return None
-    return _refine(
-        objective,
-        float(xs[max(idx - 1, 0)]),
-        float(xs[min(idx + 1, size - 1)]),
-        float(xs[idx]),
-        float(ys[idx]),
-        hi / resolution / 100.0,
-    )
+    for x, value in zip((0.0, hi), objective(np.array([0.0, hi]))):
+        if not math.isfinite(value):
+            raise ValueError(f"objective is not finite at x={x!r}")
+    p = _exact_argmax(key, hi)
+    if p is None or not _certified(key, p, hi):
+        p, _ = grid_search_optimum(objective, 0.0, hi)
+    return p
 
 
 def finite_diff_derivative(objective: Objective, x: float, h: float) -> float:
@@ -447,14 +332,15 @@ class FormulaCheck:
         positive real roots and the interval endpoints under the penalized
         objective.
     oracle_value:
-        Grid-search argmax of the same objective on the same interval.
+        Argmax of the same objective on the same interval: its certified
+        KKT point, or the grid search's where the certificate fails.
     abs_deviation, rel_deviation:
         Distance of the closed form (or, without one, of ``root_value``)
         from the oracle argmax; the relative form is normalized by
         ``max(1, |oracle|)``.
     derivative_residual:
-        |central-difference derivative| at ``root_value`` when it is
-        interior to the interval, ``None`` for endpoint decisions which
+        |analytic derivative of the objective| at ``root_value`` when it
+        is interior to the interval, ``None`` for endpoint decisions which
         carry no stationarity claim.
     verdict:
         One of ``agree``, ``suspected-typo``, ``infeasible``.
@@ -543,23 +429,14 @@ def _check_formula(
     roots: Sequence[float],
     closed_form: float | None,
     hi_budget: float,
-    searches: MutableMapping[tuple, float],
 ) -> FormulaCheck:
     """Compare one polynomial condition (and optional closed form) with the oracle.
 
     The search interval starts at the budget bound but is stretched to twice
     the largest positive candidate value, so a stationary point lying beyond
     the budget is still visible to the comparison instead of being clamped
-    out of existence.  ``searches`` holds the oracle argmax of each
-    ``(objective_key, hi)`` already searched at this point.
-
-    The roots imply a decision by the allocator's own rule,
-    :func:`coopsec.allocator._argmax_candidate`.  That decision is where the
-    oracle search looks first, but never what it returns: the oracle argmax
-    is :func:`grid_search_optimum`'s, found by :func:`_windowed_search`,
-    whatever the hint.  The rule skips a candidate whose value is not finite
-    or whose evaluation divides by zero; a non-finite value on ``[0, hi]``
-    makes the search raise, so no report carries a decision drawn from one.
+    out of existence.  The roots imply a decision by the allocator's own
+    rule, :func:`coopsec.allocator._argmax_candidate`.
     """
 
     positives = [r for r in roots if math.isfinite(r) and r > 0.0]
@@ -569,18 +446,10 @@ def _check_formula(
     hi = max([float(hi_budget), 1.0] + [2.0 * c for c in candidates])
     step = hi / (_DEFAULT_RESOLUTION - 1)
 
+    oracle_x = _oracle_argmax(objective, objective_key, hi)
     root_value, _ = _argmax_candidate(objective, positives, hi)
-    search = (objective_key, hi)
-    oracle_x = searches.get(search)
-    if oracle_x is None:
-        oracle_x, _ = _windowed_search(objective, objective_key, hi, hint=root_value)
-        searches[search] = oracle_x
-
     interior = step < root_value < hi - step
-    residual: float | None = None
-    if interior:
-        h = 1e-6 * max(1.0, abs(root_value))
-        residual = abs(finite_diff_derivative(objective, root_value, h))
+    residual = abs(_slope(objective_key, root_value)[0]) if interior else None
 
     matches_oracle = abs(root_value - oracle_x) <= step + 1e-12
     residual_ok = residual is None or residual <= _RESIDUAL_TOL
@@ -954,14 +823,12 @@ def validate_scenario(
     alpha: float,
     price: float,
     budgets: PowerBudget,
-    *,
-    _searches: MutableMapping[tuple, float] | None = None,
 ) -> ValidationReport:
     """Run every formula of one scenario against the numeric oracle.
 
     For each optimized power the entry compares (a) the decision implied by
     the published polynomial condition, (b) the printed closed form where one
-    exists, and (c) a grid-search optimum of the penalized objective.  The
+    exists, and (c) the oracle argmax of the penalized objective.  The
     cooperative-MAC scenario additionally checks the geometry-aware
     quadratics (both the substitution route and the alternate printed
     spellings) against the objective over distance-attenuated gains; the
@@ -978,13 +845,8 @@ def validate_scenario(
     :func:`coopsec.allocator.relay_allocation` uses, and the relaying slice
     ranges over what those seeds leave free.
 
-    Entries that maximise the same objective on the same interval share one
-    grid search: ``non_coop.p_a`` and ``one_side_coop.p_a``, for example,
-    or a ``.variant`` and its base entry when their roots stretch the
-    interval alike.  The objective is identified by the floats that define
-    it, never by the callable.  A call shares searches among its own
-    entries; :func:`coopsec.harness.run_validation` shares them across the
-    four scenarios of one parameter point, and never between points.
+    The oracle argmax comes from the floats that define the objective, never
+    from the callable.
 
     Parameters
     ----------
@@ -1026,7 +888,6 @@ def validate_scenario(
     bounds = {"p_a": budgets.p_a_max, "p_j": budgets.p_j_max, "p_jb": hi_jb, "p_ab": hi_ab}
     attenuated = gains.effective(geometry) if any(row[2] for row in rows) else gains
 
-    searches = {} if _searches is None else _searches
     entries = []
     for formula_id, side, path_loss, polynomial, closed_key in rows:
         args = (kind, side, attenuated if path_loss else gains, noise)
@@ -1048,7 +909,6 @@ def validate_scenario(
                 roots,
                 closed.get(closed_key),
                 bounds[side],
-                searches,
             )
         )
     return ValidationReport(kind=kind, entries=tuple(entries))

@@ -459,12 +459,23 @@ class TestBadConfigs:
         rows = read_sweep_csv(out)
         assert rows and all(math.isfinite(row.cs1_nat) and math.isfinite(row.cs2_nat) for row in rows)
 
+    @pytest.mark.parametrize("command", ["validate", "negotiate", "sweep", "mobility"])
+    def test_negative_seed_exits_with_one_line(self, tmp_path, capsys, command):
+        with pytest.raises(SystemExit) as excinfo:
+            main([command, "--seed", "-1", "--out", str(tmp_path / "out")])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 2 and err[0].startswith("usage: ")
+        assert err[-1] == f"coopsec: error: {command}: seed must be non-negative, got -1"
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize(
         "command, text, message",
         [
             ("mobility", '{"trajectory": [[2.0]]}', "[d_ae, d_je] pairs"),
             ("mobility", '{"trajectory": [[2.0, 2.0, 99.0]]}', "[d_ae, d_je] pairs"),
             ("validate", '{"seed": 1.7}', "seed must be an integer, got 1.7"),
+            ("negotiate", '{"seed": -1}', "seed must be non-negative, got -1"),
             ("sweep", '{"axis": {"name": "p_a", "lo": 0, "hi": 1, "steps": 2.9}}',
              "steps must be an integer, got 2.9"),
             ("negotiate", '{"sigma2": "1.5"}', "sigma2 must be a number, got '1.5'"),
@@ -484,8 +495,8 @@ class TestBadConfigs:
              "preset fig3 sweeps p_jb, not d_ae"),
         ],
         ids=[
-            "short-pair", "triple", "float-seed", "float-steps", "string-sigma2", "bool-sigma2",
-            "string-alpha", "string-price", "string-gain", "bool-budget", "string-axis-bound",
+            "short-pair", "triple", "float-seed", "negative-seed", "float-steps", "string-sigma2",
+            "bool-sigma2", "string-alpha", "string-price", "string-gain", "bool-budget", "string-axis-bound",
             "string-distance", "preset-axis-mismatch",
         ],
     )
@@ -525,6 +536,16 @@ class TestBadConfigs:
         assert len(err) == 2 and err[0].startswith("usage: ")
         assert err[-1] == f"coopsec: error: --config: invalid config in {config}: {message}"
         assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["validate", "negotiate", "sweep", "mobility"])
+    def test_negative_seed_exits_with_one_line(self, tmp_path, capsys, command):
+        with pytest.raises(SystemExit) as excinfo:
+            main([command, "--seed", "-1", "--out", str(tmp_path / "out")])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 2 and err[0].startswith("usage: ")
+        assert err[-1] == f"coopsec: error: {command}: seed must be non-negative, got -1"
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize(
         "command, text, message",

@@ -525,49 +525,56 @@ def search_outcome(search, *args):
         return str(exc)
 
 
-class TestWindowedSearchAgainstExhaustive:
-    """The oracle's windowed search returns the exhaustive grid search's
-    ``(x, value)`` exactly; the fallbacks keep its error messages."""
+def term_sum(key, p):
+    """The summed magnitudes of the objective's three terms at ``p``."""
+
+    if key[0] == "gap":
+        _, g_main, g_eve, s2, lam, scale = key
+        x = scale * p
+        return math.log1p(g_main * x / s2) + math.log1p(g_eve * x / s2) + lam * x
+    _, g_direct, g_eve, g_hop1, g_hop2, s2, lam, own, pay_scale = key
+    first_hop, second_hop = g_hop1 * own, g_hop2 * p
+    relayed = first_hop * second_hop / (s2 * (first_hop + second_hop + s2))
+    return (
+        math.log1p(g_direct * own / s2 + relayed)
+        + math.log1p(g_eve * own / s2)
+        + lam * pay_scale * p
+    )
+
+
+def assert_agrees_with_the_grid(objective, key, hi):
+    """The audit's argmax lies within one grid step of the exhaustive grid
+    search's, and its value falls below the grid's maximum by rounding at
+    most; where the grid search finds a value that is not finite, the audit
+    raises too."""
+
+    want = search_outcome(grid_search_optimum, objective, 0.0, hi)
+    got = search_outcome(oracle._oracle_argmax, objective, key, hi)
+    if isinstance(want, str):
+        assert isinstance(got, str) and got.startswith("objective is not finite at x="), got
+        return
+    (grid_x, grid_value), step = want, hi / 10000
+    assert abs(got - grid_x) <= step, (key, hi, got, grid_x)
+    rounding = 2.0**-48 * (1.0 + term_sum(key, max(got, grid_x)))
+    assert float(objective(got)) >= grid_value - rounding, (key, hi, got, grid_x)
+
+
+class TestOracleArgmaxAgainstExhaustive:
+    """The audit's certified argmax agrees with the exhaustive grid search."""
 
     @settings(max_examples=400, deadline=None)
     @given(key=objective_key(), hi=st.one_of(log_uniform(0.0, 4.0), st.just(1.0)))
-    def test_same_argmax_and_value(self, key, hi):
+    def test_same_argmax_to_a_grid_step(self, key, hi):
         objective = allocator._OBJECTIVE_FORMS[key[0]](*key[1:])
-        want = search_outcome(grid_search_optimum, objective, 0.0, hi)
-        assert search_outcome(oracle._windowed_search, objective, key, hi) == want
-
-    @settings(max_examples=300, deadline=None)
-    @given(
-        key=objective_key(),
-        hi=st.one_of(log_uniform(0.0, 4.0), st.just(1.0)),
-        stretch=st.one_of(st.none(), st.floats(min_value=1.2, max_value=30.0)),
-        where=st.one_of(
-            st.sampled_from(["zero", "hi", "argmax", "mirror"]),
-            st.floats(min_value=0.0, max_value=1.0),
-        ),
-    )
-    def test_same_argmax_and_value_whatever_the_hint(self, key, hi, stretch, where):
-        # hints at either end, on the true argmax, mirrored to the wrong side, or anywhere
-        objective = allocator._OBJECTIVE_FORMS[key[0]](*key[1:])
-        if stretch is not None:
-            # most draws peak at an end of [0, hi]: put an interior peak inside instead
-            peak = search_outcome(grid_search_optimum, objective, 0.0, 1e4)
-            if isinstance(peak, tuple) and 0.0 < peak[0] < 1e4:
-                hi = peak[0] * stretch
-        want = search_outcome(grid_search_optimum, objective, 0.0, hi)
-        argmax = want[0] if isinstance(want, tuple) else 0.5 * hi
-        named = {"zero": 0.0, "hi": hi, "argmax": argmax, "mirror": hi - argmax}
-        hint = named[where] if isinstance(where, str) else where * hi
-        assert search_outcome(oracle._windowed_search, objective, key, hi, 10001, hint) == want
+        assert_agrees_with_the_grid(objective, key, hi)
 
     @settings(max_examples=300, deadline=None)
     @given(key=interior_key(), stretch=st.floats(min_value=1.2, max_value=30.0))
-    def test_without_a_hint_the_stationary_window_holds_interior_optima(self, key, stretch):
+    def test_interior_optima(self, key, stretch):
         objective = allocator._OBJECTIVE_FORMS[key[0]](*key[1:])
         peak, _ = grid_search_optimum(objective, 0.0, 1e4)
         assume(0.0 < peak < 1e4)
         hi = peak * stretch
-        want = grid_search_optimum(objective, 0.0, hi)
         full_grid = []
 
         def recording(*args):
@@ -575,26 +582,14 @@ class TestWindowedSearchAgainstExhaustive:
             return grid_search_optimum(*args)
 
         with mock.patch.object(oracle, "grid_search_optimum", recording):
-            assert oracle._windowed_search(objective, key, hi) == want
-        if full_grid:
-            # only a peak flat to within the error bound over 70 grid steps is no
-            # window: an inner edge computes within 2 delta of the top
-            grid = np.linspace(0.0, hi, 10001)
-            at = round(oracle._stationary_hint(key, hi) / grid[1])
-            start, stop = max(at - 70, 0), min(at + 70, 10000)
-            ys = objective(grid[start : stop + 1])
-            low = ys.max() - 2.0 * 2.0**-30 * (1.0 + oracle._objective_magnitude(key, hi))
-            assert (start > 0 and ys[0] >= low) or (stop < 10000 and ys[-1] >= low)
+            assert_agrees_with_the_grid(objective, key, hi)
+        # the interior optima over the audit's ranges are all certified
+        assert full_grid == []
 
     def test_every_mode_and_side(self):
         rng = np.random.default_rng(2024)
-        anywhere = np.random.default_rng(2025)
         for args, terms in random_objective_keys(rng, 40):
             objective = penalized_objective(*args, **terms)
             key = allocator._objective_key(*args, **terms)
             for hi in (1.0, float(10.0 ** rng.uniform(0.0, 3.0))):
-                want = grid_search_optimum(objective, 0.0, hi)
-                assert oracle._windowed_search(objective, key, hi) == want, (key, hi)
-                for hint in (0.0, hi, want[0], hi - want[0], float(anywhere.uniform(0.0, hi))):
-                    got = oracle._windowed_search(objective, key, hi, hint=hint)
-                    assert got == want, (key, hi, hint)
+                assert_agrees_with_the_grid(objective, key, hi)

@@ -24,6 +24,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from coopsec import allocator
 from coopsec.cli import main
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -114,6 +115,26 @@ def test_validate_matches_the_golden_report(tmp_path, capsys, monkeypatch, seed)
     name = f"validate_s10_seed{seed}.json"
     assert MANIFEST[name]["argv"] == ["validate", "--samples", "10", "--seed", str(seed)]
     assert_matches_golden(run_golden_command(name, tmp_path, capsys, monkeypatch), name)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_validate_is_robust_to_one_ulp_of_log1p(tmp_path, capsys, monkeypatch, seed):
+    # every objective the audit builds rounds its log1p one ulp up: no field moves
+    # by more than the tolerant comparison allows
+    calls = []
+
+    def shifted(x):
+        calls.append(x)
+        return np.nextafter(np.log1p(x), np.inf)
+
+    for tag, form in list(allocator._OBJECTIVE_FORMS.items()):
+        monkeypatch.setitem(
+            allocator._OBJECTIVE_FORMS, tag, lambda *key, form=form: form(*key, log1p=shifted)
+        )
+    name = f"validate_s10_seed{seed}.json"
+    out = run_golden_command(name, tmp_path, capsys, monkeypatch)
+    assert calls, "the audit's objectives did not take the shifted log1p"
+    assert_close(json.loads(out.read_bytes()), json.loads((GOLDEN / name).read_bytes()))
 
 
 @pytest.mark.parametrize("name", [name for name in MANIFEST if not name.startswith("validate_")])

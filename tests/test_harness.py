@@ -121,6 +121,15 @@ class TestExperimentConfig:
             with pytest.raises(ValueError, match="seed must be an integer"):
                 ExperimentConfig.from_dict({"seed": seed})
 
+    def test_seed_must_be_non_negative(self):
+        # numpy's generator would reject it later with a message naming nothing
+        assert ExperimentConfig(seed=0).seed == 0
+        for seed in (-1, -1.0, np.int64(-3)):
+            with pytest.raises(ValueError, match=r"^seed must be non-negative, got -\d+$"):
+                ExperimentConfig(seed=seed)
+        with pytest.raises(ValueError, match="^seed must be non-negative, got -1$"):
+            ExperimentConfig().replace(seed=-1)
+
     @pytest.mark.parametrize("trajectory", [[[2.0]], [[2.0, 2.0, 99.0]], [2.0], [[2.0, "x"]]])
     def test_trajectory_entries_must_be_pairs(self, trajectory):
         with pytest.raises(ValueError, match=r"^trajectory must be a list of \[d_ae, d_je\] pairs$"):

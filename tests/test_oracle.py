@@ -6,6 +6,7 @@ import dataclasses
 import json
 import math
 import random
+import re
 
 import numpy as np
 import pytest
@@ -291,19 +292,6 @@ def searched_arrays(search, *args):
 class TestExactGrid:
     """The search grid is ``np.linspace`` bit for bit."""
 
-    @pytest.mark.parametrize("n", [2, 3, 101, 10001])
-    def test_matches_linspace_on_random_intervals(self, fallbacks, n):
-        # the windowed search on [0, hi] evaluates only np.linspace(0, hi, n)'s points
-        rng = np.random.default_rng(n)
-        for _ in range(750):
-            hi = float(10.0 ** rng.uniform(-300.0, 300.0))
-            objective, key = keyed_objective("gap", 0.4, 0.3, 1.0, 0.01, 10.0 / hi)
-            grid = np.linspace(0.0, hi, n)
-            for points in searched_arrays(oracle._windowed_search, objective, key, hi, n):
-                # every point is one of the grid's, bit for bit
-                assert np.isin(points.view(np.int64), grid.view(np.int64)).all(), hi
-        assert fallbacks == []
-
     @pytest.mark.parametrize(
         "lo,hi",
         [(0.0, 5e-324), (0.0, 1e-320), (-1e-321, 1e-321), (1e-310, 1e-310 + 1e-319)],
@@ -318,6 +306,16 @@ class TestExactGrid:
             for n in (2, 10001):
                 (grid,) = searched_arrays(grid_search_optimum, lambda x: -(x / hi) ** 2, lo, hi, n)
                 assert grid.tobytes() == np.linspace(lo, hi, n).tobytes()
+
+    @pytest.mark.parametrize("n", [2, 3, 101, 10001])
+    def test_matches_linspace_on_random_intervals(self, n):
+        # the audit's fallback searches [0, hi] for hi anywhere in the float range
+        rng = np.random.default_rng(n)
+        for _ in range(750):
+            hi = float(10.0 ** rng.uniform(-300.0, 300.0))
+            objective, _ = keyed_objective("gap", 0.4, 0.3, 1.0, 0.01, 10.0 / hi)
+            (grid,) = searched_arrays(grid_search_optimum, objective, 0.0, hi, n)
+            assert grid.tobytes() == np.linspace(0.0, hi, n).tobytes(), hi
 
     def test_search_evaluates_the_linspace_grid(self):
         (grid,) = searched_arrays(grid_search_optimum, lambda x: -((x - 0.3) ** 2), -2.5, 1.75, 517)
@@ -342,89 +340,6 @@ class TestExactGrid:
         assert best_x == 0.0 and best_f == 1e308
 
 
-class _NoStore(dict):
-    """A search table that forgets every store: each lookup misses."""
-
-    def __setitem__(self, key, value):
-        pass
-
-
-def config_point_reports(config, searches_factory):
-    return {
-        kind.value: validate_scenario(
-            kind,
-            config.gains,
-            config.geometry,
-            config.sigma2,
-            config.alpha,
-            config.price,
-            config.budgets,
-            _searches=searches_factory(),
-        ).as_dict()
-        for kind in ScenarioKind
-    }
-
-
-@pytest.fixture
-def counted_searches(monkeypatch):
-    """Record ``(objective values on a probe grid, hi)`` for every oracle search."""
-
-    calls = []
-    original = oracle._windowed_search
-    probe = np.linspace(0.0, 3.0, 7)
-
-    def counting(objective, objective_key, hi, resolution=10001, hint=None):
-        calls.append((objective(probe).tobytes(), hi))
-        return original(objective, objective_key, hi, resolution, hint)
-
-    monkeypatch.setattr(oracle, "_windowed_search", counting)
-    return calls
-
-
-def audit_configs():
-    yield ExperimentConfig()
-    yield ExperimentConfig(price=0.01)
-    yield ExperimentConfig(price=0.02, alpha=0.5, budgets=PowerBudget(p_a_max=8.0, p_j_max=3.0))
-
-
-class TestSharedSearches:
-    @pytest.mark.parametrize("config", list(audit_configs()))
-    def test_one_search_per_distinct_objective_and_interval(self, counted_searches, config):
-        config_point_reports(config, _NoStore)
-        assert len(counted_searches) == 13
-        distinct = len(set(counted_searches))
-        assert distinct < 13
-        # a repeated point searches again: nothing outlives one point
-        for _ in range(2):
-            counted_searches.clear()
-            harness._audit_point(config)
-            assert len(counted_searches) == distinct
-
-    def test_lone_scenario_shares_within_itself_only(self, counted_searches):
-        point = (STD_GAINS, UNIT_GEOMETRY, 1.0, 0.8, 1.0, STD_BUDGETS)
-        validate_scenario(ScenarioKind.NON_COOP, *point)
-        validate_scenario(ScenarioKind.ONE_SIDE_COOP, *point)
-        # at price 1 every root is negative: the variant shares its base's search,
-        # and one_side_coop.p_a searches again what non_coop.p_a searched
-        assert len(counted_searches) == 2 + 2
-
-    @pytest.mark.parametrize("config", list(audit_configs()))
-    def test_reports_equal_without_sharing(self, config):
-        shared = harness._audit_point(config)["reports"]
-        assert shared == config_point_reports(config, _NoStore)
-
-    def test_validation_report_equal_without_sharing(self, monkeypatch):
-        config = ExperimentConfig(seed=5)
-        shared = harness.run_validation(config, samples=3)
-        original = harness.validate_scenario
-
-        def never_shared(*args, _searches=None, **kwargs):
-            return original(*args, _searches=_NoStore(), **kwargs)
-
-        monkeypatch.setattr(harness, "validate_scenario", never_shared)
-        assert json.dumps(harness.run_validation(config, samples=3)) == json.dumps(shared)
-
-
 def keyed_objective(*key):
     return allocator._OBJECTIVE_FORMS[key[0]](*key[1:]), key
 
@@ -433,13 +348,9 @@ STD_GAP = ("gap", 0.4, 0.3, 1.0, 0.01, 0.8)
 STD_RELAY = ("relay", 0.4, 0.3, 0.2, 0.5, 1.0, 0.01, 2.5, 0.8)
 
 
-def parabola(x):
-    return -((x - 3.7) ** 2)
-
-
 @pytest.fixture
 def fallbacks(monkeypatch):
-    """Record every call of the windowed search's exhaustive fallback."""
+    """Record every call of the audit's exhaustive fallback."""
 
     calls = []
     original = oracle.grid_search_optimum
@@ -452,305 +363,310 @@ def fallbacks(monkeypatch):
     return calls
 
 
-def search_outcome(search, *args):
-    """A search's result, or the message of the ``ValueError`` it raised."""
+def verdicts(report):
+    """Every entry's verdict in a ``run_validation`` report, in order."""
 
-    try:
-        return search(*args)
-    except ValueError as exc:
-        return str(exc)
+    points = [report["config_point"], *report["random_points"]]
+    return [
+        (entry["formula_id"], entry["verdict"])
+        for point in points
+        for scenario in point["reports"].values()
+        for entry in scenario["entries"]
+    ]
 
 
-class TestWindowedSearch:
-    """``_windowed_search`` returns exactly what the exhaustive search returns."""
+class TestOracleArgmax:
+    """The audit's argmax is the certified exact point; the exhaustive grid
+    search runs only where there is none or the certificate fails."""
 
     @pytest.mark.parametrize("key", [STD_GAP, STD_RELAY])
     @pytest.mark.parametrize("hi", [1.0, 7.5, 12.0, 1e4])
-    def test_matches_the_exhaustive_search_without_falling_back(self, fallbacks, key, hi):
+    def test_the_exact_point_is_certified(self, fallbacks, key, hi):
         objective, key = keyed_objective(*key)
-        want = grid_search_optimum(objective, 0.0, hi)
-        fallbacks.clear()
-        assert oracle._windowed_search(objective, key, hi) == want
+        got = oracle._oracle_argmax(objective, key, hi)
+        assert got == oracle._exact_argmax(key, hi) and fallbacks == []
+        want, _ = grid_search_optimum(objective, 0.0, hi)
+        assert abs(got - want) <= hi / 10000
+
+    @pytest.mark.parametrize("hi", [1.0, 12.0, 1e4])
+    def test_a_search_evaluates_the_ends_then_the_linspace_grid(self, monkeypatch, hi):
+        # certified: one array, the interval's two ends; forced to fall back, the
+        # exhaustive search's grid follows them, bit for bit
+        for key in (STD_GAP, STD_RELAY):
+            objective, key = keyed_objective(*key)
+            (ends,) = searched_arrays(oracle._oracle_argmax, objective, key, hi)
+            assert ends.tolist() == [0.0, hi]
+            with monkeypatch.context() as forced:
+                forced.setattr(oracle, "_exact_argmax", lambda key, hi: None)
+                ends, grid = searched_arrays(oracle._oracle_argmax, objective, key, hi)
+            assert ends.tolist() == [0.0, hi]
+            assert grid.tobytes() == np.linspace(0.0, hi, 10001).tobytes()
+
+    @pytest.mark.parametrize("resolution", [2, 3, 4, 7, 8, 101])
+    @pytest.mark.parametrize("key", [STD_GAP, STD_RELAY])
+    def test_within_a_step_of_coarse_exhaustive_searches(self, key, resolution):
+        objective, key = keyed_objective(*key)
+        for hi in (1.0, 12.0):
+            got = oracle._oracle_argmax(objective, key, hi)
+            want, top = grid_search_optimum(objective, 0.0, hi, resolution)
+            assert abs(got - want) <= hi / (resolution - 1)
+            assert float(objective(got)) >= top - 2.0**-48 * (1.0 + abs(top))
+
+    @pytest.mark.parametrize(
+        "key,want",
+        [
+            (("gap", 0.4, 0.3, 1.0, 0.0, 1.0), 12.0),  # no price: the gap rises
+            (("gap", 0.3, 0.4, 1.0, 0.01, 1.0), 0.0),  # the tapped link is stronger
+            (("relay", 0.4, 0.3, 0.2, 0.5, 1.0, 0.0, 2.5, 0.8), 12.0),  # no price
+            (("relay", 0.4, 0.3, 0.2, 0.5, 1.0, 10.0, 2.5, 0.8), 0.0),  # no relaying pays
+        ],
+    )
+    def test_an_end_point_is_taken_without_a_fallback(self, fallbacks, key, want):
+        objective, key = keyed_objective(*key)
+        assert oracle._oracle_argmax(objective, key, 12.0) == want and fallbacks == []
+        assert grid_search_optimum(objective, 0.0, 12.0)[0] == want
+
+    def test_a_flat_priced_gap_is_certified_at_zero(self, fallbacks):
+        # equal links and a price of 1e-12: the objective falls by 1e-12 over [0, 1]
+        objective, key = keyed_objective("gap", 0.4, 0.4, 1.0, 1e-12, 1.0)
+        assert oracle._oracle_argmax(objective, key, 1.0) == 0.0 and fallbacks == []
+        assert grid_search_optimum(objective, 0.0, 1.0)[0] == 0.0
+
+    def test_an_overflowing_relay_key_falls_back(self, fallbacks):
+        # g_hop1 * own_power * (g_hop1 * own_power + s2) overflows, so there is no
+        # exact point, while the objective stays finite on [0, 1]
+        objective, key = keyed_objective("relay", 0.4, 0.3, 1e300, 1e-10, 1e-10, 0.01, 1.0, 1.0)
+        assert oracle._exact_argmax(key, 1.0) is None
+        got = oracle._oracle_argmax(objective, key, 1.0)
+        assert fallbacks == [(0.0, 1.0, 10001)]
+        assert got == grid_search_optimum(objective, 0.0, 1.0)[0]
+
+    @pytest.mark.parametrize("key", [STD_GAP, STD_RELAY])
+    def test_a_subnormal_interval_is_within_its_one_step(self, key):
+        # on [0, 5e-324] both ends carry the same value; whichever path decides,
+        # the argmax is one of them
+        objective, key = keyed_objective(*key)
+        got = oracle._oracle_argmax(objective, key, 5e-324)
+        _, top = grid_search_optimum(objective, 0.0, 5e-324)
+        assert got in (0.0, 5e-324) and float(objective(got)) == top
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_the_golden_draws_agree_with_the_exhaustive_search(self, monkeypatch, seed):
+        searches = []
+        original = oracle._oracle_argmax
+
+        def recording(objective, key, hi):
+            got = original(objective, key, hi)
+            searches.append((objective, key, hi, got))
+            return got
+
+        monkeypatch.setattr(oracle, "_oracle_argmax", recording)
+        harness.run_validation(ExperimentConfig(seed=seed), samples=10)
+        assert len(searches) == 11 * 13
+        for objective, key, hi, got in searches:
+            want, top = grid_search_optimum(objective, 0.0, hi)
+            assert abs(got - want) <= hi / 10000, key
+            assert float(objective(got)) >= top - 2.0**-48 * (1.0 + abs(top)), key
+
+    @pytest.mark.parametrize("kind", list(ScenarioKind))
+    def test_the_standard_point_never_falls_back(self, fallbacks, kind):
+        for price in (1e-3, 1e-2, 0.1, 1.0):
+            standard_report(kind, price)
         assert fallbacks == []
 
     def test_validation_never_falls_back_on_the_audit_draws(self, fallbacks):
         harness.run_validation(ExperimentConfig(seed=0), samples=10)
         assert fallbacks == []
 
-    @pytest.mark.parametrize("hi", [1.0, 12.0, 1e4])
-    def test_evaluates_the_exact_grid_points(self, fallbacks, hi):
-        # a hint on the wrong side misses: two windows, each a run of grid points
-        # followed by the grid's two ends
-        grid = np.linspace(0.0, hi, 10001)
-        for key in (STD_GAP, STD_RELAY):
-            objective, key = keyed_objective(*key)
-            want = grid_search_optimum(objective, 0.0, hi)
-            hint = 0.0 if want[0] > 0.5 * hi else hi
-            arrays = searched_arrays(oracle._windowed_search, objective, key, hi, 10001, hint)
-            assert len(arrays) == 2 and fallbacks == []
-            for window in arrays:
-                run, ends = window[:-2], window[-2:]
-                start = int(np.flatnonzero(grid == run[0])[0])
-                assert run.tobytes() == grid[start : start + len(run)].tobytes()
-                assert ends.tobytes() == grid[[0, -1]].tobytes()
-                assert len(run) <= 2 * 70 + 1
-
-    def test_step_zero_falls_back(self, fallbacks):
-        objective, key = keyed_objective(*STD_GAP)
-        got = oracle._windowed_search(objective, key, 5e-324)
-        assert fallbacks == [(0.0, 5e-324, 10001)]
-        assert got == grid_search_optimum(objective, 0.0, 5e-324)
-
-    @pytest.mark.parametrize("hi", [-1.0, math.inf, math.nan])
-    def test_malformed_interval_keeps_the_exhaustive_message(self, fallbacks, hi):
-        objective, key = keyed_objective(*STD_GAP)
-        want = search_outcome(grid_search_optimum, objective, 0.0, hi)
-        assert want in ("hi must be >= lo", f"hi must be finite, got {hi!r}")
-        assert search_outcome(oracle._windowed_search, objective, key, hi) == want
-        assert len(fallbacks) == 1
-
-    @pytest.mark.parametrize("resolution", [2, 3, 4, 7, 8, 101])
-    @pytest.mark.parametrize("key", [STD_GAP, STD_RELAY])
-    def test_small_resolutions_match_the_exhaustive_search(self, fallbacks, key, resolution):
-        # the window radius isqrt(resolution // 2) is at least one grid step; on a
-        # coarse grid the argmax may sit on a window's inner edge, which falls back
-        objective, key = keyed_objective(*key)
-        for hi in (1.0, 12.0):
-            want = grid_search_optimum(objective, 0.0, hi, resolution)
-            for hint in (None, 0.0, hi):
-                assert oracle._windowed_search(objective, key, hi, resolution, hint) == want
-        assert all(n == resolution for _, _, n in fallbacks)
-        assert fallbacks == [] or resolution < 101
-
-    def test_non_finite_error_bound_falls_back(self, fallbacks):
-        # g_hop1 * own_power / s2 overflows while the relayed SNR stays finite
-        objective, key = keyed_objective("relay", 0.4, 0.3, 1e300, 1e-10, 1e-10, 0.01, 1.0, 1.0)
-        got = oracle._windowed_search(objective, key, 1.0)
-        assert len(fallbacks) == 1
-        assert got == grid_search_optimum(objective, 0.0, 1.0)
-
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-    @pytest.mark.parametrize(
-        "key,hi",
-        [
-            (("gap", 1e300, 0.3, 1e-300, 1.0, 1.0), 12.0),  # the bound overflows
-            (("gap", 0.0, 0.3, 1.0, 1e-300, 1e10), 1e300),  # 0 * inf: the bound is NaN
-        ],
-    )
-    def test_non_finite_bound_keeps_the_exhaustive_message(self, fallbacks, key, hi):
-        objective, key = keyed_objective(*key)
-        want = search_outcome(grid_search_optimum, objective, 0.0, hi)
-        assert want.startswith("objective is not finite at x=")
-        assert search_outcome(oracle._windowed_search, objective, key, hi) == want
-        assert len(fallbacks) == 1
-
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-    def test_non_finite_value_at_zero_falls_back(self, fallbacks):
-        # sigma2 * (first hop + sigma2) underflows to zero: 0 / 0 at p = 0
-        objective, key = keyed_objective("relay", 0.4, 0.3, 1e-200, 0.5, 1e-200, 0.01, 1.0, 1.0)
-        want = search_outcome(grid_search_optimum, objective, 0.0, 12.0)
-        assert want == "objective is not finite at x=0.0"
-        assert search_outcome(oracle._windowed_search, objective, key, 12.0) == want
-        assert len(fallbacks) == 1
-
-    def test_non_finite_window_value_falls_back(self, fallbacks):
-        grid = np.linspace(0.0, 10.0, 10001)
-        bad = float(grid[3705])
-
-        def objective(x):
-            return np.where(x == bad, np.nan, parabola(x))
-
-        want = search_outcome(grid_search_optimum, objective, 0.0, 10.0)
-        assert want == f"objective is not finite at x={bad!r}"
-        assert search_outcome(oracle._windowed_search, objective, STD_GAP, 10.0) == want
-        assert len(fallbacks) == 1
-
-    @pytest.mark.parametrize("objective", [lambda x: 0.0 * x, lambda x: -1e-12 * x])
-    def test_wide_window_falls_back(self, fallbacks, objective):
-        # flat to within the error bound: no inner edge computes far enough below the top
-        got = oracle._windowed_search(objective, STD_GAP, 12.0)
-        assert len(fallbacks) == 1
-        assert got == grid_search_optimum(objective, 0.0, 12.0)
-
-    def test_flat_priced_gap_falls_back(self, fallbacks):
-        objective, key = keyed_objective("gap", 0.4, 0.4, 1.0, 1e-12, 1.0)
-        assert oracle._windowed_search(objective, key, 1.0) == grid_search_optimum(
-            objective, 0.0, 1.0
-        )
-        assert len(fallbacks) == 1
-
-    def test_a_peak_outside_both_windows_falls_back(self, fallbacks):
-        # the hint sits on the falling flank of the lower peak, and the key's
-        # stationary point, 7.78, on the rising flank of the higher one
-        def bimodal(x):
-            return np.maximum(-((x - 2.0) ** 2), 0.5 - (x - 8.0) ** 2)
-
-        got = oracle._windowed_search(bimodal, STD_GAP, 10.0, hint=2.5)
-        assert len(fallbacks) == 1
-        assert got == grid_search_optimum(bimodal, 0.0, 10.0)
-
-    def test_window_argmax_on_an_inner_edge_falls_back(self, fallbacks):
-        objective, key = keyed_objective(*STD_GAP)
-        arrays = []
-
-        def shifty(x):
-            values = objective(x)
-            if isinstance(x, np.ndarray):
-                arrays.append(len(x))
-                if len(arrays) == 2:
-                    values[0] += 100.0  # the stationary window's inner left edge
-            return values
-
-        # the hint misses, and the stationary window would hold the argmax
-        got = oracle._windowed_search(shifty, key, 10.0, hint=0.0)
-        assert len(fallbacks) == 1 and arrays[-1] == 10001
-        assert got == grid_search_optimum(objective, 0.0, 10.0)
-
-
-def array_calls(objective):
-    """``objective`` and the list of arrays it is called on, in order."""
-
-    arrays = []
-
-    def recorded(x):
-        if isinstance(x, np.ndarray):
-            arrays.append(np.array(x, copy=True))
-        return objective(x)
-
-    return recorded, arrays
-
-
-class TestHintedSearch:
-    """The hint says where to look first; the result is the exhaustive search's."""
-
-    @pytest.mark.parametrize("key", [STD_GAP, STD_RELAY])
-    @pytest.mark.parametrize("hi", [1.0, 12.0, 1e4])
-    def test_a_hit_evaluates_one_array_of_grid_points(self, fallbacks, key, hi):
-        objective, key = keyed_objective(*key)
-        want = grid_search_optimum(objective, 0.0, hi)
-        recorded, arrays = array_calls(objective)
-        assert oracle._windowed_search(recorded, key, hi, hint=want[0]) == want
-        assert fallbacks == [] and len(arrays) == 1
-        grid = np.linspace(0.0, hi, 10001)
-        (points,) = arrays
-        assert np.isin(points.view(np.int64), grid.view(np.int64)).all()
-        # the window of 2 * 70 + 1 points, or fewer at an end, and the grid's ends
-        assert len(points) <= 2 * 70 + 1 + 2
-        assert points[-2:].tolist() == [0.0, hi]
-
-    @pytest.mark.parametrize("objective,hint", [(lambda x: -x, 0.0), (lambda x: x * 1.0, 12.0)])
-    def test_a_hint_at_an_end_hits(self, fallbacks, objective, hint):
-        recorded, arrays = array_calls(objective)
-        got = oracle._windowed_search(recorded, STD_GAP, 12.0, hint=hint)
-        assert got == grid_search_optimum(objective, 0.0, 12.0)
-        assert len(arrays) == 1 and fallbacks == []
-
-    @pytest.mark.parametrize("key", [STD_GAP, STD_RELAY])
-    def test_a_wrong_side_hint_goes_on_to_the_stationary_window(self, fallbacks, key):
-        objective, key = keyed_objective(*key)
-        want = grid_search_optimum(objective, 0.0, 12.0)
-        # the argmax is interior, at 7.78 (gap) or 5.97 (relay), and the hint at the far end
-        hint = 0.0 if want[0] > 6.0 else 12.0
-        assert 5.0 < want[0] < 8.0
-        recorded, arrays = array_calls(objective)
-        assert oracle._windowed_search(recorded, key, 12.0, hint=hint) == want
-        assert fallbacks == [] and len(arrays) == 2
-        # the second window is centred on the grid point nearest the stationary hint
-        grid = np.linspace(0.0, 12.0, 10001)
-        at = round(oracle._stationary_hint(key, 12.0) / grid[1])
-        assert arrays[1][:-2].tobytes() == grid[at - 70 : at + 71].tobytes()
-
-    def test_a_hint_on_the_stationary_point_is_not_tried_twice(self, fallbacks):
-        # the flat objective is no window anywhere: one window, then the full grid
-        stationary = oracle._stationary_hint(STD_GAP, 12.0)
-        recorded, arrays = array_calls(lambda x: 0.0 * x)
-        oracle._windowed_search(recorded, STD_GAP, 12.0, hint=stationary)
-        assert [len(a) for a in arrays] == [2 * 70 + 1 + 2, 10001]
-        assert len(fallbacks) == 1
-
-    @pytest.mark.parametrize("objective", [lambda x: 0.0 * x, lambda x: -1e-12 * x])
-    def test_a_flat_objective_reaches_the_exhaustive_search(self, fallbacks, objective):
-        got = oracle._windowed_search(objective, STD_GAP, 12.0, hint=6.0)
-        assert fallbacks == [(0.0, 12.0, 10001)]
-        assert got == grid_search_optimum(objective, 0.0, 12.0)
-
-    def test_a_non_finite_value_in_the_hint_window_keeps_the_message(self, fallbacks):
-        grid = np.linspace(0.0, 10.0, 10001)
-        bad = float(grid[3705])
-
-        def objective(x):
-            return np.where(x == bad, np.nan, parabola(x))
-
-        want = search_outcome(grid_search_optimum, objective, 0.0, 10.0)
-        assert want == f"objective is not finite at x={bad!r}"
-        got = search_outcome(oracle._windowed_search, objective, STD_GAP, 10.0, 10001, 3.7)
-        assert got == want
-        assert len(fallbacks) == 1
-
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-    def test_a_non_finite_far_end_keeps_the_message(self, fallbacks):
-        # the second hop g_hop2 * p overflows from p = 17.97 on, where the relayed SNR
-        # is inf / inf; the error bound does not see it, and the argmax is at 0.01
-        objective, key = keyed_objective("relay", 0.4, 0.3, 0.2, 1e307, 1.0, 0.01, 1.0, 1.0)
-        want = search_outcome(grid_search_optimum, objective, 0.0, 100.0)
-        assert want.startswith("objective is not finite at x=17.9")
-        recorded, arrays = array_calls(objective)
-        got = search_outcome(oracle._windowed_search, recorded, key, 100.0, 10001, 0.0)
-        assert got == want
-        # the hint window alone is a window: only its evaluation of the far end stops it
-        assert np.isfinite(objective(arrays[0][:-1])).all()
-        assert len(fallbacks) == 1
-
-    def test_an_inner_edge_within_the_error_bound_is_no_window(self, fallbacks):
-        # a slow rise whose inner edge computes a rounding error (far below delta) low:
-        # the edge is below the top, but not by 2 delta, so the rise may go on past it
-        grid = np.linspace(0.0, 12.0, 10001)
-        edge = float(grid[5000 + 70])
-
-        def objective(x):
-            return 1e-12 * x - np.where(x == edge, 1e-10, 0.0)
-
-        want = grid_search_optimum(objective, 0.0, 12.0)
-        assert want[0] == 12.0
-        got = oracle._windowed_search(objective, STD_GAP, 12.0, hint=float(grid[5000]))
-        assert got == want and len(fallbacks) == 1
-
-    @pytest.mark.parametrize("seed,hits,misses", [(0, 91, 6), (1, 87, 6), (2, 92, 10)])
-    def test_hint_windows_on_the_golden_draws(
-        self, arrays_per_search, fallbacks, seed, hits, misses
-    ):
-        # the validate goldens' draws: most searches end on the hint window, the
-        # rest on the stationary window, so the goldens cover both; none on the full grid
-        harness.run_validation(ExperimentConfig(seed=seed), samples=10)
-        assert arrays_per_search.count(1) == hits
-        assert arrays_per_search.count(2) == misses
-        assert len(arrays_per_search) == hits + misses and fallbacks == []
-
-    def test_hint_windows_on_the_audit_job_seeds(self, arrays_per_search, fallbacks):
+    def test_the_audit_job_seeds_never_fall_back(self, fallbacks):
         # the benchmark's audit jobs at seed 1: 64 job seeds, one sample each
         rng = random.Random(1)
         for job_seed in [rng.randrange(2**31) for _ in range(64)]:
             harness.run_validation(ExperimentConfig(seed=job_seed), samples=1)
-        assert arrays_per_search.count(1) == 916
-        assert arrays_per_search.count(2) == 58
-        assert len(arrays_per_search) == 974 and fallbacks == []
+        assert fallbacks == []
+
+    @pytest.mark.parametrize("forced", ["no exact point", "failed certificate"])
+    def test_a_forced_fallback_gives_the_same_verdicts(self, monkeypatch, fallbacks, forced):
+        config = ExperimentConfig(seed=0)
+        want = harness.run_validation(config, samples=10)
+        if forced == "no exact point":
+            monkeypatch.setattr(oracle, "_exact_argmax", lambda key, hi: None)
+        else:
+            monkeypatch.setattr(oracle, "_certified", lambda key, p, hi: False)
+        got = harness.run_validation(config, samples=10)
+        # every entry of the 11 points searched the whole grid
+        assert len(fallbacks) == 11 * 13
+        assert verdicts(got) == verdicts(want) and got["summary"] == want["summary"]
+
+    @pytest.mark.parametrize("key", [STD_GAP, STD_RELAY])
+    def test_a_point_off_the_optimum_is_not_certified(self, key):
+        p = oracle._exact_argmax(key, 12.0)
+        assert 0.0 < p < 12.0 and oracle._certified(key, p, 12.0)
+        for wrong in (p * (1.0 + 1e-9), p * (1.0 - 1e-9), 0.0, 12.0):
+            assert not oracle._certified(key, wrong, 12.0), wrong
+
+    def test_an_end_takes_a_one_sided_test(self):
+        # without a price the priced gap rises everywhere: the argmax is the budget
+        rising = ("gap", 0.4, 0.3, 1.0, 0.0, 1.0)
+        assert oracle._certified(rising, 12.0, 12.0)
+        assert not oracle._certified(rising, 0.0, 12.0)
+        # a tapped link stronger than the legitimate one: the argmax is zero
+        falling = ("gap", 0.3, 0.4, 1.0, 0.01, 1.0)
+        assert oracle._certified(falling, 0.0, 12.0)
+        assert not oracle._certified(falling, 12.0, 12.0)
+
+    def test_a_slope_that_is_not_finite_certifies_nothing(self, fallbacks):
+        # s2 * d * d underflows to zero at p = 0, where s2 * d does not
+        objective, key = keyed_objective("relay", 0.4, 0.3, 1.0, 1.0, 1e-160, 0.01, 1e-150, 1.0)
+        assert math.isnan(oracle._slope(key, 0.0)[0])
+        assert not oracle._certified(key, 0.0, 1.0)
+        assert oracle._oracle_argmax(objective, key, 1.0) == grid_search_optimum(
+            objective, 0.0, 1.0
+        )[0]
+        assert len(fallbacks) == 1
+
+    def test_an_infinite_slope_certifies_nothing(self):
+        # g_main / s2 overflows at p = 0: the slope and its terms are inf there
+        key = ("gap", 1e10, 0.0, 1e-300, 0.01, 1.0)
+        assert oracle._slope(key, 0.0) == (math.inf, math.inf)
+        assert not oracle._certified(key, 0.0, 1.0)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize(
+        "key,hi,where",
+        [
+            # sigma2 * (first hop + sigma2) underflows to zero: 0 / 0 at p = 0
+            (("relay", 0.4, 0.3, 1e-200, 0.5, 1e-200, 0.01, 1.0, 1.0), 12.0, "0.0"),
+            # the second hop g_hop2 * p overflows from p = 17.97 on: inf / inf
+            (("relay", 0.4, 0.3, 0.2, 1e307, 1.0, 0.01, 1.0, 1.0), 100.0, "100.0"),
+            # sigma2 = 1e-300 and a gain of 1e300 overflow the priced gap at hi
+            (("gap", 1e300, 0.3, 1e-300, 1.0, 1.0), 12.0, "12.0"),
+            # scale * p overflows near hi, where 0 * inf is NaN without a legitimate link
+            (("gap", 0.0, 0.3, 1.0, 1e-300, 1e10), 1e300, "1e+300"),
+        ],
+    )
+    def test_a_non_finite_end_keeps_its_message(self, fallbacks, key, hi, where):
+        objective, key = keyed_objective(*key)
+        with pytest.raises(ValueError, match=f"^objective is not finite at x={re.escape(where)}$"):
+            oracle._oracle_argmax(objective, key, hi)
+        assert fallbacks == []
+
+    def test_the_residual_is_the_objective_slope(self):
+        entry = standard_report(ScenarioKind.NON_COOP, 0.01).entry("non_coop.p_j.variant")
+        objective = allocator.penalized_objective(
+            ScenarioKind.NON_COOP, "p_j", STD_GAINS, NoiseModel(1.0), price=0.01
+        )
+        slope = finite_diff_derivative(objective, entry.root_value, 1e-6)
+        assert entry.derivative_residual == pytest.approx(abs(slope), rel=1e-6)
+
+    def test_the_slope_matches_the_tests_own_spelling(self):
+        rng = np.random.default_rng(5)
+        for _ in range(200):
+            g_main, g_eve, g_hop1, g_hop2 = map(float, rng.uniform(0.05, 1.0, 4))
+            s2, own, scale, p = map(float, rng.uniform((0.1, 0.0, 0.2, 0.0), (2.0, 5.0, 5.0, 20.0)))
+            lam = float(10.0 ** rng.uniform(-5.0, 0.5))
+            relay = ("relay", g_main, g_eve, g_hop1, g_hop2, s2, lam, own, scale)
+            want = relay_slope(relay, p)
+            assert oracle._slope(relay, p)[0] == pytest.approx(want, rel=1e-12, abs=1e-15)
+            gap = ("gap", g_main, g_eve, s2, lam, scale)
+            objective, _ = keyed_objective(*gap)
+            h = 1e-6 * max(1.0, p)
+            want = finite_diff_derivative(objective, p, h)
+            assert oracle._slope(gap, p)[0] == pytest.approx(want, abs=1e-8)
 
 
-@pytest.fixture
-def arrays_per_search(monkeypatch):
-    """The number of arrays each oracle search evaluates, in order."""
+def audit_configs():
+    yield ExperimentConfig()
+    yield ExperimentConfig(price=0.01)
+    yield ExperimentConfig(price=0.02, alpha=0.5, budgets=PowerBudget(p_a_max=8.0, p_j_max=3.0))
 
-    counts = []
-    original = oracle._windowed_search
 
-    def counting(objective, objective_key, hi, resolution=10001, hint=None):
-        recorded, arrays = array_calls(objective)
-        result = original(recorded, objective_key, hi, resolution, hint)
-        counts.append(len(arrays))
-        return result
+def scenario_reports(config, kinds):
+    return {
+        kind.value: validate_scenario(
+            kind,
+            config.gains,
+            config.geometry,
+            config.sigma2,
+            config.alpha,
+            config.price,
+            config.budgets,
+        ).as_dict()
+        for kind in kinds
+    }
 
-    monkeypatch.setattr(oracle, "_windowed_search", counting)
-    return counts
+
+class TestAuditPoint:
+    """Each entry searches once, and no search outlives its entry."""
+
+    @pytest.mark.parametrize("config", list(audit_configs()))
+    def test_one_search_per_entry(self, monkeypatch, config):
+        calls = []
+        original = oracle._oracle_argmax
+
+        def counting(objective, key, hi):
+            calls.append(key)
+            return original(objective, key, hi)
+
+        monkeypatch.setattr(oracle, "_oracle_argmax", counting)
+        first = harness._audit_point(config)
+        assert len(calls) == 13
+        # a repeated point searches again, and reports the same
+        assert harness._audit_point(config) == first and len(calls) == 26
+
+    @pytest.mark.parametrize("config", list(audit_configs()))
+    def test_reports_do_not_depend_on_the_order_of_scenarios(self, config):
+        forward = scenario_reports(config, list(ScenarioKind))
+        backward = scenario_reports(config, reversed(list(ScenarioKind)))
+        assert forward == backward == harness._audit_point(config)["reports"]
+
+
+def planted_gap_quadratic(g_main, g_eve, sigma2, lam):
+    """The priced-gap quadratic without the ``- lam * sigma2**2`` term."""
+
+    return [
+        lam * g_main * g_eve,
+        lam * sigma2 * (g_main + g_eve),
+        -(sigma2 * g_main - sigma2 * g_eve),
+    ]
+
+
+PLANTED = ("non_coop.p_a", "non_coop.p_j", "one_side_coop.p_a")
+
+
+def flagged_direct_entries():
+    """``(seed, point, formula)`` of every direct entry whose implied decision
+    disagrees with the oracle argmax, over three seeded audits at price 0.05."""
+
+    flagged = set()
+    for seed in range(3):
+        report = harness.run_validation(ExperimentConfig(seed=seed, price=0.05), samples=30)
+        for point in [report["config_point"], *report["random_points"]]:
+            for kind in ("non_coop", "one_side_coop"):
+                for entry in point["reports"][kind]["entries"]:
+                    if entry["formula_id"] in PLANTED and "disagrees" in entry["note"]:
+                        flagged.add((seed, point.get("sample"), entry["formula_id"]))
+    return flagged
+
+
+class TestPlantedKernelDefect:
+    """A defect in the allocator's kernel reaches both the audited
+    ``non_coop`` quadratic and the gap keys' exact point; the certificate
+    keeps the audit from inheriting it."""
+
+    def test_the_audit_flags_what_the_exhaustive_oracle_flags(self, monkeypatch):
+        monkeypatch.setattr(allocator, "_gap_quadratic", planted_gap_quadratic)
+        certified = flagged_direct_entries()
+        with monkeypatch.context() as forced:
+            forced.setattr(oracle, "_exact_argmax", lambda key, hi: None)
+            assert flagged_direct_entries() == certified
+        # 81 of the 279 direct entries; one_side_coop.p_a audits its own quadratic,
+        # so only the planted non_coop ones disagree
+        assert len(certified) == 81
+        assert {formula for _, _, formula in certified} == {"non_coop.p_a", "non_coop.p_j"}
+        # an oracle that trusted the exact point blindly would miss most of them
+        monkeypatch.setattr(oracle, "_certified", lambda key, p, hi: True)
+        assert len(flagged_direct_entries()) == 37
 
 
 def relay_slope(key, p):
@@ -764,8 +680,8 @@ def relay_slope(key, p):
     return gain / (1.0 + g_direct * own / s2 + relayed) - lam * pay_scale
 
 
-class TestStationaryHint:
-    """``_stationary_hint`` is the argmax of the key's objective on ``[0, hi]``."""
+class TestExactArgmax:
+    """``_exact_argmax`` is the argmax of the key's objective on ``[0, hi]``."""
 
     def test_relay_slope_vanishes_at_interior_points(self):
         rng = np.random.default_rng(17)
@@ -777,7 +693,7 @@ class TestStationaryHint:
             own = 0.5 * rng.uniform(1.0, 10.0)
             key = ("relay", *map(float, g), s2, lam, own, float(rng.choice([alpha, 1 / alpha])))
             hi = 1e6
-            p = oracle._stationary_hint(key, hi)
+            p = oracle._exact_argmax(key, hi)
             price = lam * key[-1]
             if 0.0 < p < hi:
                 interior += 1
@@ -788,15 +704,15 @@ class TestStationaryHint:
         assert interior > 300
 
     @pytest.mark.parametrize("hi", [1.0, 12.0])
-    def test_relay_hint_is_the_grid_argmax_to_a_grid_step(self, hi):
+    def test_relay_point_is_the_grid_argmax_to_a_grid_step(self, hi):
         objective, key = keyed_objective(*STD_RELAY)
         want, _ = grid_search_optimum(objective, 0.0, hi)
-        assert oracle._stationary_hint(key, hi) == pytest.approx(want, abs=hi / 10000)
+        assert oracle._exact_argmax(key, hi) == pytest.approx(want, abs=hi / 10000)
 
     def test_gap_keys_take_the_allocator_kernel(self):
         for hi in (1.0, 12.0):
             want = allocator._priced_gap_optimum(*STD_GAP[1:], hi, allocator._ARGMAX)[0]
-            assert oracle._stationary_hint(STD_GAP, hi) == want
+            assert oracle._exact_argmax(STD_GAP, hi) == want
 
     @pytest.mark.parametrize(
         "key,want",
@@ -808,11 +724,11 @@ class TestStationaryHint:
         ],
     )
     def test_degenerate_relay_keys(self, key, want):
-        assert oracle._stationary_hint(key, 12.0) == want
+        assert oracle._exact_argmax(key, 12.0) == want
 
-    def test_overflowing_gap_quadratic_is_no_hint(self):
+    def test_overflowing_gap_quadratic_has_no_exact_point(self):
         # sigma2 ** 2 overflows in the priced-gap quadratic
-        assert oracle._stationary_hint(("gap", 0.4, 0.3, 1e200, 0.01, 1.0), 12.0) is None
+        assert oracle._exact_argmax(("gap", 0.4, 0.3, 1e200, 0.01, 1.0), 12.0) is None
 
 
 class TestTinyInputs:
