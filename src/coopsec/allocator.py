@@ -23,25 +23,17 @@ seeds of half of each budget; the relay slices' objectives read their links
 from the relay link table.  Every number a public function takes goes
 through the one check family of :mod:`coopsec.model`.
 
-Public entry points check their inputs; private kernels take checked
-floats.  An allocation checks ``alpha`` and ``price`` once, then passes the
-floats to the kernels behind the public polynomials (:func:`_gap_quadratic`
-behind :func:`noncoop_quadratic`, :func:`_relay_cubic` behind
-:func:`relay_cubic_for_a`) and builds its objective from them directly;
-the kernels do the public functions' arithmetic in the same order, so the
-results are the same bits.  The rates of the decided powers come from
-``rates._secrecy_rate``, the kernel behind :func:`coopsec.rates.secrecy_rate`,
-and one builder makes every result with ``model._from_checked``, without
-re-running the dataclass checks.
-
-An allocation compares only a few candidates (zero, the budget and the
-roots), each evaluated on Python floats with ``math.log1p``: numpy's scalar
-``log1p`` costs several times as much per call.  The objective factories
-take ``np.log1p`` by default, and :func:`penalized_objective` and the audit
-in :mod:`coopsec.oracle` keep it: the audit evaluates arrays, and
-``math.log1p`` differs from ``np.log1p`` in the last bit on some inputs, so
-the audit's printed values would move.  A decision could move only where two
-candidates tie to within those bits.
+Public entry points check their inputs.  An allocation checks ``alpha``
+and ``price`` once and passes the floats to private kernels that do the
+public functions' arithmetic in the same order, so the results are the same
+bits: :func:`_gap_quadratic` behind :func:`noncoop_quadratic`,
+:func:`_relay_cubic` behind :func:`relay_cubic_for_a` and
+``rates._secrecy_rate`` behind :func:`coopsec.rates.secrecy_rate`.  One
+builder makes every result with ``model._from_checked``, without re-running
+the dataclass checks.  Each objective is one form, :class:`_Gap` or
+:class:`_RelaySlice`, that owns its value, its analytic slope and its exact
+argmax; it evaluates a Python float with ``math.log1p`` and anything else,
+arrays included, with ``np.log1p``.
 
 This module holds only what decides an allocation.  The paper's printed
 per-mode formulas, which no allocation follows, live with their audit in
@@ -55,7 +47,7 @@ import math
 import sys
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -367,12 +359,16 @@ def noncoop_quadratic(g_main: float, g_eve: float, sigma2: float, price: float) 
 
 
 def _gap_quadratic(g_main: float, g_eve: float, sigma2: float, lam: float) -> list[float]:
-    """:func:`noncoop_quadratic` on checked floats."""
+    """:func:`noncoop_quadratic` on checked floats.  ``sigma2 * sigma2``,
+    unlike C ``pow``, is exact under a power-of-two change of units."""
 
+    s4 = sigma2 * sigma2
+    if s4 == math.inf:
+        raise OverflowError("sigma2 * sigma2 overflows")
     return [
         lam * g_main * g_eve,
         lam * sigma2 * (g_main + g_eve),
-        -(sigma2 * g_main - sigma2 * g_eve - lam * sigma2**2),
+        -(sigma2 * g_main - sigma2 * g_eve - lam * s4),
     ]
 
 
@@ -457,51 +453,101 @@ def _scale(alpha_power: int, alpha: float | None) -> float:
     return alpha if alpha_power > 0 else 1.0 / alpha
 
 
-def _priced_gap_objective(
-    g_main: float, g_eve: float, s2: float, lam: float, scale: float, log1p=np.log1p
-) -> Callable[[float], float]:
-    """Priced secrecy gap of a message carried at ``x = scale * p``.
+class _Gap(NamedTuple):
+    """Priced secrecy gap of a message carried at ``x = scale * p``."""
 
-    ``log1p`` is ``np.log1p``, which takes arrays, unless an allocation
-    passes ``math.log1p`` for its scalar candidates.
-    """
+    g_main: float
+    g_eve: float
+    s2: float
+    lam: float
+    scale: float
 
-    def f(p):
+    def __call__(self, p):
+        g_main, g_eve, s2, lam, scale = self
+        log1p = math.log1p if type(p) is float else np.log1p
         x = scale * p
         return log1p(g_main * x / s2) - log1p(g_eve * x / s2) - lam * x
 
-    return f
+    def slope(self, p: float) -> tuple[float, float]:
+        """The derivative in ``p`` and its terms' summed magnitudes; NaN when a
+        divisor underflows to zero."""
+
+        g_main, g_eve, s2, lam, scale = self
+        x = scale * p
+        try:
+            terms = (g_main / (s2 + g_main * x), -g_eve / (s2 + g_eve * x), -lam)
+        except ZeroDivisionError:
+            return math.nan, math.nan
+        return scale * sum(terms), scale * sum(map(abs, terms))
+
+    def argmax(self, hi: float) -> float | None:
+        """The argmax on ``[0, hi]``, by the priced-gap kernel's argmax rule;
+        ``None`` when the quadratic's coefficients overflow."""
+
+        try:
+            return _priced_gap_optimum(*self, hi, _ARGMAX)[0]
+        except OverflowError:
+            return None
 
 
-def _priced_relay_objective(
-    g_direct: float,
-    g_eve: float,
-    g_hop1: float,
-    g_hop2: float,
-    s2: float,
-    lam: float,
-    own_power: float,
-    pay_scale: float,
-    log1p=np.log1p,
-) -> Callable[[float], float]:
-    """Priced relay secrecy rate in the relaying slice ``p``.
+class _RelaySlice(NamedTuple):
+    """Priced relay secrecy rate in the relaying slice ``p``."""
 
-    ``log1p`` is as for :func:`_priced_gap_objective`.
-    """
+    g_direct: float
+    g_eve: float
+    g_hop1: float
+    g_hop2: float
+    s2: float
+    lam: float
+    own_power: float
+    pay_scale: float
 
-    base_main = g_direct * own_power / s2
-    eve_term = math.log1p(g_eve * own_power / s2)
-    first_hop = g_hop1 * own_power
-
-    def f(p):
-        second_hop = g_hop2 * p
+    def __call__(self, p):
+        g_direct, g_eve, g_hop1, g_hop2, s2, lam, own_power, pay_scale = self
+        log1p = math.log1p if type(p) is float else np.log1p
+        base_main, eve_term = g_direct * own_power / s2, math.log1p(g_eve * own_power / s2)
+        first_hop, second_hop = g_hop1 * own_power, g_hop2 * p
         relayed = first_hop * second_hop / (s2 * (first_hop + second_hop + s2))
         return log1p(base_main + relayed) - eve_term - lam * pay_scale * p
 
-    return f
+    def slope(self, p: float) -> tuple[float, float]:
+        """As :meth:`_Gap.slope`."""
 
+        g_direct, _, g_hop1, g_hop2, s2, lam, own_power, pay_scale = self
+        h1 = g_hop1 * own_power
+        d = h1 + g_hop2 * p + s2
+        try:
+            relayed = h1 * g_hop2 * p / (s2 * d)
+            gain = h1 * g_hop2 * (h1 + s2) / (s2 * d * d)
+            gain /= 1.0 + g_direct * own_power / s2 + relayed
+        except ZeroDivisionError:
+            return math.nan, math.nan
+        return gain - lam * pay_scale, gain + lam * pay_scale
 
-_OBJECTIVE_FORMS = {"gap": _priced_gap_objective, "relay": _priced_relay_objective}
+    def argmax(self, hi: float) -> float | None:
+        """The argmax on ``[0, hi]``: the concave slice's stationary point,
+        clamped (KKT; Boyd & Vandenberghe, *Convex Optimization*, 5.5).  With
+        ``h1 = g_hop1 own``, ``u = h1 + s2 + g_hop2 p``, ``A = s2 (1 + g_direct
+        own / s2) + h1``, ``K = h1 (h1 + s2)`` and ``c = lam pay_scale``, the
+        slope ``g_hop2 K / (u (A u - K)) - c`` falls in ``u`` to zero at the
+        larger root of ``c A u^2 - c K u - g_hop2 K``.  An end when ``c``,
+        ``K`` or ``g_hop2`` is zero; ``None`` when not finite."""
+
+        g_direct, _, g_hop1, g_hop2, s2, lam, own_power, pay_scale = self
+        h1 = g_hop1 * own_power
+        K = h1 * (h1 + s2)
+        c = lam * pay_scale
+        if K == 0.0 or g_hop2 == 0.0:
+            return 0.0
+        if c == 0.0:
+            return hi
+        A = s2 * (1.0 + g_direct * own_power / s2) + h1
+        coeffs = (c * A, -c * K, -g_hop2 * K)
+        if not (all(map(math.isfinite, coeffs)) and any(coeffs)):
+            return None
+        roots = solve_quadratic_real(coeffs)
+        p = (roots[-1] - h1 - s2) / g_hop2 if roots else math.nan
+        return min(max(p, 0.0), hi) if math.isfinite(p) else None
 
 
 def _objective_key(
@@ -513,13 +559,9 @@ def _objective_key(
     alpha: float | None = None,
     p_a: float | None = None,
     p_j: float | None = None,
-) -> tuple:
-    """Form tag and defining floats of :func:`penalized_objective`'s objective.
-
-    The tag names a factory in ``_OBJECTIVE_FORMS`` and the floats are its
-    arguments, so two equal keys build objectives that agree bit for bit at
-    every point.
-    """
+) -> _Gap | _RelaySlice:
+    """The form of :func:`penalized_objective`'s objective: its defining
+    floats, so two equal forms agree bit for bit at every point."""
 
     kind = ScenarioKind(kind)
     lam = _as_nonnegative("price", price)
@@ -528,7 +570,7 @@ def _objective_key(
     for link in _DIRECT_LINKS.get(kind, ()):
         if link.power == side:
             scale = _scale(link.alpha_power, _as_alpha(alpha) if link.alpha_power else None)
-            return ("gap", getattr(gains, link.main), getattr(gains, link.eve), s2, lam, scale)
+            return _Gap(getattr(gains, link.main), getattr(gains, link.eve), s2, lam, scale)
     for row in _RELAY_LINKS.get(kind, ()):
         if row.slice == side:
             own = {"p_a": p_a, "p_j": p_j}[row.power]
@@ -536,7 +578,7 @@ def _objective_key(
                 raise ValueError(f"relay side {side!r} needs the seed power {row.power}")
             own = _as_nonnegative(row.power, own)
             scale = _scale(row.alpha_power, _as_alpha(alpha))
-            return ("relay", *row.gains(gains), s2, lam, own, scale)
+            return _RelaySlice(*row.gains(gains), s2, lam, own, scale)
     raise ValueError(f"unknown decision variable {side!r} for {kind.value}")
 
 
@@ -556,11 +598,11 @@ def penalized_objective(
     ``side`` names the decision variable: ``"p_a"``/``"p_j"`` for the direct
     modes, ``"p_jb"``/``"p_ab"`` for the relay slices (those additionally
     need the transmitting side's own power ``p_a``/``p_j``).  The returned
-    callable accepts scalars or numpy arrays.
+    callable accepts scalars or numpy arrays; a Python float takes
+    ``math.log1p``, which raises ``ValueError`` below its domain.
     """
 
-    key = _objective_key(kind, side, gains, noise, price, alpha, p_a, p_j)
-    return _OBJECTIVE_FORMS[key[0]](*key[1:])
+    return _objective_key(kind, side, gains, noise, price, alpha, p_a, p_j)
 
 
 # ---------------------------------------------------------------------------
@@ -638,8 +680,7 @@ def _priced_gap_optimum(
     roots = [x / scale for x in solve_quadratic_real(coeffs)]
     if pick == _THRESHOLD:
         return _threshold_pick(roots, hi, g_main > g_eve)
-    objective = _priced_gap_objective(g_main, g_eve, s2, lam, scale, math.log1p)
-    return _argmax_candidate(objective, roots, hi)
+    return _argmax_candidate(_Gap(g_main, g_eve, s2, lam, scale).__call__, roots, hi)
 
 
 # ---------------------------------------------------------------------------
@@ -679,7 +720,7 @@ def _direct_allocation(
             )
             for link in _DIRECT_LINKS[kind]
         }
-    except OverflowError:  # sigma2 ** 2 in the quadratic
+    except OverflowError:  # sigma2 * sigma2 in the quadratic
         raise ValueError(f"{kind.value}: polynomial coefficients overflow") from None
     (p_a, prov_a), (p_j, prov_j) = decided["p_a"], decided["p_j"]
     provenance = {"p_a": prov_a, "p_j": prov_j}
@@ -776,10 +817,8 @@ def relay_allocation(
     roots = solve_cubic_real(coeffs)
     kind = ScenarioKind.RELAY_COOP
     # penalized_objective(RELAY_COOP, "p_jb", ...) at the seed, on the checked floats
-    objective = _priced_relay_objective(
-        *_RELAY_LINKS[kind][0].gains(gains), s2, lam, seed_a, a, math.log1p
-    )
-    p_jb, prov = _argmax_candidate(objective, roots, hi)
+    objective = _RelaySlice(*_RELAY_LINKS[kind][0].gains(gains), s2, lam, seed_a, a)
+    p_jb, prov = _argmax_candidate(objective.__call__, roots, hi)
     p_ab = a * p_jb
     p_a, p_j = max(budget.p_a_max - p_ab, 0.0), max(budget.p_j_max - p_jb, 0.0)
     return _allocation(kind, gains, s2, None, p_a, p_j, p_ab, p_jb, {"p_jb": prov})

@@ -139,6 +139,12 @@ _ALL_SCENARIOS = (
 )
 
 
+def _as_log_base(log_base: str) -> str:
+    if log_base not in ("e", "2"):
+        raise ValueError("log_base must be 'e' or '2'")
+    return log_base
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Full description of one reproducible experiment.
@@ -187,8 +193,7 @@ class ExperimentConfig:
         if self.geometry is None:
             object.__setattr__(self, "geometry", geometry)
         object.__setattr__(self, "constraint_mode", ConstraintMode(self.constraint_mode))
-        if self.log_base not in ("e", "2"):
-            raise ValueError("log_base must be 'e' or '2'")
+        _as_log_base(self.log_base)
         object.__setattr__(self, "seed", _as_whole("seed", self.seed))
         if self.seed < 0:
             raise ValueError(f"seed must be non-negative, got {self.seed}")
@@ -413,10 +418,12 @@ def _write_csv(
     """Write one cell per column from each row's attribute of that name.
 
     With ``log_base='2'`` two extra columns append the base-2 conversions
-    ``cs1_base2`` and ``cs2_base2`` of the rows' natural-log rates.
+    ``cs1_base2`` and ``cs2_base2`` of the rows' natural-log rates; a base
+    other than ``'e'`` or ``'2'`` raises ``ValueError`` before the file is
+    opened.
     """
 
-    base2 = log_base == "2"
+    base2 = _as_log_base(log_base) == "2"
     with open(path, "w", encoding="utf-8", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow([*columns, "cs1_base2", "cs2_base2"] if base2 else columns)
@@ -438,17 +445,25 @@ def write_sweep_csv(rows: Sequence[SweepRow], path: str | Path, log_base: str = 
 
 
 def read_sweep_csv(path: str | Path) -> list[SweepRow]:
-    """Parse a sweep CSV back into rows (base-2 display columns are ignored)."""
+    """Parse a sweep CSV back into rows (base-2 display columns are ignored).
+
+    An empty file, a foreign header or a row short of the sweep columns
+    raises ``ValueError``.
+    """
 
     with open(path, "r", encoding="utf-8", newline="") as handle:
         reader = csv.reader(handle)
-        header = next(reader)
+        header = next(reader, None)
+        if header is None:
+            raise ValueError(f"sweep CSV {str(path)!r} is empty")
         if header[: len(_SWEEP_COLUMNS)] != list(_SWEEP_COLUMNS):
             raise ValueError(f"unexpected sweep header: {header!r}")
-        return [
-            SweepRow(*map(float, record[:7]), mode=record[7], provenance=record[8])
-            for record in reader
-        ]
+        rows = []
+        for record in reader:
+            if len(record) < 9:
+                raise ValueError(f"sweep CSV line {reader.line_num} has {len(record)} of 9 cells")
+            rows.append(SweepRow(*map(float, record[:7]), mode=record[7], provenance=record[8]))
+        return rows
 
 
 def run_mobility(config: ExperimentConfig) -> list[MobilityRow]:

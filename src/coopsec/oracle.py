@@ -3,10 +3,12 @@
 The allocator trusts two stationarity polynomials, the priced-gap quadratic
 and the printed relay cubic; no allocation evaluates a closed form.  This
 module trusts no polynomial: every audited objective is concave on its
-interval or non-increasing there, so its argmax is its KKT point, which the
-oracle takes only once the objective's own analytic slope certifies it.
-Where the certificate fails, an exhaustive grid search (plus a
-golden-section refinement pass) finds the argmax instead.
+interval or non-increasing there, so its argmax is its KKT point.  The
+objective's form in :mod:`coopsec.allocator` computes that point
+(``argmax``) and its analytic ``slope``; the oracle takes the point only
+once the slope certifies it.  Where the certificate fails, an exhaustive
+grid search (plus a golden-section refinement pass) finds the argmax
+instead.
 ``validate_scenario`` runs both paths side by side and labels every formula
 with a verdict, so a transcription error in a printed expression surfaces
 as data instead of silently steering an allocation.
@@ -25,11 +27,11 @@ from typing import Callable, Iterable, NamedTuple, Sequence
 import numpy as np
 
 from .allocator import (
-    _ARGMAX,
     _argmax_candidate,
+    _Gap,
     _objective_key,
-    _priced_gap_optimum,
     _relay_seeds,
+    _RelaySlice,
     evaluate_closed_forms,
     noncoop_quadratic,
     penalized_objective,
@@ -200,92 +202,31 @@ def _refine(
     return best_x, best_y
 
 
-def _exact_argmax(key: tuple, hi: float) -> float | None:
-    """The argmax on ``[0, hi]`` of ``key``'s objective, from its KKT conditions.
-
-    Both forms are concave on ``[0, hi]`` or non-increasing there, so the
-    argmax is the stationary point clamped to the interval (Boyd &
-    Vandenberghe, *Convex Optimization*, section 5.5).  A gap key takes the
-    allocator's own kernel.  A relay key, with ``h1 = g_hop1 * own``, ``u =
-    h1 + s2 + g_hop2 * p``, ``A = s2 (1 + g_direct own / s2) + h1``, ``K =
-    h1 (h1 + s2)`` and ``c = lam * pay_scale``, has slope ``g_hop2 K / (u (A
-    u - K)) - c``, falling in ``u``: its argmax is the larger root of ``c A
-    u^2 - c K u - g_hop2 K = 0``, mapped back to ``p`` and clamped, or an
-    end when ``c``, ``K`` or ``g_hop2`` is zero.  ``None`` when not finite.
-    """
-
-    if key[0] == "gap":
-        try:
-            return _priced_gap_optimum(*key[1:], hi, _ARGMAX)[0]
-        except OverflowError:  # sigma2 ** 2 in the quadratic
-            return None
-    g_direct, _, g_hop1, g_hop2, s2, lam, own_power, pay_scale = key[1:]
-    h1 = g_hop1 * own_power
-    K = h1 * (h1 + s2)
-    c = lam * pay_scale
-    if K == 0.0 or g_hop2 == 0.0:
-        return 0.0
-    if c == 0.0:
-        return hi
-    A = s2 * (1.0 + g_direct * own_power / s2) + h1
-    coeffs = (c * A, -c * K, -g_hop2 * K)
-    if not (all(map(math.isfinite, coeffs)) and any(coeffs)):
-        return None
-    roots = solve_quadratic_real(coeffs)
-    p = (roots[-1] - h1 - s2) / g_hop2 if roots else math.nan
-    return min(max(p, 0.0), hi) if math.isfinite(p) else None
-
-
-def _slope(key: tuple, p: float) -> tuple[float, float]:
-    """The derivative in ``p`` of ``key``'s objective, and its terms' summed magnitudes.
-
-    Written from the objective, not from any printed polynomial: ``scale *
-    (g_main / (s2 + g_main x) - g_eve / (s2 + g_eve x) - lam)`` at ``x =
-    scale * p`` for the gap, and ``h1 g_hop2 (h1 + s2) / (s2 d^2) / (1 +
-    base + relayed) - lam * pay_scale`` with ``d = h1 + g_hop2 p + s2`` for
-    the relay slice.  NaN when a divisor underflows to zero.
-    """
-
-    try:
-        if key[0] == "gap":
-            _, g_main, g_eve, s2, lam, scale = key
-            x = scale * p
-            terms = (g_main / (s2 + g_main * x), -g_eve / (s2 + g_eve * x), -lam)
-            return scale * sum(terms), scale * sum(map(abs, terms))
-        _, g_direct, _, g_hop1, g_hop2, s2, lam, own_power, pay_scale = key
-        h1 = g_hop1 * own_power
-        d = h1 + g_hop2 * p + s2
-        relayed = h1 * g_hop2 * p / (s2 * d)
-        gain = h1 * g_hop2 * (h1 + s2) / (s2 * d * d) / (1.0 + g_direct * own_power / s2 + relayed)
-        return gain - lam * pay_scale, gain + lam * pay_scale
-    except ZeroDivisionError:
-        return math.nan, math.nan
-
-
-def _certified(key: tuple, p: float, hi: float) -> bool:
+def _certified(key: _Gap | _RelaySlice, p: float, hi: float) -> bool:
     """Whether ``p`` meets the KKT conditions of ``key``'s objective on ``[0, hi]``:
     zero slope inside, at most zero at 0, at least zero at ``hi``, to within
     ``_CERTIFICATE`` of the slope's terms; a non-finite term certifies nothing."""
 
-    slope, size = _slope(key, p)
+    slope, size = key.slope(p)
     bound = _CERTIFICATE * size
     return math.isfinite(size) and (p == 0.0 or slope >= -bound) and (p == hi or slope <= bound)
 
 
-def _oracle_argmax(objective: Objective, key: tuple, hi: float) -> float:
-    """The argmax on ``[0, hi]`` of ``objective``, which ``key`` defines.
+def _oracle_argmax(objective: Objective, key: _Gap | _RelaySlice, hi: float) -> float:
+    """The argmax on ``[0, hi]`` of ``objective``, whose form is ``key``.
 
     Both ends are evaluated first, as one array, and a value that is not
     finite there raises, naming the end: every intermediate of both forms is
     monotone in the decision, so an overflow or a zero divisor anywhere on
-    the interval shows at an end.  The argmax is :func:`_exact_argmax`'s
-    point if :func:`_certified`, else the exhaustive grid search's.
+    the interval shows at an end.  The argmax is the form's exact point
+    (``key.argmax``) if :func:`_certified`, else the exhaustive grid
+    search's.
     """
 
     for x, value in zip((0.0, hi), objective(np.array([0.0, hi]))):
         if not math.isfinite(value):
             raise ValueError(f"objective is not finite at x={x!r}")
-    p = _exact_argmax(key, hi)
+    p = key.argmax(hi)
     if p is None or not _certified(key, p, hi):
         p, _ = grid_search_optimum(objective, 0.0, hi)
     return p
@@ -425,7 +366,7 @@ class ValidationReport:
 def _check_formula(
     formula_id: str,
     objective: Objective,
-    objective_key: tuple,
+    objective_key: _Gap | _RelaySlice,
     roots: Sequence[float],
     closed_form: float | None,
     hi_budget: float,
@@ -449,7 +390,7 @@ def _check_formula(
     oracle_x = _oracle_argmax(objective, objective_key, hi)
     root_value, _ = _argmax_candidate(objective, positives, hi)
     interior = step < root_value < hi - step
-    residual = abs(_slope(objective_key, root_value)[0]) if interior else None
+    residual = abs(objective_key.slope(root_value)[0]) if interior else None
 
     matches_oracle = abs(root_value - oracle_x) <= step + 1e-12
     residual_ok = residual is None or residual <= _RESIDUAL_TOL
@@ -845,8 +786,8 @@ def validate_scenario(
     :func:`coopsec.allocator.relay_allocation` uses, and the relaying slice
     ranges over what those seeds leave free.
 
-    The oracle argmax comes from the floats that define the objective, never
-    from the callable.
+    The oracle argmax comes from the objective's form, never from the
+    callable.
 
     Parameters
     ----------

@@ -31,7 +31,7 @@ from coopsec import (
     relay_allocation,
     validate_scenario,
 )
-from coopsec import allocator, oracle
+from coopsec import allocator
 from coopsec.allocator import (
     noncoop_quadratic,
     relay_cubic_for_a,
@@ -733,8 +733,8 @@ class TestScalarPathsAvoidNumpyRootFinding:
 def decision(draw):
     """One allocation decision over the relay audit's ranges (gains 0.05 to 1,
     sigma2 0.1 to 2, prices log-uniform from 1e-5 to 10**0.5, alpha 0.2 to 1,
-    budgets 1 to 10): an objective key, the roots the allocation compares and
-    the bound ``hi``.  Relay decisions also compare the slice's exact
+    budgets 1 to 10): an objective's form, the roots the allocation compares
+    and the bound ``hi``.  Relay decisions also compare the slice's exact
     stationary point."""
 
     g_ab, g_ae, g_aj, g_jb = (draw(st.floats(min_value=0.05, max_value=1.0)) for _ in range(4))
@@ -746,23 +746,23 @@ def decision(draw):
         scale = draw(st.sampled_from([1.0, alpha, 1.0 / alpha]))
         coeffs = allocator._gap_quadratic(g_ab, g_ae, s2, lam)
         roots = [x / scale for x in solve_quadratic_real(coeffs)]
-        return ("gap", g_ab, g_ae, s2, lam, scale), roots, budget.p_a_max
+        return allocator._Gap(g_ab, g_ae, s2, lam, scale), roots, budget.p_a_max
     seed_a, _, hi, _ = allocator._relay_seeds(budget, alpha)
     gains = ChannelGains(g_ab=g_ab, g_ae=g_ae, g_jb=g_jb, g_je=g_ae, g_aj=g_aj)
     roots = solve_cubic_real(allocator._relay_cubic(gains, s2, seed_a, alpha, lam))
-    key = ("relay", g_ab, g_ae, g_aj, g_jb, s2, lam, seed_a, alpha)
-    exact = oracle._exact_argmax(key, hi)
-    return key, roots + ([] if exact is None else [exact]), hi
+    form = allocator._RelaySlice(g_ab, g_ae, g_aj, g_jb, s2, lam, seed_a, alpha)
+    exact = form.argmax(hi)
+    return form, roots + ([] if exact is None else [exact]), hi
 
 
-def largest_term(key, p):
+def largest_term(form, p):
     """The largest of an objective's three terms at ``p``, all non-negative."""
 
-    if key[0] == "gap":
-        _, g_main, g_eve, s2, lam, scale = key
+    if isinstance(form, allocator._Gap):
+        g_main, g_eve, s2, lam, scale = form
         x = scale * p
         return max(math.log1p(g_main * x / s2), math.log1p(g_eve * x / s2), lam * x)
-    _, g_direct, g_eve, g_hop1, g_hop2, s2, lam, own, pay_scale = key
+    g_direct, g_eve, g_hop1, g_hop2, s2, lam, own, pay_scale = form
     first_hop, second_hop = g_hop1 * own, g_hop2 * p
     relayed = first_hop * second_hop / (s2 * (first_hop + second_hop + s2))
     return max(
@@ -773,22 +773,46 @@ def largest_term(key, p):
 
 
 class TestDecisionsInPlainFloats:
-    """Allocations evaluate their candidates with ``math.log1p`` on floats;
-    the audit's ``np.log1p`` objectives pick the same."""
+    """A form evaluates a Python float with ``math.log1p``, as the allocations
+    do, and anything else with ``np.log1p``; both pick the same candidate."""
 
     @settings(max_examples=300, deadline=None)
     @given(decision())
     def test_math_and_numpy_objectives_pick_alike(self, drawn):
-        key, roots, hi = drawn
-        form = allocator._OBJECTIVE_FORMS[key[0]]
-        plain, with_numpy = form(*key[1:], math.log1p), form(*key[1:])
-        picked = allocator._argmax_candidate(plain, roots, hi)
+        form, roots, hi = drawn
+
+        def with_numpy(p):
+            return form(np.float64(p))
+
+        picked = allocator._argmax_candidate(form.__call__, roots, hi)
         assert picked == allocator._argmax_candidate(with_numpy, roots, hi)
         for p in [0.0, hi, *(r for r in roots if 0.0 < r < hi)]:
-            value, reference = plain(p), with_numpy(p)
-            assert type(value) is float
-            magnitude = max(largest_term(key, p), abs(value))
-            assert abs(value - reference) <= 2.0 * math.ulp(magnitude), (key, p)
+            value, reference = form(p), with_numpy(p)
+            assert type(value) is float and type(reference) is np.float64
+            magnitude = max(largest_term(form, p), abs(value))
+            assert abs(value - reference) <= 2.0 * math.ulp(magnitude), (form, p)
+
+    def test_a_float_takes_math_log1p_and_anything_else_np_log1p(self, monkeypatch):
+        calls = []
+        for module, name in ((math, "math"), (np, "numpy")):
+            log1p = module.log1p
+            monkeypatch.setattr(
+                module, "log1p", lambda x, log1p=log1p, name=name: calls.append(name) or log1p(x)
+            )
+        gap = allocator._Gap(0.4, 0.3, 1.0, 0.01, 0.8)
+        relay = allocator._RelaySlice(0.4, 0.3, 0.2, 0.5, 1.0, 0.01, 2.5, 0.8)
+        for p in (2.5, np.float64(2.5), np.array(2.5), np.linspace(0.0, 5.0, 3)):
+            want = "math" if type(p) is float else "numpy"
+            calls.clear()
+            gap(p)
+            assert calls == [want, want], p
+            calls.clear()
+            relay(p)
+            # the eavesdropper's term does not depend on p: always one math.log1p
+            assert calls == ["math", want], p
+        # below the logarithm's domain a float raises, where numpy would give NaN
+        with pytest.raises(ValueError, match="math domain error"):
+            gap(-1e3)
 
     def test_every_compared_value_is_a_float(self):
         values = []
@@ -906,14 +930,10 @@ class TestUnitInvariance:
         assert [getattr(scaled, p) for p in powers] == [getattr(base, p) * k for p in powers]
         assert (scaled.mode, scaled.cs, scaled.provenance) == (base.mode, base.cs, base.provenance)
 
-    @pytest.mark.xfail(
-        (POW_S2 * 2.0**-7) ** 2 != POW_S2**2 * 2.0**-14,
-        strict=True,
-        reason="_gap_quadratic's sigma2**2 is C pow, which is not correctly rounded here",
-    )
     def test_noise_unit_where_pow_rounds_apart(self):
-        # (s2 * k)**2 is not k**2 * s2**2, so the quadratic's constant coefficient
-        # moves by one ulp, and with it mac_coop's p_j
+        # C pow may round (s2 * k)**2 apart from k**2 * s2**2, which would move the
+        # quadratic's constant coefficient by one ulp, and with it mac_coop's p_j;
+        # the kernel squares by a product, which a power of two leaves exact
         gains = [
             2.7799286811727435,
             0.4525122299659921,

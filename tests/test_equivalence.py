@@ -360,12 +360,19 @@ class TestRelayAllocationAgainstReferenceRoots:
             assert math.isclose(ours_p, theirs_p, rel_tol=POWER_TOL, abs_tol=0.0), (ours, theirs)
 
 
+def reference_log1p(p):
+    """The ``log1p`` a form takes at ``p``: ``math``'s for a Python float,
+    numpy's for anything else."""
+
+    return math.log1p if type(p) is float else np.log1p
+
+
 def reference_gap_objective(g_main, g_eve, s2, lam, scale):
     """The priced-gap objective as one out-of-place expression."""
 
     def f(p):
-        x = scale * p
-        return np.log1p(g_main * x / s2) - np.log1p(g_eve * x / s2) - lam * x
+        x, log1p = scale * p, reference_log1p(p)
+        return log1p(g_main * x / s2) - log1p(g_eve * x / s2) - lam * x
 
     return f
 
@@ -380,16 +387,19 @@ def reference_relay_objective(g_direct, g_eve, g_hop1, g_hop2, s2, lam, own_powe
     def f(p):
         second_hop = g_hop2 * p
         relayed = first_hop * second_hop / (s2 * (first_hop + second_hop + s2))
-        return np.log1p(base_main + relayed) - eve_term - lam * pay_scale * p
+        return reference_log1p(p)(base_main + relayed) - eve_term - lam * pay_scale * p
 
     return f
 
 
-REFERENCE_FORMS = {"gap": reference_gap_objective, "relay": reference_relay_objective}
+REFERENCE_FORMS = {
+    allocator._Gap: reference_gap_objective,
+    allocator._RelaySlice: reference_relay_objective,
+}
 
 
 def random_objective_keys(rng, count):
-    """Objective keys of every mode and side at random parameter points."""
+    """Objective arguments of every mode and side at random parameter points."""
 
     keys = []
     for _ in range(count):
@@ -423,13 +433,12 @@ class TestObjectivesAgainstReference:
     def test_arrays_scalars_and_zero_dim(self):
         rng = np.random.default_rng(20)
         for args, terms in random_objective_keys(rng, 40):
-            form, *params = allocator._objective_key(*args, **terms)
             ours = penalized_objective(*args, **terms)
-            theirs = REFERENCE_FORMS[form](*params)
+            theirs = REFERENCE_FORMS[type(ours)](*ours)
             hi = float(rng.uniform(0.0, 50.0))
             grid = np.linspace(0.0, hi, 1001)
             before = grid.copy()
-            assert same_bits(ours(grid), theirs(grid)), (form, params)
+            assert same_bits(ours(grid), theirs(grid)), ours
             assert grid.tobytes() == before.tobytes()
             # a strided view and a 2-d block too
             assert same_bits(ours(grid[::7]), theirs(grid[::7]))
@@ -487,25 +496,25 @@ def near_pair(draw, lo, hi):
 
 @st.composite
 def objective_key(draw):
-    """Keys of both objective forms over wide ranges: gains 1e-4 to 1e2,
-    prices down to 1e-9, near-equal legitimate and tapped gains."""
+    """Both objective forms over wide ranges: gains 1e-4 to 1e2, prices down
+    to 1e-9, near-equal legitimate and tapped gains."""
 
     s2 = draw(log_uniform(-2.0, 1.0))
     lam = draw(log_uniform(-9.0, 1.0))
     scale = draw(st.one_of(st.just(1.0), st.floats(min_value=0.3, max_value=1.0 / 0.3)))
     main, eve = draw(near_pair(-4.0, 2.0))
     if draw(st.booleans()):
-        return ("gap", main, eve, s2, lam, scale)
+        return allocator._Gap(main, eve, s2, lam, scale)
     hop1, hop2 = (draw(log_uniform(-4.0, 2.0)) for _ in range(2))
     own = draw(st.one_of(st.just(0.0), log_uniform(-2.0, 1.5)))
-    return ("relay", main, eve, hop1, hop2, s2, lam, own, scale)
+    return allocator._RelaySlice(main, eve, hop1, hop2, s2, lam, own, scale)
 
 
 @st.composite
 def interior_key(draw):
-    """Keys over the relay audit's ranges: gains 0.05 to 1, sigma2 0.1 to 2,
+    """Forms over the relay audit's ranges: gains 0.05 to 1, sigma2 0.1 to 2,
     prices log-uniform from 1e-5 to 10**0.5, alpha 0.2 to 1, budgets 1 to 10;
-    the gap keys' legitimate gain is the larger, so most peaks are interior."""
+    the gap forms' legitimate gain is the larger, so most peaks are interior."""
 
     gains = [draw(st.floats(min_value=0.05, max_value=1.0)) for _ in range(4)]
     s2 = draw(st.floats(min_value=0.1, max_value=2.0))
@@ -513,9 +522,11 @@ def interior_key(draw):
     alpha = draw(st.floats(min_value=0.2, max_value=1.0))
     if draw(st.booleans()):
         main, eve = max(gains[:2]), min(gains[:2])
-        return ("gap", main, eve, s2, lam, draw(st.sampled_from([1.0, alpha, 1.0 / alpha])))
+        scale = draw(st.sampled_from([1.0, alpha, 1.0 / alpha]))
+        return allocator._Gap(main, eve, s2, lam, scale)
     own = 0.5 * draw(st.floats(min_value=1.0, max_value=10.0))
-    return ("relay", *gains, s2, lam, own, draw(st.sampled_from([alpha, 1.0 / alpha])))
+    scale = draw(st.sampled_from([alpha, 1.0 / alpha]))
+    return allocator._RelaySlice(*gains, s2, lam, own, scale)
 
 
 def search_outcome(search, *args):
@@ -528,11 +539,11 @@ def search_outcome(search, *args):
 def term_sum(key, p):
     """The summed magnitudes of the objective's three terms at ``p``."""
 
-    if key[0] == "gap":
-        _, g_main, g_eve, s2, lam, scale = key
+    if isinstance(key, allocator._Gap):
+        g_main, g_eve, s2, lam, scale = key
         x = scale * p
         return math.log1p(g_main * x / s2) + math.log1p(g_eve * x / s2) + lam * x
-    _, g_direct, g_eve, g_hop1, g_hop2, s2, lam, own, pay_scale = key
+    g_direct, g_eve, g_hop1, g_hop2, s2, lam, own, pay_scale = key
     first_hop, second_hop = g_hop1 * own, g_hop2 * p
     relayed = first_hop * second_hop / (s2 * (first_hop + second_hop + s2))
     return (
@@ -542,21 +553,21 @@ def term_sum(key, p):
     )
 
 
-def assert_agrees_with_the_grid(objective, key, hi):
+def assert_agrees_with_the_grid(key, hi):
     """The audit's argmax lies within one grid step of the exhaustive grid
     search's, and its value falls below the grid's maximum by rounding at
     most; where the grid search finds a value that is not finite, the audit
     raises too."""
 
-    want = search_outcome(grid_search_optimum, objective, 0.0, hi)
-    got = search_outcome(oracle._oracle_argmax, objective, key, hi)
+    want = search_outcome(grid_search_optimum, key, 0.0, hi)
+    got = search_outcome(oracle._oracle_argmax, key, key, hi)
     if isinstance(want, str):
         assert isinstance(got, str) and got.startswith("objective is not finite at x="), got
         return
     (grid_x, grid_value), step = want, hi / 10000
     assert abs(got - grid_x) <= step, (key, hi, got, grid_x)
     rounding = 2.0**-48 * (1.0 + term_sum(key, max(got, grid_x)))
-    assert float(objective(got)) >= grid_value - rounding, (key, hi, got, grid_x)
+    assert float(key(got)) >= grid_value - rounding, (key, hi, got, grid_x)
 
 
 class TestOracleArgmaxAgainstExhaustive:
@@ -565,14 +576,12 @@ class TestOracleArgmaxAgainstExhaustive:
     @settings(max_examples=400, deadline=None)
     @given(key=objective_key(), hi=st.one_of(log_uniform(0.0, 4.0), st.just(1.0)))
     def test_same_argmax_to_a_grid_step(self, key, hi):
-        objective = allocator._OBJECTIVE_FORMS[key[0]](*key[1:])
-        assert_agrees_with_the_grid(objective, key, hi)
+        assert_agrees_with_the_grid(key, hi)
 
     @settings(max_examples=300, deadline=None)
     @given(key=interior_key(), stretch=st.floats(min_value=1.2, max_value=30.0))
     def test_interior_optima(self, key, stretch):
-        objective = allocator._OBJECTIVE_FORMS[key[0]](*key[1:])
-        peak, _ = grid_search_optimum(objective, 0.0, 1e4)
+        peak, _ = grid_search_optimum(key, 0.0, 1e4)
         assume(0.0 < peak < 1e4)
         hi = peak * stretch
         full_grid = []
@@ -582,14 +591,13 @@ class TestOracleArgmaxAgainstExhaustive:
             return grid_search_optimum(*args)
 
         with mock.patch.object(oracle, "grid_search_optimum", recording):
-            assert_agrees_with_the_grid(objective, key, hi)
+            assert_agrees_with_the_grid(key, hi)
         # the interior optima over the audit's ranges are all certified
         assert full_grid == []
 
     def test_every_mode_and_side(self):
         rng = np.random.default_rng(2024)
         for args, terms in random_objective_keys(rng, 40):
-            objective = penalized_objective(*args, **terms)
-            key = allocator._objective_key(*args, **terms)
+            key = penalized_objective(*args, **terms)
             for hi in (1.0, float(10.0 ** rng.uniform(0.0, 3.0))):
-                assert_agrees_with_the_grid(objective, key, hi)
+                assert_agrees_with_the_grid(key, hi)

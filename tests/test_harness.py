@@ -312,6 +312,32 @@ class TestSweepCsv:
         with pytest.raises(ValueError, match="unexpected sweep header"):
             read_sweep_csv(path)
 
+    def test_read_rejects_an_empty_file(self, tmp_path):
+        path = tmp_path / "empty.csv"
+        path.write_text("", encoding="utf-8")
+        with pytest.raises(ValueError, match=r"^sweep CSV '.*empty\.csv' is empty$"):
+            read_sweep_csv(path)
+
+    @pytest.mark.parametrize("cut", [1, 8])
+    def test_read_rejects_a_short_row(self, tmp_path, cut):
+        path = tmp_path / "sweep.csv"
+        write_sweep_csv(run_sweep(preset_config("fig5"))[:2], path)
+        lines = path.read_text(encoding="utf-8").splitlines()
+        lines[2] = ",".join(lines[2].split(",")[:cut])
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=f"^sweep CSV line 3 has {cut} of 9 cells$"):
+            read_sweep_csv(path)
+
+    @pytest.mark.parametrize("log_base", ["10", "E", "", 2])
+    def test_writers_reject_an_unknown_log_base(self, tmp_path, log_base):
+        sweep, mobility = tmp_path / "sweep.csv", tmp_path / "mobility.csv"
+        with pytest.raises(ValueError, match="^log_base must be 'e' or '2'$"):
+            write_sweep_csv(run_sweep(preset_config("fig5"))[:1], sweep, log_base=log_base)
+        with pytest.raises(ValueError, match="^log_base must be 'e' or '2'$"):
+            write_mobility_csv(run_mobility(mobility_default_config())[:1], mobility, log_base)
+        # nothing was written
+        assert not sweep.exists() and not mobility.exists()
+
 
 class TestRunMobility:
     def test_default_receding_path_flips_exactly_once(self):

@@ -313,7 +313,7 @@ class TestExactGrid:
         rng = np.random.default_rng(n)
         for _ in range(750):
             hi = float(10.0 ** rng.uniform(-300.0, 300.0))
-            objective, _ = keyed_objective("gap", 0.4, 0.3, 1.0, 0.01, 10.0 / hi)
+            objective = Gap(0.4, 0.3, 1.0, 0.01, 10.0 / hi)
             (grid,) = searched_arrays(grid_search_optimum, objective, 0.0, hi, n)
             assert grid.tobytes() == np.linspace(0.0, hi, n).tobytes(), hi
 
@@ -340,12 +340,16 @@ class TestExactGrid:
         assert best_x == 0.0 and best_f == 1e308
 
 
-def keyed_objective(*key):
-    return allocator._OBJECTIVE_FORMS[key[0]](*key[1:]), key
+Gap, RelaySlice = allocator._Gap, allocator._RelaySlice
+STD_GAP = Gap(0.4, 0.3, 1.0, 0.01, 0.8)
+STD_RELAY = RelaySlice(0.4, 0.3, 0.2, 0.5, 1.0, 0.01, 2.5, 0.8)
 
 
-STD_GAP = ("gap", 0.4, 0.3, 1.0, 0.01, 0.8)
-STD_RELAY = ("relay", 0.4, 0.3, 0.2, 0.5, 1.0, 0.01, 2.5, 0.8)
+def no_exact_point(monkeypatch):
+    """Take every form's exact point away, so that each search falls back."""
+
+    for form in (Gap, RelaySlice):
+        monkeypatch.setattr(form, "argmax", lambda self, hi: None)
 
 
 @pytest.fixture
@@ -382,10 +386,9 @@ class TestOracleArgmax:
     @pytest.mark.parametrize("key", [STD_GAP, STD_RELAY])
     @pytest.mark.parametrize("hi", [1.0, 7.5, 12.0, 1e4])
     def test_the_exact_point_is_certified(self, fallbacks, key, hi):
-        objective, key = keyed_objective(*key)
-        got = oracle._oracle_argmax(objective, key, hi)
-        assert got == oracle._exact_argmax(key, hi) and fallbacks == []
-        want, _ = grid_search_optimum(objective, 0.0, hi)
+        got = oracle._oracle_argmax(key, key, hi)
+        assert got == key.argmax(hi) and fallbacks == []
+        want, _ = grid_search_optimum(key, 0.0, hi)
         assert abs(got - want) <= hi / 10000
 
     @pytest.mark.parametrize("hi", [1.0, 12.0, 1e4])
@@ -393,62 +396,58 @@ class TestOracleArgmax:
         # certified: one array, the interval's two ends; forced to fall back, the
         # exhaustive search's grid follows them, bit for bit
         for key in (STD_GAP, STD_RELAY):
-            objective, key = keyed_objective(*key)
-            (ends,) = searched_arrays(oracle._oracle_argmax, objective, key, hi)
+            (ends,) = searched_arrays(oracle._oracle_argmax, key, key, hi)
             assert ends.tolist() == [0.0, hi]
             with monkeypatch.context() as forced:
-                forced.setattr(oracle, "_exact_argmax", lambda key, hi: None)
-                ends, grid = searched_arrays(oracle._oracle_argmax, objective, key, hi)
+                no_exact_point(forced)
+                ends, grid = searched_arrays(oracle._oracle_argmax, key, key, hi)
             assert ends.tolist() == [0.0, hi]
             assert grid.tobytes() == np.linspace(0.0, hi, 10001).tobytes()
 
     @pytest.mark.parametrize("resolution", [2, 3, 4, 7, 8, 101])
     @pytest.mark.parametrize("key", [STD_GAP, STD_RELAY])
     def test_within_a_step_of_coarse_exhaustive_searches(self, key, resolution):
-        objective, key = keyed_objective(*key)
         for hi in (1.0, 12.0):
-            got = oracle._oracle_argmax(objective, key, hi)
-            want, top = grid_search_optimum(objective, 0.0, hi, resolution)
+            got = oracle._oracle_argmax(key, key, hi)
+            want, top = grid_search_optimum(key, 0.0, hi, resolution)
             assert abs(got - want) <= hi / (resolution - 1)
-            assert float(objective(got)) >= top - 2.0**-48 * (1.0 + abs(top))
+            assert float(key(got)) >= top - 2.0**-48 * (1.0 + abs(top))
 
     @pytest.mark.parametrize(
         "key,want",
         [
-            (("gap", 0.4, 0.3, 1.0, 0.0, 1.0), 12.0),  # no price: the gap rises
-            (("gap", 0.3, 0.4, 1.0, 0.01, 1.0), 0.0),  # the tapped link is stronger
-            (("relay", 0.4, 0.3, 0.2, 0.5, 1.0, 0.0, 2.5, 0.8), 12.0),  # no price
-            (("relay", 0.4, 0.3, 0.2, 0.5, 1.0, 10.0, 2.5, 0.8), 0.0),  # no relaying pays
+            (Gap(0.4, 0.3, 1.0, 0.0, 1.0), 12.0),  # no price: the gap rises
+            (Gap(0.3, 0.4, 1.0, 0.01, 1.0), 0.0),  # the tapped link is stronger
+            (RelaySlice(0.4, 0.3, 0.2, 0.5, 1.0, 0.0, 2.5, 0.8), 12.0),  # no price
+            (RelaySlice(0.4, 0.3, 0.2, 0.5, 1.0, 10.0, 2.5, 0.8), 0.0),  # no relaying pays
         ],
     )
     def test_an_end_point_is_taken_without_a_fallback(self, fallbacks, key, want):
-        objective, key = keyed_objective(*key)
-        assert oracle._oracle_argmax(objective, key, 12.0) == want and fallbacks == []
-        assert grid_search_optimum(objective, 0.0, 12.0)[0] == want
+        assert oracle._oracle_argmax(key, key, 12.0) == want and fallbacks == []
+        assert grid_search_optimum(key, 0.0, 12.0)[0] == want
 
     def test_a_flat_priced_gap_is_certified_at_zero(self, fallbacks):
         # equal links and a price of 1e-12: the objective falls by 1e-12 over [0, 1]
-        objective, key = keyed_objective("gap", 0.4, 0.4, 1.0, 1e-12, 1.0)
-        assert oracle._oracle_argmax(objective, key, 1.0) == 0.0 and fallbacks == []
-        assert grid_search_optimum(objective, 0.0, 1.0)[0] == 0.0
+        key = Gap(0.4, 0.4, 1.0, 1e-12, 1.0)
+        assert oracle._oracle_argmax(key, key, 1.0) == 0.0 and fallbacks == []
+        assert grid_search_optimum(key, 0.0, 1.0)[0] == 0.0
 
     def test_an_overflowing_relay_key_falls_back(self, fallbacks):
         # g_hop1 * own_power * (g_hop1 * own_power + s2) overflows, so there is no
         # exact point, while the objective stays finite on [0, 1]
-        objective, key = keyed_objective("relay", 0.4, 0.3, 1e300, 1e-10, 1e-10, 0.01, 1.0, 1.0)
-        assert oracle._exact_argmax(key, 1.0) is None
-        got = oracle._oracle_argmax(objective, key, 1.0)
+        key = RelaySlice(0.4, 0.3, 1e300, 1e-10, 1e-10, 0.01, 1.0, 1.0)
+        assert key.argmax(1.0) is None
+        got = oracle._oracle_argmax(key, key, 1.0)
         assert fallbacks == [(0.0, 1.0, 10001)]
-        assert got == grid_search_optimum(objective, 0.0, 1.0)[0]
+        assert got == grid_search_optimum(key, 0.0, 1.0)[0]
 
     @pytest.mark.parametrize("key", [STD_GAP, STD_RELAY])
     def test_a_subnormal_interval_is_within_its_one_step(self, key):
         # on [0, 5e-324] both ends carry the same value; whichever path decides,
         # the argmax is one of them
-        objective, key = keyed_objective(*key)
-        got = oracle._oracle_argmax(objective, key, 5e-324)
-        _, top = grid_search_optimum(objective, 0.0, 5e-324)
-        assert got in (0.0, 5e-324) and float(objective(got)) == top
+        got = oracle._oracle_argmax(key, key, 5e-324)
+        _, top = grid_search_optimum(key, 0.0, 5e-324)
+        assert got in (0.0, 5e-324) and float(key(got)) == top
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_the_golden_draws_agree_with_the_exhaustive_search(self, monkeypatch, seed):
@@ -490,7 +489,7 @@ class TestOracleArgmax:
         config = ExperimentConfig(seed=0)
         want = harness.run_validation(config, samples=10)
         if forced == "no exact point":
-            monkeypatch.setattr(oracle, "_exact_argmax", lambda key, hi: None)
+            no_exact_point(monkeypatch)
         else:
             monkeypatch.setattr(oracle, "_certified", lambda key, p, hi: False)
         got = harness.run_validation(config, samples=10)
@@ -500,35 +499,33 @@ class TestOracleArgmax:
 
     @pytest.mark.parametrize("key", [STD_GAP, STD_RELAY])
     def test_a_point_off_the_optimum_is_not_certified(self, key):
-        p = oracle._exact_argmax(key, 12.0)
+        p = key.argmax(12.0)
         assert 0.0 < p < 12.0 and oracle._certified(key, p, 12.0)
         for wrong in (p * (1.0 + 1e-9), p * (1.0 - 1e-9), 0.0, 12.0):
             assert not oracle._certified(key, wrong, 12.0), wrong
 
     def test_an_end_takes_a_one_sided_test(self):
         # without a price the priced gap rises everywhere: the argmax is the budget
-        rising = ("gap", 0.4, 0.3, 1.0, 0.0, 1.0)
+        rising = Gap(0.4, 0.3, 1.0, 0.0, 1.0)
         assert oracle._certified(rising, 12.0, 12.0)
         assert not oracle._certified(rising, 0.0, 12.0)
         # a tapped link stronger than the legitimate one: the argmax is zero
-        falling = ("gap", 0.3, 0.4, 1.0, 0.01, 1.0)
+        falling = Gap(0.3, 0.4, 1.0, 0.01, 1.0)
         assert oracle._certified(falling, 0.0, 12.0)
         assert not oracle._certified(falling, 12.0, 12.0)
 
     def test_a_slope_that_is_not_finite_certifies_nothing(self, fallbacks):
         # s2 * d * d underflows to zero at p = 0, where s2 * d does not
-        objective, key = keyed_objective("relay", 0.4, 0.3, 1.0, 1.0, 1e-160, 0.01, 1e-150, 1.0)
-        assert math.isnan(oracle._slope(key, 0.0)[0])
+        key = RelaySlice(0.4, 0.3, 1.0, 1.0, 1e-160, 0.01, 1e-150, 1.0)
+        assert math.isnan(key.slope(0.0)[0])
         assert not oracle._certified(key, 0.0, 1.0)
-        assert oracle._oracle_argmax(objective, key, 1.0) == grid_search_optimum(
-            objective, 0.0, 1.0
-        )[0]
+        assert oracle._oracle_argmax(key, key, 1.0) == grid_search_optimum(key, 0.0, 1.0)[0]
         assert len(fallbacks) == 1
 
     def test_an_infinite_slope_certifies_nothing(self):
         # g_main / s2 overflows at p = 0: the slope and its terms are inf there
-        key = ("gap", 1e10, 0.0, 1e-300, 0.01, 1.0)
-        assert oracle._slope(key, 0.0) == (math.inf, math.inf)
+        key = Gap(1e10, 0.0, 1e-300, 0.01, 1.0)
+        assert key.slope(0.0) == (math.inf, math.inf)
         assert not oracle._certified(key, 0.0, 1.0)
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -536,19 +533,18 @@ class TestOracleArgmax:
         "key,hi,where",
         [
             # sigma2 * (first hop + sigma2) underflows to zero: 0 / 0 at p = 0
-            (("relay", 0.4, 0.3, 1e-200, 0.5, 1e-200, 0.01, 1.0, 1.0), 12.0, "0.0"),
+            (RelaySlice(0.4, 0.3, 1e-200, 0.5, 1e-200, 0.01, 1.0, 1.0), 12.0, "0.0"),
             # the second hop g_hop2 * p overflows from p = 17.97 on: inf / inf
-            (("relay", 0.4, 0.3, 0.2, 1e307, 1.0, 0.01, 1.0, 1.0), 100.0, "100.0"),
+            (RelaySlice(0.4, 0.3, 0.2, 1e307, 1.0, 0.01, 1.0, 1.0), 100.0, "100.0"),
             # sigma2 = 1e-300 and a gain of 1e300 overflow the priced gap at hi
-            (("gap", 1e300, 0.3, 1e-300, 1.0, 1.0), 12.0, "12.0"),
+            (Gap(1e300, 0.3, 1e-300, 1.0, 1.0), 12.0, "12.0"),
             # scale * p overflows near hi, where 0 * inf is NaN without a legitimate link
-            (("gap", 0.0, 0.3, 1.0, 1e-300, 1e10), 1e300, "1e+300"),
+            (Gap(0.0, 0.3, 1.0, 1e-300, 1e10), 1e300, "1e+300"),
         ],
     )
     def test_a_non_finite_end_keeps_its_message(self, fallbacks, key, hi, where):
-        objective, key = keyed_objective(*key)
         with pytest.raises(ValueError, match=f"^objective is not finite at x={re.escape(where)}$"):
-            oracle._oracle_argmax(objective, key, hi)
+            oracle._oracle_argmax(key, key, hi)
         assert fallbacks == []
 
     def test_the_residual_is_the_objective_slope(self):
@@ -565,14 +561,13 @@ class TestOracleArgmax:
             g_main, g_eve, g_hop1, g_hop2 = map(float, rng.uniform(0.05, 1.0, 4))
             s2, own, scale, p = map(float, rng.uniform((0.1, 0.0, 0.2, 0.0), (2.0, 5.0, 5.0, 20.0)))
             lam = float(10.0 ** rng.uniform(-5.0, 0.5))
-            relay = ("relay", g_main, g_eve, g_hop1, g_hop2, s2, lam, own, scale)
+            relay = RelaySlice(g_main, g_eve, g_hop1, g_hop2, s2, lam, own, scale)
             want = relay_slope(relay, p)
-            assert oracle._slope(relay, p)[0] == pytest.approx(want, rel=1e-12, abs=1e-15)
-            gap = ("gap", g_main, g_eve, s2, lam, scale)
-            objective, _ = keyed_objective(*gap)
+            assert relay.slope(p)[0] == pytest.approx(want, rel=1e-12, abs=1e-15)
+            gap = Gap(g_main, g_eve, s2, lam, scale)
             h = 1e-6 * max(1.0, p)
-            want = finite_diff_derivative(objective, p, h)
-            assert oracle._slope(gap, p)[0] == pytest.approx(want, abs=1e-8)
+            want = finite_diff_derivative(gap, p, h)
+            assert gap.slope(p)[0] == pytest.approx(want, abs=1e-8)
 
 
 def audit_configs():
@@ -658,7 +653,7 @@ class TestPlantedKernelDefect:
         monkeypatch.setattr(allocator, "_gap_quadratic", planted_gap_quadratic)
         certified = flagged_direct_entries()
         with monkeypatch.context() as forced:
-            forced.setattr(oracle, "_exact_argmax", lambda key, hi: None)
+            no_exact_point(forced)
             assert flagged_direct_entries() == certified
         # 81 of the 279 direct entries; one_side_coop.p_a audits its own quadratic,
         # so only the planted non_coop ones disagree
@@ -672,7 +667,7 @@ class TestPlantedKernelDefect:
 def relay_slope(key, p):
     """The relay objective's derivative in ``p``, written out term by term."""
 
-    _, g_direct, _, g_hop1, g_hop2, s2, lam, own, pay_scale = key
+    g_direct, _, g_hop1, g_hop2, s2, lam, own, pay_scale = key
     h1, second_hop = g_hop1 * own, g_hop2 * p
     d = h1 + second_hop + s2
     relayed = h1 * second_hop / (s2 * d)
@@ -681,7 +676,7 @@ def relay_slope(key, p):
 
 
 class TestExactArgmax:
-    """``_exact_argmax`` is the argmax of the key's objective on ``[0, hi]``."""
+    """A form's ``argmax`` is the argmax of its objective on ``[0, hi]``."""
 
     def test_relay_slope_vanishes_at_interior_points(self):
         rng = np.random.default_rng(17)
@@ -691,10 +686,10 @@ class TestExactArgmax:
             s2, alpha = rng.uniform(0.1, 2.0), rng.uniform(0.2, 1.0)
             lam = 10.0 ** rng.uniform(-5.0, 0.5)
             own = 0.5 * rng.uniform(1.0, 10.0)
-            key = ("relay", *map(float, g), s2, lam, own, float(rng.choice([alpha, 1 / alpha])))
+            key = RelaySlice(*map(float, g), s2, lam, own, float(rng.choice([alpha, 1 / alpha])))
             hi = 1e6
-            p = oracle._exact_argmax(key, hi)
-            price = lam * key[-1]
+            p = key.argmax(hi)
+            price = lam * key.pay_scale
             if 0.0 < p < hi:
                 interior += 1
                 assert abs(relay_slope(key, p)) <= 1e-9 * price, key
@@ -705,30 +700,29 @@ class TestExactArgmax:
 
     @pytest.mark.parametrize("hi", [1.0, 12.0])
     def test_relay_point_is_the_grid_argmax_to_a_grid_step(self, hi):
-        objective, key = keyed_objective(*STD_RELAY)
-        want, _ = grid_search_optimum(objective, 0.0, hi)
-        assert oracle._exact_argmax(key, hi) == pytest.approx(want, abs=hi / 10000)
+        want, _ = grid_search_optimum(STD_RELAY, 0.0, hi)
+        assert STD_RELAY.argmax(hi) == pytest.approx(want, abs=hi / 10000)
 
     def test_gap_keys_take_the_allocator_kernel(self):
         for hi in (1.0, 12.0):
-            want = allocator._priced_gap_optimum(*STD_GAP[1:], hi, allocator._ARGMAX)[0]
-            assert oracle._exact_argmax(STD_GAP, hi) == want
+            want = allocator._priced_gap_optimum(*STD_GAP, hi, allocator._ARGMAX)[0]
+            assert STD_GAP.argmax(hi) == want
 
     @pytest.mark.parametrize(
         "key,want",
         [
-            (("relay", 0.4, 0.3, 0.2, 0.5, 1.0, 0.01, 0.0, 0.8), 0.0),  # no first hop
-            (("relay", 0.4, 0.3, 0.2, 0.0, 1.0, 0.01, 2.5, 0.8), 0.0),  # no second hop
-            (("relay", 0.4, 0.3, 0.2, 0.5, 1.0, 0.0, 2.5, 0.8), 12.0),  # no price
-            (("relay", 0.4, 0.3, 1e300, 1e300, 1.0, 0.01, 1e10, 0.8), None),  # K overflows
+            (RelaySlice(0.4, 0.3, 0.2, 0.5, 1.0, 0.01, 0.0, 0.8), 0.0),  # no first hop
+            (RelaySlice(0.4, 0.3, 0.2, 0.0, 1.0, 0.01, 2.5, 0.8), 0.0),  # no second hop
+            (RelaySlice(0.4, 0.3, 0.2, 0.5, 1.0, 0.0, 2.5, 0.8), 12.0),  # no price
+            (RelaySlice(0.4, 0.3, 1e300, 1e300, 1.0, 0.01, 1e10, 0.8), None),  # K overflows
         ],
     )
     def test_degenerate_relay_keys(self, key, want):
-        assert oracle._exact_argmax(key, 12.0) == want
+        assert key.argmax(12.0) == want
 
     def test_overflowing_gap_quadratic_has_no_exact_point(self):
-        # sigma2 ** 2 overflows in the priced-gap quadratic
-        assert oracle._exact_argmax(("gap", 0.4, 0.3, 1e200, 0.01, 1.0), 12.0) is None
+        # sigma2 * sigma2 overflows in the priced-gap quadratic
+        assert Gap(0.4, 0.3, 1e200, 0.01, 1.0).argmax(12.0) is None
 
 
 class TestTinyInputs:
