@@ -28,6 +28,8 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .model import (
+    _DISTANCE_FIELDS,
+    _GAIN_FIELDS,
     ChannelGains,
     Geometry,
     NoiseModel,
@@ -145,6 +147,24 @@ def _as_log_base(log_base: str) -> str:
     return log_base
 
 
+_GEOMETRY_FIELDS = (*_DISTANCE_FIELDS, "eta")
+
+
+def _params(config: ExperimentConfig) -> dict[str, object]:
+    """The physical parameter block that opens :meth:`ExperimentConfig.to_dict`:
+    fresh dicts of the config's checked floats, in field order."""
+
+    gains, geometry, budgets = config.gains, config.geometry, config.budgets
+    return {
+        "gains": {name: getattr(gains, name) for name in _GAIN_FIELDS},
+        "geometry": {name: getattr(geometry, name) for name in _GEOMETRY_FIELDS},
+        "sigma2": config.sigma2,
+        "alpha": config.alpha,
+        "lambda": config.price,
+        "budgets": {"p_a_max": budgets.p_a_max, "p_j_max": budgets.p_j_max},
+    }
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Full description of one reproducible experiment.
@@ -213,12 +233,7 @@ class ExperimentConfig:
         """JSON-ready mapping; the power price serializes as ``lambda``."""
 
         return {
-            "gains": dataclasses.asdict(self.gains),
-            "geometry": dataclasses.asdict(self.geometry),
-            "sigma2": self.sigma2,
-            "alpha": self.alpha,
-            "lambda": self.price,
-            "budgets": dataclasses.asdict(self.budgets),
+            **_params(self),
             "scenarios": [kind.value for kind in self.scenarios],
             "axis": self.axis.as_dict(),
             "preset": self.preset,
@@ -447,8 +462,9 @@ def write_sweep_csv(rows: Sequence[SweepRow], path: str | Path, log_base: str = 
 def read_sweep_csv(path: str | Path) -> list[SweepRow]:
     """Parse a sweep CSV back into rows (base-2 display columns are ignored).
 
-    An empty file, a foreign header or a row short of the sweep columns
-    raises ``ValueError``.
+    An empty file, a foreign header, a row short of the sweep columns or a
+    numeric cell that is not a finite number raises ``ValueError``, naming
+    the line and column.
     """
 
     with open(path, "r", encoding="utf-8", newline="") as handle:
@@ -462,8 +478,23 @@ def read_sweep_csv(path: str | Path) -> list[SweepRow]:
         for record in reader:
             if len(record) < 9:
                 raise ValueError(f"sweep CSV line {reader.line_num} has {len(record)} of 9 cells")
-            rows.append(SweepRow(*map(float, record[:7]), mode=record[7], provenance=record[8]))
+            line = reader.line_num
+            values = [
+                _csv_number(line, column, cell) for column, cell in zip(_SWEEP_COLUMNS, record[:7])
+            ]
+            rows.append(SweepRow(*values, mode=record[7], provenance=record[8]))
         return rows
+
+
+def _csv_number(line: int, column: str, cell: str) -> float:
+    """The finite number in one sweep CSV cell, checked like every input."""
+
+    name = f"sweep CSV line {line} column {column}"
+    try:
+        value = float(cell)
+    except ValueError:
+        raise ValueError(f"{name} must be a number, got {cell!r}") from None
+    return _require_finite(name, value)
 
 
 def run_mobility(config: ExperimentConfig) -> list[MobilityRow]:
@@ -505,16 +536,6 @@ def write_mobility_csv(rows: Sequence[MobilityRow], path: str | Path, log_base: 
     """Write mobility rows as CSV, mirroring the sweep float conventions."""
 
     _write_csv(path, _MOBILITY_COLUMNS, rows, log_base)
-
-
-_PARAM_KEYS = ("gains", "geometry", "sigma2", "alpha", "lambda", "budgets")
-
-
-def _params(config: ExperimentConfig) -> dict[str, object]:
-    """The physical parameter block of :meth:`ExperimentConfig.to_dict`."""
-
-    serialized = config.to_dict()
-    return {key: serialized[key] for key in _PARAM_KEYS}
 
 
 def _audit_point(config: ExperimentConfig) -> dict[str, object]:

@@ -8,7 +8,8 @@ objective's form in :mod:`coopsec.allocator` computes that point
 (``argmax``) and its analytic ``slope``; the oracle takes the point only
 once the slope certifies it.  Where the certificate fails, an exhaustive
 grid search (plus a golden-section refinement pass) finds the argmax
-instead.
+instead.  Every audit evaluation takes a Python float; numpy arrays run
+only in that fallback.
 ``validate_scenario`` runs both paths side by side and labels every formula
 with a verdict, so a transcription error in a printed expression surfaces
 as data instead of silently steering an allocation.
@@ -48,6 +49,7 @@ from .model import (
     _as_nonnegative,
     _as_positive,
     _as_whole,
+    _from_checked,
     _require_finite,
 )
 from .rates import ScenarioKind
@@ -87,9 +89,18 @@ Objective = Callable[[float], float]
 
 
 def _eval_scalar(objective: Objective, x: float) -> float:
-    """Evaluate ``objective`` at one point, rejecting non-finite values."""
+    """Evaluate ``objective`` at one point, rejecting non-finite values.
 
-    value = float(objective(x))
+    A float division by a number that underflows to zero raises
+    ``ZeroDivisionError`` where numpy gives inf or NaN, and ``math.log1p``
+    raises ``ValueError`` below its domain where numpy gives NaN; either has
+    no finite value at ``x`` and gives the same message.
+    """
+
+    try:
+        value = float(objective(x))
+    except (ZeroDivisionError, ValueError):
+        value = math.nan
     if not math.isfinite(value):
         raise ValueError(f"objective is not finite at x={x!r}")
     return value
@@ -150,7 +161,7 @@ def grid_search_optimum(
     except (TypeError, ValueError):
         ys = None
     if ys is None:
-        ys = np.array([float(objective(float(x))) for x in xs])
+        ys = np.array([_eval_scalar(objective, float(x)) for x in xs])
     # argmax stops at the first NaN and finds +inf; the minimum finds -inf
     idx = int(np.argmax(ys))
     if not (math.isfinite(ys[idx]) and math.isfinite(ys.min())):
@@ -215,17 +226,16 @@ def _certified(key: _Gap | _RelaySlice, p: float, hi: float) -> bool:
 def _oracle_argmax(objective: Objective, key: _Gap | _RelaySlice, hi: float) -> float:
     """The argmax on ``[0, hi]`` of ``objective``, whose form is ``key``.
 
-    Both ends are evaluated first, as one array, and a value that is not
-    finite there raises, naming the end: every intermediate of both forms is
-    monotone in the decision, so an overflow or a zero divisor anywhere on
-    the interval shows at an end.  The argmax is the form's exact point
-    (``key.argmax``) if :func:`_certified`, else the exhaustive grid
-    search's.
+    Both ends are evaluated first, as Python floats, 0 before ``hi``, and a
+    value that is not finite there raises, naming the end: every
+    intermediate of both forms is monotone in the decision, so an overflow
+    or a zero divisor anywhere on the interval shows at an end.  The argmax
+    is the form's exact point (``key.argmax``) if :func:`_certified`, else
+    the exhaustive grid search's.
     """
 
-    for x, value in zip((0.0, hi), objective(np.array([0.0, hi]))):
-        if not math.isfinite(value):
-            raise ValueError(f"objective is not finite at x={x!r}")
+    _eval_scalar(objective, 0.0)
+    _eval_scalar(objective, hi)
     p = key.argmax(hi)
     if p is None or not _certified(key, p, hi):
         p, _ = grid_search_optimum(objective, 0.0, hi)
@@ -440,16 +450,19 @@ def _check_formula(
         abs_dev = abs(root_value - oracle_x)
     rel_dev = abs_dev / max(1.0, abs(oracle_x))
 
-    return FormulaCheck(
-        formula_id=formula_id,
-        closed_form_value=closed_form,
-        root_value=root_value,
-        oracle_value=oracle_x,
-        abs_deviation=abs_dev,
-        rel_deviation=rel_dev,
-        derivative_residual=residual,
-        verdict=verdict,
-        note="; ".join(notes),
+    return _from_checked(
+        FormulaCheck,
+        {
+            "formula_id": formula_id,
+            "closed_form_value": closed_form,
+            "root_value": root_value,
+            "oracle_value": oracle_x,
+            "abs_deviation": abs_dev,
+            "rel_deviation": rel_dev,
+            "derivative_residual": residual,
+            "verdict": verdict,
+            "note": "; ".join(notes),
+        },
     )
 
 

@@ -105,8 +105,8 @@ def test_allocator_holds_no_printed_formula_builder():
 
 def test_traced_validation_matches_untraced():
     """The tracer wraps every objective in a counting closure; the oracle's
-    argmax must not depend on the callable it gets.  The only arrays the
-    audit evaluates are its end checks, two points per entry."""
+    argmax must not depend on the callable it gets.  The audit evaluates no
+    array: its end checks are two Python floats per entry."""
 
     from coopsec.harness import ExperimentConfig, run_validation
 
@@ -118,7 +118,7 @@ def test_traced_validation_matches_untraced():
     finally:
         tracer.uninstall()
     assert traced == run_validation(ExperimentConfig(seed=3), samples=2)
-    assert tracer.export()["counts"][tracing.ARRAY_POINTS] == 3 * 13 * 2
+    assert tracer.export()["counts"].get(tracing.ARRAY_POINTS, 0) == 0
 
 
 @pytest.mark.parametrize("workload", ["negotiation", "audit"])

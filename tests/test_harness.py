@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 import re
@@ -32,7 +33,7 @@ from coopsec import (
     write_sweep_csv,
 )
 from coopsec import harness
-from coopsec.harness import PRESETS
+from coopsec.harness import DEFAULT_GAINS, PRESETS
 
 
 class TestSweepAxis:
@@ -172,6 +173,59 @@ class TestExperimentConfig:
         path = tmp_path / "config.json"
         write_json(config.to_dict(), path)
         assert load_config(path) == config
+
+
+def random_config(rng):
+    """A config with every physical parameter drawn from ``rng``."""
+
+    return ExperimentConfig(
+        gains=ChannelGains(*rng.uniform(0.0, 2.0, 6)),
+        geometry=Geometry(*rng.uniform(0.5, 3.0, 5), eta=float(rng.uniform(1.0, 4.0))),
+        sigma2=float(rng.uniform(0.1, 3.0)),
+        alpha=float(rng.uniform(0.05, 1.0)),
+        price=float(rng.uniform(0.0, 1.0)),
+        budgets=PowerBudget(*rng.uniform(0.0, 10.0, 2)),
+        seed=int(rng.integers(0, 2**31)),
+    )
+
+
+def params_configs():
+    rng = np.random.default_rng(23)
+    configs = [ExperimentConfig(), *map(preset_config, PRESETS), mobility_default_config()]
+    # gains built by path loss skip ChannelGains.__init__
+    attenuated = DEFAULT_GAINS.effective(preset_config("fig6").geometry)
+    configs.append(ExperimentConfig(gains=attenuated))
+    return configs + [random_config(rng) for _ in range(20)]
+
+
+class TestParams:
+    """``_params`` reads the physical block straight from the config's fields."""
+
+    @pytest.mark.parametrize("config", params_configs())
+    def test_matches_the_dataclass_serialization(self, config):
+        want = {
+            "gains": dataclasses.asdict(config.gains),
+            "geometry": dataclasses.asdict(config.geometry),
+            "sigma2": config.sigma2,
+            "alpha": config.alpha,
+            "lambda": config.price,
+            "budgets": dataclasses.asdict(config.budgets),
+        }
+        got = harness._params(config)
+        assert got == want and json.dumps(got) == json.dumps(want)
+        head = dict(list(config.to_dict().items())[: len(want)])
+        assert json.dumps(head) == json.dumps(want)
+
+    def test_returns_fresh_dicts(self):
+        config = mobility_default_config()
+        want = json.dumps(harness._params(config))
+        got = harness._params(config)
+        for block in ("gains", "geometry", "budgets"):
+            got[block]["g_ab" if block == "gains" else "eta"] = -1.0
+            got[block]["extra"] = 1.0
+        got["sigma2"] = -1.0
+        assert json.dumps(harness._params(config)) == want
+        assert config == mobility_default_config()
 
 
 class TestPresets:
@@ -326,6 +380,35 @@ class TestSweepCsv:
         lines[2] = ",".join(lines[2].split(",")[:cut])
         path.write_text("\n".join(lines) + "\n", encoding="utf-8")
         with pytest.raises(ValueError, match=f"^sweep CSV line 3 has {cut} of 9 cells$"):
+            read_sweep_csv(path)
+
+    @pytest.mark.parametrize(
+        "column,cell,message",
+        [
+            ("cs2_nat", "x", "must be a number, got 'x'"),
+            ("axis", "", "must be a number, got ''"),
+            ("p_j", "nan", "must be finite, got nan"),
+            ("p_jb", "-inf", "must be finite, got -inf"),
+            ("cs1_nat", "Infinity", "must be finite, got inf"),
+        ],
+    )
+    def test_read_names_a_bad_cell(self, tmp_path, column, cell, message):
+        path = tmp_path / "sweep.csv"
+        write_sweep_csv(run_sweep(preset_config("fig5"))[:2], path)
+        lines = path.read_text(encoding="utf-8").splitlines()
+        cells = lines[2].split(",")
+        cells[harness._SWEEP_COLUMNS.index(column)] = cell
+        lines[2] = ",".join(cells)
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        want = f"^sweep CSV line 3 column {column} {re.escape(message)}$"
+        with pytest.raises(ValueError, match=want):
+            read_sweep_csv(path)
+
+    def test_read_names_the_cell_of_a_hand_written_row(self, tmp_path):
+        path = tmp_path / "sweep.csv"
+        header = ",".join(harness._SWEEP_COLUMNS)
+        path.write_text(f"{header}\n1,2,x,4,5,6,7,non_coop,\n", encoding="utf-8")
+        with pytest.raises(ValueError, match="^sweep CSV line 2 column cs2_nat must be a number"):
             read_sweep_csv(path)
 
     @pytest.mark.parametrize("log_base", ["10", "E", "", 2])

@@ -63,6 +63,20 @@ class TestGridSearchOptimum:
         assert best_x == 2.5
         assert best_f == math.log1p(2.5)
 
+    def test_a_zero_divisor_on_a_point_interval_is_not_finite(self):
+        key = allocator._RelaySlice(0.4, 0.3, 1e-30, 1e-30, 1e-300, 0.01, 1.0, 1.0)
+        with pytest.raises(ValueError, match=r"^objective is not finite at x=0\.0$"):
+            grid_search_optimum(key, 0.0, 0.0)
+
+    def test_a_scalar_only_objective_names_its_first_zero_divisor(self):
+        def scalar_only(x):
+            if isinstance(x, np.ndarray):
+                raise TypeError
+            return 1.0 / (x - 4.0) if x >= 4.0 else -x
+
+        with pytest.raises(ValueError, match=r"^objective is not finite at x=4\.0$"):
+            grid_search_optimum(scalar_only, 0.0, 10.0, 11)
+
     def test_rejects_reversed_interval(self):
         with pytest.raises(ValueError):
             grid_search_optimum(lambda x: x, 1.0, 0.0)
@@ -116,6 +130,17 @@ class TestFiniteDiffDerivative:
     def test_rejects_non_positive_step(self):
         with pytest.raises(ValueError):
             finite_diff_derivative(lambda x: x, 1.0, 0.0)
+
+    def test_a_zero_divisor_is_not_finite(self):
+        # s2 * (first hop + second hop + s2) underflows to zero in float arithmetic
+        key = allocator._RelaySlice(0.4, 0.3, 1e-30, 1e-30, 1e-300, 0.01, 1.0, 1.0)
+        with pytest.raises(ValueError, match=r"^objective is not finite at x=0\.501$"):
+            finite_diff_derivative(key, 0.5, 1e-3)
+
+    def test_a_domain_error_is_not_finite(self):
+        # the upper stencil point is evaluated first
+        with pytest.raises(ValueError, match=r"^objective is not finite at x=1\.0$"):
+            finite_diff_derivative(lambda x: math.log1p(-2.0 * x), 0.75, 0.25)
 
 
 EXPECTED_ENTRY_IDS = {
@@ -268,25 +293,46 @@ class TestValidationReport:
         assert by_id["non_coop.p_a"]["closed_form_value"] is None
         assert decoded["summary"] == report.summary()
 
+    def test_a_check_is_built_like_a_constructed_one(self):
+        # _check_formula skips __init__: each entry must still compare, hash, print
+        # and copy like the one __init__ builds from the same fields
+        for kind in ScenarioKind:
+            for price in (0.01, 1.0):
+                for entry in standard_report(kind, price).entries:
+                    fields = {f.name: getattr(entry, f.name) for f in dataclasses.fields(entry)}
+                    built = oracle.FormulaCheck(**fields)
+                    assert entry == built and hash(entry) == hash(built)
+                    assert repr(entry) == repr(built) and vars(entry) == vars(built)
+                    assert list(vars(entry)) == list(vars(built))
+                    assert dataclasses.replace(entry) == entry
+                    noted = dataclasses.replace(entry, note="x")
+                    assert noted == dataclasses.replace(built, note="x") and noted.note == "x"
+
     def test_verdict_strings_are_the_serialized_labels(self):
         assert VERDICT_AGREE == "agree"
         assert VERDICT_SUSPECTED_TYPO == "suspected-typo"
         assert VERDICT_INFEASIBLE == "infeasible"
 
 
-def searched_arrays(search, *args):
-    """The arrays ``search`` evaluates its objective on, in order."""
+def searched_points(search, *args):
+    """Every input ``search`` evaluates its objective on, in order: each array
+    copied, each scalar as given."""
 
     objective, *rest = args
     seen = []
 
     def recorded(x):
-        if isinstance(x, np.ndarray):
-            seen.append(np.array(x, copy=True))
+        seen.append(np.array(x, copy=True) if isinstance(x, np.ndarray) else x)
         return objective(x)
 
     search(recorded, *rest)
     return seen
+
+
+def searched_arrays(search, *args):
+    """The arrays ``search`` evaluates its objective on, in order."""
+
+    return [x for x in searched_points(search, *args) if isinstance(x, np.ndarray)]
 
 
 class TestExactGrid:
@@ -393,15 +439,18 @@ class TestOracleArgmax:
 
     @pytest.mark.parametrize("hi", [1.0, 12.0, 1e4])
     def test_a_search_evaluates_the_ends_then_the_linspace_grid(self, monkeypatch, hi):
-        # certified: one array, the interval's two ends; forced to fall back, the
-        # exhaustive search's grid follows them, bit for bit
+        # certified: no array, and first the floats 0.0 and hi; forced to fall
+        # back, the exhaustive search's one array follows them, bit for bit
         for key in (STD_GAP, STD_RELAY):
-            (ends,) = searched_arrays(oracle._oracle_argmax, key, key, hi)
-            assert ends.tolist() == [0.0, hi]
+            points = searched_points(oracle._oracle_argmax, key, key, hi)
+            assert points == [0.0, hi]
+            assert all(type(x) is float for x in points)
             with monkeypatch.context() as forced:
                 no_exact_point(forced)
-                ends, grid = searched_arrays(oracle._oracle_argmax, key, key, hi)
-            assert ends.tolist() == [0.0, hi]
+                points = searched_points(oracle._oracle_argmax, key, key, hi)
+            assert points[:2] == [0.0, hi] and all(type(x) is float for x in points[:2])
+            (grid,) = [x for x in points if isinstance(x, np.ndarray)]
+            assert points[2] is grid
             assert grid.tobytes() == np.linspace(0.0, hi, 10001).tobytes()
 
     @pytest.mark.parametrize("resolution", [2, 3, 4, 7, 8, 101])
@@ -484,6 +533,24 @@ class TestOracleArgmax:
             harness.run_validation(ExperimentConfig(seed=job_seed), samples=1)
         assert fallbacks == []
 
+    def test_the_audit_evaluates_no_array(self, monkeypatch):
+        # the golden validate configs and the benchmark's audit jobs at seed 1:
+        # every form's value is taken at a Python float
+        inputs = []
+        for form in (Gap, RelaySlice):
+
+            def recorded(self, p, call=form.__call__):
+                inputs.append(type(p))
+                return call(self, p)
+
+            monkeypatch.setattr(form, "__call__", recorded)
+        for seed in (0, 1, 2):
+            harness.run_validation(ExperimentConfig(seed=seed), samples=10)
+        rng = random.Random(1)
+        for job_seed in [rng.randrange(2**31) for _ in range(64)]:
+            harness.run_validation(ExperimentConfig(seed=job_seed), samples=1)
+        assert inputs and set(inputs) == {float}
+
     @pytest.mark.parametrize("forced", ["no exact point", "failed certificate"])
     def test_a_forced_fallback_gives_the_same_verdicts(self, monkeypatch, fallbacks, forced):
         config = ExperimentConfig(seed=0)
@@ -545,6 +612,21 @@ class TestOracleArgmax:
     def test_a_non_finite_end_keeps_its_message(self, fallbacks, key, hi, where):
         with pytest.raises(ValueError, match=f"^objective is not finite at x={re.escape(where)}$"):
             oracle._oracle_argmax(key, key, hi)
+        assert fallbacks == []
+
+    @pytest.mark.parametrize(
+        "objective,where",
+        [
+            (lambda p: 1.0 / (12.0 - p), "12.0"),  # a zero divisor at hi only
+            (lambda p: 1.0 / p, "0.0"),  # at 0 only
+            (lambda p: 1.0 / (p * (12.0 - p)), "0.0"),  # at both: 0 is checked first
+            (lambda p: math.log1p(p - 2.0), "0.0"),  # below log1p's domain at 0
+        ],
+        ids=["divisor-at-hi", "divisor-at-0", "divisor-at-both", "log1p-domain"],
+    )
+    def test_a_raising_end_is_not_finite(self, fallbacks, objective, where):
+        with pytest.raises(ValueError, match=f"^objective is not finite at x={re.escape(where)}$"):
+            oracle._oracle_argmax(objective, STD_GAP, 12.0)
         assert fallbacks == []
 
     def test_the_residual_is_the_objective_slope(self):
