@@ -1,10 +1,11 @@
 """Audit the printed closed-form optima against the numeric oracle.
 
 Every allocation decision has three independent answers: the printed
-closed form, the positive root of the stationarity polynomial, and a
-grid-plus-golden-section search over the actual priced objective. Where
-all three agree the verdict is ``agree``; where the closed form deviates
-from the other two the verdict is ``suspected-typo``. At the standard
+closed form, the positive root of the stationarity polynomial, and the
+oracle's argmax of the actual priced objective: the objective's own exact
+KKT point, certified by its analytic slope, with a grid search kept only as
+a fallback. Where all three agree the verdict is ``agree``; where the
+closed form deviates from the other two the verdict is ``suspected-typo``. At the standard
 parameter point with a low power price, several printed forms flag.
 """
 
@@ -41,7 +42,7 @@ def main() -> None:
 
     print(
         "\nthe flagged closed forms disagree with both the polynomial root"
-        "\nand the independent grid search; the roots are the trustworthy path"
+        "\nand the oracle's slope-certified argmax; the roots are the trustworthy path"
     )
 
 

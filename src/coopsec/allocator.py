@@ -1,9 +1,9 @@
 """Priced power allocation from stationarity polynomials.
 
 Each transmitter is billed for the power its request makes the pair spend:
-the billed amount is ``alpha * p_jb`` or ``p_ab / alpha`` for the relaying
-slices, ``alpha * p_j`` or ``p_a / alpha`` for the power-swap modes, and the
-raw power otherwise.  An allocation maximises
+its decision variable times ``rates._scale`` of the variable's link row,
+``alpha`` or ``1 / alpha`` when cooperating and one otherwise.  An
+allocation maximises
 
     f(p) = secrecy-rate term(p) - price * billed(p)
 
@@ -16,12 +16,14 @@ eigenvalue or polynomial routine.
 Every direct-mode decision (non-cooperative, one-sided and power swap) is the
 same priced secrecy gap ``log(1 + g x / s2) - log(1 + e x / s2) - price x`` in
 the carried power ``x = scale * p``; which links and which scale each message
-uses comes from the direct-mode link table in :mod:`coopsec.rates`.  One
-kernel solves :func:`noncoop_quadratic` in ``x`` for all six decisions.
-Relaying solves the cubic :func:`relay_cubic_for_a` at fixed own-message
-seeds of half of each budget; the relay slices' objectives read their links
-from the relay link table.  Every number a public function takes goes
-through the one check family of :mod:`coopsec.model`.
+uses comes from the direct-mode link table in :mod:`coopsec.rates`, by the
+secrecy rates' own rule, so at price zero each objective is its message's
+secrecy rate, bit for bit.  One kernel solves :func:`noncoop_quadratic` in
+``x`` for all six decisions.  Relaying solves the cubic
+:func:`relay_cubic_for_a` at fixed own-message seeds of half of each budget;
+the relay slices' objectives read their links from the relay link table.
+Every number a public function takes goes through the one check family of
+:mod:`coopsec.model`.
 
 Public entry points check their inputs.  An allocation checks ``alpha``
 and ``price`` once and passes the floats to private kernels that do the
@@ -60,7 +62,7 @@ from .model import (
     _as_positive,
     _from_checked,
 )
-from .rates import _DIRECT_LINKS, _RELAY_LINKS, RatePair, ScenarioKind, _secrecy_rate
+from .rates import _DIRECT_LINKS, _RELAY_LINKS, RatePair, ScenarioKind, _scale, _secrecy_rate
 
 __all__ = [
     "OptimalAllocation",
@@ -443,16 +445,6 @@ def evaluate_closed_forms(
 # penalised objectives
 
 
-def _scale(alpha_power: int, alpha: float | None) -> float:
-    """``alpha**alpha_power``: power carried, or billed, per unit of a link's
-    decision variable.  ``alpha`` must be checked when ``alpha_power`` is not
-    zero, and is not read otherwise."""
-
-    if alpha_power == 0:
-        return 1.0
-    return alpha if alpha_power > 0 else 1.0 / alpha
-
-
 class _Gap(NamedTuple):
     """Priced secrecy gap of a message carried at ``x = scale * p``."""
 
@@ -767,6 +759,10 @@ def mac_allocation(
     return _direct_allocation(ScenarioKind.MAC_COOP, gains, noise, budget, a, lam, _ARGMAX)
 
 
+# Relay mode's first row: a's message, whose slice p_jb the cubic decides.
+_RELAY_REQUEST = _RELAY_LINKS[ScenarioKind.RELAY_COOP][0]
+
+
 def _relay_seeds(budget: PowerBudget, alpha: float) -> tuple[float, float, float, float]:
     """Relay mode's fixed own-message seeds and the slice bounds they leave.
 
@@ -775,13 +771,14 @@ def _relay_seeds(budget: PowerBudget, alpha: float) -> tuple[float, float, float
     exchange ratio, of a's, and ``p_ab`` mirrors that.
     """
 
+    scale = _scale(_RELAY_REQUEST.alpha_power, alpha)
     seed_a, seed_j = 0.5 * budget.p_a_max, 0.5 * budget.p_j_max
     free_a, free_j = budget.p_a_max - seed_a, budget.p_j_max - seed_j
     return (
         seed_a,
         seed_j,
-        max(min(free_j, free_a / alpha), 0.0),
-        max(min(free_a, alpha * free_j), 0.0),
+        max(min(free_j, free_a / scale), 0.0),
+        max(min(free_a, scale * free_j), 0.0),
     )
 
 
@@ -816,10 +813,11 @@ def relay_allocation(
         raise ValueError("relay_coop: polynomial coefficients overflow") from None
     roots = solve_cubic_real(coeffs)
     kind = ScenarioKind.RELAY_COOP
+    scale = _scale(_RELAY_REQUEST.alpha_power, a)
     # penalized_objective(RELAY_COOP, "p_jb", ...) at the seed, on the checked floats
-    objective = _RelaySlice(*_RELAY_LINKS[kind][0].gains(gains), s2, lam, seed_a, a)
+    objective = _RelaySlice(*_RELAY_REQUEST.gains(gains), s2, lam, seed_a, scale)
     p_jb, prov = _argmax_candidate(objective.__call__, roots, hi)
-    p_ab = a * p_jb
+    p_ab = scale * p_jb
     p_a, p_j = max(budget.p_a_max - p_ab, 0.0), max(budget.p_j_max - p_jb, 0.0)
     return _allocation(kind, gains, s2, None, p_a, p_j, p_ab, p_jb, {"p_jb": prov})
 

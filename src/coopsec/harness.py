@@ -133,12 +133,7 @@ _PRESET_SHAPES = {
 }
 PRESETS = tuple(_PRESET_SHAPES)
 
-_ALL_SCENARIOS = (
-    ScenarioKind.RELAY_COOP,
-    ScenarioKind.MAC_COOP,
-    ScenarioKind.ONE_SIDE_COOP,
-    ScenarioKind.NON_COOP,
-)
+_ALL_SCENARIOS = tuple(ScenarioKind)  # relay, mac, one-sided, non-cooperative
 
 
 def _as_log_base(log_base: str) -> str:
@@ -462,9 +457,10 @@ def write_sweep_csv(rows: Sequence[SweepRow], path: str | Path, log_base: str = 
 def read_sweep_csv(path: str | Path) -> list[SweepRow]:
     """Parse a sweep CSV back into rows (base-2 display columns are ignored).
 
-    An empty file, a foreign header, a row short of the sweep columns or a
-    numeric cell that is not a finite number raises ``ValueError``, naming
-    the line and column.
+    An empty file, a foreign header, a row short of the sweep columns, a
+    numeric cell that is not a finite number or a ``mode`` that is no
+    :class:`ScenarioKind` value raises ``ValueError``, naming the line and
+    column.  ``provenance`` is free text.
     """
 
     with open(path, "r", encoding="utf-8", newline="") as handle:
@@ -482,6 +478,9 @@ def read_sweep_csv(path: str | Path) -> list[SweepRow]:
             values = [
                 _csv_number(line, column, cell) for column, cell in zip(_SWEEP_COLUMNS, record[:7])
             ]
+            if record[7] not in _ALL_SCENARIOS:
+                name, modes = f"sweep CSV line {line} column mode", ", ".join(_ALL_SCENARIOS)
+                raise ValueError(f"{name} must be one of {modes}, got {record[7]!r}")
             rows.append(SweepRow(*values, mode=record[7], provenance=record[8]))
         return rows
 
@@ -558,10 +557,6 @@ def _audit_point(config: ExperimentConfig) -> dict[str, object]:
     }
 
 
-# An underflowing sigma2 makes the audit's numpy objectives divide by zero or
-# overflow.  Every value that reaches the report is tested for finiteness,
-# so numpy's warnings would only add lines to stderr.
-@np.errstate(divide="ignore", over="ignore", invalid="ignore")
 def run_validation(config: ExperimentConfig, samples: int = 100) -> dict[str, object]:
     """Validate every scenario at the config point and at random points.
 

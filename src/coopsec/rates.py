@@ -17,8 +17,8 @@ The four modes:
 
 ``mac_coop``
     A mutual power swap: a's message is carried by the borrowed power
-    ``alpha * p_j`` over a's links, j's message by ``p_a / alpha`` over j's
-    links.
+    ``alpha * p_j`` over a's links, j's message by ``(1 / alpha) * p_a`` over
+    j's links.
 
 ``relay_coop``
     Each side keeps transmitting directly and additionally relays the
@@ -134,7 +134,7 @@ class _RelayLink(NamedTuple):
 
 
 # Message 1 (a's) and message 2 (j's) of each mode, in one of two tables.
-# Secrecy rates, the allocator's objectives and its allocations read them;
+# Secrecy rates and the allocator read them and scale powers only by _scale;
 # the relay rows are each other's mirror, written only here.
 _DIRECT_LINKS: dict[ScenarioKind, tuple[_Link, _Link]] = {
     ScenarioKind.NON_COOP: (_Link("g_ab", "g_ae", "p_a", 0), _Link("g_jb", "g_je", "p_j", 0)),
@@ -152,12 +152,19 @@ _RELAY_LINKS: dict[ScenarioKind, tuple[_RelayLink, _RelayLink]] = {
 }
 
 
+def _scale(alpha_power: int, alpha: float | None) -> float:
+    """``alpha**alpha_power``: power carried, or billed, per unit of a link's
+    decision variable.  ``alpha`` must be checked when ``alpha_power`` is not
+    zero, and is not read otherwise."""
+
+    if alpha_power == 0:
+        return 1.0
+    return alpha if alpha_power > 0 else 1.0 / alpha
+
+
 def _message_gap(link: _Link, gains: ChannelGains, power: float, alpha, s2: float) -> float:
     # the SNRs of model.snr_direct, on secrecy_rate's checked floats
-    if link.alpha_power > 0:
-        power = alpha * power
-    elif link.alpha_power < 0:
-        power = power / alpha
+    power = _scale(link.alpha_power, alpha) * power
     g_main, g_eve = getattr(gains, link.main), getattr(gains, link.eve)
     return math.log1p(g_main * power / s2) - math.log1p(g_eve * power / s2)
 

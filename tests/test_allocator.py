@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import collections
 import math
+import random
 from unittest import mock
 
 import numpy as np
@@ -29,6 +31,7 @@ from coopsec import (
     one_side_allocation,
     penalized_objective,
     relay_allocation,
+    secrecy_rate,
     validate_scenario,
 )
 from coopsec import allocator
@@ -50,6 +53,7 @@ from coopsec.oracle import (
     relay_cubic_for_j,
 )
 from coopsec.model import Geometry
+from coopsec.rates import _DIRECT_LINKS, _RELAY_LINKS
 
 
 # module-level parameters for hypothesis tests (fixtures are not reset
@@ -856,6 +860,83 @@ class TestRelayObjectiveMirror:
         # the same floats but the billing: p_ab / alpha against alpha * p_jb
         assert key_ab[:-1] == key_jb[:-1]
         assert (key_ab[-1], key_jb[-1]) == (1.0 / alpha, alpha)
+
+
+def price_zero_objectives(kind, gains, noise, alpha, powers):
+    """``{variable: value}`` of the objective of the variable that funds each
+    message, message 1 (a's) first, at price zero and at ``powers``."""
+
+    rows = _DIRECT_LINKS.get(kind) or _RELAY_LINKS[kind]
+    values = {}
+    for row in rows:
+        variable = row.power if kind in _DIRECT_LINKS else row.slice
+        own = {"p_a": powers["p_a"], "p_j": powers["p_j"], "alpha": alpha}
+        objective = penalized_objective(kind, variable, gains, noise, price=0.0, **own)
+        values[variable] = objective(powers[variable])
+    return values
+
+
+def parent_relay_seeds(budget, alpha):
+    """``_relay_seeds`` as it spelled ``alpha`` itself, before it read the link row."""
+
+    seed_a, seed_j = 0.5 * budget.p_a_max, 0.5 * budget.p_j_max
+    free_a, free_j = budget.p_a_max - seed_a, budget.p_j_max - seed_j
+    return (
+        seed_a,
+        seed_j,
+        max(min(free_j, free_a / alpha), 0.0),
+        max(min(free_a, alpha * free_j), 0.0),
+    )
+
+
+class TestObjectiveAtPriceZeroIsTheRate:
+    """The rates and the objectives read the same link rows and scale a power
+    by ``alpha`` through one rule, ``rates._scale``: at price zero each
+    objective is its message's secrecy rate, bit for bit."""
+
+    def test_every_decision_variable_on_random_draws(self):
+        rng = random.Random(0)
+        misses = collections.Counter()
+        checked = collections.Counter()
+        for _ in range(2500):
+            gains = ChannelGains(*(rng.uniform(0.05, 1.0) for _ in range(6)))
+            noise = NoiseModel(rng.uniform(0.1, 2.0))
+            alpha = rng.uniform(0.2, 1.0)
+            powers = {name: rng.uniform(0.0, 10.0) for name in ("p_a", "p_j", "p_ab", "p_jb")}
+            for kind in ScenarioKind:
+                pair = secrecy_rate(kind, gains, noise, alpha=alpha, **powers)
+                values = price_zero_objectives(kind, gains, noise, alpha, powers)
+                for (variable, value), rate in zip(values.items(), (pair.cs1, pair.cs2)):
+                    checked[kind.value, variable] += 1
+                    misses[kind.value, variable] += value.hex() != rate.hex()
+        assert len(checked) == 8
+        assert +misses == collections.Counter()
+
+    def test_relay_pin_is_the_row_scale_times_p_jb(self):
+        rng = random.Random(1)
+        row = _RELAY_LINKS[ScenarioKind.RELAY_COOP][0]
+        for _ in range(500):
+            gains = ChannelGains(*(rng.uniform(0.05, 1.0) for _ in range(6)))
+            budget = PowerBudget(rng.uniform(0.0, 10.0), rng.uniform(0.0, 10.0))
+            alpha = rng.choice([1.0, rng.uniform(0.05, 1.0)])
+            price = 10.0 ** rng.uniform(-3.0, 0.0)
+            allocation = relay_allocation(
+                gains, NoiseModel(rng.uniform(0.1, 2.0)), budget, alpha=alpha, price=price
+            )
+            pinned = allocator._scale(row.alpha_power, alpha) * allocation.p_jb
+            assert allocation.p_ab.hex() == pinned.hex() == (alpha * allocation.p_jb).hex()
+
+    def test_relay_seeds_keep_their_floats(self):
+        rng = random.Random(2)
+        for _ in range(2000):
+            budget = PowerBudget(
+                rng.choice([0.0, rng.uniform(0.0, 10.0), 10.0 ** rng.uniform(-300, 300)]),
+                rng.choice([0.0, rng.uniform(0.0, 10.0), 10.0 ** rng.uniform(-300, 300)]),
+            )
+            alpha = rng.choice([1.0, rng.uniform(1e-6, 1.0), 10.0 ** rng.uniform(-300, 0)])
+            got = allocator._relay_seeds(budget, alpha)
+            want = parent_relay_seeds(budget, alpha)
+            assert [x.hex() for x in got] == [x.hex() for x in want]
 
 
 DIRECT_ALLOCATIONS = {

@@ -143,6 +143,48 @@ def test_benchmark_timed_functions_are_called(tmp_path, workload):
     assert [name for name in timed if name not in called] == []
 
 
+def test_alpha_scales_a_power_by_one_rule_in_rates():
+    from coopsec import allocator, rates
+
+    assert allocator._scale is rates._scale
+    package = Path(coopsec.__file__).parent
+    sources = {p.name: p.read_text(encoding="utf-8") for p in sorted(package.glob("*.py"))}
+    defining = [name for name, text in sources.items() if "def _scale(" in text]
+    assert defining == ["rates.py"]
+    gap = inspect.getsource(rates._message_gap)
+    assert "alpha * power" not in gap and "power / alpha" not in gap
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+def test_benchmark_negotiations_rate_each_message_by_its_objective(seed):
+    """On the ``negotiation`` workload's inputs, the objective of the variable
+    that funds each message, at price zero and at the allocation's own
+    powers over the attenuated gains, is the message's ``cs``, bit for bit."""
+
+    from coopsec import NoiseModel, negotiate, penalized_objective
+    from coopsec.protocol import ConstraintMode
+    from coopsec.rates import _DIRECT_LINKS, _RELAY_LINKS
+
+    inputs, _ = load_perfbench("workloads").negotiation_inputs(seed, 2048)
+    misses = []
+    for slot, point in enumerate(inputs):
+        kind, allocation = negotiate(
+            point.policy, point.gains, point.geometry, point.sigma2, point.price,
+            point.budgets, ConstraintMode.CORRECTED,
+        )
+        gains, noise = point.gains.effective(point.geometry), NoiseModel(point.sigma2)
+        own = {"p_a": allocation.p_a, "p_j": allocation.p_j}
+        rows = _DIRECT_LINKS.get(kind) or _RELAY_LINKS[kind]
+        for row, cs in zip(rows, (allocation.cs.cs1, allocation.cs.cs2)):
+            variable = row.power if kind in _DIRECT_LINKS else row.slice
+            objective = penalized_objective(
+                kind, variable, gains, noise, price=0.0, alpha=point.policy.alpha, **own
+            )
+            if objective(getattr(allocation, variable)).hex() != cs.hex():
+                misses.append((slot, kind.value, variable))
+    assert misses == []
+
+
 def test_allocations_share_one_signature():
     from coopsec import allocator
 

@@ -367,7 +367,6 @@ class TestBadConfigs:
             assert len(entries) == 13
             assert all(e["closed_form_value"] is None for e in entries)
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_underflowing_noise_validation_is_a_clean_error(self, tmp_path, capsys):
         # s2 * (first hop + s2) underflows: the relay objective is 0 / 0 at p = 0,
         # which the roots' decision skips and the oracle search reports
@@ -380,7 +379,6 @@ class TestBadConfigs:
         assert err[-1] == "coopsec: error: validate: objective is not finite at x=0.0"
         assert not out.exists()
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize("command", ["validate", "sweep", "mobility", "negotiate"])
     @pytest.mark.parametrize(
         "text",
@@ -424,6 +422,8 @@ class TestBadConfigs:
             '{"sigma2": 5e-324}',
             '{"sigma2": 1e-200, "budgets": {"p_a_max": 0, "p_j_max": 5}}',
             '{"sigma2": 1e-300, "budgets": {"p_a_max": 0, "p_j_max": 0}}',
+            '{"sigma2": 1e-310}',
+            '{"sigma2": 1e-160}',
         ],
     )
     def test_underflowing_noise_prints_no_warning(self, tmp_path, command, text):

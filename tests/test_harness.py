@@ -411,6 +411,38 @@ class TestSweepCsv:
         with pytest.raises(ValueError, match="^sweep CSV line 2 column cs2_nat must be a number"):
             read_sweep_csv(path)
 
+    @pytest.mark.parametrize(
+        "mode", ["bogus", "", "NON_COOP", "mac", " mac_coop", "ScenarioKind.MAC_COOP"]
+    )
+    def test_read_names_a_bad_mode(self, tmp_path, mode):
+        path = tmp_path / "sweep.csv"
+        header = ",".join(harness._SWEEP_COLUMNS)
+        rows = f"1,2,3,4,5,6,7,non_coop,\n1,2,3,4,5,6,7,{mode},whatever\n"
+        path.write_text(f"{header}\n{rows}", encoding="utf-8")
+        modes = "relay_coop, mac_coop, one_side_coop, non_coop"
+        got = re.escape(repr(mode))
+        want = f"^sweep CSV line 3 column mode must be one of {modes}, got {got}$"
+        with pytest.raises(ValueError, match=want) as info:
+            read_sweep_csv(path)
+        assert "\n" not in str(info.value)
+
+    def test_read_takes_every_mode_and_free_text_provenance(self, tmp_path):
+        # a fig5 row carries the preset's variant label, not a Provenance value
+        path = tmp_path / "sweep.csv"
+        header = ",".join(harness._SWEEP_COLUMNS)
+        labels = ["d_ae=1.5,d_jb=1", "", "whatever", "budget-clamped"]
+        body = "".join(
+            f'{i},2,3,4,5,6,7,{kind.value},"{label}"\n'
+            for i, (kind, label) in enumerate(zip(ScenarioKind, labels))
+        )
+        path.write_text(f"{header}\n{body}", encoding="utf-8")
+        rows = read_sweep_csv(path)
+        assert [(row.mode, row.provenance) for row in rows] == [
+            (kind.value, label) for kind, label in zip(ScenarioKind, labels)
+        ]
+        assert all(type(row.mode) is str for row in rows)
+        assert any(row.provenance == "d_ae=1.5,d_jb=1" for row in run_sweep(preset_config("fig5")))
+
     @pytest.mark.parametrize("log_base", ["10", "E", "", 2])
     def test_writers_reject_an_unknown_log_base(self, tmp_path, log_base):
         sweep, mobility = tmp_path / "sweep.csv", tmp_path / "mobility.csv"

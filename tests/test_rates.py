@@ -212,7 +212,7 @@ def composed_rates(kind, gains, s2, p_a, p_j, alpha, p_ab, p_jb):
     if kind is ScenarioKind.ONE_SIDE_COOP:
         return gap(g.g_ab, g.g_ae, p_a), gap(g.g_ab, g.g_ae, alpha * p_j)
     if kind is ScenarioKind.MAC_COOP:
-        return gap(g.g_ab, g.g_ae, alpha * p_j), gap(g.g_jb, g.g_je, p_a / alpha)
+        return gap(g.g_ab, g.g_ae, alpha * p_j), gap(g.g_jb, g.g_je, (1.0 / alpha) * p_a)
     return (
         relayed(g.g_ab, g.g_ae, g.g_aj, g.g_jb, p_a, p_jb),
         relayed(g.g_jb, g.g_je, g.g_ja, g.g_ab, p_j, p_ab),
