@@ -7,11 +7,11 @@ allocation maximises
 
     f(p) = secrecy-rate term(p) - price * billed(p)
 
-over the feasible interval.  The stationary candidates come from fixed
-coefficient formulas rather than from a numerical derivative, so results are
-reproducible bit for bit.  Both root solvers are closed forms on Python
-floats, polished by Newton steps where needed; no allocation calls a numpy
-eigenvalue or polynomial routine.
+over the feasible interval.  A direct-mode power is decided by the KKT
+conditions on fixed coefficient formulas, evaluating no objective; relay
+mode scores its printed cubic's roots and the interval ends.  Both root
+solvers are closed forms on Python floats, polished by Newton steps where
+needed and calling no numpy routine, so results are reproducible bit for bit.
 
 Every direct-mode decision (non-cooperative, one-sided and power swap) is the
 same priced secrecy gap ``log(1 + g x / s2) - log(1 + e x / s2) - price x`` in
@@ -473,11 +473,11 @@ class _Gap(NamedTuple):
         return scale * sum(terms), scale * sum(map(abs, terms))
 
     def argmax(self, hi: float) -> float | None:
-        """The argmax on ``[0, hi]``, by the priced-gap kernel's argmax rule;
-        ``None`` when the quadratic's coefficients overflow."""
+        """The argmax on ``[0, hi]``, the allocations' KKT point; ``None``
+        when the quadratic's coefficients overflow."""
 
         try:
-            return _priced_gap_optimum(*self, hi, _ARGMAX)[0]
+            return _priced_gap_optimum(*self, hi)[0]
         except OverflowError:
             return None
 
@@ -631,48 +631,30 @@ def _argmax_candidate(
     return best_p, Provenance.INTERIOR
 
 
-# Pick rules of the priced-gap kernel: ``_ARGMAX`` keeps the best objective
-# value among 0, the budget and the interior roots; ``_THRESHOLD`` is the
-# direct-transmission rule of :func:`_threshold_pick`, used by non_coop only.
-_ARGMAX = "argmax"
-_THRESHOLD = "threshold"
-
-
-def _threshold_pick(
-    roots: Sequence[float], hi: float, main_stronger: bool
-) -> tuple[float, Provenance]:
-    """Take the smallest interior stationary point, else go all-in iff the
-    legitimate link is the stronger one.
-
-    The price enters only through the roots, so at a high price this spends
-    the whole budget where the argmax rule would spend nothing.
-    """
-
-    interior = [r for r in roots if math.isfinite(r) and 0.0 < r < hi]
-    if interior:
-        return min(interior), Provenance.INTERIOR
-    if main_stronger and hi > 0:
-        return float(hi), Provenance.BUDGET
-    return 0.0, Provenance.ZERO
-
-
 def _priced_gap_optimum(
-    g_main: float, g_eve: float, s2: float, lam: float, scale: float, hi: float, pick: str
+    g_main: float, g_eve: float, s2: float, lam: float, scale: float, hi: float, all_in=False
 ) -> tuple[float, Provenance]:
-    """Power ``p`` in ``[0, hi]`` for a message carried at ``x = scale * p``.
-
-    Solves :func:`noncoop_quadratic` in ``x`` and maps its roots back to
-    ``x / scale``.  Without a price over identical links the objective is
-    flat and the decision is zero, with no root to solve for.
+    """Power ``p`` in ``[0, hi]`` for a message carried at ``x = scale * p``,
+    by the KKT conditions (Boyd & Vandenberghe, *Convex Optimization*, 5.5):
+    the slope in ``x`` has the sign of ``-(c0 x^2 + c1 x + c2)`` over the
+    coefficients of :func:`noncoop_quadratic`, and ``c0, c1 >= 0``.  So a
+    constant term ``c2 >= 0`` means zero; else the one positive root, mapped
+    to ``x / scale`` and clamped to ``[0, hi]``, is the power, and no root (no
+    price) the budget.  ``all_in`` is non_coop's threshold rule: a zero on a
+    link whose main gain beats the eavesdropper's takes the budget.
     """
 
     coeffs = _gap_quadratic(g_main, g_eve, s2, lam)
-    if not any(coeffs):
-        return 0.0, Provenance.ZERO
-    roots = [x / scale for x in solve_quadratic_real(coeffs)]
-    if pick == _THRESHOLD:
-        return _threshold_pick(roots, hi, g_main > g_eve)
-    return _argmax_candidate(_Gap(g_main, g_eve, s2, lam, scale).__call__, roots, hi)
+    if coeffs[2] < 0.0 and hi > 0.0:
+        roots = solve_quadratic_real(coeffs)
+        p = roots[-1] / scale if roots else math.inf
+        if p >= hi:
+            return float(hi), Provenance.BUDGET
+        if p > 0.0:
+            return p, Provenance.INTERIOR
+    if all_in and g_main > g_eve and hi > 0.0:
+        return float(hi), Provenance.BUDGET
+    return 0.0, Provenance.ZERO
 
 
 # ---------------------------------------------------------------------------
@@ -696,7 +678,7 @@ def _direct_allocation(
     budget: PowerBudget,
     alpha: float | None,
     lam: float,
-    pick: str,
+    all_in: bool = False,
 ) -> OptimalAllocation:
     hi = {"p_a": budget.p_a_max, "p_j": budget.p_j_max}
     try:
@@ -708,7 +690,7 @@ def _direct_allocation(
                 lam,
                 _scale(link.alpha_power, alpha),
                 hi[link.power],
-                pick,
+                all_in,
             )
             for link in _DIRECT_LINKS[kind]
         }
@@ -725,7 +707,8 @@ def noncoop_allocation(
     """Independent direct transmission on both sides, by the threshold rule."""
 
     lam = _as_nonnegative("price", price)
-    return _direct_allocation(ScenarioKind.NON_COOP, gains, noise, budget, None, lam, _THRESHOLD)
+    kind = ScenarioKind.NON_COOP
+    return _direct_allocation(kind, gains, noise, budget, None, lam, all_in=True)
 
 
 def one_side_allocation(
@@ -739,7 +722,7 @@ def one_side_allocation(
     """j donates power, a forwards j's message over its own links."""
 
     a, lam = _as_alpha(alpha), _as_nonnegative("price", price)
-    return _direct_allocation(ScenarioKind.ONE_SIDE_COOP, gains, noise, budget, a, lam, _ARGMAX)
+    return _direct_allocation(ScenarioKind.ONE_SIDE_COOP, gains, noise, budget, a, lam)
 
 
 def mac_allocation(
@@ -756,7 +739,7 @@ def mac_allocation(
     """
 
     a, lam = _as_alpha(alpha), _as_nonnegative("price", price)
-    return _direct_allocation(ScenarioKind.MAC_COOP, gains, noise, budget, a, lam, _ARGMAX)
+    return _direct_allocation(ScenarioKind.MAC_COOP, gains, noise, budget, a, lam)
 
 
 # Relay mode's first row: a's message, whose slice p_jb the cubic decides.
@@ -835,10 +818,12 @@ def bisect_price_for_budget(
     """Smallest price at which consumption drops to the target.
 
     ``consumed_power`` maps a price to total allocated power and must be
-    non-increasing.  The bracket's upper end starts at ``max(1, 2 * price_lo)``
-    and doubles until it meets the target; the bracket is then bisected to a
-    width of ``1e-10`` relative to the price.  Returns ``price_lo`` at once
-    when the target is met there.
+    non-increasing, as ``one_side_coop``'s and ``mac_coop``'s spend is (not
+    ``non_coop``'s: its threshold rule jumps to the budget as the price rises
+    past a break-even price).  The bracket's upper end starts at ``max(1, 2
+    * price_lo)`` and doubles until it meets the target; the bracket is then
+    bisected to a width of ``1e-10`` relative to the price.  Returns
+    ``price_lo`` at once when the target is met there.
 
     Raises
     ------

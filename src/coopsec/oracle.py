@@ -279,9 +279,9 @@ class FormulaCheck:
         closed form exists for the entry, NaN when the expression has no
         real value at these parameters.
     root_value:
-        Decision implied by the polynomial condition: the best of its
-        positive real roots and the interval endpoints under the penalized
-        objective.
+        Decision implied by the polynomial condition: its positive real
+        roots and the interval ends scored by the objective, as
+        ``relay_allocation`` scores; the direct allocations decide by KKT.
     oracle_value:
         Argmax of the same objective on the same interval: its certified
         KKT point, or the grid search's where the certificate fails.
@@ -386,8 +386,8 @@ def _check_formula(
     The search interval starts at the budget bound but is stretched to twice
     the largest positive candidate value, so a stationary point lying beyond
     the budget is still visible to the comparison instead of being clamped
-    out of existence.  The roots imply a decision by the allocator's own
-    rule, :func:`coopsec.allocator._argmax_candidate`.
+    out of existence.  The roots imply a decision by ``relay_allocation``'s
+    scoring, :func:`coopsec.allocator._argmax_candidate`, not by KKT.
     """
 
     positives = [r for r in roots if math.isfinite(r) and r > 0.0]

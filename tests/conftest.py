@@ -3,8 +3,14 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import settings
 
 from coopsec import ChannelGains, Geometry, NoiseModel, PowerBudget
+
+# Every hypothesis property draws the same examples on every run, so a
+# failure reproduces and a pass means the same thing each time.
+settings.register_profile("derandomized", derandomize=True)
+settings.load_profile("derandomized")
 
 
 @pytest.fixture

@@ -829,13 +829,21 @@ class TestDecisionsInPlainFloats:
 
             return argmax(evaluated, roots, hi)
 
+        def evaluated_gap(self, p):
+            raise AssertionError("a direct allocation evaluated its objective")
+
         noise, budgets = NoiseModel(1.0), PowerBudget(5.0, 5.0)
         with mock.patch.object(allocator, "_argmax_candidate", recording):
             for price in (0.0, 1e-4, 0.01, 0.1, 1.0):
-                for allocate in (one_side_allocation, mac_allocation, relay_allocation):
-                    before = len(values)
-                    allocate(STD_GAINS, noise, budgets, alpha=0.8, price=price)
-                    assert len(values) > before
+                before = len(values)
+                relay_allocation(STD_GAINS, noise, budgets, alpha=0.8, price=price)
+                assert len(values) > before
+        # the direct allocations decide by KKT: they score no candidate
+        with mock.patch.object(allocator, "_argmax_candidate", None):
+            with mock.patch.object(allocator._Gap, "__call__", evaluated_gap):
+                for price in (0.0, 1e-4, 0.01, 0.1, 1.0):
+                    for allocate in DIRECT_ALLOCATIONS.values():
+                        allocate(STD_GAINS, noise, budgets, 0.8, price)
         assert {type(v) for v in values} == {float}
 
 

@@ -15,12 +15,14 @@ for bit.
 
 from __future__ import annotations
 
+import collections
 import math
+import random
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from coopsec import (
@@ -49,6 +51,7 @@ from coopsec.oracle import (
     one_side_quadratic_pa,
     relay_cubic_for_j,
 )
+from coopsec.rates import _DIRECT_LINKS, _scale
 
 # relative tolerances, fixed before the comparison was run
 SEPARATED_ROOT_TOL = 1e-12
@@ -278,6 +281,43 @@ def assert_same_decision(ours, theirs):
     assert math.isclose(ours[0], theirs[0], rel_tol=POWER_TOL, abs_tol=0.0), (ours, theirs)
 
 
+# Two powers tie under a priced gap when its float values there agree within
+# TIE_ULPS units in the last place of the largest magnitude among its terms
+# and values, or within TIE_FLOOR, below which a subnormal budget's values lie.
+TIE_ULPS = 4.0
+TIE_FLOOR = 2.0**-1064
+
+
+def is_tie(key, p, q):
+    """Whether powers ``p`` and ``q`` tie under the priced gap ``key``."""
+
+    g_main, g_eve, s2, lam, scale = key
+    at_p, at_q = key(p), key(q)
+    magnitudes = [abs(at_p), abs(at_q)]
+    for x in (scale * p, scale * q):
+        magnitudes += [math.log1p(g_main * x / s2), math.log1p(g_eve * x / s2), lam * x]
+    return abs(at_p - at_q) <= max(TIE_ULPS * math.ulp(max(magnitudes)), TIE_FLOOR)
+
+
+def assert_same_or_tied(key, ours, theirs):
+    """The KKT decision ``ours`` is the scored ``theirs``, or a float tie with
+    it: scoring keeps the smaller of two powers whose values round alike."""
+
+    same = ours[1] is theirs[1] and math.isclose(ours[0], theirs[0], rel_tol=POWER_TOL)
+    assert same or is_tie(key, ours[0], theirs[0]), (key, ours, theirs)
+
+
+# No price and a budget of one subnormal step: the carried power's values at 0
+# and at the budget round alike, so the scoring keeps zero where KKT spends.
+SUBNORMAL_BUDGET_AT_NO_PRICE = (
+    ChannelGains(g_ab=0.5, g_ae=0.25, g_jb=0.5, g_je=0.25, g_aj=0.0),
+    NoiseModel(1.0),
+    PowerBudget(5e-324, 5e-324),
+    0.5,
+    0.0,
+)
+
+
 class TestKernelAgainstPrintedPolynomials:
     """Every direct allocation equals the old pick over its printed polynomial."""
 
@@ -297,6 +337,7 @@ class TestKernelAgainstPrintedPolynomials:
                 reference_threshold(g_main, g_eve, roots, hi),
             )
 
+    @example(SUBNORMAL_BUDGET_AT_NO_PRICE)
     @given(direct_point())
     @settings(max_examples=300, deadline=None)
     def test_one_side(self, point):
@@ -308,11 +349,13 @@ class TestKernelAgainstPrintedPolynomials:
             ("p_j", mac_quadratic_pj(gains, noise, alpha=alpha, price=lam), budget.p_j_max),
         ):
             objective = penalized_objective(kind, side, gains, noise, price=lam, alpha=alpha)
-            assert_same_decision(
+            assert_same_or_tied(
+                objective,
                 (getattr(allocation, side), allocation.provenance[side]),
                 reference_argmax(objective, printed_roots(coeffs), hi),
             )
 
+    @example(SUBNORMAL_BUDGET_AT_NO_PRICE)
     @given(direct_point())
     @settings(max_examples=300, deadline=None)
     def test_mac(self, point):
@@ -324,10 +367,126 @@ class TestKernelAgainstPrintedPolynomials:
             ("p_a", mac_quadratic_pa(gains, noise, alpha=alpha, price=lam), budget.p_a_max),
         ):
             objective = penalized_objective(kind, side, gains, noise, price=lam, alpha=alpha)
-            assert_same_decision(
+            assert_same_or_tied(
+                objective,
                 (getattr(allocation, side), allocation.provenance[side]),
                 reference_argmax(objective, printed_roots(coeffs), hi),
             )
+
+
+DIRECT_ALLOCATIONS = {
+    ScenarioKind.NON_COOP: lambda gains, noise, budget, alpha, price: noncoop_allocation(
+        gains, noise, budget, price=price
+    ),
+    ScenarioKind.ONE_SIDE_COOP: lambda gains, noise, budget, alpha, price: one_side_allocation(
+        gains, noise, budget, alpha=alpha, price=price
+    ),
+    ScenarioKind.MAC_COOP: lambda gains, noise, budget, alpha, price: mac_allocation(
+        gains, noise, budget, alpha=alpha, price=price
+    ),
+}
+
+
+def scored_decision(kind, link, gains, s2, lam, alpha, hi):
+    """The earlier direct-mode decision, kept verbatim: solve the priced-gap
+    quadratic, then score 0, ``hi`` and its roots by objective value
+    (``non_coop``: the threshold rule over the same roots)."""
+
+    g_main, g_eve = getattr(gains, link.main), getattr(gains, link.eve)
+    scale = _scale(link.alpha_power, alpha)
+    coeffs = allocator._gap_quadratic(g_main, g_eve, s2, lam)
+    if not any(coeffs):
+        return 0.0, Provenance.ZERO
+    roots = [x / scale for x in solve_quadratic_real(coeffs)]
+    if kind is ScenarioKind.NON_COOP:
+        return reference_threshold(g_main, g_eve, roots, hi)
+    gap = allocator._Gap(g_main, g_eve, s2, lam, scale)
+    return allocator._argmax_candidate(gap.__call__, roots, hi)
+
+
+def random_direct_draw(rng):
+    """A direct mode and its inputs: gains 10^U(-3, 1), sigma2 10^U(-2, 1),
+    budgets 10^U(-2, 2), alpha U(0.05, 1)."""
+
+    kind = rng.choice(list(DIRECT_ALLOCATIONS))
+    gains = {name: 10.0 ** rng.uniform(-3.0, 1.0) for name in ("g_ab", "g_ae", "g_jb", "g_je")}
+    s2 = 10.0 ** rng.uniform(-2.0, 1.0)
+    budget = PowerBudget(10.0 ** rng.uniform(-2.0, 2.0), 10.0 ** rng.uniform(-2.0, 2.0))
+    return kind, gains, s2, budget, rng.uniform(0.05, 1.0)
+
+
+def each_decision(kind, gains, s2, budget, alpha, lam):
+    """``(link, form, KKT decision, scored decision)`` for both of an
+    allocation's powers."""
+
+    gains = ChannelGains(**gains, g_aj=0.0)
+    allocation = DIRECT_ALLOCATIONS[kind](gains, NoiseModel(s2), budget, alpha, lam)
+    for link in _DIRECT_LINKS[kind]:
+        hi = {"p_a": budget.p_a_max, "p_j": budget.p_j_max}[link.power]
+        scale = _scale(link.alpha_power, alpha)
+        form = allocator._Gap(getattr(gains, link.main), getattr(gains, link.eve), s2, lam, scale)
+        ours = getattr(allocation, link.power), allocation.provenance[link.power]
+        yield link, form, ours, scored_decision(kind, link, gains, s2, lam, alpha, hi)
+
+
+def ulps_away(x, k):
+    """``x`` moved ``k`` representable floats up (down for negative ``k``)."""
+
+    for _ in range(abs(k)):
+        x = math.nextafter(x, math.copysign(math.inf, k))
+    return x
+
+
+class TestKktAgainstScoring:
+    """The KKT rule decides every direct power as the earlier scoring did,
+    but for float ties near a break-even price."""
+
+    def test_generic_and_zero_prices_decide_bit_for_bit(self):
+        rng = random.Random(26)
+        for _ in range(3000):
+            kind, gains, s2, budget, alpha = random_direct_draw(rng)
+            lam = 0.0 if rng.random() < 0.3 else 10.0 ** rng.uniform(-6.0, 1.0)
+            for _, _, ours, scored in each_decision(kind, gains, s2, budget, alpha, lam):
+                assert ours == scored and ours[0].hex() == scored[0].hex(), (kind, ours, scored)
+
+    def test_near_break_even_prices_differ_only_by_ties(self):
+        # a price within 4 ulp of where a power leaves zero, (g_main - g_eve) / s2,
+        # or of where it leaves the budget, the gap's slope at the budget
+        rng = random.Random(27)
+        differ = collections.Counter()
+        for _ in range(4000):
+            kind, gains, s2, budget, alpha = random_direct_draw(rng)
+            link = rng.choice(_DIRECT_LINKS[kind])
+            g_main, g_eve = sorted((gains[link.main], gains[link.eve]), reverse=True)
+            gains[link.main], gains[link.eve] = g_main, g_eve
+            if rng.random() < 0.5:
+                break_even = (g_main - g_eve) / s2
+            else:
+                hi = {"p_a": budget.p_a_max, "p_j": budget.p_j_max}[link.power]
+                x = _scale(link.alpha_power, alpha) * hi
+                break_even = g_main / (s2 + g_main * x) - g_eve / (s2 + g_eve * x)
+            lam = max(ulps_away(break_even, rng.randint(-4, 4)), 0.0)
+            for _, form, ours, scored in each_decision(kind, gains, s2, budget, alpha, lam):
+                if ours != scored:
+                    differ[kind.value] += 1
+                    assert_same_or_tied(form, ours, scored)
+        assert differ == collections.Counter(non_coop=0, one_side_coop=257, mac_coop=193)
+
+    def test_a_zero_clamped_power_solves_no_quadratic(self, std_noise, std_budgets):
+        # eavesdroppers that hear better than the receivers, and prices above break-even
+        stronger_eve = ChannelGains(g_ab=0.3, g_ae=0.4, g_jb=0.3, g_je=0.5, g_aj=0.2)
+        weaker_eve = ChannelGains(g_ab=0.4, g_ae=0.3, g_jb=0.5, g_je=0.3, g_aj=0.2)
+        cases = [(kind, stronger_eve, lam) for kind in DIRECT_ALLOCATIONS for lam in (0.0, 0.01)]
+        cases += [(ScenarioKind.ONE_SIDE_COOP, weaker_eve, 1.0)]
+        cases += [(ScenarioKind.MAC_COOP, weaker_eve, 1.0)]
+        with mock.patch.object(allocator, "solve_quadratic_real", side_effect=AssertionError):
+            for kind, gains, price in cases:
+                allocation = DIRECT_ALLOCATIONS[kind](gains, std_noise, std_budgets, 0.8, price)
+                assert set(allocation.provenance.values()) == {Provenance.ZERO}, (kind, price)
+            # no budget: nothing to decide, whatever the quadratic
+            for kind, allocate in DIRECT_ALLOCATIONS.items():
+                allocation = allocate(weaker_eve, std_noise, PowerBudget(0.0, 0.0), 0.8, 0.01)
+                assert set(allocation.provenance.values()) == {Provenance.ZERO}, kind
 
 
 @st.composite

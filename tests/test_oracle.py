@@ -741,9 +741,11 @@ class TestPlantedKernelDefect:
         # so only the planted non_coop ones disagree
         assert len(certified) == 81
         assert {formula for _, _, formula in certified} == {"non_coop.p_a", "non_coop.p_j"}
-        # an oracle that trusted the exact point blindly would miss most of them
+        # an oracle that trusted the exact point blindly would flag only 47: the
+        # point takes the planted root wherever the planted constant term is
+        # negative, while the audit still scores that root against the ends
         monkeypatch.setattr(oracle, "_certified", lambda key, p, hi: True)
-        assert len(flagged_direct_entries()) == 37
+        assert len(flagged_direct_entries()) == 47
 
 
 def relay_slope(key, p):
@@ -787,7 +789,7 @@ class TestExactArgmax:
 
     def test_gap_keys_take_the_allocator_kernel(self):
         for hi in (1.0, 12.0):
-            want = allocator._priced_gap_optimum(*STD_GAP, hi, allocator._ARGMAX)[0]
+            want = allocator._priced_gap_optimum(*STD_GAP, hi)[0]
             assert STD_GAP.argmax(hi) == want
 
     @pytest.mark.parametrize(

@@ -230,6 +230,8 @@ class TestSecrecyRateKernel:
     """``secrecy_rate`` computes its SNRs itself; the bits are those of the
     public building blocks."""
 
+    # a bit-for-bit property over rounding choices needs many examples
+    @settings(max_examples=1000)
     @given(
         kind=st.sampled_from(list(ScenarioKind)),
         gains=st.lists(st.floats(min_value=0.0, max_value=10.0), min_size=6, max_size=6),
@@ -240,6 +242,7 @@ class TestSecrecyRateKernel:
     def test_equals_the_composition(self, kind, gains, s2, powers, alpha):
         assert_rates_compose(kind, ChannelGains(*gains), s2, *powers[:2], alpha, *powers[2:])
 
+    @settings(max_examples=1000)
     @given(
         kind=st.sampled_from(list(ScenarioKind)),
         gains=st.lists(st.floats(min_value=0.0, max_value=10.0), min_size=6, max_size=6),
