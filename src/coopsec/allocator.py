@@ -18,8 +18,8 @@ same priced secrecy gap ``log(1 + g x / s2) - log(1 + e x / s2) - price x`` in
 the carried power ``x = scale * p``; which links and which scale each message
 uses comes from the direct-mode link table in :mod:`coopsec.rates`, by the
 secrecy rates' own rule, so at price zero each objective is its message's
-secrecy rate, bit for bit.  One kernel solves :func:`noncoop_quadratic` in
-``x`` for all six decisions.  Relaying solves the cubic
+secrecy rate, bit for bit.  One kernel decides all six by
+:func:`noncoop_quadratic` in ``x``.  Relaying solves the cubic
 :func:`relay_cubic_for_a` at fixed own-message seeds of half of each budget;
 the relay slices' objectives read their links from the relay link table.
 Every number a public function takes goes through the one check family of
@@ -124,8 +124,9 @@ def solve_quadratic_real(coeffs: Sequence[float]) -> list[float]:
     ``q / c0`` and ``c2 / q``.  A leading coefficient below 2**-1022 of the
     largest one degrades to the linear (or empty) case: the root it drops
     lies beyond the float range.  Roots within 1e-9 (relative) of each other
-    merge, and a complex pair whose imaginary part is at most 1e-8 of its
-    modulus counts as one double root.
+    merge, unless their product ``c2 / c0`` is negative, which no double
+    root split by rounding has; a complex pair whose imaginary part is at
+    most 1e-8 of its modulus counts as one double root.
     """
 
     if len(coeffs) != 3:
@@ -148,9 +149,9 @@ def solve_quadratic_real(coeffs: Sequence[float]) -> list[float]:
     if q == 0.0:  # b == c == 0: a double root at the origin
         return [0.0]
     lo, hi = sorted((q / a, c / q))
-    if hi - lo <= 1e-9 * max(1.0, abs(hi)):
-        return [lo]
-    return [lo, hi]
+    if lo < 0.0 < hi or hi - lo > 1e-9 * max(1.0, abs(hi)):
+        return [lo, hi]
+    return [lo]
 
 
 def _newton_polish(a: float, b: float, c: float, d: float, x: float) -> float:
@@ -350,9 +351,9 @@ def noncoop_quadratic(g_main: float, g_eve: float, sigma2: float, price: float) 
     """Quadratic in the carried power of a single directly sent message.
 
     Generic in the link pair: pass ``(g_ab, g_ae)`` for a message on a's
-    links or ``(g_jb, g_je)`` for one on j's.  Every direct-mode allocation
-    solves this polynomial; :mod:`coopsec.oracle` audits its per-mode
-    printed spellings.
+    links or ``(g_jb, g_je)`` for one on j's.  The direct allocations solve
+    it only at a negative constant term; :mod:`coopsec.oracle` audits its
+    per-mode printed spellings.
     """
 
     g_main, g_eve = _as_nonnegative("g_main", g_main), _as_nonnegative("g_eve", g_eve)
@@ -474,7 +475,7 @@ class _Gap(NamedTuple):
 
     def argmax(self, hi: float) -> float | None:
         """The argmax on ``[0, hi]``, the allocations' KKT point; ``None``
-        when the quadratic's coefficients overflow."""
+        when the quadratic's coefficients overflow, or ``g_main / s2`` does."""
 
         try:
             return _priced_gap_optimum(*self, hi)[0]
@@ -632,7 +633,7 @@ def _argmax_candidate(
 
 
 def _priced_gap_optimum(
-    g_main: float, g_eve: float, s2: float, lam: float, scale: float, hi: float, all_in=False
+    g: float, e: float, s2: float, lam: float, scale: float, hi: float, all_in: bool = False
 ) -> tuple[float, Provenance]:
     """Power ``p`` in ``[0, hi]`` for a message carried at ``x = scale * p``,
     by the KKT conditions (Boyd & Vandenberghe, *Convex Optimization*, 5.5):
@@ -641,10 +642,20 @@ def _priced_gap_optimum(
     constant term ``c2 >= 0`` means zero; else the one positive root, mapped
     to ``x / scale`` and clamped to ``[0, hi]``, is the power, and no root (no
     price) the budget.  ``all_in`` is non_coop's threshold rule: a zero on a
-    link whose main gain beats the eavesdropper's takes the budget.
+    link whose main gain ``g`` beats the eavesdropper's ``e`` takes the budget.
+
+    The gap reads ``g`` and ``e`` only over ``s2``, so the quadratic is formed
+    in the power-of-two unit that brings ``max(g, e, s2)`` into ``[1, 2)``:
+    no coefficient overflows there but through the price.  Raises
+    ``OverflowError`` when one does, or when ``g / s2`` does and ``g > e``.
     """
 
-    coeffs = _gap_quadratic(g_main, g_eve, s2, lam)
+    k = math.frexp(max(g, e, s2))[1] - 1
+    if k:
+        g, e, s2 = math.ldexp(g, -k), math.ldexp(e, -k), math.ldexp(s2, -k)
+    coeffs = _gap_quadratic(g, e, s2, lam)
+    if not all(map(math.isfinite, coeffs)) or (s2 == 0.0 and g > e):
+        raise OverflowError("priced-gap coefficients overflow")
     if coeffs[2] < 0.0 and hi > 0.0:
         roots = solve_quadratic_real(coeffs)
         p = roots[-1] / scale if roots else math.inf
@@ -652,7 +663,7 @@ def _priced_gap_optimum(
             return float(hi), Provenance.BUDGET
         if p > 0.0:
             return p, Provenance.INTERIOR
-    if all_in and g_main > g_eve and hi > 0.0:
+    if all_in and g > e and hi > 0.0:
         return float(hi), Provenance.BUDGET
     return 0.0, Provenance.ZERO
 
@@ -680,25 +691,18 @@ def _direct_allocation(
     lam: float,
     all_in: bool = False,
 ) -> OptimalAllocation:
-    hi = {"p_a": budget.p_a_max, "p_j": budget.p_j_max}
+    s2, hi = noise.sigma2, {"p_a": budget.p_a_max, "p_j": budget.p_j_max}
+    decided = {}
     try:
-        decided = {
-            link.power: _priced_gap_optimum(
-                getattr(gains, link.main),
-                getattr(gains, link.eve),
-                noise.sigma2,
-                lam,
-                _scale(link.alpha_power, alpha),
-                hi[link.power],
-                all_in,
-            )
-            for link in _DIRECT_LINKS[kind]
-        }
-    except OverflowError:  # sigma2 * sigma2 in the quadratic
+        for link in _DIRECT_LINKS[kind]:
+            g, e = getattr(gains, link.main), getattr(gains, link.eve)
+            scale = _scale(link.alpha_power, alpha)
+            decided[link.power] = _priced_gap_optimum(g, e, s2, lam, scale, hi[link.power], all_in)
+    except OverflowError:
         raise ValueError(f"{kind.value}: polynomial coefficients overflow") from None
     (p_a, prov_a), (p_j, prov_j) = decided["p_a"], decided["p_j"]
     provenance = {"p_a": prov_a, "p_j": prov_j}
-    return _allocation(kind, gains, noise.sigma2, alpha, p_a, p_j, 0.0, 0.0, provenance)
+    return _allocation(kind, gains, s2, alpha, p_a, p_j, 0.0, 0.0, provenance)
 
 
 def noncoop_allocation(
@@ -707,8 +711,7 @@ def noncoop_allocation(
     """Independent direct transmission on both sides, by the threshold rule."""
 
     lam = _as_nonnegative("price", price)
-    kind = ScenarioKind.NON_COOP
-    return _direct_allocation(kind, gains, noise, budget, None, lam, all_in=True)
+    return _direct_allocation(ScenarioKind.NON_COOP, gains, noise, budget, None, lam, True)
 
 
 def one_side_allocation(

@@ -5,12 +5,35 @@ from __future__ import annotations
 import pytest
 from hypothesis import settings
 
-from coopsec import ChannelGains, Geometry, NoiseModel, PowerBudget
+from coopsec import (
+    ChannelGains,
+    Geometry,
+    NoiseModel,
+    PowerBudget,
+    ScenarioKind,
+    mac_allocation,
+    noncoop_allocation,
+    one_side_allocation,
+)
 
 # Every hypothesis property draws the same examples on every run, so a
 # failure reproduces and a pass means the same thing each time.
 settings.register_profile("derandomized", derandomize=True)
 settings.load_profile("derandomized")
+
+# The three direct allocations behind one positional signature,
+# ``(gains, noise, budget, alpha, price)``; non_coop ignores ``alpha``.
+DIRECT_ALLOCATIONS = {
+    ScenarioKind.NON_COOP: lambda gains, noise, budget, alpha, price: noncoop_allocation(
+        gains, noise, budget, price=price
+    ),
+    ScenarioKind.ONE_SIDE_COOP: lambda gains, noise, budget, alpha, price: one_side_allocation(
+        gains, noise, budget, alpha=alpha, price=price
+    ),
+    ScenarioKind.MAC_COOP: lambda gains, noise, budget, alpha, price: mac_allocation(
+        gains, noise, budget, alpha=alpha, price=price
+    ),
+}
 
 
 @pytest.fixture

@@ -54,6 +54,7 @@ from coopsec.oracle import (
 )
 from coopsec.model import Geometry
 from coopsec.rates import _DIRECT_LINKS, _RELAY_LINKS
+from conftest import DIRECT_ALLOCATIONS
 
 
 # module-level parameters for hypothesis tests (fixtures are not reset
@@ -93,6 +94,12 @@ class TestSolveQuadratic:
         roots = solve_quadratic_real([1.0, -2.0, 1.0])
         assert len(roots) == 1
         assert roots[0] == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("c", [-1e-20, -1e-40, -1e-200])
+    def test_roots_on_either_side_of_zero_never_merge(self, c):
+        # +-sqrt(-c) lie within 1e-9 of each other, but their product c is negative
+        root = math.sqrt(-c)
+        assert solve_quadratic_real([1.0, 0.0, c]) == [pytest.approx(-root), pytest.approx(root)]
 
     def test_degrades_to_linear(self):
         assert solve_quadratic_real([0.0, 2.0, -4.0]) == pytest.approx([2.0])
@@ -945,19 +952,6 @@ class TestObjectiveAtPriceZeroIsTheRate:
             got = allocator._relay_seeds(budget, alpha)
             want = parent_relay_seeds(budget, alpha)
             assert [x.hex() for x in got] == [x.hex() for x in want]
-
-
-DIRECT_ALLOCATIONS = {
-    "non_coop": lambda gains, noise, budget, alpha, price: noncoop_allocation(
-        gains, noise, budget, price=price
-    ),
-    "one_side_coop": lambda gains, noise, budget, alpha, price: one_side_allocation(
-        gains, noise, budget, alpha=alpha, price=price
-    ),
-    "mac_coop": lambda gains, noise, budget, alpha, price: mac_allocation(
-        gains, noise, budget, alpha=alpha, price=price
-    ),
-}
 
 
 def zero_or(lo, hi):

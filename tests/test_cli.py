@@ -392,13 +392,15 @@ class TestBadConfigs:
         self, tmp_path, capsys, command, text
     ):
         # with a zero own-power seed, s2 * (first hop + s2) is 0.0 at p_jb = 0: the
-        # relay objective is 0 / 0 there in float arithmetic, which the decision skips
+        # relay objective is 0 / 0 there in float arithmetic, which the decision skips;
+        # mobility decides by non_coop alone, whose quadratic is formed in the unit
+        # of its largest input and so decides at any noise
         config = self.write_config(tmp_path, text)
         out = tmp_path / "out"
         argv = [command, "--config", config, "--out", str(out)]
         if command == "validate":
             argv += ["--samples", "0"]
-        if command == "validate" or "5e-324" in text:
+        if command == "validate" or ("5e-324" in text and command != "mobility"):
             with pytest.raises(SystemExit) as excinfo:
                 main(argv)
             assert excinfo.value.code == 2
@@ -410,6 +412,8 @@ class TestBadConfigs:
             return
         code, _ = run_cli(argv, capsys)
         assert code == 0 and out.exists()
+        if command == "mobility":
+            assert all(map(math.isfinite, output_numbers(out)))
         if command == "negotiate":
             allocation = json.loads(out.read_text(encoding="utf-8"))["allocation"]
             assert allocation["p_jb"] == 0.0
@@ -572,11 +576,12 @@ class TestBadConfigs:
     @pytest.mark.parametrize("command", ["negotiate", "mobility", "sweep", "validate"])
     @pytest.mark.parametrize("sigma2", ["1.4e154", "1e160", "1.7e308"])
     def test_huge_noise_runs_or_fails_in_one_line(self, tmp_path, capsys, command, sigma2):
-        # sigma2 ** 2 overflows in the stationarity polynomials; a sweep solves none
+        # sigma2 ** 2 overflows in the relay and printed polynomials; a sweep solves
+        # none, and mobility's non_coop forms its quadratic in a unit where it cannot
         config = self.write_config(tmp_path, f'{{"sigma2": {sigma2}}}')
         out = tmp_path / "out"
         argv = [command, "--config", config, "--out", str(out)]
-        if command == "sweep":
+        if command in ("sweep", "mobility"):
             assert run_cli(argv, capsys)[0] == 0
             assert all(map(math.isfinite, output_numbers(out)))
             return
@@ -586,7 +591,7 @@ class TestBadConfigs:
             main(argv)
         assert excinfo.value.code == 2
         err = capsys.readouterr().err.strip().splitlines()
-        entry = {"negotiate": "relay_coop", "mobility": "non_coop", "validate": "relay_coop.p_jb"}
+        entry = {"negotiate": "relay_coop", "validate": "relay_coop.p_jb"}
         message = f"{command}: {entry[command]}: polynomial coefficients overflow"
         assert len(err) == 2 and err[-1] == f"coopsec: error: {message}"
         assert not out.exists()

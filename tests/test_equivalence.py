@@ -51,7 +51,8 @@ from coopsec.oracle import (
     one_side_quadratic_pa,
     relay_cubic_for_j,
 )
-from coopsec.rates import _DIRECT_LINKS, _scale
+from coopsec.rates import _DIRECT_LINKS, _scale, secrecy_rate
+from conftest import DIRECT_ALLOCATIONS
 
 # relative tolerances, fixed before the comparison was run
 SEPARATED_ROOT_TOL = 1e-12
@@ -92,7 +93,9 @@ def reference_roots(coeffs, merge_tol=1e-9):
     roots.sort()
     merged = []
     for x in roots:
-        if merged and abs(x - merged[-1]) <= merge_tol * max(1.0, abs(x)):
+        # a quadratic's roots on either side of zero are no split double root
+        apart = len(coeffs) == 3 and merged and merged[-1] < 0.0 < x
+        if merged and not apart and abs(x - merged[-1]) <= merge_tol * max(1.0, abs(x)):
             continue
         merged.append(x)
     return merged
@@ -176,6 +179,17 @@ class TestQuadraticSolverAgainstReference:
             ours = solve_quadratic_real(coeffs)
             assert_roots_match(ours, reference_roots(coeffs), NEAR_DOUBLE_ROOT_TOL)
             assert_roots_match(ours, [r0, r1], NEAR_DOUBLE_ROOT_TOL)
+
+    def test_roots_straddling_zero_stay_apart(self):
+        # closer than the merge tolerance, but on either side of zero
+        rng = np.random.default_rng(5609)
+        for _ in range(500):
+            r0, r1 = -(10.0 ** rng.uniform(-150, -10)), 10.0 ** rng.uniform(-150, -10)
+            coeffs = [1.0, -(r0 + r1), r0 * r1]
+            ours, theirs = solve_quadratic_real(coeffs), reference_roots(coeffs)
+            assert len(ours) == len(theirs) == 2, (coeffs, ours, theirs)
+            for want in (theirs, [r0, r1]):
+                assert ours == pytest.approx(want, rel=SEPARATED_ROOT_TOL), (coeffs, ours, want)
 
     def test_exact_double_root_is_kept(self):
         for centre in (-3.0, 0.5, 1.0, 7.25):
@@ -374,17 +388,6 @@ class TestKernelAgainstPrintedPolynomials:
             )
 
 
-DIRECT_ALLOCATIONS = {
-    ScenarioKind.NON_COOP: lambda gains, noise, budget, alpha, price: noncoop_allocation(
-        gains, noise, budget, price=price
-    ),
-    ScenarioKind.ONE_SIDE_COOP: lambda gains, noise, budget, alpha, price: one_side_allocation(
-        gains, noise, budget, alpha=alpha, price=price
-    ),
-    ScenarioKind.MAC_COOP: lambda gains, noise, budget, alpha, price: mac_allocation(
-        gains, noise, budget, alpha=alpha, price=price
-    ),
-}
 
 
 def scored_decision(kind, link, gains, s2, lam, alpha, hi):
@@ -487,6 +490,62 @@ class TestKktAgainstScoring:
             for kind, allocate in DIRECT_ALLOCATIONS.items():
                 allocation = allocate(weaker_eve, std_noise, PowerBudget(0.0, 0.0), 0.8, 0.01)
                 assert set(allocation.provenance.values()) == {Provenance.ZERO}, kind
+
+
+
+class TestKktAtExtremeInputs:
+    """Far outside the model's usual ranges every direct decision still meets
+    its KKT conditions, or the allocation refuses an SNR beyond the float range."""
+
+    def test_every_decision_is_certified_or_refused(self):
+        # sigma2 10^U(-300, 300); half of the draws take gains 10^U(-300, 300)
+        rng = random.Random(28)
+        outcomes = collections.Counter()
+        for _ in range(1500):
+            kind = rng.choice([ScenarioKind.ONE_SIDE_COOP, ScenarioKind.MAC_COOP])
+            exponents = (-300.0, 300.0) if rng.random() < 0.5 else (-3.0, 1.0)
+            gains = {n: 10.0 ** rng.uniform(*exponents) for n in ("g_ab", "g_ae", "g_jb", "g_je")}
+            s2 = 10.0 ** rng.uniform(-300.0, 300.0)
+            budget = PowerBudget(10.0 ** rng.uniform(-2.0, 2.0), 10.0 ** rng.uniform(-2.0, 2.0))
+            alpha = rng.uniform(0.05, 1.0)
+            lam = 0.0 if rng.random() < 0.2 else 10.0 ** rng.uniform(-6.0, 1.0)
+            links = _DIRECT_LINKS[kind]
+            try:
+                allocation = DIRECT_ALLOCATIONS[kind](
+                    ChannelGains(**gains, g_aj=0.0), NoiseModel(s2), budget, alpha, lam
+                )
+            except ValueError:
+                assert max(gains[link.main] / s2 for link in links) == math.inf
+                outcomes["refused"] += 1
+                continue
+            for link in links:
+                hi = {"p_a": budget.p_a_max, "p_j": budget.p_j_max}[link.power]
+                scale = _scale(link.alpha_power, alpha)
+                form = allocator._Gap(gains[link.main], gains[link.eve], s2, lam, scale)
+                p = getattr(allocation, link.power)
+                if math.isfinite(form.slope(p)[1]):
+                    assert oracle._certified(form, p, hi), (form, hi, p)
+                    outcomes["certified"] += 1
+                else:
+                    # g_main / s2 overflows at zero, the right decision when the
+                    # tapped link is at least as strong
+                    assert p == 0.0 and form.g_main <= form.g_eve, (form, hi, p)
+                    outcomes["zero"] += 1
+        assert outcomes == collections.Counter(certified=2664, zero=110, refused=113)
+
+    def test_a_root_pair_straddling_zero_keeps_its_positive_root(self):
+        # g_jb / sigma2 is about 2e288, and the quadratics' roots lie 1e-90 or
+        # closer on either side of zero: a tiny power buys the budget's rates
+        gains = ChannelGains(g_ab=0.4, g_ae=0.3, g_jb=1.69e105, g_je=4.76, g_aj=0.2)
+        noise, budget = NoiseModel(7.63e-184), PowerBudget(0.069, 0.069)
+        allocation = mac_allocation(gains, noise, budget, alpha=0.484, price=0.0157)
+        assert set(allocation.provenance.values()) == {Provenance.INTERIOR}
+        assert 0.0 < allocation.p_a < 1e-90 and 0.0 < allocation.p_j < 1e-90
+        spent = secrecy_rate(
+            ScenarioKind.MAC_COOP, gains, noise, p_a=0.069, p_j=0.069, alpha=0.484
+        )
+        ours, theirs = (allocation.cs.cs1, allocation.cs.cs2), (spent.cs1, spent.cs2)
+        assert ours == pytest.approx(theirs, rel=1e-15)
 
 
 @st.composite

@@ -582,12 +582,22 @@ class TestOracleArgmax:
         assert not oracle._certified(falling, 12.0, 12.0)
 
     def test_a_slope_that_is_not_finite_certifies_nothing(self, fallbacks):
-        # s2 * d * d underflows to zero at p = 0, where s2 * d does not
-        key = RelaySlice(0.4, 0.3, 1.0, 1.0, 1e-160, 0.01, 1e-150, 1.0)
+        # s2 * d * d underflows to zero at p = 0, where s2 * d does not; a price
+        # above the slope next to zero puts the exact argmax there
+        key = RelaySlice(0.4, 0.3, 1.0, 1.0, 1e-160, 1e151, 1e-150, 1.0)
         assert math.isnan(key.slope(0.0)[0])
-        assert not oracle._certified(key, 0.0, 1.0)
+        assert key.argmax(1.0) == 0.0 and not oracle._certified(key, 0.0, 1.0)
         assert oracle._oracle_argmax(key, key, 1.0) == grid_search_optimum(key, 0.0, 1.0)[0]
         assert len(fallbacks) == 1
+
+    def test_a_stationary_point_next_to_zero_is_certified(self, fallbacks):
+        # the slice's quadratic has roots of opposite sign 1e-74 apart; its
+        # positive one is the argmax, above every grid point's value
+        key = RelaySlice(0.4, 0.3, 1.0, 1.0, 1e-160, 0.01, 1e-150, 1.0)
+        p = oracle._oracle_argmax(key, key, 1.0)
+        assert 0.0 < p < 1e-74 and oracle._certified(key, p, 1.0)
+        assert key(p) > grid_search_optimum(key, 0.0, 1.0)[1]
+        assert fallbacks == []
 
     def test_an_infinite_slope_certifies_nothing(self):
         # g_main / s2 overflows at p = 0: the slope and its terms are inf there
@@ -805,8 +815,11 @@ class TestExactArgmax:
         assert key.argmax(12.0) == want
 
     def test_overflowing_gap_quadratic_has_no_exact_point(self):
-        # sigma2 * sigma2 overflows in the priced-gap quadratic
-        assert Gap(0.4, 0.3, 1e200, 0.01, 1.0).argmax(12.0) is None
+        # price * sigma2 * sigma2 overflows, or sigma2 vanishes beside the main gain
+        assert Gap(0.4, 0.3, 1.5, 1e308, 1.0).argmax(12.0) is None
+        assert Gap(1e300, 0.3, 1e-300, 0.01, 1.0).argmax(12.0) is None
+        # a noise that squares past the float range no longer overflows
+        assert Gap(0.4, 0.3, 1e200, 0.01, 1.0).argmax(12.0) == 0.0
 
 
 class TestTinyInputs:
