@@ -63,6 +63,7 @@ from .model import (
     _from_checked,
 )
 from .rates import _DIRECT_LINKS, _RELAY_LINKS, RatePair, ScenarioKind, _scale, _secrecy_rate
+from .rates import _Link, _RelayLink
 
 __all__ = [
     "OptimalAllocation",
@@ -543,36 +544,25 @@ class _RelaySlice(NamedTuple):
         return min(max(p, 0.0), hi) if math.isfinite(p) else None
 
 
-def _objective_key(
-    kind: ScenarioKind,
-    side: str,
-    gains: ChannelGains,
-    noise: NoiseModel,
-    price: float,
-    alpha: float | None = None,
-    p_a: float | None = None,
-    p_j: float | None = None,
-) -> _Gap | _RelaySlice:
-    """The form of :func:`penalized_objective`'s objective: its defining
-    floats, so two equal forms agree bit for bit at every point."""
+def _objective_row(kind: ScenarioKind, side: str) -> _Link | _RelayLink:
+    """The link row whose decision variable is ``side``."""
 
-    kind = ScenarioKind(kind)
-    lam = _as_nonnegative("price", price)
-    s2 = noise.sigma2
-
-    for link in _DIRECT_LINKS.get(kind, ()):
-        if link.power == side:
-            scale = _scale(link.alpha_power, _as_alpha(alpha) if link.alpha_power else None)
-            return _Gap(getattr(gains, link.main), getattr(gains, link.eve), s2, lam, scale)
-    for row in _RELAY_LINKS.get(kind, ()):
-        if row.slice == side:
-            own = {"p_a": p_a, "p_j": p_j}[row.power]
-            if own is None:
-                raise ValueError(f"relay side {side!r} needs the seed power {row.power}")
-            own = _as_nonnegative(row.power, own)
-            scale = _scale(row.alpha_power, _as_alpha(alpha))
-            return _RelaySlice(*row.gains(gains), s2, lam, own, scale)
+    for row in (*_DIRECT_LINKS.get(kind, ()), *_RELAY_LINKS.get(kind, ())):
+        if side == (row.power if type(row) is _Link else row.slice):
+            return row
     raise ValueError(f"unknown decision variable {side!r} for {kind.value}")
+
+
+def _objective_key(row, gains, s2, lam, alpha, own=None) -> _Gap | _RelaySlice:
+    """The form of the objective that decides ``row``, from checked floats:
+    ``alpha`` is read only when the row carries it and ``own``, the power
+    that funds a relay slice, only for a relay row.  Two equal forms agree
+    bit for bit at every point."""
+
+    scale = _scale(row.alpha_power, alpha)
+    if type(row) is _Link:
+        return _Gap(getattr(gains, row.main), getattr(gains, row.eve), s2, lam, scale)
+    return _RelaySlice(*row.gains(gains), s2, lam, own, scale)
 
 
 def penalized_objective(
@@ -595,41 +585,52 @@ def penalized_objective(
     ``math.log1p``, which raises ``ValueError`` below its domain.
     """
 
-    return _objective_key(kind, side, gains, noise, price, alpha, p_a, p_j)
+    kind, lam = ScenarioKind(kind), _as_nonnegative("price", price)
+    row = _objective_row(kind, side)
+    own = {"p_a": p_a, "p_j": p_j}[row.power]
+    if type(row) is _RelayLink:
+        if own is None:
+            raise ValueError(f"relay side {side!r} needs the seed power {row.power}")
+        own = _as_nonnegative(row.power, own)
+    alpha = _as_alpha(alpha) if row.alpha_power else None
+    return _objective_key(row, gains, noise.sigma2, lam, alpha, own)
 
 
 # ---------------------------------------------------------------------------
 # candidate selection
 
 
-def _argmax_candidate(
-    objective: Callable[[float], float], roots: Sequence[float], hi: float
-) -> tuple[float, Provenance]:
-    """The best of 0, ``hi`` and the roots inside ``(0, hi)`` under ``objective``.
+def _score(objective: Callable[[float], float], p: float) -> float:
+    """``objective(p)``; ``-inf`` where it is not finite or divides by an underflowed zero."""
 
-    Ties go to the smaller power.  A candidate whose value is not finite is
-    skipped, and so is one whose scalar evaluation divides by a number that
-    underflows to zero, where an array evaluation gives NaN.
+    try:
+        value = float(objective(p))
+    except ZeroDivisionError:
+        return -math.inf
+    return value if math.isfinite(value) else -math.inf
+
+
+def _argmax_candidate(
+    objective: Callable[[float], float], roots: Sequence[float], hi: float, ends=None
+) -> tuple[float, Provenance]:
+    """The best of 0, the roots inside ``(0, hi)`` and ``hi`` under ``objective``.
+
+    The candidates are scored in that order, the roots ascending, and one
+    wins only by a strictly larger value, so ties go to the smaller power.
+    A candidate is skipped where :func:`_score` gives ``-inf``.  ``ends``,
+    the finite values at 0 and ``hi > 0`` when the caller has them, are not
+    evaluated again.
     """
 
-    candidates = [0.0]
-    if hi > 0:
-        candidates.append(float(hi))
-    candidates.extend(float(r) for r in roots if math.isfinite(r) and 0.0 < r < hi)
-    best_p = 0.0
-    best_v = -math.inf
-    for p in sorted(candidates):
-        try:
-            v = float(objective(p))
-        except ZeroDivisionError:
-            continue
-        if math.isfinite(v) and v > best_v:
+    inside = sorted(float(r) for r in roots if math.isfinite(r) and 0.0 < r < hi)
+    best_p, best_v = 0.0, _score(objective, 0.0) if ends is None else ends[0]
+    for p in inside:
+        v = _score(objective, p)
+        if v > best_v:
             best_p, best_v = p, v
-    if best_p == 0.0:
-        return best_p, Provenance.ZERO
-    if best_p == hi:
-        return best_p, Provenance.BUDGET
-    return best_p, Provenance.INTERIOR
+    if hi > 0 and (_score(objective, float(hi)) if ends is None else ends[1]) > best_v:
+        return float(hi), Provenance.BUDGET
+    return best_p, Provenance.INTERIOR if best_p else Provenance.ZERO
 
 
 def _priced_gap_optimum(
@@ -671,6 +672,9 @@ def _priced_gap_optimum(
 # ---------------------------------------------------------------------------
 # allocations
 
+# Read by every decision: an enum member lookup costs about 160 ns on Python 3.11.
+_RELAY_COOP, _MAC_COOP, _ONE_SIDE_COOP, _NON_COOP = ScenarioKind  # in definition order
+
 
 def _allocation(kind, gains, s2, alpha, p_a, p_j, p_ab, p_jb, provenance) -> OptimalAllocation:
     """The allocation at the decided powers, with their secrecy rates; every
@@ -711,7 +715,7 @@ def noncoop_allocation(
     """Independent direct transmission on both sides, by the threshold rule."""
 
     lam = _as_nonnegative("price", price)
-    return _direct_allocation(ScenarioKind.NON_COOP, gains, noise, budget, None, lam, True)
+    return _direct_allocation(_NON_COOP, gains, noise, budget, None, lam, True)
 
 
 def one_side_allocation(
@@ -725,7 +729,7 @@ def one_side_allocation(
     """j donates power, a forwards j's message over its own links."""
 
     a, lam = _as_alpha(alpha), _as_nonnegative("price", price)
-    return _direct_allocation(ScenarioKind.ONE_SIDE_COOP, gains, noise, budget, a, lam)
+    return _direct_allocation(_ONE_SIDE_COOP, gains, noise, budget, a, lam)
 
 
 def mac_allocation(
@@ -742,11 +746,11 @@ def mac_allocation(
     """
 
     a, lam = _as_alpha(alpha), _as_nonnegative("price", price)
-    return _direct_allocation(ScenarioKind.MAC_COOP, gains, noise, budget, a, lam)
+    return _direct_allocation(_MAC_COOP, gains, noise, budget, a, lam)
 
 
 # Relay mode's first row: a's message, whose slice p_jb the cubic decides.
-_RELAY_REQUEST = _RELAY_LINKS[ScenarioKind.RELAY_COOP][0]
+_RELAY_REQUEST = _RELAY_LINKS[_RELAY_COOP][0]
 
 
 def _relay_seeds(budget: PowerBudget, alpha: float) -> tuple[float, float, float, float]:
@@ -798,14 +802,13 @@ def relay_allocation(
     except OverflowError:  # a float ** 2 raises where x * x would give inf
         raise ValueError("relay_coop: polynomial coefficients overflow") from None
     roots = solve_cubic_real(coeffs)
-    kind = ScenarioKind.RELAY_COOP
     scale = _scale(_RELAY_REQUEST.alpha_power, a)
     # penalized_objective(RELAY_COOP, "p_jb", ...) at the seed, on the checked floats
     objective = _RelaySlice(*_RELAY_REQUEST.gains(gains), s2, lam, seed_a, scale)
     p_jb, prov = _argmax_candidate(objective.__call__, roots, hi)
     p_ab = scale * p_jb
     p_a, p_j = max(budget.p_a_max - p_ab, 0.0), max(budget.p_j_max - p_jb, 0.0)
-    return _allocation(kind, gains, s2, None, p_a, p_j, p_ab, p_jb, {"p_jb": prov})
+    return _allocation(_RELAY_COOP, gains, s2, None, p_a, p_j, p_ab, p_jb, {"p_jb": prov})
 
 
 # ---------------------------------------------------------------------------

@@ -40,7 +40,7 @@ from .model import (
     _as_whole,
     _require_finite,
 )
-from .oracle import validate_scenario
+from .oracle import _validate
 from .protocol import ConstraintMode, NegotiationPolicy, distance_constraints_met, negotiate
 from .rates import _LN2, ScenarioKind, secrecy_rate
 
@@ -540,21 +540,31 @@ def write_mobility_csv(rows: Sequence[MobilityRow], path: str | Path, log_base: 
 def _audit_point(config: ExperimentConfig) -> dict[str, object]:
     """Parameter block and per-scenario validation reports at one point."""
 
-    return {
-        "params": _params(config),
-        "reports": {
-            kind.value: validate_scenario(
-                kind,
-                config.gains,
-                config.geometry,
-                config.sigma2,
-                config.alpha,
-                config.price,
-                config.budgets,
-            ).as_dict()
-            for kind in _ALL_SCENARIOS
-        },
-    }
+    inputs = (config.gains, config.geometry, config.sigma2, config.alpha, config.price)
+    reports = _validate(_ALL_SCENARIOS, *inputs, config.budgets)
+    return {"params": _params(config), "reports": {r.kind.value: r.as_dict() for r in reports}}
+
+
+# numpy ``uniform`` bounds of a random point's 16 fields in draw order: g_ab..g_ja,
+# d_ab..d_aj, sigma2, alpha, log10 of the price, p_a_max and p_j_max
+_DRAW_BOUNDS = ((0.05, 0.6),) * 6 + ((0.5, 3.0),) * 5 + ((0.5, 2.0), (0.3, 1.0), (-3.0, -1.0))
+_DRAW_BOUNDS += ((1.0, 10.0),) * 2
+
+
+def _random_point(rng: np.random.Generator) -> ExperimentConfig:
+    """A random audit point from one ``rng.random(16)``: ``lo + (hi - lo) * u``
+    is ``Generator.uniform``'s arithmetic, so each field has the bits of one
+    ``rng.uniform`` call per field (a vector per class) on the same stream."""
+
+    x = [lo + (hi - lo) * u for (lo, hi), u in zip(_DRAW_BOUNDS, rng.random(16).tolist())]
+    return ExperimentConfig(
+        gains=ChannelGains(*x[:6]),
+        geometry=Geometry(*x[6:11], eta=2.0),
+        sigma2=x[11],
+        alpha=x[12],
+        price=10.0 ** x[13],
+        budgets=PowerBudget(*x[14:]),
+    )
 
 
 def run_validation(config: ExperimentConfig, samples: int = 100) -> dict[str, object]:
@@ -575,19 +585,9 @@ def run_validation(config: ExperimentConfig, samples: int = 100) -> dict[str, ob
         "config_point": _audit_point(config),
     }
     rng = np.random.default_rng(config.seed)
-    random_points = []
-    for index in range(samples):
-        # drawn argument by argument; a vector fills its class's fields in
-        # order (g_ab..g_ja, d_ab..d_aj, p_a_max and p_j_max)
-        point = ExperimentConfig(
-            gains=ChannelGains(*map(float, rng.uniform(0.05, 0.6, size=6))),
-            geometry=Geometry(*map(float, rng.uniform(0.5, 3.0, size=5)), eta=2.0),
-            sigma2=float(rng.uniform(0.5, 2.0)),
-            alpha=float(rng.uniform(0.3, 1.0)),
-            price=float(10.0 ** rng.uniform(-3.0, -1.0)),
-            budgets=PowerBudget(*map(float, rng.uniform(1.0, 10.0, size=2))),
-        )
-        random_points.append({"sample": index, **_audit_point(point)})
+    random_points = [
+        {"sample": index, **_audit_point(_random_point(rng))} for index in range(samples)
+    ]
     report["random_points"] = random_points
 
     tally: dict[str, int] = {}
@@ -654,10 +654,11 @@ def _indented_json(data: object) -> str:
     """``json.dumps(data, indent=2, sort_keys=True, allow_nan=False)``, directly.
 
     One recursive writer appends to one list, which is joined once.  It
-    tries the types in the stdlib encoder's order (``str``, ``None``,
-    ``True``, ``False``, ``int``, ``float``, list or tuple, dict) and spells
-    them as it does: ``encode_basestring_ascii``, ``int.__repr__`` and
-    ``float.__repr__``.  A non-finite float, a non-``str`` key or any other
+    tries ``float``, ``str``, dict, list or tuple, ``None``, ``True``,
+    ``False`` and ``int``, the commonest first (no one subclasses another, so
+    a subclass takes its base's branch, as in the stdlib encoder) and spells
+    them as that encoder does: ``encode_basestring_ascii``, ``int.__repr__``
+    and ``float.__repr__``.  A non-finite float, a non-``str`` key or any other
     type raises :class:`_Unwritable`.
     """
 
@@ -666,31 +667,12 @@ def _indented_json(data: object) -> str:
     append = out.append
 
     def write(value: object, indent: str) -> None:
-        if isinstance(value, str):
-            append(encode_str(value))
-        elif value is None:
-            append("null")
-        elif value is True:
-            append("true")
-        elif value is False:
-            append("false")
-        elif isinstance(value, int):
-            append(int.__repr__(value))
-        elif isinstance(value, float):
+        if isinstance(value, float):
             if not math.isfinite(value):
                 raise _Unwritable
             append(float.__repr__(value))
-        elif isinstance(value, (list, tuple)):
-            if not value:
-                append("[]")
-                return
-            inner = indent + "  "
-            separator = "[" + inner
-            for item in value:
-                append(separator)
-                write(item, inner)
-                separator = "," + inner
-            append(indent + "]")
+        elif isinstance(value, str):
+            append(encode_str(value))
         elif isinstance(value, dict):
             if not value:
                 append("{}")
@@ -708,6 +690,25 @@ def _indented_json(data: object) -> str:
                 write(item, inner)
                 separator = "," + inner
             append(indent + "}")
+        elif isinstance(value, (list, tuple)):
+            if not value:
+                append("[]")
+                return
+            inner = indent + "  "
+            separator = "[" + inner
+            for item in value:
+                append(separator)
+                write(item, inner)
+                separator = "," + inner
+            append(indent + "]")
+        elif value is None:
+            append("null")
+        elif value is True:
+            append("true")
+        elif value is False:
+            append("false")
+        elif isinstance(value, int):
+            append(int.__repr__(value))
         else:
             raise _Unwritable
 
@@ -721,10 +722,11 @@ def write_json(data: Mapping[str, object], path: str | Path) -> None:
     The text is ``json.dumps(data, indent=2, sort_keys=True,
     allow_nan=False)`` plus a newline, byte for byte.  CPython's C encoder
     does not indent, so that call runs the stdlib's generator encoder;
-    :func:`_indented_json` writes the same bytes directly.  Anything it
-    leaves (non-finite floats, non-``str`` keys, other types, nesting deep
-    or circular enough to exhaust the recursion limit) goes to ``json.dumps``
-    for the whole document, so coercions and errors stay the stdlib's.
+    :func:`_indented_json` writes the same bytes directly, trying ``float``
+    first.  Anything it leaves (non-finite floats, non-``str`` keys, other
+    types, nesting deep or circular enough to exhaust the recursion limit)
+    goes to ``json.dumps`` for the whole document, so coercions and errors
+    stay the stdlib's.
     """
 
     try:

@@ -12,7 +12,8 @@ instead.  Every audit evaluation takes a Python float; numpy arrays run
 only in that fallback.
 ``validate_scenario`` runs both paths side by side and labels every formula
 with a verdict, so a transcription error in a printed expression surfaces
-as data instead of silently steering an allocation.
+as data instead of silently steering an allocation.  Each entry builds its
+form once and evaluates each end once; a point's scenarios share one pass.
 
 The printed per-mode formulas that no allocation follows live here, as audit
 data next to the table that audits them; the compact closed forms stay in
@@ -31,11 +32,11 @@ from .allocator import (
     _argmax_candidate,
     _Gap,
     _objective_key,
+    _objective_row,
     _relay_seeds,
     _RelaySlice,
     evaluate_closed_forms,
     noncoop_quadratic,
-    penalized_objective,
     relay_cubic_for_a,
     solve_cubic_real,
     solve_quadratic_real,
@@ -223,23 +224,25 @@ def _certified(key: _Gap | _RelaySlice, p: float, hi: float) -> bool:
     return math.isfinite(size) and (p == 0.0 or slope >= -bound) and (p == hi or slope <= bound)
 
 
-def _oracle_argmax(objective: Objective, key: _Gap | _RelaySlice, hi: float) -> float:
-    """The argmax on ``[0, hi]`` of ``objective``, whose form is ``key``.
+def _oracle_argmax(
+    objective: Objective, key: _Gap | _RelaySlice, hi: float
+) -> tuple[float, tuple[float, float]]:
+    """The argmax on ``[0, hi]`` of ``objective``, whose form is ``key``, and
+    the objective's values at 0 and ``hi``.
 
-    Both ends are evaluated first, as Python floats, 0 before ``hi``, and a
-    value that is not finite there raises, naming the end: every
-    intermediate of both forms is monotone in the decision, so an overflow
-    or a zero divisor anywhere on the interval shows at an end.  The argmax
-    is the form's exact point (``key.argmax``) if :func:`_certified`, else
-    the exhaustive grid search's.
+    Both ends are evaluated first, once each, as Python floats, 0 before
+    ``hi``, and a value that is not finite there raises, naming the end:
+    every intermediate of both forms is monotone in the decision, so an
+    overflow or a zero divisor anywhere on the interval shows at an end.
+    The argmax is the form's exact point (``key.argmax``) if
+    :func:`_certified`, else the exhaustive grid search's.
     """
 
-    _eval_scalar(objective, 0.0)
-    _eval_scalar(objective, hi)
+    ends = _eval_scalar(objective, 0.0), _eval_scalar(objective, hi)
     p = key.argmax(hi)
     if p is None or not _certified(key, p, hi):
         p, _ = grid_search_optimum(objective, 0.0, hi)
-    return p
+    return p, ends
 
 
 def finite_diff_derivative(objective: Objective, x: float, h: float) -> float:
@@ -375,8 +378,7 @@ class ValidationReport:
 
 def _check_formula(
     formula_id: str,
-    objective: Objective,
-    objective_key: _Gap | _RelaySlice,
+    form: _Gap | _RelaySlice,
     roots: Sequence[float],
     closed_form: float | None,
     hi_budget: float,
@@ -387,7 +389,8 @@ def _check_formula(
     the largest positive candidate value, so a stationary point lying beyond
     the budget is still visible to the comparison instead of being clamped
     out of existence.  The roots imply a decision by ``relay_allocation``'s
-    scoring, :func:`coopsec.allocator._argmax_candidate`, not by KKT.
+    scoring, :func:`coopsec.allocator._argmax_candidate`, not by KKT, with
+    the values the oracle took at the ends, so each end is evaluated once.
     """
 
     positives = [r for r in roots if math.isfinite(r) and r > 0.0]
@@ -397,10 +400,10 @@ def _check_formula(
     hi = max([float(hi_budget), 1.0] + [2.0 * c for c in candidates])
     step = hi / (_DEFAULT_RESOLUTION - 1)
 
-    oracle_x = _oracle_argmax(objective, objective_key, hi)
-    root_value, _ = _argmax_candidate(objective, positives, hi)
+    oracle_x, ends = _oracle_argmax(form, form, hi)
+    root_value, _ = _argmax_candidate(form, positives, hi, ends)
     interior = step < root_value < hi - step
-    residual = abs(objective_key.slope(root_value)[0]) if interior else None
+    residual = abs(form.slope(root_value)[0]) if interior else None
 
     matches_oracle = abs(root_value - oracle_x) <= step + 1e-12
     residual_ok = residual is None or residual <= _RESIDUAL_TOL
@@ -701,7 +704,7 @@ def _located(build: Callable) -> Callable[[_AuditPoint], list[float]]:
 
 # Per scenario: (formula_id, decision variable, objective over path-loss
 # gains?, polynomial, closed-form key).  The objective is
-# ``penalized_objective`` of that variable and the search bound is the
+# ``penalized_objective``'s form for that variable and the search bound is the
 # variable's budget (for the relay slices, what half-budget seeds leave free).
 _AUDIT = {
     ScenarioKind.NON_COOP: (
@@ -768,6 +771,11 @@ _AUDIT = {
     ),
 }
 
+# Each entry's link row, and the scenarios that read closed forms or attenuated gains.
+_ROWS = {row[0]: _objective_row(kind, row[1]) for kind, rows in _AUDIT.items() for row in rows}
+_CLOSED_KINDS = frozenset(kind for kind, rows in _AUDIT.items() if any(row[4] for row in rows))
+_PATH_LOSS_KINDS = frozenset(kind for kind, rows in _AUDIT.items() if any(row[2] for row in rows))
+
 
 def validate_scenario(
     kind: ScenarioKind | str,
@@ -799,8 +807,8 @@ def validate_scenario(
     :func:`coopsec.allocator.relay_allocation` uses, and the relaying slice
     ranges over what those seeds leave free.
 
-    The oracle argmax comes from the objective's form, never from the
-    callable.
+    Each entry builds its form once, from the inputs checked here; the form
+    is both the objective and the oracle's key.
 
     Parameters
     ----------
@@ -824,15 +832,22 @@ def validate_scenario(
         Deterministic for identical inputs.
     """
 
-    kind = ScenarioKind(kind)
+    return _validate((ScenarioKind(kind),), gains, geometry, sigma2, alpha, price, budgets)[0]
+
+
+def _validate(kinds, gains, geometry, sigma2, alpha, price, budgets) -> list[ValidationReport]:
+    """:func:`validate_scenario` of each of ``kinds``, in one pass that checks
+    the inputs and computes the closed forms, the relay seeds and the
+    attenuated gains once for all (the gains before the first kind that
+    reads them, where one scenario alone would)."""
+
     noise = NoiseModel(sigma2)
-    a = _as_alpha(alpha)
+    s2, a = noise.sigma2, _as_alpha(alpha)
     lam = _as_nonnegative("price", price)
     if lam == 0:
         raise ValueError("price must be positive for closed-form evaluation")
-    rows = _AUDIT[kind]
     closed: dict[str, float] = {}
-    if any(row[4] for row in rows) and min(gains.g_ab, gains.g_ae, gains.g_jb, gains.g_je) > 0:
+    if _CLOSED_KINDS & set(kinds) and min(gains.g_ab, gains.g_ae, gains.g_jb, gains.g_je) > 0:
         try:
             closed = evaluate_closed_forms(gains, noise, alpha=a, price=lam)
         except (OverflowError, ZeroDivisionError):
@@ -840,29 +855,28 @@ def validate_scenario(
     seed_a, seed_j, hi_jb, hi_ab = _relay_seeds(budgets, a)
     point = _AuditPoint(gains, noise, geometry, a, lam, seed_a, seed_j)
     bounds = {"p_a": budgets.p_a_max, "p_j": budgets.p_j_max, "p_jb": hi_jb, "p_ab": hi_ab}
-    attenuated = gains.effective(geometry) if any(row[2] for row in rows) else gains
-
-    entries = []
-    for formula_id, side, path_loss, polynomial, closed_key in rows:
-        args = (kind, side, attenuated if path_loss else gains, noise)
-        terms = dict(price=lam, alpha=a, p_a=seed_a, p_j=seed_j)
-        objective = penalized_objective(*args, **terms)
-        try:
-            coeffs = polynomial(point)
-        except OverflowError:
-            raise ValueError(f"{formula_id}: polynomial coefficients overflow") from None
-        except ZeroDivisionError:
-            message = "a polynomial coefficient's divisor underflows"
-            raise ValueError(f"{formula_id}: {message}") from None
-        roots = solve_cubic_real(coeffs) if len(coeffs) == 4 else solve_quadratic_real(coeffs)
-        entries.append(
-            _check_formula(
-                formula_id,
-                objective,
-                _objective_key(*args, **terms),
-                roots,
-                closed.get(closed_key),
-                bounds[side],
+    seeds = {"p_a": seed_a, "p_j": seed_j}
+    attenuated = None
+    reports = []
+    for kind in kinds:
+        if attenuated is None and kind in _PATH_LOSS_KINDS:
+            attenuated = gains.effective(geometry)
+        entries = []
+        for formula_id, side, path_loss, polynomial, closed_key in _AUDIT[kind]:
+            row = _ROWS[formula_id]
+            form = _objective_key(
+                row, attenuated if path_loss else gains, s2, lam, a, seeds[row.power]
             )
-        )
-    return ValidationReport(kind=kind, entries=tuple(entries))
+            try:
+                coeffs = polynomial(point)
+            except OverflowError:
+                raise ValueError(f"{formula_id}: polynomial coefficients overflow") from None
+            except ZeroDivisionError:
+                message = "a polynomial coefficient's divisor underflows"
+                raise ValueError(f"{formula_id}: {message}") from None
+            roots = solve_cubic_real(coeffs) if len(coeffs) == 4 else solve_quadratic_real(coeffs)
+            entries.append(
+                _check_formula(formula_id, form, roots, closed.get(closed_key), bounds[side])
+            )
+        reports.append(ValidationReport(kind=kind, entries=tuple(entries)))
+    return reports

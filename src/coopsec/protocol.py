@@ -245,14 +245,13 @@ def negotiate(
         allocation = relay_allocation(
             attenuated, noise, budgets, alpha=policy.alpha, price=price
         )
-        return ScenarioKind.RELAY_COOP, allocation
-    if verdict.all_met and policy.john_accepts_mac:
+    elif verdict.all_met and policy.john_accepts_mac:
         allocation = mac_allocation(attenuated, noise, budgets, alpha=policy.alpha, price=price)
-        return ScenarioKind.MAC_COOP, allocation
-    if verdict.all_met and policy.john_accepts_one_side:
+    elif verdict.all_met and policy.john_accepts_one_side:
         allocation = one_side_allocation(
             attenuated, noise, budgets, alpha=policy.alpha, price=price
         )
-        return ScenarioKind.ONE_SIDE_COOP, allocation
-    allocation = noncoop_allocation(attenuated, noise, budgets, price=price)
-    return ScenarioKind.NON_COOP, allocation
+    else:
+        allocation = noncoop_allocation(attenuated, noise, budgets, price=price)
+    # the allocation's mode is the allocator's module-level member
+    return allocation.mode, allocation

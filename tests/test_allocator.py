@@ -868,10 +868,10 @@ class TestRelayObjectiveMirror:
         g_ab, g_ae, g_jb, g_je, g_aj, g_ja = gains
         original = ChannelGains(g_ab, g_ae, g_jb, g_je, g_aj, g_ja)
         swapped = ChannelGains(g_jb, g_je, g_ab, g_ae, g_ja, g_aj)
-        key = allocator._objective_key
-        relay, terms = ScenarioKind.RELAY_COOP, (STD_NOISE, price, alpha)
-        key_ab = key(relay, "p_ab", original, *terms, p_j=seed)
-        key_jb = key(relay, "p_jb", swapped, *terms, p_a=seed)
+        key = allocator.penalized_objective
+        relay, terms = ScenarioKind.RELAY_COOP, dict(price=price, alpha=alpha)
+        key_ab = key(relay, "p_ab", original, STD_NOISE, **terms, p_j=seed)
+        key_jb = key(relay, "p_jb", swapped, STD_NOISE, **terms, p_a=seed)
         # the same floats but the billing: p_ab / alpha against alpha * p_jb
         assert key_ab[:-1] == key_jb[:-1]
         assert (key_ab[-1], key_jb[-1]) == (1.0 / alpha, alpha)

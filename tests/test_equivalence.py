@@ -782,6 +782,7 @@ def assert_agrees_with_the_grid(key, hi):
     if isinstance(want, str):
         assert isinstance(got, str) and got.startswith("objective is not finite at x="), got
         return
+    got, _ = got
     (grid_x, grid_value), step = want, hi / 10000
     assert abs(got - grid_x) <= step, (key, hi, got, grid_x)
     rounding = 2.0**-48 * (1.0 + term_sum(key, max(got, grid_x)))

@@ -5,6 +5,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import random
 import re
 
 import numpy as np
@@ -633,6 +634,41 @@ json_documents = st.recursive(
 )
 
 
+def uniform_draw(rng):
+    """A random audit point's fields drawn the long way: one ``rng.uniform``
+    call per field, a vector per class, in the order ``run_validation`` maps
+    its draw to the point."""
+
+    return [
+        *map(float, rng.uniform(0.05, 0.6, size=6)),
+        *map(float, rng.uniform(0.5, 3.0, size=5)),
+        float(rng.uniform(0.5, 2.0)),
+        float(rng.uniform(0.3, 1.0)),
+        float(10.0 ** rng.uniform(-3.0, -1.0)),
+        *map(float, rng.uniform(1.0, 10.0, size=2)),
+    ]
+
+
+def test_one_draw_per_random_point_is_the_per_field_draw():
+    for seed in range(20000):
+        want_rng, got_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        want = uniform_draw(want_rng)
+        point = harness._random_point(got_rng)
+        got = [
+            *dataclasses.astuple(point.gains),
+            *(getattr(point.geometry, f) for f in ("d_ab", "d_ae", "d_jb", "d_je", "d_aj")),
+            point.sigma2,
+            point.alpha,
+            point.price,
+            point.budgets.p_a_max,
+            point.budgets.p_j_max,
+        ]
+        assert list(map(float.hex, got)) == list(map(float.hex, want)), seed
+        assert point.geometry.eta == 2.0
+        # both spellings leave the generator in the same state
+        assert got_rng.random() == want_rng.random(), seed
+
+
 class TestWriteJson:
     """``write_json`` writes the stdlib's indented, sorted text byte for byte."""
 
@@ -687,6 +723,16 @@ class TestWriteJson:
         for data in (loop, nested):
             with pytest.raises(ValueError, match="^Circular reference detected$"):
                 write_json(data, tmp_path / "out.json")
+
+    def test_the_audit_reports_are_the_stdlib_bytes(self, tmp_path):
+        # the benchmark's 64 audit jobs at seed 1, and the golden validate configs
+        rng = random.Random(1)
+        jobs = [(rng.randrange(2**31), 1) for _ in range(64)] + [(0, 10), (1, 10), (2, 10)]
+        path = tmp_path / "out.json"
+        for seed, samples in jobs:
+            report = run_validation(ExperimentConfig(seed=seed), samples=samples)
+            write_json(report, path)
+            assert path.read_bytes() == stdlib_text(report).encode("utf-8"), seed
 
     def test_validation_report_and_negotiation_result(self, tmp_path):
         report = run_validation(ExperimentConfig(seed=4), samples=100)

@@ -432,8 +432,9 @@ class TestOracleArgmax:
     @pytest.mark.parametrize("key", [STD_GAP, STD_RELAY])
     @pytest.mark.parametrize("hi", [1.0, 7.5, 12.0, 1e4])
     def test_the_exact_point_is_certified(self, fallbacks, key, hi):
-        got = oracle._oracle_argmax(key, key, hi)
+        got, ends = oracle._oracle_argmax(key, key, hi)
         assert got == key.argmax(hi) and fallbacks == []
+        assert ends == (key(0.0), key(hi))
         want, _ = grid_search_optimum(key, 0.0, hi)
         assert abs(got - want) <= hi / 10000
 
@@ -457,7 +458,7 @@ class TestOracleArgmax:
     @pytest.mark.parametrize("key", [STD_GAP, STD_RELAY])
     def test_within_a_step_of_coarse_exhaustive_searches(self, key, resolution):
         for hi in (1.0, 12.0):
-            got = oracle._oracle_argmax(key, key, hi)
+            got = oracle._oracle_argmax(key, key, hi)[0]
             want, top = grid_search_optimum(key, 0.0, hi, resolution)
             assert abs(got - want) <= hi / (resolution - 1)
             assert float(key(got)) >= top - 2.0**-48 * (1.0 + abs(top))
@@ -472,13 +473,13 @@ class TestOracleArgmax:
         ],
     )
     def test_an_end_point_is_taken_without_a_fallback(self, fallbacks, key, want):
-        assert oracle._oracle_argmax(key, key, 12.0) == want and fallbacks == []
+        assert oracle._oracle_argmax(key, key, 12.0)[0] == want and fallbacks == []
         assert grid_search_optimum(key, 0.0, 12.0)[0] == want
 
     def test_a_flat_priced_gap_is_certified_at_zero(self, fallbacks):
         # equal links and a price of 1e-12: the objective falls by 1e-12 over [0, 1]
         key = Gap(0.4, 0.4, 1.0, 1e-12, 1.0)
-        assert oracle._oracle_argmax(key, key, 1.0) == 0.0 and fallbacks == []
+        assert oracle._oracle_argmax(key, key, 1.0)[0] == 0.0 and fallbacks == []
         assert grid_search_optimum(key, 0.0, 1.0)[0] == 0.0
 
     def test_an_overflowing_relay_key_falls_back(self, fallbacks):
@@ -486,7 +487,7 @@ class TestOracleArgmax:
         # exact point, while the objective stays finite on [0, 1]
         key = RelaySlice(0.4, 0.3, 1e300, 1e-10, 1e-10, 0.01, 1.0, 1.0)
         assert key.argmax(1.0) is None
-        got = oracle._oracle_argmax(key, key, 1.0)
+        got = oracle._oracle_argmax(key, key, 1.0)[0]
         assert fallbacks == [(0.0, 1.0, 10001)]
         assert got == grid_search_optimum(key, 0.0, 1.0)[0]
 
@@ -494,7 +495,7 @@ class TestOracleArgmax:
     def test_a_subnormal_interval_is_within_its_one_step(self, key):
         # on [0, 5e-324] both ends carry the same value; whichever path decides,
         # the argmax is one of them
-        got = oracle._oracle_argmax(key, key, 5e-324)
+        got = oracle._oracle_argmax(key, key, 5e-324)[0]
         _, top = grid_search_optimum(key, 0.0, 5e-324)
         assert got in (0.0, 5e-324) and float(key(got)) == top
 
@@ -505,7 +506,7 @@ class TestOracleArgmax:
 
         def recording(objective, key, hi):
             got = original(objective, key, hi)
-            searches.append((objective, key, hi, got))
+            searches.append((objective, key, hi, got[0]))
             return got
 
         monkeypatch.setattr(oracle, "_oracle_argmax", recording)
@@ -587,14 +588,14 @@ class TestOracleArgmax:
         key = RelaySlice(0.4, 0.3, 1.0, 1.0, 1e-160, 1e151, 1e-150, 1.0)
         assert math.isnan(key.slope(0.0)[0])
         assert key.argmax(1.0) == 0.0 and not oracle._certified(key, 0.0, 1.0)
-        assert oracle._oracle_argmax(key, key, 1.0) == grid_search_optimum(key, 0.0, 1.0)[0]
+        assert oracle._oracle_argmax(key, key, 1.0)[0] == grid_search_optimum(key, 0.0, 1.0)[0]
         assert len(fallbacks) == 1
 
     def test_a_stationary_point_next_to_zero_is_certified(self, fallbacks):
         # the slice's quadratic has roots of opposite sign 1e-74 apart; its
         # positive one is the argmax, above every grid point's value
         key = RelaySlice(0.4, 0.3, 1.0, 1.0, 1e-160, 0.01, 1e-150, 1.0)
-        p = oracle._oracle_argmax(key, key, 1.0)
+        p = oracle._oracle_argmax(key, key, 1.0)[0]
         assert 0.0 < p < 1e-74 and oracle._certified(key, p, 1.0)
         assert key(p) > grid_search_optimum(key, 0.0, 1.0)[1]
         assert fallbacks == []
@@ -700,6 +701,47 @@ class TestAuditPoint:
         assert len(calls) == 13
         # a repeated point searches again, and reports the same
         assert harness._audit_point(config) == first and len(calls) == 26
+
+    @pytest.mark.parametrize("config", list(audit_configs()))
+    def test_one_form_per_entry(self, monkeypatch, config):
+        # every form the point builds, through the allocator's builder or the
+        # oracle's binding of it
+        built = []
+        for module in (allocator, oracle):
+
+            def counting(*args, build=module._objective_key, **kwargs):
+                built.append(args[0])
+                return build(*args, **kwargs)
+
+            monkeypatch.setattr(module, "_objective_key", counting)
+        harness._audit_point(config)
+        assert len(built) == 13
+
+    @pytest.mark.parametrize("kind", list(ScenarioKind))
+    @pytest.mark.parametrize("config", list(audit_configs()))
+    def test_each_end_is_evaluated_once(self, monkeypatch, kind, config):
+        # the points each entry's form is evaluated at, entry by entry
+        per_entry = []
+        check = oracle._check_formula
+
+        def entry(*args, **kwargs):
+            per_entry.append([])
+            return check(*args, **kwargs)
+
+        monkeypatch.setattr(oracle, "_check_formula", entry)
+        for form in (Gap, RelaySlice):
+
+            def recorded(self, p, call=form.__call__):
+                per_entry[-1].append(p)
+                return call(self, p)
+
+            monkeypatch.setattr(form, "__call__", recorded)
+        report = scenario_reports(config, [kind])[kind.value]
+        assert len(per_entry) == len(report["entries"])
+        for points in per_entry:
+            hi = max(points)
+            assert points[:2] == [0.0, hi]
+            assert points.count(0.0) == 1 and points.count(hi) == 1, points
 
     @pytest.mark.parametrize("config", list(audit_configs()))
     def test_reports_do_not_depend_on_the_order_of_scenarios(self, config):

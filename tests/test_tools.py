@@ -1,7 +1,10 @@
-"""The A/B timing tool: it times identical outputs and refuses differing ones."""
+"""The A/B timing tool times identical outputs and refuses differing ones; the
+benchmark pair tool summarises alternating runs and names a failed one."""
 
 from __future__ import annotations
 
+import importlib.util
+import json
 import re
 import shutil
 import subprocess
@@ -52,3 +55,57 @@ def test_a_changed_decision_is_refused_before_timing(tmp_path, workload):
     assert result.returncode == 1, result.stdout + result.stderr
     assert result.stdout.startswith("outputs differ on ")
     assert "p50" not in result.stdout
+
+
+def load_bench_pairs():
+    spec = importlib.util.spec_from_file_location("bench_pairs", ROOT / "tools" / "bench_pairs.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def result_line(setup, p50, work, failed=0):
+    """A benchmark run's last output line with the given metric values."""
+
+    values = {"setup_s": setup, "op_ms_p50": p50, "op_ms_p90": 2 * p50, "work_per_s": work}
+    metrics = {name: {"value": value, "unit": "?"} for name, value in values.items()}
+    result = {"correct": failed == 0, "attempted": 100, "failed": failed, "metrics": metrics}
+    return "op_ms_p50 = ...\n" + json.dumps(result) + "\n"
+
+
+def test_the_pair_summary_counts_wins_by_each_metrics_direction():
+    tool = load_bench_pairs()
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
+    base = [result_line(0.2, p50, 500.0) for p50 in (1.0, 1.2, 1.1, 1.4)]
+    runs = ((0.8, 600.0), (1.3, 400.0), (0.9, 600.0), (1.0, 700.0))
+    change = [result_line(0.2, p50, work) for p50, work in runs]
+    pairs = [
+        (tool.run_result(f"base {i}", 0, b), tool.run_result(f"change {i}", 0, c))
+        for i, (b, c) in enumerate(zip(base, change))
+    ]
+    lines = dict(line.split(" ", 1) for line in tool.summary(spec["end_to_end"], pairs))
+    assert set(lines) == {m["name"] for m in spec["end_to_end"]}
+    # base p50s 1.0, 1.1, 1.2, 1.4: median 1.15, quartiles 1.075 and 1.25
+    assert lines["op_ms_p50"] == (
+        "(ms, lower is better): base 1.15, change 0.95, ratio 0.826, base IQR 0.175, "
+        "change won 3 of 4 pairs"
+    )
+    assert lines["work_per_s"].endswith(
+        "base 500, change 600, ratio 1.200, base IQR 0, change won 3 of 4 pairs"
+    )
+    # a tie is no win
+    assert lines["setup_s"].endswith("change won 0 of 4 pairs")
+
+
+@pytest.mark.parametrize(
+    "returncode,stdout,message",
+    [
+        (2, "", "pair 3 base: exit 2"),
+        (0, result_line(0.2, 1.0, 500.0, failed=4), "pair 3 base: 4 failed operations"),
+        (0, "", "pair 3 base: no result line"),
+    ],
+)
+def test_a_failed_run_is_named(returncode, stdout, message):
+    tool = load_bench_pairs()
+    with pytest.raises(tool.RunFailed, match=f"^{re.escape(message)}$"):
+        tool.run_result("pair 3 base", returncode, stdout)
