@@ -9,9 +9,12 @@ allocation maximises
 
 over the feasible interval.  A direct-mode power is decided by the KKT
 conditions on fixed coefficient formulas, evaluating no objective; relay
-mode scores its printed cubic's roots and the interval ends.  Both root
-solvers are closed forms on Python floats, polished by Newton steps where
-needed and calling no numpy routine, so results are reproducible bit for bit.
+mode scores its printed cubic's roots and the interval ends.  Either rule
+returns only the power, and a decision's provenance is read from where its
+power landed: zero is ``zero-clamped``, the bound ``budget-clamped`` and any
+other power ``interior-stationary``.  Both root solvers are closed forms on
+Python floats, polished by Newton steps where needed and calling no numpy
+routine, so results are reproducible bit for bit.
 
 Every direct-mode decision (non-cooperative, one-sided and power swap) is the
 same priced secrecy gap ``log(1 + g x / s2) - log(1 + e x / s2) - price x`` in
@@ -463,15 +466,12 @@ class _Gap(NamedTuple):
         return log1p(g_main * x / s2) - log1p(g_eve * x / s2) - lam * x
 
     def slope(self, p: float) -> tuple[float, float]:
-        """The derivative in ``p`` and its terms' summed magnitudes; NaN when a
-        divisor underflows to zero."""
+        """The derivative in ``p`` and its terms' summed magnitudes; every
+        divisor is at least ``s2 > 0``."""
 
         g_main, g_eve, s2, lam, scale = self
         x = scale * p
-        try:
-            terms = (g_main / (s2 + g_main * x), -g_eve / (s2 + g_eve * x), -lam)
-        except ZeroDivisionError:
-            return math.nan, math.nan
+        terms = (g_main / (s2 + g_main * x), -g_eve / (s2 + g_eve * x), -lam)
         return scale * sum(terms), scale * sum(map(abs, terms))
 
     def argmax(self, hi: float) -> float | None:
@@ -479,7 +479,7 @@ class _Gap(NamedTuple):
         when the quadratic's coefficients overflow, or ``g_main / s2`` does."""
 
         try:
-            return _priced_gap_optimum(*self, hi)[0]
+            return _priced_gap_optimum(*self, hi)
         except OverflowError:
             return None
 
@@ -505,7 +505,7 @@ class _RelaySlice(NamedTuple):
         return log1p(base_main + relayed) - eve_term - lam * pay_scale * p
 
     def slope(self, p: float) -> tuple[float, float]:
-        """As :meth:`_Gap.slope`."""
+        """As :meth:`_Gap.slope`; NaN when a divisor underflows to zero."""
 
         g_direct, _, g_hop1, g_hop2, s2, lam, own_power, pay_scale = self
         h1 = g_hop1 * own_power
@@ -612,7 +612,7 @@ def _score(objective: Callable[[float], float], p: float) -> float:
 
 def _argmax_candidate(
     objective: Callable[[float], float], roots: Sequence[float], hi: float, ends=None
-) -> tuple[float, Provenance]:
+) -> float:
     """The best of 0, the roots inside ``(0, hi)`` and ``hi`` under ``objective``.
 
     The candidates are scored in that order, the roots ascending, and one
@@ -629,13 +629,13 @@ def _argmax_candidate(
         if v > best_v:
             best_p, best_v = p, v
     if hi > 0 and (_score(objective, float(hi)) if ends is None else ends[1]) > best_v:
-        return float(hi), Provenance.BUDGET
-    return best_p, Provenance.INTERIOR if best_p else Provenance.ZERO
+        return float(hi)
+    return best_p
 
 
 def _priced_gap_optimum(
     g: float, e: float, s2: float, lam: float, scale: float, hi: float, all_in: bool = False
-) -> tuple[float, Provenance]:
+) -> float:
     """Power ``p`` in ``[0, hi]`` for a message carried at ``x = scale * p``,
     by the KKT conditions (Boyd & Vandenberghe, *Convex Optimization*, 5.5):
     the slope in ``x`` has the sign of ``-(c0 x^2 + c1 x + c2)`` over the
@@ -660,13 +660,11 @@ def _priced_gap_optimum(
     if coeffs[2] < 0.0 and hi > 0.0:
         roots = solve_quadratic_real(coeffs)
         p = roots[-1] / scale if roots else math.inf
-        if p >= hi:
-            return float(hi), Provenance.BUDGET
         if p > 0.0:
-            return p, Provenance.INTERIOR
+            return p if p < hi else float(hi)
     if all_in and g > e and hi > 0.0:
-        return float(hi), Provenance.BUDGET
-    return 0.0, Provenance.ZERO
+        return float(hi)
+    return 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -674,6 +672,15 @@ def _priced_gap_optimum(
 
 # Read by every decision: an enum member lookup costs about 160 ns on Python 3.11.
 _RELAY_COOP, _MAC_COOP, _ONE_SIDE_COOP, _NON_COOP = ScenarioKind  # in definition order
+_INTERIOR, _BUDGET, _ZERO = Provenance
+
+
+def _provenance(p: float, hi: float) -> Provenance:
+    """How a decided power ``p`` in ``[0, hi]`` was picked, read from where it
+    landed: both kernels return ``hi`` only when ``hi > 0`` and a stationary
+    point only strictly inside ``(0, hi)``."""
+
+    return _ZERO if p == 0.0 else _BUDGET if p == hi else _INTERIOR
 
 
 def _allocation(kind, gains, s2, alpha, p_a, p_j, p_ab, p_jb, provenance) -> OptimalAllocation:
@@ -704,8 +711,8 @@ def _direct_allocation(
             decided[link.power] = _priced_gap_optimum(g, e, s2, lam, scale, hi[link.power], all_in)
     except OverflowError:
         raise ValueError(f"{kind.value}: polynomial coefficients overflow") from None
-    (p_a, prov_a), (p_j, prov_j) = decided["p_a"], decided["p_j"]
-    provenance = {"p_a": prov_a, "p_j": prov_j}
+    p_a, p_j = decided["p_a"], decided["p_j"]
+    provenance = {"p_a": _provenance(p_a, hi["p_a"]), "p_j": _provenance(p_j, hi["p_j"])}
     return _allocation(kind, gains, s2, alpha, p_a, p_j, 0.0, 0.0, provenance)
 
 
@@ -802,13 +809,12 @@ def relay_allocation(
     except OverflowError:  # a float ** 2 raises where x * x would give inf
         raise ValueError("relay_coop: polynomial coefficients overflow") from None
     roots = solve_cubic_real(coeffs)
-    scale = _scale(_RELAY_REQUEST.alpha_power, a)
-    # penalized_objective(RELAY_COOP, "p_jb", ...) at the seed, on the checked floats
-    objective = _RelaySlice(*_RELAY_REQUEST.gains(gains), s2, lam, seed_a, scale)
-    p_jb, prov = _argmax_candidate(objective.__call__, roots, hi)
-    p_ab = scale * p_jb
+    objective = _objective_key(_RELAY_REQUEST, gains, s2, lam, a, seed_a)
+    p_jb = _argmax_candidate(objective.__call__, roots, hi)
+    p_ab = objective.pay_scale * p_jb
     p_a, p_j = max(budget.p_a_max - p_ab, 0.0), max(budget.p_j_max - p_jb, 0.0)
-    return _allocation(_RELAY_COOP, gains, s2, None, p_a, p_j, p_ab, p_jb, {"p_jb": prov})
+    provenance = {"p_jb": _provenance(p_jb, hi)}
+    return _allocation(_RELAY_COOP, gains, s2, None, p_a, p_j, p_ab, p_jb, provenance)
 
 
 # ---------------------------------------------------------------------------

@@ -170,14 +170,11 @@ def main(argv: Sequence[str] | None = None) -> int:
         print(f"mobility: {len(rows)} steps, {changes} mode changes; wrote {args.out}")
         return 0
 
-    if args.command == "negotiate":
-        result = _run(parser, "negotiate", run_negotiation, config)
-        _write(parser, args.out, write_json, result)
-        print(f"negotiate: mode {result['mode']}; wrote {args.out}")
-        return 0
-
-    parser.error(f"unknown command {args.command!r}")
-    return 2  # pragma: no cover - parser.error raises
+    # the required subcommand admits only the four commands: this is negotiate
+    result = _run(parser, "negotiate", run_negotiation, config)
+    _write(parser, args.out, write_json, result)
+    print(f"negotiate: mode {result['mode']}; wrote {args.out}")
+    return 0
 
 
 if __name__ == "__main__":

@@ -21,7 +21,7 @@ import dataclasses
 import itertools
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
@@ -144,6 +144,25 @@ def _as_log_base(log_base: str) -> str:
 
 _GEOMETRY_FIELDS = (*_DISTANCE_FIELDS, "eta")
 
+# Each parameter block of a config, keyed by its field, and its dataclass.
+_BLOCKS = {"gains": ChannelGains, "geometry": Geometry, "budgets": PowerBudget, "axis": SweepAxis}
+
+
+def _as_block(name: str, cls: type, value: object):
+    """The block ``name``, a ``cls``, built from ``value``, a mapping of its
+    fields, as a config file gives it."""
+
+    if not isinstance(value, Mapping):
+        raise ValueError(f"{name} must be a mapping of {cls.__name__} fields, got {value!r}")
+    fields = {field.name: field.default for field in dataclasses.fields(cls)}
+    unknown = [key for key in value if key not in fields]
+    if unknown:
+        raise ValueError(f"unknown {name} keys: {unknown}")
+    missing = [key for key, default in fields.items() if key not in value and default is MISSING]
+    if missing:
+        raise ValueError(f"{name} needs {', '.join(missing)}")
+    return cls(**value)
+
 
 def _params(config: ExperimentConfig) -> dict[str, object]:
     """The physical parameter block that opens :meth:`ExperimentConfig.to_dict`:
@@ -171,7 +190,9 @@ class ExperimentConfig:
     given, and an ``axis`` that is given must sweep the preset's coordinate.
     ``trajectory`` is a sequence of ``(d_ae, d_je)`` pairs consumed only by
     mobility runs.  ``seed`` is a non-negative integer; a float seed must
-    have an integral value.
+    have an integral value.  Each parameter block (``gains``, ``geometry``,
+    ``budgets``, ``axis``) may be given as its dataclass or as a mapping of
+    its fields.
     """
 
     gains: ChannelGains = DEFAULT_GAINS
@@ -192,21 +213,30 @@ class ExperimentConfig:
         object.__setattr__(self, "sigma2", _as_positive("sigma2", self.sigma2))
         object.__setattr__(self, "alpha", _as_alpha(self.alpha))
         object.__setattr__(self, "price", _as_nonnegative("price", self.price))
-        object.__setattr__(
-            self, "scenarios", tuple(ScenarioKind(kind) for kind in self.scenarios)
-        )
+        try:
+            if isinstance(self.scenarios, (str, bytes)):
+                raise TypeError
+            scenarios = tuple(ScenarioKind(kind) for kind in self.scenarios)
+        except (TypeError, ValueError):
+            names = ", ".join(kind.value for kind in ScenarioKind)
+            message = f"scenarios must be a list of {names}, got {self.scenarios!r}"
+            raise ValueError(message) from None
+        object.__setattr__(self, "scenarios", scenarios)
         if self.preset is None:
             axis, geometry = _DEFAULT_AXIS, DEFAULT_GEOMETRY
         elif self.preset in PRESETS:
             axis, geometry = _PRESET_SHAPES[self.preset]
-            if self.axis is not None and self.axis.name != axis.name:
-                raise ValueError(f"preset {self.preset} sweeps {axis.name}, not {self.axis.name}")
         else:
             raise ValueError(f"unknown preset {self.preset!r}; expected one of {PRESETS}")
         if self.axis is None:
             object.__setattr__(self, "axis", axis)
         if self.geometry is None:
             object.__setattr__(self, "geometry", geometry)
+        for name, cls in _BLOCKS.items():
+            if not isinstance(getattr(self, name), cls):
+                object.__setattr__(self, name, _as_block(name, cls, getattr(self, name)))
+        if self.preset is not None and self.axis.name != axis.name:
+            raise ValueError(f"preset {self.preset} sweeps {axis.name}, not {self.axis.name}")
         object.__setattr__(self, "constraint_mode", ConstraintMode(self.constraint_mode))
         _as_log_base(self.log_base)
         object.__setattr__(self, "seed", _as_whole("seed", self.seed))
@@ -242,40 +272,21 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, data: Mapping[str, object]) -> "ExperimentConfig":
-        """Build a config from a mapping; absent keys keep their defaults."""
+        """Build a config from a mapping; absent keys keep their defaults and
+        the power price is spelled ``lambda``."""
 
-        unknown = set(data) - set(_CONFIG_FIELDS)
+        if not isinstance(data, Mapping):
+            raise ValueError(f"a config must be a mapping of keys to values, got {data!r}")
+        keys = {field.name for field in dataclasses.fields(cls)} - {"price"} | {"lambda"}
+        unknown = set(data) - keys
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
-        kwargs: dict[str, object] = {}
-        for key, value in data.items():
-            field, build = _CONFIG_FIELDS[key]
-            kwargs[field] = value if build is None else build(**value)  # type: ignore[arg-type]
-        return cls(**kwargs)  # type: ignore[arg-type]
+        return cls(**{"price" if key == "lambda" else key: value for key, value in data.items()})
 
     def replace(self, **changes: object) -> "ExperimentConfig":
         """Return a copy with the given fields replaced."""
 
         return dataclasses.replace(self, **changes)  # type: ignore[arg-type]
-
-
-# Each config-file key: the ExperimentConfig field it sets, and the dataclass
-# built from its mapping (None passes the value to the constructor as is).
-_CONFIG_FIELDS = {
-    "gains": ("gains", ChannelGains),
-    "geometry": ("geometry", Geometry),
-    "sigma2": ("sigma2", None),
-    "alpha": ("alpha", None),
-    "lambda": ("price", None),
-    "budgets": ("budgets", PowerBudget),
-    "scenarios": ("scenarios", None),
-    "axis": ("axis", SweepAxis),
-    "preset": ("preset", None),
-    "constraint_mode": ("constraint_mode", None),
-    "log_base": ("log_base", None),
-    "seed": ("seed", None),
-    "trajectory": ("trajectory", None),
-}
 
 
 def load_config(path: str | Path) -> ExperimentConfig:

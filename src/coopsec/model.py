@@ -36,8 +36,6 @@ def _as_number(name: str, value: float) -> float:
     A str, bytes or bool is no number, nor is anything ``float()`` refuses.
     """
 
-    if type(value) is float:
-        return value
     try:
         if isinstance(value, (str, bytes, bool)):
             raise TypeError

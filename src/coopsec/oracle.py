@@ -401,7 +401,7 @@ def _check_formula(
     step = hi / (_DEFAULT_RESOLUTION - 1)
 
     oracle_x, ends = _oracle_argmax(form, form, hi)
-    root_value, _ = _argmax_candidate(form, positives, hi, ends)
+    root_value = _argmax_candidate(form, positives, hi, ends)
     interior = step < root_value < hi - step
     residual = abs(form.slope(root_value)[0]) if interior else None
 

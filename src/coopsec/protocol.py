@@ -69,6 +69,15 @@ def _leq(lhs: float, rhs: float) -> bool:
     return lhs <= rhs or math.isclose(lhs, rhs, rel_tol=1e-9, abs_tol=1e-12)
 
 
+def _leaks_less(k_pair: float, c_pair: float, k_eve: float, c_eve: float, p: float) -> bool:
+    """``k_pair / (c_pair + k_pair p) <= k_eve / (c_eve + k_eve p)``: the pair
+    link leaks no more than the eavesdropper's, cross-multiplied (both
+    denominators are positive).  Both sides' SNR-style conditions are this
+    test."""
+
+    return _leq(k_pair * (c_eve + k_eve * p), k_eve * (c_pair + k_pair * p))
+
+
 @dataclass(frozen=True)
 class ConstraintVerdict:
     """Outcome of the four pairing inequalities.
@@ -145,25 +154,16 @@ def distance_constraints_met(
     a = _as_alpha(alpha)
     p_a, p_j = _as_nonnegative("p_a", p_a), _as_nonnegative("p_j", p_j)
 
-    d_pair = geometry.d_ab if mode is ConstraintMode.AS_PUBLISHED else geometry.d_aj
-    eta = geometry.eta
+    # the pair distance, squared whatever the path-loss exponent
+    d_sq = (geometry.d_ab if mode is ConstraintMode.AS_PUBLISHED else geometry.d_aj) ** 2
+    pair_loss = geometry.d_aj**geometry.eta
 
-    # a's side: alpha*g_aj / (d^2 s2 + alpha g_aj p_j) <= alpha*g_ae / (d_ae^2 s2 + alpha g_ae p_j)
-    lhs_num = a * gains.g_aj
-    lhs_den = d_pair**2 * s2 + a * gains.g_aj * p_j
-    rhs_num = a * gains.g_ae
-    rhs_den = geometry.d_ae**2 * s2 + a * gains.g_ae * p_j
-    snr_alice = _leq(lhs_num * rhs_den, rhs_num * lhs_den)
-
-    # j's side: g_ja / (alpha d^2 s2 + g_ja p_a) <= g_je / (alpha d_je^2 s2 + g_je p_a)
-    lhs_num = gains.g_ja
-    lhs_den = a * d_pair**2 * s2 + gains.g_ja * p_a
-    rhs_num = gains.g_je
-    rhs_den = a * geometry.d_je**2 * s2 + gains.g_je * p_a
-    snr_john = _leq(lhs_num * rhs_den, rhs_num * lhs_den)
-
-    dist_alice = _leq(gains.g_aj * geometry.d_ae**eta, gains.g_ae * geometry.d_aj**eta)
-    dist_john = _leq(gains.g_ja * geometry.d_je**eta, gains.g_je * geometry.d_aj**eta)
+    # a's side: k = alpha g and c = d^2 s2, at j's power; j's side: k = g and
+    # c = alpha d^2 s2, at a's power
+    snr_alice = _leaks_less(a * gains.g_aj, d_sq * s2, a * gains.g_ae, geometry.d_ae**2 * s2, p_j)
+    snr_john = _leaks_less(gains.g_ja, a * d_sq * s2, gains.g_je, a * geometry.d_je**2 * s2, p_a)
+    dist_alice = _leq(gains.g_aj * geometry.d_ae**geometry.eta, gains.g_ae * pair_loss)
+    dist_john = _leq(gains.g_ja * geometry.d_je**geometry.eta, gains.g_je * pair_loss)
 
     return _from_checked(
         ConstraintVerdict,

@@ -627,6 +627,46 @@ class TestRelayAllocation:
             assert 0.0 <= allocation.p_jb + allocation.p_j <= 5.0 + 1e-12
 
 
+def position_rule(p, hi):
+    """How a power in ``[0, hi]`` was decided, read from where it landed."""
+
+    if p == 0.0:
+        return Provenance.ZERO
+    return Provenance.BUDGET if p == hi else Provenance.INTERIOR
+
+
+class TestProvenanceIsThePosition:
+    def test_every_decision_reads_its_provenance_from_its_power(self):
+        # gains 10^U(-3, 1), sigma2 10^U(-2, 1), alpha U(0.05, 1); a budget is
+        # zero a fifth of the time, else 10^U(-2, 2), and the price is zero
+        # three tenths of the time, else 10^U(-6, 1)
+        rng = random.Random(29)
+        seen = collections.Counter()
+        allocations = {**DIRECT_ALLOCATIONS, ScenarioKind.RELAY_COOP: (
+            lambda gains, noise, budget, alpha, price: relay_allocation(
+                gains, noise, budget, alpha=alpha, price=price
+            )
+        )}
+        for _ in range(4000):
+            kind = rng.choice(list(allocations))
+            gains = ChannelGains(*(10.0 ** rng.uniform(-3.0, 1.0) for _ in range(6)))
+            noise = NoiseModel(10.0 ** rng.uniform(-2.0, 1.0))
+            budget = PowerBudget(
+                *(0.0 if rng.random() < 0.2 else 10.0 ** rng.uniform(-2.0, 2.0) for _ in "aj")
+            )
+            alpha = rng.uniform(0.05, 1.0)
+            price = 0.0 if rng.random() < 0.3 else 10.0 ** rng.uniform(-6.0, 1.0)
+            allocation = allocations[kind](gains, noise, budget, alpha, price)
+            bounds = {"p_a": budget.p_a_max, "p_j": budget.p_j_max}
+            bounds["p_jb"] = allocator._relay_seeds(budget, alpha)[2]
+            for variable, provenance in allocation.provenance.items():
+                p = getattr(allocation, variable)
+                assert provenance is position_rule(p, bounds[variable]), (kind, variable, p)
+                seen[kind, provenance] += 1
+        # every mode lands on every position
+        assert len(seen) == 4 * 3, seen
+
+
 class TestBisectPrice:
     def test_finds_threshold_price(self):
         price = bisect_price_for_budget(lambda lam: 10.0 / (1.0 + lam), 5.0)

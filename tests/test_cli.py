@@ -497,11 +497,23 @@ class TestBadConfigs:
             ("sweep",
              '{"preset": "fig3", "axis": {"name": "d_ae", "lo": 1, "hi": 2, "steps": 3}}',
              "preset fig3 sweeps p_jb, not d_ae"),
+            ("sweep", "[1, 2]", "a config must be a mapping of keys to values, got [1, 2]"),
+            ("sweep", '{"scenarios": "mac_coop"}',
+             "scenarios must be a list of relay_coop, mac_coop, one_side_coop, non_coop, "
+             "got 'mac_coop'"),
+            ("sweep", '{"scenarios": 5}',
+             "scenarios must be a list of relay_coop, mac_coop, one_side_coop, non_coop, got 5"),
+            ("sweep", '{"gains": [0.4, 0.3, 0.5, 0.3, 0.2]}',
+             "gains must be a mapping of ChannelGains fields, got [0.4, 0.3, 0.5, 0.3, 0.2]"),
+            ("sweep", '{"gains": {"g_ab": 1}}', "gains needs g_ae, g_jb, g_je, g_aj"),
+            ("negotiate", '{"budgets": {"p_a_max": 5, "p_j_max": 5, "p_x": 3}}',
+             "unknown budgets keys: ['p_x']"),
         ],
         ids=[
             "short-pair", "triple", "float-seed", "negative-seed", "float-steps", "string-sigma2",
             "bool-sigma2", "string-alpha", "string-price", "string-gain", "bool-budget", "string-axis-bound",
-            "string-distance", "preset-axis-mismatch",
+            "string-distance", "preset-axis-mismatch", "list-config", "string-scenarios",
+            "number-scenarios", "list-gains", "partial-gains", "unknown-budget-key",
         ],
     )
     def test_malformed_entries_exit_with_one_line(self, tmp_path, capsys, command, text, message):

@@ -404,7 +404,8 @@ def scored_decision(kind, link, gains, s2, lam, alpha, hi):
     if kind is ScenarioKind.NON_COOP:
         return reference_threshold(g_main, g_eve, roots, hi)
     gap = allocator._Gap(g_main, g_eve, s2, lam, scale)
-    return allocator._argmax_candidate(gap.__call__, roots, hi)
+    p = allocator._argmax_candidate(gap.__call__, roots, hi)
+    return p, allocator._provenance(p, hi)
 
 
 def random_direct_draw(rng):

@@ -137,6 +137,20 @@ class TestExperimentConfig:
         with pytest.raises(ValueError, match=r"^trajectory must be a list of \[d_ae, d_je\] pairs$"):
             ExperimentConfig.from_dict({"trajectory": trajectory})
 
+    @pytest.mark.parametrize(
+        "block, message",
+        [
+            ({"budgets": (1, 2)}, "budgets must be a mapping of PowerBudget fields, got (1, 2)"),
+            ({"gains": {"g_ab": 1}}, "gains needs g_ae, g_jb, g_je, g_aj"),
+            ({"axis": {"name": "p_a"}}, "axis needs lo, hi, steps"),
+        ],
+        ids=["tuple-budgets", "partial-gains", "partial-axis"],
+    )
+    def test_blocks_are_checked_when_built(self, block, message):
+        # each used to be accepted here and to fail later on a missing attribute
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            ExperimentConfig(**block)
+
     def test_from_dict_defaults_absent_keys(self):
         assert ExperimentConfig.from_dict({}) == ExperimentConfig()
 

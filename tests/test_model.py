@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import re
 
 import pytest
 from hypothesis import given
@@ -32,7 +33,7 @@ from coopsec.allocator import (
     relay_allocation,
     relay_cubic_for_a,
 )
-from coopsec.harness import ExperimentConfig
+from coopsec.harness import ExperimentConfig, SweepAxis
 from coopsec.oracle import (
     finite_diff_derivative,
     grid_search_optimum,
@@ -549,6 +550,27 @@ class TestOneCheckPerInput:
             ENTRY_POINTS[entry][1](**inputs)
         text = str(info.value)
         assert text.startswith(message) and "\n" not in text
+
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            (lambda: penalized_objective(
+                ScenarioKind.MAC_COOP, "p_x", GAINS, NoiseModel(1.0), price=0.01, alpha=0.8
+            ), "unknown decision variable 'p_x' for mac_coop"),
+            (lambda: penalized_objective(
+                ScenarioKind.RELAY_COOP, "p_jb", GAINS, NoiseModel(1.0), price=0.01, alpha=0.8
+            ), "relay side 'p_jb' needs the seed power p_a"),
+            (lambda: SweepAxis("p_a", 1.0, 1.0, 0), "steps must be positive"),
+            # the only route to the priced-gap quadratic's sigma2 * sigma2 check
+            (lambda: validate_scenario(
+                ScenarioKind.NON_COOP, GAINS, UNIT, 1e160, 0.8, 0.01, BUDGETS
+            ), "non_coop.p_a: polynomial coefficients overflow"),
+        ],
+        ids=["unknown-variable", "relay-without-seed", "no-steps", "squared-noise-overflows"],
+    )
+    def test_other_refused_input_is_one_line(self, call, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            call()
 
 
 @pytest.fixture

@@ -841,7 +841,7 @@ class TestExactArgmax:
 
     def test_gap_keys_take_the_allocator_kernel(self):
         for hi in (1.0, 12.0):
-            want = allocator._priced_gap_optimum(*STD_GAP, hi)[0]
+            want = allocator._priced_gap_optimum(*STD_GAP, hi)
             assert STD_GAP.argmax(hi) == want
 
     @pytest.mark.parametrize(

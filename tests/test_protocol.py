@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import collections
 import math
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -124,6 +126,43 @@ class TestConstraintPredicate:
                 STD_GAINS, geometry, 1.0, 0.8, p_a, p_j, mode=mode
             )
             assert base == moved
+
+    def test_flags_are_the_printed_inequalities(self):
+        # gains 10^U(-2, 1), distances U(0.3, 3), eta U(1, 4), sigma2 10^U(-2, 1),
+        # alpha U(0.05, 1), main powers 10^U(-2, 2); a side within 1e-8 of its
+        # bound is skipped, where the guard for boundary equality may decide
+        rng = random.Random(31)
+        seen = collections.Counter()
+        for _ in range(2000):
+            g_ab, g_ae, g_jb, g_je, g_aj, g_ja = (10.0 ** rng.uniform(-2.0, 1.0) for _ in range(6))
+            gains = ChannelGains(g_ab, g_ae, g_jb, g_je, g_aj, g_ja)
+            d_ab, d_ae, d_jb, d_je, d_aj = (rng.uniform(0.3, 3.0) for _ in range(5))
+            eta = rng.uniform(1.0, 4.0)
+            geometry = Geometry(d_ab, d_ae, d_jb, d_je, d_aj, eta)
+            s2, a = 10.0 ** rng.uniform(-2.0, 1.0), rng.uniform(0.05, 1.0)
+            p_a, p_j = (10.0 ** rng.uniform(-2.0, 2.0) for _ in "aj")
+            for mode, d in ((ConstraintMode.AS_PUBLISHED, d_ab), (ConstraintMode.CORRECTED, d_aj)):
+                printed = {
+                    "snr_condition_alice": (
+                        a * g_aj / (d**2 * s2 + a * g_aj * p_j),
+                        a * g_ae / (d_ae**2 * s2 + a * g_ae * p_j),
+                    ),
+                    "snr_condition_john": (
+                        g_ja / (a * d**2 * s2 + g_ja * p_a),
+                        g_je / (a * d_je**2 * s2 + g_je * p_a),
+                    ),
+                    "distance_alice_eve": (d_ae**eta, g_ae / g_aj * d_aj**eta),
+                    "distance_john_eve": (d_je**eta, g_je / g_ja * d_aj**eta),
+                }
+                verdict = distance_constraints_met(gains, geometry, s2, a, p_a, p_j, mode)
+                for flag, (lhs, rhs) in printed.items():
+                    if not math.isclose(lhs, rhs, rel_tol=1e-8):
+                        assert getattr(verdict, flag) is (lhs <= rhs), (flag, lhs, rhs)
+                        seen[flag, lhs <= rhs] += 1
+                flags = [getattr(verdict, flag) for flag in printed]
+                assert verdict.all_met is all(flags)
+        # every flag both holds and fails
+        assert len(seen) == 4 * 2, seen
 
     def test_as_dict_keys_and_conjunction(self):
         verdict = distance_constraints_met(

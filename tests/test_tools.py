@@ -109,3 +109,56 @@ def test_a_failed_run_is_named(returncode, stdout, message):
     tool = load_bench_pairs()
     with pytest.raises(tool.RunFailed, match=f"^{re.escape(message)}$"):
         tool.run_result("pair 3 base", returncode, stdout)
+
+
+CODE_LINES = ROOT / "tools" / "code_lines.py"
+
+MODULE = '''"""A module docstring
+over two lines."""
+
+import math
+
+
+class Shape:
+    """A class docstring."""
+
+    def area(self, r):
+        """A function docstring."""
+        # a comment line
+        return math.pi * r * r  # a trailing comment
+
+'''
+
+
+def code_lines(*trees: Path) -> dict[str, list[str]]:
+    """The rows that ``tools/code_lines.py`` prints for ``trees``, by module."""
+
+    result = subprocess.run(
+        [sys.executable, str(CODE_LINES), *map(str, trees)],
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert result.returncode == 0, result.stderr
+    return {row.split()[0]: row.split()[1:] for row in result.stdout.splitlines()[1:]}
+
+
+@pytest.mark.parametrize(
+    "edit, lines, code",
+    [
+        # a docstring line moves only the total
+        (('"""A function docstring."""', '"""A function docstring\n        on two lines."""'), 1, 0),
+        # a statement moves both counts
+        (("return math.pi", "r = float(r)\n        return math.pi"), 1, 1),
+    ],
+    ids=["docstring-line", "statement"],
+)
+def test_code_lines_count_only_code(tmp_path, edit, lines, code):
+    for tree, text in (("base", MODULE), ("change", MODULE.replace(*edit))):
+        package = tmp_path / tree / "src" / "coopsec"
+        package.mkdir(parents=True)
+        (package / "shape.py").write_text(text, encoding="utf-8")
+    # 14 lines: 5 blank, 1 comment, 4 in docstrings, 4 of code
+    rows = code_lines(tmp_path / "base", tmp_path / "change")
+    change = [str(14 + lines), str(4 + code), "14", "4", f"+{lines}", f"+{code}"]
+    assert rows == {"shape.py": change, "total": change}
