@@ -8,8 +8,10 @@ allocation maximises
     f(p) = secrecy-rate term(p) - price * billed(p)
 
 over the feasible interval.  A direct-mode power is decided by the KKT
-conditions on fixed coefficient formulas, evaluating no objective; relay
-mode scores its printed cubic's roots and the interval ends.  Either rule
+conditions on fixed coefficient formulas, evaluating no objective.  A relay
+slice whose slope at zero is not positive is decided zero by the same
+conditions before any root is solved; any other relay slice is decided by
+scoring its printed cubic's roots and the interval ends.  Every rule
 returns only the power, and a decision's provenance is read from where its
 power landed: zero is ``zero-clamped``, the bound ``budget-clamped`` and any
 other power ``interior-stationary``.  Both root solvers are closed forms on
@@ -793,8 +795,12 @@ def relay_allocation(
     power ``p_jb`` and a's return slice is pinned to ``p_ab = alpha * p_jb``.
     The cubic's coefficients are evaluated at fixed own-message seeds of half
     of each budget, and the relaying slice is chosen from what those seeds
-    leave free, ``[0, min(p_j_max / 2, p_a_max / (2 alpha))]``.  A zero
-    budget simply yields zero relaying, flagged ``zero-clamped``.
+    leave free, ``[0, min(p_j_max / 2, p_a_max / (2 alpha))]``.  The slice
+    is concave, so where its slope at zero is not positive it is decided
+    zero by that KKT condition before any root is solved; otherwise the
+    cubic's roots inside the interval and its ends are scored by objective
+    value.  A zero budget simply yields zero relaying.  Either zero is
+    flagged ``zero-clamped``.
 
     The returned own-message powers are the budget remainders
     ``p_a_max - p_ab`` and ``p_j_max - p_jb``, which can differ from the
@@ -808,9 +814,18 @@ def relay_allocation(
         coeffs = _relay_cubic(gains, s2, seed_a, a, lam)
     except OverflowError:  # a float ** 2 raises where x * x would give inf
         raise ValueError("relay_coop: polynomial coefficients overflow") from None
-    roots = solve_cubic_real(coeffs)
     objective = _objective_key(_RELAY_REQUEST, gains, s2, lam, a, seed_a)
-    p_jb = _argmax_candidate(objective.__call__, roots, hi)
+    # the slice is concave, so a slope at zero that is not positive makes zero
+    # its argmax; a cubic that solve_cubic_real refuses is still refused
+    if (
+        hi > 0.0
+        and objective.slope(0.0)[0] <= 0.0
+        and all(map(math.isfinite, coeffs))
+        and any(coeffs)
+    ):
+        p_jb = 0.0
+    else:
+        p_jb = _argmax_candidate(objective.__call__, solve_cubic_real(coeffs), hi)
     p_ab = objective.pay_scale * p_jb
     p_a, p_j = max(budget.p_a_max - p_ab, 0.0), max(budget.p_j_max - p_jb, 0.0)
     provenance = {"p_jb": _provenance(p_jb, hi)}

@@ -880,11 +880,18 @@ class TestDecisionsInPlainFloats:
             raise AssertionError("a direct allocation evaluated its objective")
 
         noise, budgets = NoiseModel(1.0), PowerBudget(5.0, 5.0)
+        relay, scored = ScenarioKind.RELAY_COOP, []
         with mock.patch.object(allocator, "_argmax_candidate", recording):
             for price in (0.0, 1e-4, 0.01, 0.1, 1.0):
                 before = len(values)
                 relay_allocation(STD_GAINS, noise, budgets, alpha=0.8, price=price)
-                assert len(values) > before
+                # a slice whose slope at zero is not positive is decided zero
+                # without scoring; any other slice scores its candidates
+                terms = dict(price=price, alpha=0.8, p_a=0.5 * budgets.p_a_max)
+                form = penalized_objective(relay, "p_jb", STD_GAINS, noise, **terms)
+                scored.append(len(values) > before)
+                assert scored[-1] is (form.slope(0.0)[0] > 0.0), price
+        assert scored == [True, True, True, True, False]
         # the direct allocations decide by KKT: they score no candidate
         with mock.patch.object(allocator, "_argmax_candidate", None):
             with mock.patch.object(allocator._Gap, "__call__", evaluated_gap):

@@ -463,16 +463,6 @@ class TestBadConfigs:
         rows = read_sweep_csv(out)
         assert rows and all(math.isfinite(row.cs1_nat) and math.isfinite(row.cs2_nat) for row in rows)
 
-    @pytest.mark.parametrize("command", ["validate", "negotiate", "sweep", "mobility"])
-    def test_negative_seed_exits_with_one_line(self, tmp_path, capsys, command):
-        with pytest.raises(SystemExit) as excinfo:
-            main([command, "--seed", "-1", "--out", str(tmp_path / "out")])
-        assert excinfo.value.code == 2
-        err = capsys.readouterr().err.strip().splitlines()
-        assert len(err) == 2 and err[0].startswith("usage: ")
-        assert err[-1] == f"coopsec: error: {command}: seed must be non-negative, got -1"
-        assert not (tmp_path / "out").exists()
-
     @pytest.mark.parametrize(
         "command, text, message",
         [

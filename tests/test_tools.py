@@ -1,5 +1,6 @@
-"""The A/B timing tool times identical outputs and refuses differing ones; the
-benchmark pair tool summarises alternating runs and names a failed one."""
+"""The A/B timing tool times identical outputs, refuses differing ones and
+tables each mode's timings; the benchmark pair tool summarises alternating
+runs and names a failed one."""
 
 from __future__ import annotations
 
@@ -10,6 +11,7 @@ import shutil
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
@@ -32,6 +34,7 @@ def test_a_checkout_against_itself_times_identical_outputs(workload):
     assert result.returncode == 0, result.stderr
     assert f"{workload} seed 1: " in result.stdout
     assert "outputs identical" in result.stdout
+    assert ("\nby mode " in result.stdout) is (workload == "negotiation")
     ratio, share = result.stdout.strip().splitlines()[-2:]
     assert ratio.startswith("median per-input ratio change/base: ")
     found = re.fullmatch(r"change faster on (\d+) of (\d+) inputs \((\d+\.\d)%\)", share)
@@ -55,6 +58,22 @@ def test_a_changed_decision_is_refused_before_timing(tmp_path, workload):
     assert result.returncode == 1, result.stdout + result.stderr
     assert result.stdout.startswith("outputs differ on ")
     assert "p50" not in result.stdout
+
+
+def test_the_mode_table_times_each_mode_apart(monkeypatch):
+    # loading the tool puts perfbench's modules on the path: undo that after
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    with mock.patch.dict(sys.modules):
+        spec = importlib.util.spec_from_file_location("ab_timing", AB_TIMING)
+        tool = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(tool)
+    # fastest times in ns, base then change: relay_coop halves, mac_coop holds
+    best = [[20000, 30000, 10000, 12000, 40000], [10000, 15000, 10000, 12000, 20000]]
+    groups = ["relay_coop", "relay_coop", "mac_coop", "mac_coop", "relay_coop"]
+    header, mac, relay = tool.group_table(best, groups)
+    assert header.split() == "by mode inputs base p50 base p90 change p50 change p90 ratio".split()
+    assert mac.split() == ["mac_coop", "2", "11.00", "11.80", "11.00", "11.80", "1.000"]
+    assert relay.split() == ["relay_coop", "3", "30.00", "38.00", "15.00", "19.00", "0.500"]
 
 
 def load_bench_pairs():

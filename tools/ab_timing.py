@@ -22,10 +22,12 @@ machine with slow phases (see ``perfbench/run.py``), which hides a change
 smaller than that.  Here every round runs each input once on each side,
 back to back, alternating which side goes first, so a slow phase falls on
 both sides alike.  As in the benchmark, an input's time is its fastest
-repetition.  The tool prints each side's p50 and p90 over the inputs, the
-median over the inputs of the change's time over the base's, and on how
-many inputs the change was faster.  It exits 1, before timing anything,
-when the outputs differ.
+repetition.  The tool prints each side's p50 and p90 over the inputs, on
+``negotiation`` also over the inputs of each returned mode with their
+median per-input ratio, so a change to one mode's tail shows in its own
+row; then the median over all inputs of the change's time over the base's,
+and on how many inputs the change was faster.  It exits 1, before timing
+anything, when the outputs differ.
 """
 
 from __future__ import annotations
@@ -120,6 +122,22 @@ def fastest_times(sides: list[list], rounds: int) -> list[list[int]]:
     return best
 
 
+def group_table(best: list[list[int]], groups: list[str]) -> list[str]:
+    """Each side's p50 and p90 in microseconds, and the median per-input
+    ratio change/base, over the inputs of each group, groups sorted by name;
+    ``groups[i]`` names input ``i``'s group."""
+
+    columns = ("inputs", "base p50", "base p90", "change p50", "change p90", "ratio")
+    lines = [f"{'by mode':16}" + "".join(f"{c:>12}" for c in columns)]
+    for group in sorted(set(groups)):
+        base, change = ([t / 1e3 for t, g in zip(side, groups) if g == group] for side in best)
+        cells = [f"{len(base):12}"]
+        cells += [f"{percentile(us, q):12.2f}" for us in (base, change) for q in (0.5, 0.9)]
+        cells.append(f"{statistics.median(c / b for b, c in zip(base, change)):12.3f}")
+        lines.append(f"{group:16}" + "".join(cells))
+    return lines
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("base", type=Path, help="checkout to compare against")
@@ -140,8 +158,10 @@ def main(argv: list[str] | None = None) -> int:
             sides = [negotiation_ops(side, args.seed) for side in packages]
         else:
             sides = [audit_ops(side, args.seed, Path(scratch)) for side in packages]
-        output = repr if args.workload == "negotiation" else Path.read_bytes
-        differ = [i for i, (a, b) in enumerate(zip(*sides)) if output(a()) != output(b())]
+        negotiation = args.workload == "negotiation"
+        output = repr if negotiation else Path.read_bytes
+        results = [(a(), b()) for a, b in zip(*sides)]
+        differ = [i for i, (a, b) in enumerate(results) if output(a) != output(b)]
         if differ:
             print(f"outputs differ on {len(differ)} of {len(sides[0])} inputs, first {differ[:5]}")
             return 1
@@ -155,6 +175,8 @@ def main(argv: list[str] | None = None) -> int:
     for label, times in zip(("base", "change"), best):
         us = [t / 1e3 for t in times]
         print(f"{label:8}{percentile(us, 0.5):10.2f}{percentile(us, 0.9):10.2f}")
+    if negotiation:
+        print("\n".join(group_table(best, [mode.value for (mode, _), _ in results])))
     ratio = statistics.median(c / b for b, c in zip(*best))
     print(f"median per-input ratio change/base: {ratio:.3f}")
     faster = sum(c < b for b, c in zip(*best))
