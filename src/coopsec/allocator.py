@@ -9,7 +9,7 @@ allocation maximises
 
 over the feasible interval.  A direct-mode power is decided by the KKT
 conditions on fixed coefficient formulas, evaluating no objective.  A relay
-slice whose slope at zero is not positive is decided zero by the same
+slice whose slope at zero is negative is decided zero by the same
 conditions before any root is solved; any other relay slice is decided by
 scoring its printed cubic's roots and the interval ends.  Every rule
 returns only the power, and a decision's provenance is read from where its
@@ -520,6 +520,22 @@ class _RelaySlice(NamedTuple):
             return math.nan, math.nan
         return gain - lam * pay_scale, gain + lam * pay_scale
 
+    def falls_at_zero(self) -> bool:
+        """Whether the slope at zero is negative: whether the relayed gain
+        ``h1 / (h1 + s2) * (g_hop2 / s2) / (1 + g_direct own / s2)`` is below
+        ``c = lam pay_scale``.  Its first factor is at most one and its
+        divisor at least one, so it underflows only where its true value
+        does, unlike :meth:`slope`'s product; ``c`` must be normal, so that
+        the gain's absolute rounding there cannot turn the comparison.  False
+        where the form divides by an underflowed zero at zero.
+        """
+
+        g_direct, _, g_hop1, g_hop2, s2, lam, own_power, pay_scale = self
+        h1, c = g_hop1 * own_power, lam * pay_scale
+        if s2 * (h1 + s2) == 0.0 or c < sys.float_info.min:
+            return False
+        return h1 / (h1 + s2) * (g_hop2 / s2) / (1.0 + g_direct * own_power / s2) < c
+
     def argmax(self, hi: float) -> float | None:
         """The argmax on ``[0, hi]``: the concave slice's stationary point,
         clamped (KKT; Boyd & Vandenberghe, *Convex Optimization*, 5.5).  With
@@ -796,11 +812,11 @@ def relay_allocation(
     The cubic's coefficients are evaluated at fixed own-message seeds of half
     of each budget, and the relaying slice is chosen from what those seeds
     leave free, ``[0, min(p_j_max / 2, p_a_max / (2 alpha))]``.  The slice
-    is concave, so where its slope at zero is not positive it is decided
-    zero by that KKT condition before any root is solved; otherwise the
-    cubic's roots inside the interval and its ends are scored by objective
-    value.  A zero budget simply yields zero relaying.  Either zero is
-    flagged ``zero-clamped``.
+    is concave, so where its slope at zero is negative
+    (:meth:`_RelaySlice.falls_at_zero`) it is decided zero by that KKT
+    condition before any root is solved; otherwise the cubic's roots inside
+    the interval and its ends are scored by objective value.  A zero budget
+    simply yields zero relaying.  Either zero is flagged ``zero-clamped``.
 
     The returned own-message powers are the budget remainders
     ``p_a_max - p_ab`` and ``p_j_max - p_jb``, which can differ from the
@@ -815,14 +831,9 @@ def relay_allocation(
     except OverflowError:  # a float ** 2 raises where x * x would give inf
         raise ValueError("relay_coop: polynomial coefficients overflow") from None
     objective = _objective_key(_RELAY_REQUEST, gains, s2, lam, a, seed_a)
-    # the slice is concave, so a slope at zero that is not positive makes zero
-    # its argmax; a cubic that solve_cubic_real refuses is still refused
-    if (
-        hi > 0.0
-        and objective.slope(0.0)[0] <= 0.0
-        and all(map(math.isfinite, coeffs))
-        and any(coeffs)
-    ):
+    # the slice is concave, so a negative slope at zero makes zero its argmax;
+    # a cubic that solve_cubic_real refuses is still refused
+    if hi > 0.0 and objective.falls_at_zero() and all(map(math.isfinite, coeffs)) and any(coeffs):
         p_jb = 0.0
     else:
         p_jb = _argmax_candidate(objective.__call__, solve_cubic_real(coeffs), hi)

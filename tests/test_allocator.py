@@ -885,12 +885,12 @@ class TestDecisionsInPlainFloats:
             for price in (0.0, 1e-4, 0.01, 0.1, 1.0):
                 before = len(values)
                 relay_allocation(STD_GAINS, noise, budgets, alpha=0.8, price=price)
-                # a slice whose slope at zero is not positive is decided zero
+                # a slice whose slope at zero is negative is decided zero
                 # without scoring; any other slice scores its candidates
                 terms = dict(price=price, alpha=0.8, p_a=0.5 * budgets.p_a_max)
                 form = penalized_objective(relay, "p_jb", STD_GAINS, noise, **terms)
                 scored.append(len(values) > before)
-                assert scored[-1] is (form.slope(0.0)[0] > 0.0), price
+                assert scored[-1] is not form.falls_at_zero(), price
         assert scored == [True, True, True, True, False]
         # the direct allocations decide by KKT: they score no candidate
         with mock.patch.object(allocator, "_argmax_candidate", None):
