@@ -17,14 +17,19 @@ form once and evaluates each end once; a point's scenarios share one pass.
 
 The printed per-mode formulas that no allocation follows live here, as audit
 data next to the table that audits them; the compact closed forms stay in
-:func:`coopsec.allocator.evaluate_closed_forms`.
+:func:`coopsec.allocator.evaluate_closed_forms`.  The table holds one row per
+audited formula: its id, its printed builder, the inputs the builder takes
+besides the gains and the noise (named from ``geometry``, ``alpha``,
+``price`` and the relay seeds ``p_a``/``p_j``) and its closed-form key.  The
+id's second dotted part names the decision variable, and an entry is checked
+over path-loss gains exactly when its builder takes the geometry.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, NamedTuple, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -275,8 +280,10 @@ class FormulaCheck:
     Attributes
     ----------
     formula_id:
-        Scenario-scoped name, e.g. ``"non_coop.p_a"``.  A ``.variant``
-        suffix marks an alternate printed spelling kept for comparison.
+        ``<scenario>.<variable>[.<spelling>]``, e.g. ``"non_coop.p_a"``:
+        the variable is the decision the entry audits, and a spelling
+        suffix (``.distance``, ``.variant``) marks another printed route
+        to it, kept for comparison.
     closed_form_value:
         Value of the printed closed-form expression, ``None`` when no
         closed form exists for the entry, NaN when the expression has no
@@ -284,7 +291,8 @@ class FormulaCheck:
     root_value:
         Decision implied by the polynomial condition: its positive real
         roots and the interval ends scored by the objective, as
-        ``relay_allocation`` scores; the direct allocations decide by KKT.
+        ``relay_allocation`` scores a slice whose slope at zero is not
+        negative; the direct allocations decide by KKT.
     oracle_value:
         Argmax of the same objective on the same interval: its certified
         KKT point, or the grid search's where the certificate fails.
@@ -409,24 +417,22 @@ def _check_formula(
     residual_ok = residual is None or residual <= _RESIDUAL_TOL
 
     notes: list[str] = []
-    if closed_form is None:
-        cf_state = "absent"
-    elif math.isnan(closed_form):
-        cf_state = "nonreal"
-        notes.append("closed form has no real value at these parameters")
-    elif closed_form <= 0.0:
-        cf_state = "mismatch" if interior else "nonpositive"
-        if cf_state == "mismatch":
-            notes.append("closed form is non-positive but an interior optimum exists")
-        else:
-            notes.append("closed form claims no positive optimum")
-    elif abs(closed_form - root_value) <= max(1e-6, 1e-6 * abs(root_value)):
-        cf_state = "match"
-    else:
-        cf_state = "mismatch"
-        notes.append(
-            f"closed form {closed_form:.6g} deviates from the stationary root {root_value:.6g}"
-        )
+    nonreal = mismatch = False
+    if closed_form is not None:
+        nonreal = math.isnan(closed_form)
+        if nonreal:
+            notes.append("closed form has no real value at these parameters")
+        elif closed_form <= 0.0:
+            mismatch = interior
+            if interior:
+                notes.append("closed form is non-positive but an interior optimum exists")
+            else:
+                notes.append("closed form claims no positive optimum")
+        elif abs(closed_form - root_value) > max(1e-6, 1e-6 * abs(root_value)):
+            mismatch = True
+            notes.append(
+                f"closed form {closed_form:.6g} deviates from the stationary root {root_value:.6g}"
+            )
 
     if not matches_oracle:
         notes.append(
@@ -435,9 +441,9 @@ def _check_formula(
     if not residual_ok:
         notes.append(f"derivative residual {residual:.3g} exceeds {_RESIDUAL_TOL:g}")
 
-    if not matches_oracle or not residual_ok or cf_state == "mismatch":
+    if not matches_oracle or not residual_ok or mismatch:
         verdict = VERDICT_SUSPECTED_TYPO
-    elif cf_state == "nonreal":
+    elif nonreal:
         verdict = VERDICT_INFEASIBLE
     else:
         verdict = VERDICT_AGREE
@@ -678,103 +684,59 @@ def distance_mac_quadratic_pa_variant(
     ]
 
 
-class _AuditPoint(NamedTuple):
-    """Inputs the audited polynomials are built from."""
+def _noncoop_on(main: str, eve: str) -> Callable[..., list[float]]:
+    """:func:`coopsec.allocator.noncoop_quadratic` on the link pair ``(main,
+    eve)``, called as the printed builders are."""
 
-    gains: ChannelGains
-    noise: NoiseModel
-    geometry: Geometry
-    alpha: float
-    price: float
-    seed_a: float
-    seed_j: float
+    return lambda gains, noise, *, price: noncoop_quadratic(
+        getattr(gains, main), getattr(gains, eve), noise.sigma2, price
+    )
 
 
-def _priced(build: Callable) -> Callable[[_AuditPoint], list[float]]:
-    return lambda t: build(t.gains, t.noise, price=t.price)
-
-
-def _swapped(build: Callable) -> Callable[[_AuditPoint], list[float]]:
-    return lambda t: build(t.gains, t.noise, alpha=t.alpha, price=t.price)
-
-
-def _located(build: Callable) -> Callable[[_AuditPoint], list[float]]:
-    return lambda t: build(t.gains, t.noise, t.geometry, alpha=t.alpha, price=t.price)
-
-
-# Per scenario: (formula_id, decision variable, objective over path-loss
-# gains?, polynomial, closed-form key).  The objective is
-# ``penalized_objective``'s form for that variable and the search bound is the
-# variable's budget (for the relay slices, what half-budget seeds leave free).
+# One row per audited formula, per scenario in report order: (formula_id,
+# printed builder, the inputs it takes besides gains and noise, closed-form
+# key).  An entry is checked against ``penalized_objective``'s form for its
+# decision variable, searched up to that variable's budget (for the relay
+# slices, what half-budget seeds leave free).
+_PLACED = ("geometry", "alpha", "price")  # the geometry-aware quadratics' inputs
 _AUDIT = {
     ScenarioKind.NON_COOP: (
-        (
-            "non_coop.p_a",
-            "p_a",
-            False,
-            lambda t: noncoop_quadratic(t.gains.g_ab, t.gains.g_ae, t.noise.sigma2, t.price),
-            "noncoop_pa",
-        ),
-        (
-            "non_coop.p_j",
-            "p_j",
-            False,
-            lambda t: noncoop_quadratic(t.gains.g_jb, t.gains.g_je, t.noise.sigma2, t.price),
-            "noncoop_pj",
-        ),
-        ("non_coop.p_j.variant", "p_j", False, _priced(noncoop_quadratic_pj_variant), None),
+        ("non_coop.p_a", _noncoop_on("g_ab", "g_ae"), ("price",), "noncoop_pa"),
+        ("non_coop.p_j", _noncoop_on("g_jb", "g_je"), ("price",), "noncoop_pj"),
+        ("non_coop.p_j.variant", noncoop_quadratic_pj_variant, ("price",), None),
     ),
     ScenarioKind.ONE_SIDE_COOP: (
-        ("one_side_coop.p_a", "p_a", False, _priced(one_side_quadratic_pa), "one_side_pa"),
+        ("one_side_coop.p_a", one_side_quadratic_pa, ("price",), "one_side_pa"),
         # j's donation rides a's links with the power-swap billing
-        ("one_side_coop.p_j", "p_j", False, _swapped(mac_quadratic_pj), "one_side_pj"),
+        ("one_side_coop.p_j", mac_quadratic_pj, ("alpha", "price"), "one_side_pj"),
     ),
     ScenarioKind.MAC_COOP: (
-        ("mac_coop.p_j", "p_j", False, _swapped(mac_quadratic_pj), "mac_pj"),
-        ("mac_coop.p_a", "p_a", False, _swapped(mac_quadratic_pa), "mac_pa"),
-        ("mac_coop.p_j.distance", "p_j", True, _located(distance_mac_quadratic_pj), None),
-        (
-            "mac_coop.p_j.distance.variant",
-            "p_j",
-            True,
-            _located(distance_mac_quadratic_pj_variant),
-            None,
-        ),
-        ("mac_coop.p_a.distance", "p_a", True, _located(distance_mac_quadratic_pa), None),
-        (
-            "mac_coop.p_a.distance.variant",
-            "p_a",
-            True,
-            _located(distance_mac_quadratic_pa_variant),
-            None,
-        ),
+        ("mac_coop.p_j", mac_quadratic_pj, ("alpha", "price"), "mac_pj"),
+        ("mac_coop.p_a", mac_quadratic_pa, ("alpha", "price"), "mac_pa"),
+        ("mac_coop.p_j.distance", distance_mac_quadratic_pj, _PLACED, None),
+        ("mac_coop.p_j.distance.variant", distance_mac_quadratic_pj_variant, _PLACED, None),
+        ("mac_coop.p_a.distance", distance_mac_quadratic_pa, _PLACED, None),
+        ("mac_coop.p_a.distance.variant", distance_mac_quadratic_pa_variant, _PLACED, None),
     ),
     ScenarioKind.RELAY_COOP: (
-        (
-            "relay_coop.p_jb",
-            "p_jb",
-            False,
-            lambda t: relay_cubic_for_a(
-                t.gains, t.noise, p_a=t.seed_a, alpha=t.alpha, price=t.price
-            ),
-            None,
-        ),
-        (
-            "relay_coop.p_ab",
-            "p_ab",
-            False,
-            lambda t: relay_cubic_for_j(
-                t.gains, t.noise, p_j=t.seed_j, alpha=t.alpha, price=t.price
-            ),
-            None,
-        ),
+        ("relay_coop.p_jb", relay_cubic_for_a, ("p_a", "alpha", "price"), None),
+        ("relay_coop.p_ab", relay_cubic_for_j, ("p_j", "alpha", "price"), None),
     ),
 }
 
-# Each entry's link row, and the scenarios that read closed forms or attenuated gains.
-_ROWS = {row[0]: _objective_row(kind, row[1]) for kind, rows in _AUDIT.items() for row in rows}
-_CLOSED_KINDS = frozenset(kind for kind, rows in _AUDIT.items() if any(row[4] for row in rows))
-_PATH_LOSS_KINDS = frozenset(kind for kind, rows in _AUDIT.items() if any(row[2] for row in rows))
+# Read off the table once: each entry's decision variable (its id's second
+# dotted part) and link row, the distinct input sets, and the scenarios that
+# read closed forms or attenuated gains (a builder that takes the geometry).
+_SIDES = {
+    fid: (fid.split(".")[1], _objective_row(kind, fid.split(".")[1]))
+    for kind, rows in _AUDIT.items()
+    for fid, *_ in rows
+}
+_INPUT_SETS = frozenset(r[2] for rows in _AUDIT.values() for r in rows)
+_CLOSED_KINDS = frozenset(kind for kind, rows in _AUDIT.items() if any(r[3] for r in rows))
+_PATH_LOSS_KINDS = frozenset(
+    kind for kind, rows in _AUDIT.items() if any("geometry" in r[2] for r in rows)
+)
 
 
 def validate_scenario(
@@ -807,6 +769,11 @@ def validate_scenario(
     :func:`coopsec.allocator.relay_allocation` uses, and the relaying slice
     ranges over what those seeds leave free.
 
+    The entries come from a table with one row per audited formula: its
+    id, its printed builder, the inputs that builder takes besides the gains
+    and the noise, and its closed-form key.  The id's second dotted part is
+    the decision variable, and an entry's objective runs over
+    distance-attenuated gains exactly when its builder takes the geometry.
     Each entry builds its form once, from the inputs checked here; the form
     is both the objective and the oracle's key.
 
@@ -837,9 +804,9 @@ def validate_scenario(
 
 def _validate(kinds, gains, geometry, sigma2, alpha, price, budgets) -> list[ValidationReport]:
     """:func:`validate_scenario` of each of ``kinds``, in one pass that checks
-    the inputs and computes the closed forms, the relay seeds and the
-    attenuated gains once for all (the gains before the first kind that
-    reads them, where one scenario alone would)."""
+    the inputs and computes the closed forms, the relay seeds, each input
+    set's keywords and the attenuated gains once for all (the gains before
+    the first kind that reads them, where one scenario alone would)."""
 
     noise = NoiseModel(sigma2)
     s2, a = noise.sigma2, _as_alpha(alpha)
@@ -853,22 +820,22 @@ def _validate(kinds, gains, geometry, sigma2, alpha, price, budgets) -> list[Val
         except (OverflowError, ZeroDivisionError):
             pass
     seed_a, seed_j, hi_jb, hi_ab = _relay_seeds(budgets, a)
-    point = _AuditPoint(gains, noise, geometry, a, lam, seed_a, seed_j)
+    values = {"geometry": geometry, "alpha": a, "price": lam, "p_a": seed_a, "p_j": seed_j}
     bounds = {"p_a": budgets.p_a_max, "p_j": budgets.p_j_max, "p_jb": hi_jb, "p_ab": hi_ab}
-    seeds = {"p_a": seed_a, "p_j": seed_j}
+    inputs_of = {names: {name: values[name] for name in names} for names in _INPUT_SETS}
     attenuated = None
     reports = []
     for kind in kinds:
         if attenuated is None and kind in _PATH_LOSS_KINDS:
             attenuated = gains.effective(geometry)
         entries = []
-        for formula_id, side, path_loss, polynomial, closed_key in _AUDIT[kind]:
-            row = _ROWS[formula_id]
+        for formula_id, build, names, closed_key in _AUDIT[kind]:
+            side, row = _SIDES[formula_id]
             form = _objective_key(
-                row, attenuated if path_loss else gains, s2, lam, a, seeds[row.power]
+                row, attenuated if "geometry" in names else gains, s2, lam, a, values[row.power]
             )
             try:
-                coeffs = polynomial(point)
+                coeffs = build(gains, noise, **inputs_of[names])
             except OverflowError:
                 raise ValueError(f"{formula_id}: polynomial coefficients overflow") from None
             except ZeroDivisionError:

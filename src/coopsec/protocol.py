@@ -63,10 +63,11 @@ def _leq(lhs: float, rhs: float) -> bool:
 
     The inequalities are non-strict, so a bound hit exactly (for instance a
     squared distance landing on ``6`` through ``sqrt(6)**2``) must count as
-    satisfied despite float rounding.
+    satisfied despite float rounding.  The guard is relative only, so the
+    verdict does not depend on the unit of the gains or the powers.
     """
 
-    return lhs <= rhs or math.isclose(lhs, rhs, rel_tol=1e-9, abs_tol=1e-12)
+    return lhs <= rhs or math.isclose(lhs, rhs, rel_tol=1e-9)
 
 
 def _leaks_less(k_pair: float, c_pair: float, k_eve: float, c_eve: float, p: float) -> bool:

@@ -206,10 +206,29 @@ class TestValidateScenario:
         assert entry.derivative_residual is not None
         assert entry.derivative_residual > 1e-6
 
-    def test_distance_entries_agree_at_unit_distances(self):
-        report = standard_report(ScenarioKind.MAC_COOP, 0.01)
-        for suffix in ("p_j.distance", "p_j.distance.variant", "p_a.distance", "p_a.distance.variant"):
-            assert report.entry(f"mac_coop.{suffix}").verdict == VERDICT_AGREE
+    @pytest.mark.parametrize("eta", [2.0, 3.0, 3.7])
+    def test_distance_entries_agree_on_attenuated_gains(self, eta):
+        # the substitution route's roots are mac_coop's on gains.effective(geometry),
+        # so its entries match the plain ones there; at unit distances, where the
+        # square law is every exponent, the alternate spellings agree as well
+        rng = random.Random(int(10 * eta))
+        unit = dataclasses.replace(UNIT_GEOMETRY, eta=eta)
+        geometries = [unit] + [
+            Geometry(*(rng.uniform(0.5, 3.0) for _ in range(5)), eta=eta) for _ in range(300)
+        ]
+        terms = (1.0, 0.8, 0.01, STD_BUDGETS)
+        for geometry in geometries:
+            report = validate_scenario(ScenarioKind.MAC_COOP, STD_GAINS, geometry, *terms)
+            attenuated = STD_GAINS.effective(geometry)
+            plain = validate_scenario(ScenarioKind.MAC_COOP, attenuated, UNIT_GEOMETRY, *terms)
+            suffixes = ("distance", "distance.variant") if geometry is unit else ("distance",)
+            for side in ("p_j", "p_a"):
+                want = plain.entry(f"mac_coop.{side}")
+                for suffix in suffixes:
+                    entry = report.entry(f"mac_coop.{side}.{suffix}")
+                    assert entry.oracle_value == want.oracle_value
+                    assert entry.root_value == pytest.approx(want.root_value, rel=1e-9)
+                    assert entry.verdict == VERDICT_AGREE
 
     def test_nonreal_closed_form_marks_infeasible(self):
         gains = ChannelGains(g_ab=0.1, g_ae=0.5, g_jb=0.5, g_je=0.3, g_aj=0.2)

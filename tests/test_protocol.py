@@ -190,6 +190,75 @@ class TestConstraintPredicate:
             distance_constraints_met(STD_GAINS, geometry, 1.0, 0.8, -1.0, 5.0)
 
 
+@st.composite
+def gate_point(draw):
+    """A gate's inputs and a power-of-two change of unit ``2**n``, n in [-60, 60].
+
+    The gains, sigma2 and the budgets stay far from the float range's ends
+    after the change, so it is exact: a sound gate gives the same verdict."""
+
+    return (
+        [draw(st.floats(-2.0, 1.0).map(lambda e: 10.0**e)) for _ in range(6)],
+        Geometry(*(draw(st.floats(0.3, 3.0)) for _ in range(5)), eta=draw(st.floats(1.0, 4.0))),
+        draw(st.floats(-2.0, 1.0).map(lambda e: 10.0**e)),
+        draw(st.floats(0.05, 1.0)),
+        PowerBudget(*(draw(st.floats(-2.0, 2.0).map(lambda e: 10.0**e)) for _ in "aj")),
+        draw(st.floats(-3.0, 0.0).map(lambda e: 10.0**e)),
+        draw(st.sampled_from(list(ConstraintMode))),
+        2.0 ** draw(st.integers(-60, 60)),
+    )
+
+
+def gate_and_mode(gains, geometry, sigma2, alpha, budgets, price, mode):
+    """The gate's verdict at the budgets, and the mode ``negotiate`` returns."""
+
+    verdict = distance_constraints_met(
+        ChannelGains(*gains), geometry, sigma2, alpha, budgets.p_a_max, budgets.p_j_max, mode
+    )
+    policy = NegotiationPolicy(alpha=alpha)
+    agreed, _ = negotiate(policy, ChannelGains(*gains), geometry, sigma2, price, budgets, mode)
+    return verdict, agreed
+
+
+class TestUnitInvariance:
+    """A change of unit, by a power of two, changes no gate verdict and no
+    negotiated mode: the gate's guard for boundary equality is relative."""
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(gate_point())
+    def test_noise_unit_leaves_the_verdict(self, drawn):
+        # gains and sigma2 in a noise unit k times smaller
+        gains, geometry, sigma2, alpha, budgets, price, mode, k = drawn
+        base = gate_and_mode(gains, geometry, sigma2, alpha, budgets, price, mode)
+        scaled = [g * k for g in gains]
+        assert gate_and_mode(scaled, geometry, sigma2 * k, alpha, budgets, price, mode) == base
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(gate_point())
+    def test_power_unit_leaves_the_verdict(self, drawn):
+        # powers in a unit k times smaller; gains and the price per unit follow
+        gains, geometry, sigma2, alpha, budgets, price, mode, k = drawn
+        base = gate_and_mode(gains, geometry, sigma2, alpha, budgets, price, mode)
+        gains_k = [g / k for g in gains]
+        budgets_k = PowerBudget(budgets.p_a_max * k, budgets.p_j_max * k)
+        moved = gate_and_mode(gains_k, geometry, sigma2, alpha, budgets_k, price / k, mode)
+        assert moved == base
+
+    def test_small_gains_and_noise_do_not_open_the_gate(self):
+        # an absolute guard of 1e-12 let every cross-multiplied side below it
+        # pass: at 2**-40 this point negotiated relay_coop
+        geometry = Geometry(d_ab=1.0, d_ae=3.0, d_jb=1.0, d_je=2.0, d_aj=2.0)
+        gains = [STD_GAINS.g_ab, STD_GAINS.g_ae, STD_GAINS.g_jb, STD_GAINS.g_je]
+        gains += [STD_GAINS.g_aj, STD_GAINS.g_ja]
+        k = 2.0**-40
+        for scale in (1.0, k):
+            verdict, agreed = gate_and_mode(
+                [g * scale for g in gains], geometry, scale, 0.8, STD_BUDGETS, 1.0, "corrected"
+            )
+            assert not verdict.all_met
+            assert agreed is ScenarioKind.NON_COOP
+
+
 class TestNegotiationLadder:
     GEOMETRY = geometry_with_eve_at(2.0)
 
